@@ -68,6 +68,7 @@ from .simulation import (
     Trajectory,
     evaluate_hamiltonian,
     export_trajectory_csv,
+    hamiltonian_series,
     integrate_dde,
     monitor_dissipation,
     simulate_delay_ph,
@@ -154,6 +155,7 @@ __all__ = [
     "feedback_gain_bound",
     "general_to_delay_ph",
     "hamiltonian",
+    "hamiltonian_series",
     "image_basis",
     "integrate_dde",
     "interconnect",

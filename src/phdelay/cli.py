@@ -35,8 +35,8 @@ from .composition import (
 from .linalg import Tolerance
 from .simulation import (
     BlowUpError,
-    evaluate_hamiltonian,
     export_trajectory_csv,
+    hamiltonian_series,
     integrate_dde,
     simulate_delay_ph,
 )
@@ -343,14 +343,11 @@ def _cmd_simulate(args, tol):
         traj, record = simulate_delay_ph(
             system, history, inputs, args.T, args.h, monitor=args.monitor
         )
-        theta = system.theta if system.theta is not None else np.zeros((system.n,) * 2)
         if record is not None:
             energies = record.hamiltonians
         else:
-            energies = np.array([
-                evaluate_hamiltonian(traj, system.H, theta, k)
-                for k in range(traj.times.size)
-            ])
+            theta = system.theta if system.theta is not None else np.zeros((system.n,) * 2)
+            energies = hamiltonian_series(traj, system.H, theta)
         if record is not None:
             payload["monitor"] = {
                 "tol_energy": record.tol_energy,

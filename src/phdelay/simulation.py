@@ -9,21 +9,33 @@ and linearly inside the initial history, which is itself resampled
 linearly onto the step grid.  Input signals are samples on the step grid,
 read as piecewise-linear between samples.
 
+The coefficients are constant, so one RK4 step is a fixed linear map:
+x_{k+1} = x_k + D x_k + F z_k, where z_k stacks the delayed samples, their
+derivative samples and the inputs at both ends of the step.  D and F are
+obtained once per run by pushing identity columns through the stage
+formulas.  Steps then run in blocks of up to d = tau / h steps, whose
+delayed data all exist when the block starts: one matrix product gives
+the forcing F z_k of the whole block, each step costs one n x n
+matrix-vector product, O(n^2), and one more product fills the block's
+derivative samples.
+
 Energy accounting uses the Lyapunov-Krasovskii Hamiltonian
 
     E_k = (1/2) x_k^T H x_k + trapezoid of x^T Theta x over [t_k - tau, t_k]
 
-and flags every step whose energy gain exceeds the trapezoidal estimate of
-the supplied power integral of y^T u by more than a quadrature tolerance.
+evaluated for all k at once in O((K + d) n^2) by sliding the trapezoid
+window one step at a time, and flags every step whose energy gain exceeds
+the trapezoidal estimate of the supplied power integral of y^T u by more
+than a quadrature tolerance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, require_symmetric
+from .linalg import require_symmetric
 from .systems import (
     DelayPHSystem,
     GeneralDelaySystem,
@@ -39,6 +51,7 @@ __all__ = [
     "Trajectory",
     "evaluate_hamiltonian",
     "export_trajectory_csv",
+    "hamiltonian_series",
     "integrate_dde",
     "monitor_dissipation",
     "simulate_delay_ph",
@@ -149,6 +162,45 @@ def _input_samples(inputs, times: np.ndarray, m: int) -> np.ndarray:
     return arr
 
 
+def _rk4_increment(a0, a1, b, h, x, xd0, xd1, dd0, dd1, u0, u1, hermite):
+    """RK4 increment x_{k+1} - x_k over one step, column by column.
+
+    ``xd0``/``xd1`` are the delayed states and ``dd0``/``dd1`` their
+    derivative samples at t_k - tau and t_{k+1} - tau; ``u0``/``u1`` the
+    inputs at t_k and t_{k+1}.  The delayed midpoint is the cubic Hermite
+    value when ``hermite``, else the linear one (inside the history).
+    """
+
+    def f(x, xd, uu):
+        return a0 @ x + a1 @ xd + b @ uu
+
+    um = 0.5 * (u0 + u1)
+    if hermite:
+        xdm = 0.5 * (xd0 + xd1) + 0.125 * h * (dd0 - dd1)
+    else:
+        xdm = 0.5 * (xd0 + xd1)
+    k1 = f(x, xd0, u0)
+    k2 = f(x + 0.5 * h * k1, xdm, um)
+    k3 = f(x + 0.5 * h * k2, xdm, um)
+    k4 = f(x + h * k3, xd1, u1)
+    return (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _rk4_maps(a0, a1, b, h):
+    """Matrices of the RK4 step as a linear map.
+
+    Returns (D, F_history, F_hermite) with
+    x_{k+1} - x_k = D x_k + F [xd0; xd1; dd0; dd1; u0; u1] in the notation
+    of ``_rk4_increment``, one F per midpoint rule.  Each is read off by
+    pushing identity columns through the stage formulas themselves.
+    """
+    n, m = b.shape
+    eye = np.eye(5 * n + 2 * m)
+    parts = np.split(eye, np.cumsum([n, n, n, n, n, m]))
+    maps = [_rk4_increment(a0, a1, b, h, *parts, hermite) for hermite in (False, True)]
+    return maps[0][:, :n], maps[0][:, n:], maps[1][:, n:]
+
+
 def integrate_dde(
     system: GeneralDelaySystem, history: HistoryFunction, inputs, T: float, h: float
 ) -> Trajectory:
@@ -181,35 +233,36 @@ def integrate_dde(
     x_all = np.empty((n, d + big_k + 1))
     x_all[:, : d + 1] = hist_vals
     deriv = np.zeros((n, d + big_k + 1))  # derivative samples for t >= 0 only
+    deriv[:, d] = a0 @ x_all[:, d] + a1 @ x_all[:, 0] + b @ u[:, 0]
 
-    def f(x, xd, uu):
-        return a0 @ x + a1 @ xd + b @ uu
-
-    deriv[:, d] = f(x_all[:, d], x_all[:, 0], u[:, 0])
-    for k in range(big_k):
-        c = d + k
-        x = x_all[:, c]
-        u0 = u[:, k]
-        u1 = u[:, k + 1]
-        um = 0.5 * (u0 + u1)
-        xd0 = x_all[:, k]
-        xd1 = x_all[:, k + 1]
-        if k < d:
-            # delayed interval lies in the (piecewise-linear) history
-            xdm = 0.5 * (xd0 + xd1)
-        else:
-            # cubic Hermite midpoint from stored values and derivatives
-            xdm = 0.5 * (xd0 + xd1) + 0.125 * h * (deriv[:, k] - deriv[:, k + 1])
-        k1 = deriv[:, c]
-        k2 = f(x + 0.5 * h * k1, xdm, um)
-        k3 = f(x + 0.5 * h * k2, xdm, um)
-        k4 = f(x + h * k3, xd1, u1)
-        x_next = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        norm = float(np.linalg.norm(x_next))
-        if not np.isfinite(norm) or norm > BLOWUP_NORM:
-            raise BlowUpError(k + 1, times[k + 1], norm)
-        x_all[:, c + 1] = x_next
-        deriv[:, c + 1] = f(x_next, x_all[:, k + 1], u1)
+    d_map, f_history, f_hermite = _rk4_maps(a0, a1, b, h)
+    k0 = 0
+    while k0 < big_k:
+        # steps k0 .. k0 + span - 1 read delayed data up to column d + k0 only
+        span = min(d, big_k - k0)
+        c0 = d + k0
+        lo, hi = slice(k0, k0 + span), slice(k0 + 1, k0 + span + 1)
+        new = slice(c0 + 1, c0 + span + 1)
+        delayed = np.concatenate(
+            [x_all[:, lo], x_all[:, hi], deriv[:, lo], deriv[:, hi], u[:, lo], u[:, hi]]
+        )
+        forcing = ((f_history if k0 < d else f_hermite) @ delayed).T
+        block = np.empty((span, n))
+        x = x_all[:, c0]
+        # norms are checked once per block, so the steps after a blow-up
+        # may overflow before the first offending step is reported
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(span):
+                x = x + (d_map @ x + forcing[j])
+                block[j] = x
+            norms = np.linalg.norm(block, axis=1)
+        bad = ~(norms <= BLOWUP_NORM)
+        if bad.any():
+            j = int(np.argmax(bad))
+            raise BlowUpError(k0 + j + 1, times[k0 + j + 1], norms[j])
+        x_all[:, new] = block.T
+        deriv[:, new] = a0 @ x_all[:, new] + a1 @ x_all[:, hi] + b @ u[:, hi]
+        k0 += span
 
     states = x_all[:, d:].copy()
     outputs = system.C @ states
@@ -241,6 +294,25 @@ def evaluate_hamiltonian(traj: Trajectory, H, theta, k: int) -> float:
     return quad + float(integral)
 
 
+def hamiltonian_series(traj: Trajectory, H, theta) -> np.ndarray:
+    """Lyapunov-Krasovskii energy E_k at every step k = 0..K, in O((K + d) n^2).
+
+    Equals ``evaluate_hamiltonian(traj, H, theta, k)`` for each k up to
+    rounding.  The trapezoid of g_j = x_j^T Theta x_j is summed once over
+    the first window and then slid one step at a time with the exact
+    increment h/2 (g_{k+d} + g_{k+d+1} - g_k - g_{k+1}).
+    """
+    h_mat = require_symmetric(H, "H")
+    th = require_symmetric(theta, "theta")
+    x, d, step = traj.padded_states, traj.delay_steps, traj.step
+    g = np.einsum("ij,ij->j", x, th @ x)
+    first = step * (0.5 * g[0] + g[1:d].sum() + 0.5 * g[d])
+    slide = 0.5 * step * (g[d:-1] + g[d + 1 :] - g[: -d - 1] - g[1:-d])
+    integral = np.concatenate([[first], first + np.cumsum(slide)])
+    states = traj.states
+    return 0.5 * np.einsum("ij,ij->j", states, h_mat @ states) + integral
+
+
 def monitor_dissipation(
     traj: Trajectory, H, theta, tol_energy: float | None = None
 ) -> EnergyRecord:
@@ -251,10 +323,7 @@ def monitor_dissipation(
     step.  The default tolerance is 10 h^2 (1 + max_k ||x_k||^2), which
     covers the quadrature error of both trapezoid rules on a resolved run.
     """
-    big_k = traj.times.size - 1
-    ham = np.array(
-        [evaluate_hamiltonian(traj, H, theta, k) for k in range(big_k + 1)]
-    )
+    ham = hamiltonian_series(traj, H, theta)
     power = np.einsum("ij,ij->j", traj.outputs, traj.inputs)
     seg = 0.5 * traj.step * (power[:-1] + power[1:])
     supplied = np.concatenate([[0.0], np.cumsum(seg)])

@@ -1,12 +1,13 @@
-"""Shared random-instance generators for the test suite.
+"""Shared random-instance generators and reference oracles for the test suite.
 
-Everything takes an explicit ``numpy.random.Generator`` so each test file
+The generators take an explicit ``numpy.random.Generator`` so each test file
 controls its own seed and failures reproduce exactly.
 """
 
 import numpy as np
 
 from phdelay import DelayPHSystem
+from phdelay.simulation import BLOWUP_NORM, BlowUpError
 
 
 def rand_orth(rng, n):
@@ -55,3 +56,47 @@ def rand_certified_delay_ph(rng, n, m=1, tau=1.0):
         tau=tau,
         theta=theta,
     )
+
+
+def integrate_dde_stepwise(system, history, u, T, h):
+    """Reference RK4 integrator: one right-hand-side evaluation per stage.
+
+    The step-by-step form of the scheme in ``phdelay.simulation``; ``u`` is
+    the (m, K+1) input sample array.  Returns the padded states (history
+    columns first) and raises ``BlowUpError`` at the first step whose state
+    norm is non-finite or exceeds ``BLOWUP_NORM``.
+    """
+    d, big_k = round(system.tau / h), round(T / h)
+    n = system.n
+    a0, a1, b = system.A0, system.A1, system.B
+    x_all = np.empty((n, d + big_k + 1))
+    x_all[:, : d + 1] = history.sample_at((np.arange(d + 1) - d) * h)
+    deriv = np.zeros((n, d + big_k + 1))
+
+    def f(x, xd, uu):
+        return a0 @ x + a1 @ xd + b @ uu
+
+    deriv[:, d] = f(x_all[:, d], x_all[:, 0], u[:, 0])
+    for k in range(big_k):
+        c = d + k
+        x = x_all[:, c]
+        u0 = u[:, k]
+        u1 = u[:, k + 1]
+        um = 0.5 * (u0 + u1)
+        xd0 = x_all[:, k]
+        xd1 = x_all[:, k + 1]
+        if k < d:
+            xdm = 0.5 * (xd0 + xd1)
+        else:
+            xdm = 0.5 * (xd0 + xd1) + 0.125 * h * (deriv[:, k] - deriv[:, k + 1])
+        k1 = deriv[:, c]
+        k2 = f(x + 0.5 * h * k1, xdm, um)
+        k3 = f(x + 0.5 * h * k2, xdm, um)
+        k4 = f(x + h * k3, xd1, u1)
+        x_next = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        norm = float(np.linalg.norm(x_next))
+        if not np.isfinite(norm) or norm > BLOWUP_NORM:
+            raise BlowUpError(k + 1, (k + 1) * h, norm)
+        x_all[:, c + 1] = x_next
+        deriv[:, c + 1] = f(x_next, x_all[:, k + 1], u1)
+    return x_all

@@ -4,7 +4,12 @@ import json
 import numpy as np
 import pytest
 
-from phdelay import read_system
+from phdelay import (
+    HistoryFunction,
+    hamiltonian_series,
+    read_system,
+    simulate_delay_ph,
+)
 from phdelay.cli import main
 
 
@@ -264,6 +269,31 @@ def test_simulate_with_monitor(capsys, tmp_path, scalar_file):
     assert np.any(data[:, 4] != 0.0)  # energy column is populated
     assert report["trajectory"]["final_state"] == [data[-1, 1]]
     assert report["trajectory"]["max_state_norm"] >= abs(data[-1, 1])
+
+
+def test_simulate_energy_column_sources(capsys, tmp_path, scalar_file):
+    """H is the monitor's record with --monitor and the energy series without."""
+    system = read_system(scalar_file)
+    hist = HistoryFunction.constant([0.5], 1.0)
+    steps = np.ones((1, 201))
+    out = tmp_path / "traj.csv"
+    argv = ["simulate", scalar_file, "--history", "const:0.5",
+            "--input", "step:1.0", "--T", "2.0", "--h", "0.01",
+            "--out", str(out)]
+
+    code, _ = run(capsys, *argv, "--monitor")
+    assert code == 0
+    _, record = simulate_delay_ph(system, hist, steps, 2.0, 0.01)
+    data = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert np.array_equal(data[:, 4], record.hamiltonians)
+
+    code, _ = run(capsys, *argv)
+    assert code == 0
+    traj, _ = simulate_delay_ph(system, hist, steps, 2.0, 0.01, monitor=False)
+    data = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert np.array_equal(
+        data[:, 4], hamiltonian_series(traj, system.H, system.theta)
+    )
 
 
 def test_simulate_general_delay(capsys, tmp_path):

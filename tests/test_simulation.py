@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,10 +12,14 @@ from phdelay import (
     SystemValidationError,
     evaluate_hamiltonian,
     export_trajectory_csv,
+    hamiltonian_series,
     integrate_dde,
     monitor_dissipation,
     simulate_delay_ph,
 )
+from phdelay.systems import delay_ph_to_general
+
+from helpers import integrate_dde_stepwise, rand_certified_delay_ph
 
 
 def pure_delay_system():
@@ -118,6 +123,51 @@ def test_blow_up_detection():
     assert err.time == pytest.approx(err.step_index * 0.01)
 
 
+@pytest.mark.parametrize(
+    "d, big_k",
+    [(1, 1), (1, 13), (2, 1), (2, 9), (7, 3), (7, 30), (20, 7), (20, 47)],
+)
+def test_block_integrator_matches_stepwise_oracle(d, big_k):
+    """Blocks of d steps reproduce the stage-by-stage scheme to rounding."""
+    rng = np.random.default_rng([d, big_k])
+    n, m, h = 3, 2, 0.05
+    sys1 = GeneralDelaySystem(
+        A0=rng.standard_normal((n, n)) - 2.0 * np.eye(n),
+        A1=rng.standard_normal((n, n)),
+        B=rng.standard_normal((n, m)),
+        C=rng.standard_normal((m, n)),
+        tau=d * h,
+    )
+    grid = np.linspace(-d * h, 0.0, 6)
+    hist = HistoryFunction(grid, rng.standard_normal((n, grid.size)))
+    u = rng.standard_normal((m, big_k + 1))
+    traj = integrate_dde(sys1, hist, u, big_k * h, h)
+    ref = integrate_dde_stepwise(sys1, hist, u, big_k * h, h)
+    assert traj.padded_states.shape == ref.shape
+    scale = np.max(np.abs(ref))
+    assert np.max(np.abs(traj.padded_states - ref)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("a0, tau", [(1e4, 1.0), (30.0, 0.1)])
+def test_blow_up_inside_a_block(a0, tau):
+    """The abort names the oracle's step, and no overflow warning escapes."""
+    sys1 = GeneralDelaySystem(A0=[[a0]], A1=[[0.0]], B=[[0.0]], C=[[0.0]],
+                              tau=tau)
+    h, d = 0.01, round(tau / 0.01)
+    hist = HistoryFunction.constant([1.0], tau)
+    with pytest.raises(BlowUpError) as oracle:
+        integrate_dde_stepwise(sys1, hist, np.zeros((1, 201)), 2.0, h)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BlowUpError) as info:
+            integrate_dde(sys1, hist, None, 2.0, h)
+    err = info.value
+    assert err.step_index == oracle.value.step_index
+    assert err.step_index % d not in (0, 1)  # strictly inside its block
+    assert err.time == oracle.value.time
+    assert err.norm == pytest.approx(oracle.value.norm, rel=1e-12)
+
+
 def test_input_forms_agree():
     sys1 = GeneralDelaySystem(A0=[[-1.0]], A1=[[-0.2]], B=[[1.0]], C=[[1.0]],
                               tau=1.0)
@@ -187,6 +237,26 @@ def test_hamiltonian_trapezoid_error_bound():
         exact = 0.5 * t * t + (t**3 - (t - 1.0) ** 3) / 3.0
         got = evaluate_hamiltonian(traj, [[1.0]], [[1.0]], k)
         assert abs(got - exact) <= h * h / 3.0
+
+
+@pytest.mark.parametrize(
+    "tau, T, h",
+    [(0.1, 2.0, 0.1), (1.0, 0.5, 0.1), (0.5, 3.0, 0.05)],
+    ids=["d=1", "K<d", "d=10"],
+)
+def test_hamiltonian_series_matches_per_step_evaluation(tau, T, h):
+    rng = np.random.default_rng(17)
+    sys1 = rand_certified_delay_ph(rng, 3, m=2, tau=tau)
+    hist = HistoryFunction.constant(rng.standard_normal(3), tau)
+    traj = integrate_dde(delay_ph_to_general(sys1), hist,
+                         lambda t: [math.sin(t), 1.0], T, h)
+    series = hamiltonian_series(traj, sys1.H, sys1.theta)
+    per_step = np.array([
+        evaluate_hamiltonian(traj, sys1.H, sys1.theta, k)
+        for k in range(traj.times.size)
+    ])
+    assert series.shape == per_step.shape
+    assert np.max(np.abs(series - per_step)) <= 1e-12 * np.max(np.abs(per_step))
 
 
 def test_monitor_certified_system_no_violations():
