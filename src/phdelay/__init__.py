@@ -56,7 +56,6 @@ from .linalg import (
     is_psd,
     kernel_basis,
     numerical_rank,
-    schur_complement_lower,
     skew_part,
     spectral_norm,
     sym_part,
@@ -169,7 +168,6 @@ __all__ = [
     "read_system",
     "save_system",
     "scalar_theta_interval",
-    "schur_complement_lower",
     "simulate_delay_ph",
     "skew_part",
     "spectral_norm",

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+from .linalg import PsdReport
 
 __all__ = ["CERTIFIED", "REFUTED", "INCONCLUSIVE", "Certificate"]
 
@@ -20,7 +22,8 @@ class Certificate:
     For a CERTIFIED verdict ``min_eigenvalue`` is the smallest eigenvalue of
     the tested condition matrix (>= -slack); for REFUTED the ``witness``
     vector exhibits a negative quadratic form on ``condition_matrix`` (or on
-    the offending matrix named by ``reason``).
+    the offending matrix named by ``reason``).  A refutation by an output
+    mismatch carries no witness.
     """
 
     verdict: str
@@ -30,6 +33,32 @@ class Certificate:
     theta_used: np.ndarray | None = None
     reason: str = ""
     slack: float | None = None
+
+    @classmethod
+    def from_report(
+        cls,
+        report: PsdReport,
+        condition_matrix: np.ndarray,
+        reason: str,
+        theta_used: np.ndarray | None = None,
+        mismatch: str = "",
+    ) -> Certificate:
+        """Certificate for the PSD test ``report`` of ``condition_matrix``.
+
+        CERTIFIED iff the report is PSD and ``mismatch`` (the reason of a
+        failed output condition) is empty.  A refutation is explained by
+        ``mismatch`` when given, otherwise by ``reason``.
+        """
+        certified = report.is_psd and not mismatch
+        return cls(
+            verdict=CERTIFIED if certified else REFUTED,
+            condition_matrix=condition_matrix,
+            min_eigenvalue=report.min_eigenvalue,
+            witness=None if mismatch else report.witness,
+            theta_used=theta_used,
+            reason=mismatch or ("" if certified else reason),
+            slack=report.slack,
+        )
 
     @property
     def certified(self) -> bool:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certificates import CERTIFIED, REFUTED, Certificate
+from .certificates import Certificate
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
@@ -37,6 +37,8 @@ from .linalg import (
     intersection_trivial,
     is_psd,
     kernel_basis,
+    output_residual,
+    psd_report_symmetric,
     require_symmetric,
     spectral_norm,
     subspace_contained,
@@ -85,6 +87,12 @@ def ph_condition_matrix(R, Z, theta) -> np.ndarray:
         raise ValueError(
             f"shape mismatch: R {r.shape}, Z {z.shape}, theta {th.shape}"
         )
+    return _assemble_condition(r, z, th)
+
+
+def _assemble_condition(r, z, th) -> np.ndarray:
+    # exactly symmetric whenever r and th are
+    n = r.shape[0]
     cond = np.empty((2 * n, 2 * n))
     cond[:n, :n] = r - th
     cond[:n, n:] = 0.5 * z
@@ -100,14 +108,17 @@ def certify_delay_ph(
 
     Theta resolution: the explicit argument wins, otherwise the theta
     stored on the system; ValueError when neither is present.  The system
-    must validate (H spd, J antisymmetric, R symmetric); Theta must be
-    symmetric.  Verdict CERTIFIED iff Theta is PSD and the condition
-    matrix is PSD, each within the tolerance's slack.  A REFUTED verdict
-    carries a witness direction with negative quadratic form.
+    must validate (H spd, J antisymmetric, R symmetric, a stored Theta
+    PSD); Theta must be symmetric.  Verdict CERTIFIED iff Theta is PSD and
+    the condition matrix is PSD, each within the tolerance's slack.  A
+    REFUTED verdict carries a witness direction with negative quadratic
+    form.
     """
     violations = validate(system, tol)
     if violations:
         raise SystemValidationError(violations)
+    # validate has just tested a stored Theta for PSD with this tolerance
+    stored = theta is None or theta is system.theta
     if theta is None:
         theta = system.theta
     if theta is None:
@@ -118,27 +129,19 @@ def certify_delay_ph(
     th = require_symmetric(theta, "theta")
     if th.shape != (system.n, system.n):
         raise ValueError(f"theta has shape {th.shape}, expected {(system.n,) * 2}")
-    cond = ph_condition_matrix(system.R, system.Z, th)
-    theta_report = is_psd(th, tol)
-    if not theta_report.is_psd:
-        return Certificate(
-            verdict=REFUTED,
-            condition_matrix=cond,
-            min_eigenvalue=theta_report.min_eigenvalue,
-            witness=theta_report.witness,
-            theta_used=th,
-            reason="theta_not_psd",
-            slack=theta_report.slack,
-        )
-    report = is_psd(cond, tol)
-    return Certificate(
-        verdict=CERTIFIED if report.is_psd else REFUTED,
-        condition_matrix=cond,
-        min_eigenvalue=report.min_eigenvalue,
-        witness=report.witness,
+    # validate has checked R for shape and symmetry, so the blocks need no
+    # second pass through ph_condition_matrix's checks
+    r = system.R
+    cond = _assemble_condition(0.5 * (r + r.T), system.Z, th)
+    if not stored:
+        theta_report = psd_report_symmetric(th, tol)
+        if not theta_report.is_psd:
+            return Certificate.from_report(
+                theta_report, cond, "theta_not_psd", theta_used=th
+            )
+    return Certificate.from_report(
+        psd_report_symmetric(cond, tol), cond, "condition_indefinite",
         theta_used=th,
-        reason="" if report.is_psd else "condition_indefinite",
-        slack=report.slack,
     )
 
 
@@ -248,8 +251,7 @@ def construct_theta(R, Z, tol: Tolerance = DEFAULT_TOL) -> ThetaConstruction:
     z = as_matrix(Z, "Z")
     if z.shape != r.shape:
         raise ValueError(f"Z has shape {z.shape}, expected {r.shape}")
-    v1, _rank = whitening_basis(r, tol)  # raises when R is not PSD
-    ker_r = kernel_basis(r, tol)
+    v1, ker_r = whitening_basis(r, tol)  # raises when R is not PSD
     if not subspace_contained(ker_r, z, tol):
         return ThetaConstruction(
             False, reason="kernel_condition: ker(R) is not contained in ker(Z)"
@@ -298,23 +300,13 @@ def classical_passivity_check(
     q = _require_spd(Q, "Q", tol)
     th = _require_spd(theta, "Theta", tol)
     lhs = _riccati_form(system, q, th)
-    report = is_psd(-lhs, tol)
-    residual = float(np.linalg.norm(system.C - system.B.T @ q))
-    out_ok = residual <= tol.rank_tol * float(np.linalg.norm(system.C))
-    if not out_ok:
-        reason = f"output_mismatch: ||C - B^T Q|| = {residual:.3e}"
-    elif not report.is_psd:
-        reason = "inequality_indefinite"
-    else:
-        reason = ""
-    return Certificate(
-        verdict=CERTIFIED if (out_ok and report.is_psd) else REFUTED,
-        condition_matrix=-lhs,
-        min_eigenvalue=report.min_eigenvalue,
-        witness=report.witness,
+    residual, out_ok = output_residual(system.C, system.B, q, tol)
+    return Certificate.from_report(
+        is_psd(-lhs, tol),
+        -lhs,
+        "inequality_indefinite",
         theta_used=th,
-        reason=reason,
-        slack=report.slack,
+        mismatch="" if out_ok else f"output_mismatch: ||C - B^T Q|| = {residual:.3e}",
     )
 
 
@@ -379,21 +371,13 @@ def crosscheck_classical(
     rhs = -system.R + th + 0.25 * (system.Z @ np.linalg.solve(th, system.Z.T))
     identity_error = float(np.max(np.abs(lhs - rhs))) if lhs.size else 0.0
     report = is_psd(-lhs, tol)
-    output_residual = float(np.linalg.norm(general.C - general.B.T @ q))
-    cert = Certificate(
-        verdict=CERTIFIED if report.is_psd else REFUTED,
-        condition_matrix=-lhs,
-        min_eigenvalue=report.min_eigenvalue,
-        witness=report.witness,
-        theta_used=th,
-        reason="" if report.is_psd else "inequality_indefinite",
-        slack=report.slack,
-    )
+    residual, _ = output_residual(general.C, general.B, q, tol)
+    cert = Certificate.from_report(report, -lhs, "inequality_indefinite", theta_used=th)
     return ClassicalCrosscheck(
         inequality_certified=report.is_psd,
         min_eigenvalue=report.min_eigenvalue,
         identity_error=identity_error,
-        output_residual=output_residual,
+        output_residual=residual,
         certificate=cert,
     )
 
@@ -418,22 +402,12 @@ def kyp_delay_check(
     block[:n, n:] = -q11 @ system.A1
     block[n:, :n] = block[:n, n:].T
     block[n:, n:] = q22
-    report = is_psd(block, tol)
-    residual = float(np.linalg.norm(system.C - system.B.T @ q11))
-    out_ok = residual <= tol.rank_tol * float(np.linalg.norm(system.C))
-    if not out_ok:
-        reason = f"output_mismatch: ||C - B^T Q11|| = {residual:.3e}"
-    elif not report.is_psd:
-        reason = "block_indefinite"
-    else:
-        reason = ""
-    return Certificate(
-        verdict=CERTIFIED if (out_ok and report.is_psd) else REFUTED,
-        condition_matrix=block,
-        min_eigenvalue=report.min_eigenvalue,
-        witness=report.witness,
-        reason=reason,
-        slack=report.slack,
+    residual, out_ok = output_residual(system.C, system.B, q11, tol)
+    return Certificate.from_report(
+        is_psd(block, tol),
+        block,
+        "block_indefinite",
+        mismatch="" if out_ok else f"output_mismatch: ||C - B^T Q11|| = {residual:.3e}",
     )
 
 

@@ -15,6 +15,7 @@ import hashlib
 import json
 import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -48,7 +49,6 @@ from .systems import (
     StandardLTISystem,
     StandardPHSystem,
     SystemFormatError,
-    SystemValidationError,
     delay_ph_to_general,
     read_system,
     save_system,
@@ -237,11 +237,7 @@ def _cmd_feedback(args, tol):
             args.system: _digest(args.system),
             args.feedback_matrix: _digest(args.feedback_matrix),
         },
-        "feedback_conditions": {
-            "output_kernel_trivial": conditions.output_kernel_trivial,
-            "kernel_r_in_kernel_gt": conditions.kernel_r_in_kernel_gt,
-            "kernel_r_image_disjoint": conditions.kernel_r_image_disjoint,
-        },
+        "feedback_conditions": asdict(conditions),
     }
     if conditions.kernel_r_in_kernel_gt and conditions.kernel_r_image_disjoint:
         beta = feedback_gain_bound(system.R, system.G, tol)
@@ -393,11 +389,7 @@ def _cmd_check(args, tol):
         checks.append({
             "name": "feedback_conditions",
             "passed": conditions.all_hold,
-            "detail": {
-                "output_kernel_trivial": conditions.output_kernel_trivial,
-                "kernel_r_in_kernel_gt": conditions.kernel_r_in_kernel_gt,
-                "kernel_r_image_disjoint": conditions.kernel_r_image_disjoint,
-            },
+            "detail": asdict(conditions),
         })
     if isinstance(system, DelayPHSystem):
         if system.theta is not None:
@@ -405,11 +397,7 @@ def _cmd_check(args, tol):
             checks.append({
                 "name": "necessary_conditions",
                 "passed": necessary.all_hold,
-                "detail": {
-                    "kernel_chain": necessary.kernel_chain,
-                    "z_image_disjoint": necessary.z_image_disjoint,
-                    "theta_image_disjoint": necessary.theta_image_disjoint,
-                },
+                "detail": asdict(necessary),
             })
         construction = construct_theta(system.R, system.Z, tol)
         checks.append({
@@ -500,22 +488,7 @@ def main(argv=None) -> int:
     tol = Tolerance(psd_tol=args.psd_tol, rank_tol=args.rank_tol)
     try:
         payload, code = args.handler(args, tol)
-    except _UsageError as exc:
-        print(json.dumps(
-            {"command": args.command, "error": str(exc), "exit_code": 3}, indent=2
-        ))
-        return 3
-    except (SystemFormatError, SystemValidationError) as exc:
-        print(json.dumps(
-            {"command": args.command, "error": str(exc), "exit_code": 3}, indent=2
-        ))
-        return 3
-    except BlowUpError as exc:
-        print(json.dumps(
-            {"command": args.command, "error": str(exc), "exit_code": 3}, indent=2
-        ))
-        return 3
-    except (OSError, ValueError) as exc:
+    except (_UsageError, BlowUpError, OSError, ValueError) as exc:
         print(json.dumps(
             {"command": args.command, "error": str(exc), "exit_code": 3}, indent=2
         ))

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certificates import CERTIFIED, REFUTED, Certificate
-from .certify import certify_delay_ph, ph_condition_matrix
+from .certificates import Certificate
+from .certify import certify_delay_ph
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
@@ -122,30 +122,20 @@ def interconnect(
 def certify_interconnection(
     sys1: DelayPHSystem, sys2: DelayPHSystem, F, tol: Tolerance = DEFAULT_TOL
 ) -> Certificate:
-    """Certify the closed loop directly from the aggregated block condition.
+    """Certify the closed loop: ``certify_delay_ph(interconnect(...))``.
 
     Both subsystems must carry a theta (ValueError otherwise).  The tested
     matrix is
 
         [[R - G sym(F) G^T - Theta, Z/2], [Z^T/2, Theta]]
 
-    over the stacked structure, which equals the block condition of
-    ``interconnect(sys1, sys2, F)`` with theta blkdiag(theta1, theta2).
+    over the stacked structure with theta blkdiag(theta1, theta2).  The
+    closed loop is validated first, so an invalid pair raises
+    SystemValidationError.
     """
     if sys1.theta is None or sys2.theta is None:
         raise ValueError("both subsystems must carry a theta to certify")
-    closed = interconnect(sys1, sys2, F)
-    cond = ph_condition_matrix(closed.R, closed.Z, closed.theta)
-    report = is_psd(cond, tol)
-    return Certificate(
-        verdict=CERTIFIED if report.is_psd else REFUTED,
-        condition_matrix=cond,
-        min_eigenvalue=report.min_eigenvalue,
-        witness=report.witness,
-        theta_used=closed.theta,
-        reason="" if report.is_psd else "condition_indefinite",
-        slack=report.slack,
-    )
+    return certify_delay_ph(interconnect(sys1, sys2, F), tol=tol)
 
 
 def close_delayed_feedback(
@@ -219,12 +209,11 @@ def feedback_gain_bound(R, G, tol: Tolerance = DEFAULT_TOL) -> float:
     """
     r = as_matrix(R, "R")
     g = as_matrix(G, "G")
-    ker_r = kernel_basis(r, tol)
+    v1, ker_r = whitening_basis(r, tol)
     if not subspace_contained(ker_r, g.T, tol):
         raise ValueError("hypothesis violated: ker(R) is not contained in ker(G^T)")
     if not intersection_trivial(ker_r, g, tol):
         raise ValueError("hypothesis violated: ker(R) meets image(G)")
-    v1, _ = whitening_basis(r, tol)
     coupling = spectral_norm(v1.T @ g)
     if coupling == 0.0:
         return math.inf

@@ -26,8 +26,9 @@ __all__ = [
     "is_psd",
     "kernel_basis",
     "numerical_rank",
+    "output_residual",
+    "psd_report_symmetric",
     "require_symmetric",
-    "schur_complement_lower",
     "skew_part",
     "spectral_norm",
     "subspace_contained",
@@ -99,7 +100,7 @@ def as_matrix(value, name: str = "matrix") -> np.ndarray:
         raise ValueError(
             f"{name} must be a 2-D array or a scalar, got shape {arr.shape}"
         )
-    if arr.size and not np.all(np.isfinite(arr)):
+    if arr.size and not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 
@@ -125,7 +126,10 @@ def skew_part(matrix) -> np.ndarray:
 
 def asymmetry(matrix) -> float:
     """Relative asymmetry ||M - M^T||_F / (1 + ||M||_F)."""
-    m = _square(matrix)
+    return _asymmetry(_square(matrix))
+
+
+def _asymmetry(m: np.ndarray) -> float:
     if m.size == 0:
         return 0.0
     d = m - m.T
@@ -142,7 +146,7 @@ def require_symmetric(matrix, name: str = "matrix") -> np.ndarray:
     symmetrized; anything larger raises ValueError.
     """
     m = _square(matrix, name)
-    a = asymmetry(m)
+    a = _asymmetry(m)
     if a > SYMMETRY_RTOL:
         raise ValueError(
             f"{name} is not symmetric (relative asymmetry {a:.3e} > {SYMMETRY_RTOL:.0e})"
@@ -166,7 +170,15 @@ def is_psd(matrix, tol: Tolerance = DEFAULT_TOL) -> PsdReport:
     eigenvalue.  The input must be symmetric within 1e-12 relative
     asymmetry; it is symmetrized before the decomposition.
     """
-    m = require_symmetric(matrix)
+    return psd_report_symmetric(require_symmetric(matrix), tol)
+
+
+def psd_report_symmetric(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> PsdReport:
+    """``is_psd`` for a float array the caller has already symmetrized.
+
+    Skips the coercion and symmetry checks; for hot paths whose matrix is
+    symmetric by construction.
+    """
     if m.size == 0:
         return PsdReport("PSD", 0.0, np.zeros(0), tol.psd_slack(0.0))
     evals, evecs = np.linalg.eigh(m)
@@ -202,9 +214,7 @@ def kernel_basis(matrix, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     Returns an n x k array where k = n - rank(M); k = 0 yields an n x 0
     array, and the zero matrix yields the identity (full kernel).
     """
-    m = as_matrix(matrix)
-    _, s, vt = _svd_full(m)
-    n = m.shape[1]
+    _, s, vt = _svd_full(matrix)
     cutoff = tol.rank_tol * float(s[0]) if s.size else 0.0
     rank = int(np.count_nonzero(s > cutoff))
     return vt[rank:].T.copy()
@@ -245,8 +255,10 @@ def intersection_trivial(basis, matrix, tol: Tolerance = DEFAULT_TOL) -> bool:
     the intersection is trivial iff the stack has full column rank.
     """
     b = as_matrix(basis, "basis")
+    if b.shape[1] == 0:
+        return True
     img = image_basis(matrix, tol)
-    if b.shape[1] == 0 or img.shape[1] == 0:
+    if img.shape[1] == 0:
         return True
     if b.shape[0] != img.shape[0]:
         raise ValueError("basis and matrix live in different spaces")
@@ -255,18 +267,20 @@ def intersection_trivial(basis, matrix, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 
 def whitening_basis(matrix, tol: Tolerance = DEFAULT_TOL):
-    """Whitening transform of a symmetric PSD matrix.
+    """Whitening transform and kernel of a symmetric PSD matrix, one eigh.
 
-    Returns ``(V1, r)`` where r is the numerical rank and V1 is n x r with
+    Returns ``(V1, K)``.  V1 is n x r, r the numerical rank, with
     V1^T M V1 = I_r (columns are eigenvectors scaled by 1/sqrt(eigenvalue);
-    eigenvalues <= rank_tol * lambda_max count as zero).  Raises ValueError
+    eigenvalues <= rank_tol * lambda_max count as zero).  K holds the
+    orthonormal eigenvectors with |eigenvalue| <= rank_tol * max|eigenvalue|,
+    the same numerical kernel ``kernel_basis`` returns.  Raises ValueError
     when M is not PSD within the tolerance.
     """
     m = require_symmetric(matrix)
     if m.size == 0:
-        return np.zeros((0, 0)), 0
+        return np.zeros((0, 0)), np.zeros((0, 0))
     evals, evecs = np.linalg.eigh(m)
-    scale = float(np.max(np.abs(evals))) if evals.size else 0.0
+    scale = float(np.max(np.abs(evals)))
     if float(evals[0]) < -tol.psd_slack(scale):
         raise ValueError(
             f"matrix is not positive semidefinite (min eigenvalue {evals[0]:.3e})"
@@ -276,27 +290,14 @@ def whitening_basis(matrix, tol: Tolerance = DEFAULT_TOL):
     if lam_max == 0.0:
         keep = np.zeros_like(evals, dtype=bool)
     v1 = evecs[:, keep] / np.sqrt(evals[keep])
-    return v1, int(np.count_nonzero(keep))
+    return v1, evecs[:, np.abs(evals) <= tol.rank_tol * scale]
 
 
-def schur_complement_lower(matrix, block_size: int, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Schur complement A - B D^{-1} B^T of the lower-right block.
+def output_residual(C, B, Q, tol: Tolerance = DEFAULT_TOL):
+    """Output condition C = B^T Q of a passivity test.
 
-    ``matrix`` is symmetric and partitioned as [[A, B], [B^T, D]] with A of
-    order ``block_size``.  D must be invertible within the rank tolerance.
+    Returns ``(residual, holds)``: the Frobenius norm ||C - B^T Q|| and
+    whether it is <= rank_tol * ||C||, a bound relative to the output scale.
     """
-    m = require_symmetric(matrix)
-    k = int(block_size)
-    if not 0 <= k <= m.shape[0]:
-        raise ValueError(f"block_size {k} out of range for order {m.shape[0]}")
-    a = m[:k, :k]
-    b = m[:k, k:]
-    d = m[k:, k:]
-    if d.size == 0:
-        return a.copy()
-    devals = np.linalg.eigvalsh(d)
-    dscale = float(np.max(np.abs(devals)))
-    if dscale == 0.0 or float(np.min(np.abs(devals))) <= tol.rank_tol * dscale:
-        raise ValueError("lower-right block is numerically singular")
-    comp = a - b @ np.linalg.solve(d, b.T)
-    return 0.5 * (comp + comp.T)
+    residual = float(np.linalg.norm(C - B.T @ Q))
+    return residual, residual <= tol.rank_tol * float(np.linalg.norm(C))

@@ -28,13 +28,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certificates import CERTIFIED, REFUTED, Certificate
+from .certificates import Certificate
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
     as_matrix,
     is_psd,
     numerical_rank,
+    output_residual,
     skew_part,
     sym_part,
 )
@@ -105,8 +106,8 @@ def certify_ph(
     """Decide whether (A, B, C) is port-Hamiltonian for the energy matrix H.
 
     Certifies when sym(Sigma) is negative semidefinite AND the structural
-    condition H B = C^T holds within rank_tol * max(1, ||C||); on success
-    the returned decomposition carries J, R, G.  A failed structural
+    condition H B = C^T holds within rank_tol * ||C||; on success the
+    returned decomposition carries J, R, G.  A failed structural
     condition refutes with reason "output_mismatch"; an indefinite
     symmetric part refutes with reason "dissipation_indefinite" and a
     witness direction.
@@ -114,40 +115,21 @@ def certify_ph(
     h = as_matrix(H, "H")
     sigma = weighted_system_matrix(system, h)
     n = system.n
-    residual = float(np.linalg.norm(h @ system.B - system.C.T))
-    bound = tol.rank_tol * max(1.0, float(np.linalg.norm(system.C)))
-    report = is_psd(-sym_part(sigma), tol)
-    if residual > bound:
-        cert = Certificate(
-            verdict=REFUTED,
-            condition_matrix=sigma,
-            min_eigenvalue=report.min_eigenvalue,
-            witness=None,
-            reason=f"output_mismatch: ||H B - C^T|| = {residual:.3e}",
-        )
-        return StandardPHCertificate(cert)
-    if not report.is_psd:
-        cert = Certificate(
-            verdict=REFUTED,
-            condition_matrix=sigma,
-            min_eigenvalue=report.min_eigenvalue,
-            witness=report.witness,
-            reason="dissipation_indefinite",
-            slack=report.slack,
-        )
+    # ||C - B^T H^T|| = ||H B - C^T||, the structural condition as stated
+    residual, out_ok = output_residual(system.C, system.B, h.T, tol)
+    cert = Certificate.from_report(
+        is_psd(-sym_part(sigma), tol),
+        sigma,
+        "dissipation_indefinite",
+        mismatch="" if out_ok else f"output_mismatch: ||H B - C^T|| = {residual:.3e}",
+    )
+    if not cert.certified:
         return StandardPHCertificate(cert)
     skew = skew_part(sigma)
     decomp = SigmaDecomposition(
         J=skew[:n, :n].copy(),
         R=-sym_part(sigma)[:n, :n].copy(),
         G=skew[:n, n:].copy(),
-    )
-    cert = Certificate(
-        verdict=CERTIFIED,
-        condition_matrix=sigma,
-        min_eigenvalue=report.min_eigenvalue,
-        witness=report.witness,
-        slack=report.slack,
     )
     return StandardPHCertificate(cert, decomp)
 

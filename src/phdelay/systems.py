@@ -34,7 +34,8 @@ from .linalg import (
     Tolerance,
     as_matrix,
     asymmetry,
-    is_psd,
+    output_residual,
+    psd_report_symmetric,
     skew_part,
     sym_part,
 )
@@ -319,7 +320,7 @@ def _check_energy_matrices(violations, h, j, tol):
     if a > SYMMETRY_RTOL:
         violations.append(f"H is not symmetric (relative asymmetry {a:.3e})")
     else:
-        report = is_psd(h, tol)
+        report = psd_report_symmetric(0.5 * (h + h.T), tol)
         if report.min_eigenvalue <= report.slack:
             violations.append(
                 f"H is not positive definite (min eigenvalue {report.min_eigenvalue:.6g})"
@@ -334,7 +335,7 @@ def _check_psd_field(violations, name, mat, tol):
     if a > SYMMETRY_RTOL:
         violations.append(f"{name} is not symmetric (relative asymmetry {a:.3e})")
         return
-    report = is_psd(mat, tol)
+    report = psd_report_symmetric(0.5 * (mat + mat.T), tol)
     if not report.is_psd:
         violations.append(
             f"{name} is not positive semidefinite (min eigenvalue "
@@ -371,8 +372,8 @@ def general_to_delay_ph(
     (OutputMismatchError otherwise, carrying the residual norm).
     """
     h = as_matrix(H, "H")
-    residual = float(np.linalg.norm(system.C - system.B.T @ h))
-    if residual > tol.rank_tol * float(np.linalg.norm(system.C)):
+    residual, holds = output_residual(system.C, system.B, h, tol)
+    if not holds:
         raise OutputMismatchError(residual)
     ha0 = h @ system.A0
     return DelayPHSystem(

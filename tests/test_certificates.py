@@ -3,7 +3,17 @@ import dataclasses
 import numpy as np
 import pytest
 
-from phdelay import CERTIFIED, INCONCLUSIVE, REFUTED, Certificate
+from phdelay import (
+    CERTIFIED,
+    INCONCLUSIVE,
+    REFUTED,
+    Certificate,
+    GeneralDelaySystem,
+    StandardLTISystem,
+    certify_ph,
+    classical_passivity_check,
+    kyp_delay_check,
+)
 
 
 def test_verdict_constants():
@@ -51,3 +61,21 @@ def test_certificate_is_frozen():
     cert = Certificate(verdict=REFUTED)
     with pytest.raises(dataclasses.FrozenInstanceError):
         cert.verdict = CERTIFIED
+
+
+def test_output_mismatch_certificates_carry_no_witness():
+    """C = 1 against B^T Q = 1/2: every output test refutes without a witness."""
+    gen = GeneralDelaySystem(A0=[[-2.0]], A1=[[-1.0]], B=[[1.0]], C=[[1.0]],
+                             tau=1.0)
+    certs = [
+        certify_ph(StandardLTISystem(A=[[-1.0]], B=[[1.0]], C=[[1.0]]),
+                   [[0.5]]).certificate,
+        classical_passivity_check(gen, Q=[[0.5]], theta=[[0.5]]),
+        kyp_delay_check(gen, [[0.5]], [[0.5]]),
+    ]
+    for cert in certs:
+        assert cert.verdict == REFUTED
+        assert cert.reason.startswith("output_mismatch")
+        assert cert.witness is None
+        assert np.isfinite(cert.min_eigenvalue)
+        assert cert.to_dict()["witness"] is None

@@ -108,6 +108,13 @@ def test_certify_interconnection_matches_direct_certificate():
         assert via_pair.verdict == direct.verdict == CERTIFIED
         np.testing.assert_allclose(via_pair.condition_matrix,
                                    direct.condition_matrix, atol=1e-12)
+    # u = y injects energy past the c = 3/4 threshold: both refute alike
+    via_pair = certify_interconnection(scalar_system(), scalar_system(), np.eye(2))
+    direct = certify_delay_ph(interconnect(scalar_system(), scalar_system(), np.eye(2)))
+    assert via_pair.verdict == direct.verdict == REFUTED
+    assert via_pair.reason == direct.reason == "condition_indefinite"
+    assert via_pair.min_eigenvalue == direct.min_eigenvalue < 0.0
+    np.testing.assert_array_equal(via_pair.witness, direct.witness)
 
 
 def test_dissipative_coupling_never_hurts():

@@ -12,7 +12,6 @@ from phdelay.linalg import (
     kernel_basis,
     numerical_rank,
     require_symmetric,
-    schur_complement_lower,
     skew_part,
     spectral_norm,
     subspace_contained,
@@ -168,8 +167,8 @@ def test_intersection_trivial():
 
 def test_whitening_basis_full_rank_hand_example():
     r = np.array([[2.0, 1.0], [1.0, 2.0]])
-    v1, rank = whitening_basis(r)
-    assert rank == 2
+    v1, ker = whitening_basis(r)
+    assert v1.shape == (2, 2) and ker.shape == (2, 0)
     np.testing.assert_allclose(v1.T @ r @ v1, np.eye(2), atol=1e-10)
 
 
@@ -177,10 +176,13 @@ def test_whitening_basis_singular_psd():
     rng = np.random.default_rng(5)
     q = rand_orth(rng, 4)
     r = (q * np.array([2.0, 1.0, 0.5, 0.0])) @ q.T
-    v1, rank = whitening_basis(r)
-    assert rank == 3
+    v1, ker = whitening_basis(r)
     assert v1.shape == (4, 3)
     np.testing.assert_allclose(v1.T @ r @ v1, np.eye(3), atol=1e-10)
+    # the kernel is the last column of q, the same one kernel_basis finds
+    assert ker.shape == (4, 1)
+    np.testing.assert_allclose(np.abs(ker[:, 0]), np.abs(q[:, 3]), atol=1e-12)
+    np.testing.assert_allclose(np.abs(ker), np.abs(kernel_basis(r)), atol=1e-12)
 
 
 def test_whitening_basis_rejects_indefinite():
@@ -189,26 +191,6 @@ def test_whitening_basis_rejects_indefinite():
 
 
 def test_whitening_basis_zero_matrix():
-    v1, rank = whitening_basis(np.zeros((3, 3)))
-    assert rank == 0 and v1.shape == (3, 0)
-
-
-def test_schur_complement_hand_value():
-    m = np.array([[2.0, 1.0], [1.0, 1.0]])
-    np.testing.assert_allclose(schur_complement_lower(m, 1), [[1.0]])
-
-
-def test_schur_complement_matches_block_psd():
-    # for [[A,B],[B^T,D]] with D pd: PSD of the block iff PSD of A - B D^-1 B^T
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        block = rand_spd(rng, 5, (0.2, 2.0))
-        comp = schur_complement_lower(block, 2)
-        assert is_psd(comp).is_psd
-        assert np.linalg.eigvalsh(comp)[0] >= -1e-12
-
-
-def test_schur_complement_singular_block_raises():
-    m = np.diag([1.0, 0.0])
-    with pytest.raises(ValueError, match="singular"):
-        schur_complement_lower(m, 1)
+    v1, ker = whitening_basis(np.zeros((3, 3)))
+    assert v1.shape == (3, 0) and ker.shape == (3, 3)
+    np.testing.assert_allclose(ker.T @ ker, np.eye(3), atol=1e-15)

@@ -5,9 +5,13 @@ from phdelay import (
     MINIMAL,
     NOT_CONTROLLABLE,
     NOT_OBSERVABLE,
+    REFUTED,
+    GeneralDelaySystem,
+    OutputMismatchError,
     StandardLTISystem,
     certify_ph,
     check_minimality,
+    general_to_delay_ph,
     hamiltonian,
     kyp_matrix,
     weighted_system_matrix,
@@ -66,6 +70,19 @@ def test_certify_ph_output_mismatch():
     assert not result.certified
     assert result.certificate.reason.startswith("output_mismatch")
     assert result.decomposition is None
+
+
+@pytest.mark.parametrize("c", [1.0, 1e-6])
+def test_certify_ph_output_mismatch_is_unit_free(c):
+    """A relative output mismatch of 1e-5 refutes at every scale of B, C."""
+    b, cc = [[c]], [[c * (1.0 + 1e-5)]]
+    result = certify_ph(StandardLTISystem(A=[[-1.0]], B=b, C=cc), [[1.0]])
+    assert result.certificate.verdict == REFUTED
+    assert result.certificate.reason.startswith("output_mismatch")
+    # the delay-system reading rejects the same data
+    gen = GeneralDelaySystem(A0=[[-1.0]], A1=[[0.0]], B=b, C=cc, tau=1.0)
+    with pytest.raises(OutputMismatchError):
+        general_to_delay_ph(gen, [[1.0]])
 
 
 def test_certify_ph_dissipation_indefinite():
