@@ -117,7 +117,14 @@ def certify_delay_ph(
     violations = validate(system, tol)
     if violations:
         raise SystemValidationError(violations)
-    # validate has just tested a stored Theta for PSD with this tolerance
+    return _certify_validated(system, theta, tol)
+
+
+def _certify_validated(
+    system: DelayPHSystem, theta=None, tol: Tolerance = DEFAULT_TOL
+) -> Certificate:
+    """``certify_delay_ph`` for a system that ``validate`` has passed."""
+    # validate has tested a stored Theta for PSD with this tolerance
     stored = theta is None or theta is system.theta
     if theta is None:
         theta = system.theta

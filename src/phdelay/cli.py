@@ -21,19 +21,20 @@ import numpy as np
 
 from .certificates import CERTIFIED, INCONCLUSIVE, REFUTED
 from .certify import (
+    _certify_validated,
     certify_delay_ph,
     check_necessary,
     construct_theta,
 )
 from .composition import (
-    certify_interconnection,
+    _require_thetas,
+    _whitened_gain_bound,
     check_feedback_conditions,
     classify_feedback,
     close_delayed_feedback,
-    feedback_gain_bound,
     interconnect,
 )
-from .linalg import Tolerance
+from .linalg import Tolerance, whitening_basis
 from .simulation import (
     BlowUpError,
     export_trajectory_csv,
@@ -135,7 +136,8 @@ def _cmd_certify(args, tol):
             theta = construction.theta
             source = "constructed"
             payload["construction"] = _construction_dict(construction)
-        cert = certify_delay_ph(system, theta, tol)
+        # read_system has validated the document with this tolerance
+        cert = _certify_validated(system, theta, tol)
         payload["theta_source"] = source
         payload["certificate"] = cert.to_dict()
         return payload, _EXIT[cert.verdict]
@@ -220,7 +222,8 @@ def _cmd_interconnect(args, tol):
         payload["out"] = args.out
     if not args.certify:
         return payload, 0
-    cert = certify_interconnection(sys1, sys2, f, tol)
+    _require_thetas(sys1, sys2)
+    cert = certify_delay_ph(closed, tol=tol)
     payload["certificate"] = cert.to_dict()
     return payload, _EXIT[cert.verdict]
 
@@ -240,7 +243,9 @@ def _cmd_feedback(args, tol):
         "feedback_conditions": asdict(conditions),
     }
     if conditions.kernel_r_in_kernel_gt and conditions.kernel_r_image_disjoint:
-        beta = feedback_gain_bound(system.R, system.G, tol)
+        # the two hypotheses of feedback_gain_bound hold: skip its re-test
+        v1, _ = whitening_basis(system.R, tol)
+        beta = _whitened_gain_bound(v1, system.G)
         payload["gain_bound"] = None if math.isinf(beta) else beta
         payload["gain_unbounded"] = math.isinf(beta)
     else:

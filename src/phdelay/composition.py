@@ -9,6 +9,10 @@ gives another delay port-Hamiltonian system with
     G = blkdiag(G1, G2),
 
 so the stored closed loop reproduces the subsystem trajectories exactly.
+The dissipation coupling is computed as G sym(F) G^T, which equals
+sym(G F G^T): a power-conserving F then leaves R exactly blkdiag(R1, R2),
+with no rounding noise in the off-diagonal blocks, so the PSD tests see the
+two subsystems as decoupled blocks and decide them one by one.
 The coupled pair stays certifiable whenever both parts are certified and
 the feedback does not generate energy, i.e. -sym(F) is PSD
 (power-conserving feedback, sym(F) = 0, in particular).  Delayed output
@@ -105,13 +109,16 @@ def interconnect(
         raise ValueError(f"F has shape {f.shape}, expected {(m, m)}")
     g = _blkdiag(sys1.G, sys2.G)
     gfg = g @ f @ g.T
+    # G sym(F) G^T, not sym(G F G^T): zero for a skew F, so R keeps the
+    # exact zeros of blkdiag(R1, R2)
+    gsg = g @ sym_part(f) @ g.T
     theta = None
     if sys1.theta is not None and sys2.theta is not None:
         theta = _blkdiag(sys1.theta, sys2.theta)
     return DelayPHSystem(
         H=_blkdiag(sys1.H, sys2.H),
         J=_blkdiag(sys1.J, sys2.J) + skew_part(gfg),
-        R=_blkdiag(sys1.R, sys2.R) - sym_part(gfg),
+        R=_blkdiag(sys1.R, sys2.R) - sym_part(gsg),
         Z=_blkdiag(sys1.Z, sys2.Z),
         G=g,
         tau=sys1.tau,
@@ -133,9 +140,13 @@ def certify_interconnection(
     closed loop is validated first, so an invalid pair raises
     SystemValidationError.
     """
+    _require_thetas(sys1, sys2)
+    return certify_delay_ph(interconnect(sys1, sys2, F), tol=tol)
+
+
+def _require_thetas(sys1: DelayPHSystem, sys2: DelayPHSystem) -> None:
     if sys1.theta is None or sys2.theta is None:
         raise ValueError("both subsystems must carry a theta to certify")
-    return certify_delay_ph(interconnect(sys1, sys2, F), tol=tol)
 
 
 def close_delayed_feedback(
@@ -214,6 +225,11 @@ def feedback_gain_bound(R, G, tol: Tolerance = DEFAULT_TOL) -> float:
         raise ValueError("hypothesis violated: ker(R) is not contained in ker(G^T)")
     if not intersection_trivial(ker_r, g, tol):
         raise ValueError("hypothesis violated: ker(R) meets image(G)")
+    return _whitened_gain_bound(v1, g)
+
+
+def _whitened_gain_bound(v1: np.ndarray, g: np.ndarray) -> float:
+    """``feedback_gain_bound`` from V1, once the kernel hypotheses hold."""
     coupling = spectral_norm(v1.T @ g)
     if coupling == 0.0:
         return math.inf

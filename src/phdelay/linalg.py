@@ -3,7 +3,10 @@
 Every routine here is a pure function on real 2-D numpy arrays.  Rank-type
 decisions (kernels, images, subspace relations) are made relative to the
 largest singular value; semidefiniteness tests grant an absolute eigenvalue
-slack that defaults to ``1e-9 * (1 + ||M||_2)``.  Higher-level certificates
+slack that defaults to ``1e-9 * (1 + ||M||_2)``.  Every semidefiniteness
+test goes through ``psd_report_symmetric``, which decides diagonal blocks
+that exact zeros decouple one block at a time (from order 128 up; no
+threshold decides what counts as zero).  Higher-level certificates
 report exactly the slack they were granted, so these primitives return
 witnesses (eigenvectors, measured norms) rather than bare booleans where
 that matters.
@@ -165,10 +168,12 @@ def spectral_norm(matrix) -> float:
 def is_psd(matrix, tol: Tolerance = DEFAULT_TOL) -> PsdReport:
     """Test a symmetric matrix for positive semidefiniteness.
 
-    Uses a full symmetric eigendecomposition (never a Cholesky attempt) so
-    the report always carries a witness eigenvector for the smallest
-    eigenvalue.  The input must be symmetric within 1e-12 relative
-    asymmetry; it is symmetrized before the decomposition.
+    Uses symmetric eigendecompositions (never a Cholesky attempt) so the
+    report always carries a witness eigenvector for the smallest
+    eigenvalue: one of the whole matrix, or, from order 128 up, one per
+    diagonal block that exact zeros decouple.  The input must be symmetric
+    within 1e-12 relative asymmetry; it is symmetrized before the
+    decomposition.
     """
     return psd_report_symmetric(require_symmetric(matrix), tol)
 
@@ -177,17 +182,74 @@ def psd_report_symmetric(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> PsdRepo
     """``is_psd`` for a float array the caller has already symmetrized.
 
     Skips the coercion and symmetry checks; for hot paths whose matrix is
-    symmetric by construction.
+    symmetric by construction.  Diagonal blocks that exact zeros decouple
+    are decomposed one by one (see ``_decoupled_blocks``): the spectrum of
+    a block-diagonal matrix is the union of its blocks' spectra, so the
+    minimum eigenvalue is the least block minimum, the witness is that
+    block's eigenvector padded with zeros, and the slack scale is the
+    largest |eigenvalue| over all blocks.
     """
-    if m.size == 0:
+    n = m.shape[0]
+    if n == 0:
         return PsdReport("PSD", 0.0, np.zeros(0), tol.psd_slack(0.0))
-    evals, evecs = np.linalg.eigh(m)
-    idx = int(np.argmin(evals))
-    lam = float(evals[idx])
-    witness = evecs[:, idx].copy()
-    slack = tol.psd_slack(float(np.max(np.abs(evals))))
+    lam, scale, witness = math.inf, 0.0, np.zeros(n)
+    for idx in _decoupled_blocks(m):
+        evals, evecs = np.linalg.eigh(m[idx][:, idx])
+        scale = max(scale, float(np.max(np.abs(evals))))
+        if evals[0] < lam:
+            lam = float(evals[0])
+            witness[:] = 0.0
+            witness[idx] = evecs[:, 0]
+    slack = tol.psd_slack(scale)
     verdict = "PSD" if lam >= -slack else "NOT_PSD"
     return PsdReport(verdict, lam, witness, slack)
+
+
+#: order from which psd_report_symmetric searches for decoupled blocks.  On
+#: one BLAS thread (2-vCPU Xeon, OpenBLAS) two decoupled halves of order 128
+#: take 0.8 ms against 1.1 ms for one eigh of the whole, and the search
+#: costs about 0.1 ms on an order-128 pattern that does not split.
+_SPLIT_MIN_ORDER = 128
+
+
+def _decoupled_blocks(m: np.ndarray) -> list:
+    """Index sets of the diagonal blocks that exact zeros decouple in ``m``.
+
+    The blocks are the connected components of the exact-nonzero pattern of
+    the symmetric ``m``; no threshold is involved.  Indices without an
+    off-diagonal nonzero are gathered into one diagonal block.  Returns
+    ``[slice(None)]`` (the whole matrix) below ``_SPLIT_MIN_ORDER``, when
+    the first row has no zero, or when the pattern is connected.
+    """
+    n = m.shape[0]
+    if n < _SPLIT_MIN_ORDER or np.all(m[0] != 0.0):
+        return [slice(None)]
+    # row i as an int whose bit j is set iff m[i, j] != 0
+    rows = [
+        int.from_bytes(row.tobytes(), "little")
+        for row in np.packbits(m != 0.0, axis=1, bitorder="little")
+    ]
+    label = np.empty(n, dtype=int)
+    free, count = (1 << n) - 1, 0
+    while free:  # breadth-first search over bitsets, one component a pass
+        reach = frontier = free & -free
+        while frontier:
+            grown = 0
+            while frontier:
+                low = frontier & -frontier
+                i = low.bit_length() - 1
+                label[i] = count
+                grown |= rows[i]
+                frontier ^= low
+            frontier = grown & ~reach
+            reach |= frontier
+        free &= ~reach
+        count += 1
+    sizes = np.bincount(label)
+    blocks = [np.flatnonzero(label == c) for c in np.flatnonzero(sizes > 1)]
+    if (sizes == 1).any():
+        blocks.append(np.flatnonzero(sizes[label] == 1))
+    return blocks if len(blocks) > 1 else [slice(None)]
 
 
 def _svd_full(matrix):

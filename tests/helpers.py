@@ -6,7 +6,7 @@ controls its own seed and failures reproduce exactly.
 
 import numpy as np
 
-from phdelay import DelayPHSystem
+from phdelay import DEFAULT_TOL, DelayPHSystem
 from phdelay.simulation import BLOWUP_NORM, BlowUpError
 
 
@@ -56,6 +56,20 @@ def rand_certified_delay_ph(rng, n, m=1, tau=1.0):
         tau=tau,
         theta=theta,
     )
+
+
+def dense_psd_oracle(m, tol=DEFAULT_TOL):
+    """Reference PSD decision from one eigh of the whole symmetric matrix.
+
+    Returns ``(verdict, min_eigenvalue, scale, slack)`` with the verdict
+    rule of ``phdelay.linalg``: PSD iff min_eigenvalue >= -slack, where the
+    slack is granted for the spectral scale max |eigenvalue|.
+    """
+    evals = np.linalg.eigvalsh(m)
+    scale = float(np.max(np.abs(evals)))
+    slack = tol.psd_slack(scale)
+    lam = float(evals[0])
+    return ("PSD" if lam >= -slack else "NOT_PSD"), lam, scale, slack
 
 
 def integrate_dde_stepwise(system, history, u, T, h):

@@ -192,6 +192,38 @@ def test_interconnect_mismatched_delays(capsys, tmp_path):
     assert "delays differ" in report["error"]
 
 
+def test_interconnect_certify_builds_the_loop_once(capsys, monkeypatch, tmp_path):
+    import phdelay.cli
+    import phdelay.composition
+
+    calls = []
+    build = phdelay.composition.interconnect
+
+    def counted(*args):
+        calls.append(1)
+        return build(*args)
+
+    monkeypatch.setattr(phdelay.composition, "interconnect", counted)
+    monkeypatch.setattr(phdelay.cli, "interconnect", counted)
+    s1 = write_doc(tmp_path / "s1.json", scalar_doc(theta=1.0))
+    f = write_doc(tmp_path / "f.json", [[0.0, 1.0], [-1.0, 0.0]])
+    code, report = run(capsys, "interconnect", s1, s1, f, "--certify")
+    assert code == 0
+    assert report["certificate"]["verdict"] == "CERTIFIED"
+    assert len(calls) == 1
+
+
+def test_interconnect_certify_needs_both_thetas(capsys, tmp_path):
+    s1 = write_doc(tmp_path / "s1.json", scalar_doc(theta=1.0))
+    s2 = write_doc(tmp_path / "s2.json", scalar_doc())
+    f = write_doc(tmp_path / "f.json", [[0.0, 1.0], [-1.0, 0.0]])
+    code, report = run(capsys, "interconnect", s1, s2, f, "--certify")
+    assert code == 3
+    assert report["error"] == "both subsystems must carry a theta to certify"
+    code, report = run(capsys, "interconnect", s1, s2, f)
+    assert code == 0
+
+
 # ---------------------------------------------------------------------------
 # feedback
 
@@ -249,6 +281,27 @@ def test_feedback_kernel_violation_reported(capsys, tmp_path):
     assert report["gain_unbounded"] is False
     assert report["gain_bound_reason"] == "kernel hypotheses violated"
     assert report["feedback_conditions"]["kernel_r_in_kernel_gt"] is False
+
+
+def test_feedback_tests_the_kernel_hypotheses_once(capsys, monkeypatch, tmp_path):
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    f = write_doc(tmp_path / "f.json", [[1.0]])
+    code, report = run(capsys, "feedback", "tests/data/mass_spring_damper.json",
+                       f, "--tau", "1.0")
+    assert code == 0
+    conditions = report["feedback_conditions"]
+    assert conditions["kernel_r_in_kernel_gt"] and conditions["kernel_r_image_disjoint"]
+    assert report["gain_bound"] == pytest.approx(0.5)
+    # ker(G^T), ker(R), image(G) and the rank of [ker(R) | image(G)]; the
+    # 2-norms of the containment test do not go through numpy.linalg.svd
+    assert len(calls) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +470,42 @@ def test_invalid_system_is_input_error(capsys, tmp_path):
     code, report = run(capsys, "certify", system)
     assert code == 3
     assert "positive definite" in report["error"]
+
+
+@pytest.mark.parametrize("source", ["embedded", "flag", "constructed", "inconclusive"])
+def test_invalid_system_fails_alike_for_every_theta_source(capsys, tmp_path, source):
+    doc = scalar_doc(a0=1.0, a1=2.0) if source == "inconclusive" else scalar_doc()
+    if source == "embedded":
+        doc["theta"] = [[1.0]]
+    doc["H"] = [[-1.0]]
+    argv = ["certify", write_doc(tmp_path / "bad.json", doc)]
+    if source == "flag":
+        argv += ["--theta", write_doc(tmp_path / "theta.json", [[1.0]])]
+    code, report = run(capsys, *argv)
+    assert code == 3
+    assert report == {
+        "command": "certify",
+        "error": "H is not positive definite (min eigenvalue -1)",
+        "exit_code": 3,
+    }
+
+
+def test_certify_validates_the_document_once(capsys, monkeypatch, scalar_file):
+    import phdelay.certify
+    import phdelay.systems
+
+    calls = []
+    validate = phdelay.systems.validate
+
+    def counted(system, tol):
+        calls.append(type(system).__name__)
+        return validate(system, tol)
+
+    monkeypatch.setattr(phdelay.systems, "validate", counted)
+    monkeypatch.setattr(phdelay.certify, "validate", counted)
+    code, _ = run(capsys, "certify", scalar_file)
+    assert code == 0
+    assert calls == ["DelayPHSystem"]
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

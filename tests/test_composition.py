@@ -76,6 +76,41 @@ def test_interconnect_symmetric_coupling_threshold():
     assert refuted.min_eigenvalue == pytest.approx((1.0 - math.sqrt(2.0)) / 2.0)
 
 
+def test_interconnect_skew_coupling_keeps_r_block_diagonal():
+    """A skew F adds nothing to R: no rounding noise in the coupling blocks."""
+    rng = np.random.default_rng(67)
+    sys1 = rand_certified_delay_ph(rng, 16, m=3)
+    sys2 = rand_certified_delay_ph(rng, 16, m=2)
+    f = rand_antisym(rng, 5)
+    closed = interconnect(sys1, sys2, f)
+    blkdiag = np.zeros((32, 32))
+    blkdiag[:16, :16] = sys1.R
+    blkdiag[16:, 16:] = sys2.R
+    assert closed.R.tobytes() == blkdiag.tobytes()
+    g = closed.G
+    np.testing.assert_allclose(closed.J[:16, 16:], (g @ f @ g.T)[:16, 16:],
+                               atol=1e-12)
+
+
+def test_certify_interconnection_eigh_stays_subsystem_sized(monkeypatch):
+    """Power-conserving coupling: every eigh is at most 2n, never 4n."""
+    rng = np.random.default_rng(71)
+    n = 128
+    sys1 = rand_certified_delay_ph(rng, n, m=2)
+    sys2 = rand_certified_delay_ph(rng, n, m=2)
+    orders = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        orders.append(np.shape(a)[-1])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    cert = certify_interconnection(sys1, sys2, rand_antisym(rng, 4))
+    assert cert.verdict == CERTIFIED
+    assert orders and max(orders) <= 2 * n
+
+
 def test_interconnect_rejects_mismatched_delay():
     other = DelayPHSystem(H=[[1.0]], J=[[0.0]], R=[[2.0]], Z=[[1.0]],
                           G=[[1.0]], tau=2.0, theta=[[1.0]])

@@ -11,6 +11,7 @@ from phdelay.linalg import (
     is_psd,
     kernel_basis,
     numerical_rank,
+    psd_report_symmetric,
     require_symmetric,
     skew_part,
     spectral_norm,
@@ -18,7 +19,8 @@ from phdelay.linalg import (
     sym_part,
     whitening_basis,
 )
-from helpers import rand_orth, rand_spd
+from phdelay.linalg import _SPLIT_MIN_ORDER, _decoupled_blocks
+from helpers import dense_psd_oracle, rand_orth, rand_spd
 
 
 def test_sym_skew_hand_values():
@@ -109,6 +111,81 @@ def test_is_psd_boundary_uses_slack():
     m = np.diag([1.0, -1e-12])
     assert is_psd(m).is_psd
     assert not is_psd(m, Tolerance(psd_tol=1e-15)).is_psd
+
+
+def _block_layouts(blocks):
+    """The block-diagonal matrix of ``blocks`` in three layouts.
+
+    Yields ``(matrix, block_of)`` with block_of[i] the block index i came
+    from: rows and columns shuffled, then contiguous in the given order and
+    in reverse order, so every block is searched first in some layout.
+    """
+    sizes = [b.shape[0] for b in blocks]
+    n = sum(sizes)
+    m = np.zeros((n, n))
+    start = 0
+    for b, k in zip(blocks, sizes):
+        m[start:start + k, start:start + k] = b
+        start += k
+    block_of = np.repeat(np.arange(len(blocks)), sizes)
+    for p in (np.random.default_rng(5).permutation(n), np.arange(n),
+              np.arange(n)[::-1]):
+        yield m[np.ix_(p, p)], block_of[p]
+
+
+def _indefinite(rng, n):
+    m = rng.standard_normal((n, n))
+    return 0.5 * (m + m.T)
+
+
+def _split_cases():
+    rng = np.random.default_rng(23)
+    half = _SPLIT_MIN_ORDER // 2
+    same = rand_spd(rng, half)
+    diagonal = rng.uniform(0.5, 2.0, _SPLIT_MIN_ORDER + 3)
+    diagonal[17] = -0.25
+    # (name, blocks, number of blocks the search must find)
+    return [
+        ("permuted_psd", [rand_spd(rng, half), rand_spd(rng, half + 5)], 2),
+        ("not_psd_second", [rand_spd(rng, half), _indefinite(rng, half)], 2),
+        ("diagonal", [np.array([[v]]) for v in diagonal], 1),
+        ("one_by_one", [rand_spd(rng, _SPLIT_MIN_ORDER), np.array([[-0.2]])], 2),
+        ("equal_blocks", [same, same.copy()], 2),
+        ("three_scaled", [1e4 * rand_spd(rng, 50), 1e-3 * _indefinite(rng, 60),
+                          rand_spd(rng, 40)], 3),
+    ]
+
+
+@pytest.mark.parametrize("name,blocks,found", _split_cases(),
+                         ids=[c[0] for c in _split_cases()])
+def test_psd_report_block_split_matches_dense_oracle(name, blocks, found):
+    for m, block_of in _block_layouts(blocks):
+        assert m.shape[0] >= _SPLIT_MIN_ORDER
+        assert len(_decoupled_blocks(m)) == found
+        report = psd_report_symmetric(m)
+        verdict, lam, scale, slack = dense_psd_oracle(m)
+        assert report.verdict == verdict
+        assert abs(report.min_eigenvalue - lam) <= 1e-12 * scale
+        assert report.slack == pytest.approx(slack, rel=1e-12)
+        w = report.witness
+        assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-12)
+        assert np.unique(block_of[np.flatnonzero(w)]).size == 1
+        assert abs(float(w @ m @ w) - report.min_eigenvalue) <= 1e-12 * scale
+
+
+def test_decoupled_blocks_single_block_cases():
+    n = _SPLIT_MIN_ORDER
+    assert _decoupled_blocks(np.eye(n - 1)) == [slice(None)]  # below crossover
+    arrow = np.eye(n)
+    arrow[0, :] = arrow[:, 0] = 1.0  # first row has no zero
+    assert _decoupled_blocks(arrow) == [slice(None)]
+    chain = np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)  # connected
+    assert _decoupled_blocks(chain) == [slice(None)]
+    chain[n // 2, n // 2 + 1] = chain[n // 2 + 1, n // 2] = 0.0
+    halves = _decoupled_blocks(chain)
+    assert [list(b) for b in halves] == [
+        list(range(n // 2 + 1)), list(range(n // 2 + 1, n))
+    ]
 
 
 def test_tolerance_validation():
