@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import PsdReport
+from .systems import _rows
 
 __all__ = ["CERTIFIED", "REFUTED", "INCONCLUSIVE", "Certificate"]
 
@@ -70,8 +71,6 @@ class Certificate:
             "verdict": self.verdict,
             "min_eigenvalue": self.min_eigenvalue,
             "witness": None if self.witness is None else [float(w) for w in self.witness],
-            "theta": None if self.theta_used is None else [
-                [float(v) for v in row] for row in np.atleast_2d(self.theta_used)
-            ],
+            "theta": None if self.theta_used is None else _rows(self.theta_used),
             "reason": self.reason,
         }

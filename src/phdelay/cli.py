@@ -15,7 +15,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -50,6 +50,9 @@ from .systems import (
     StandardLTISystem,
     StandardPHSystem,
     SystemFormatError,
+    _matrix_rows,
+    _rows,
+    _standard_ph_to_lti,
     delay_ph_to_general,
     read_system,
     save_system,
@@ -82,17 +85,7 @@ def _read_matrix(path: str, name: str) -> np.ndarray:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SystemFormatError(f"{name}: malformed JSON: {exc}") from None
-    try:
-        arr = np.array(doc, dtype=float)
-    except (TypeError, ValueError):
-        raise SystemFormatError(f"{name} must be an array of row arrays") from None
-    if arr.ndim != 2 or not np.all(np.isfinite(arr)):
-        raise SystemFormatError(f"{name} must be a finite 2-D matrix")
-    return arr
-
-
-def _matrix_rows(mat) -> list:
-    return [[float(v) for v in row] for row in np.atleast_2d(mat)]
+    return _matrix_rows(name, doc)
 
 
 def _system_doc(system) -> dict:
@@ -159,17 +152,11 @@ def _cmd_certify(args, tol):
     payload["certificate"] = result.certificate.to_dict()
     if result.decomposition is not None:
         payload["decomposition"] = {
-            "J": _matrix_rows(result.decomposition.J),
-            "R": _matrix_rows(result.decomposition.R),
-            "G": _matrix_rows(result.decomposition.G),
+            "J": _rows(result.decomposition.J),
+            "R": _rows(result.decomposition.R),
+            "G": _rows(result.decomposition.G),
         }
     return payload, _EXIT[result.certificate.verdict]
-
-
-def _standard_ph_to_lti(system: StandardPHSystem) -> StandardLTISystem:
-    a = np.linalg.solve(system.H, system.J - system.R)
-    b = np.linalg.solve(system.H, system.G)
-    return StandardLTISystem(a, b, system.G.T.copy())
 
 
 def _construction_dict(construction) -> dict:
@@ -182,7 +169,7 @@ def _construction_dict(construction) -> dict:
             else None
         )
     if construction.theta is not None:
-        out["theta"] = _matrix_rows(construction.theta)
+        out["theta"] = _rows(construction.theta)
     return out
 
 
@@ -259,10 +246,7 @@ def _cmd_feedback(args, tol):
         if construction.success:
             cert = certify_delay_ph(closed, construction.theta, tol)
             payload["certificate"] = cert.to_dict()
-            closed = DelayPHSystem(
-                closed.H, closed.J, closed.R, closed.Z, closed.G, closed.tau,
-                construction.theta,
-            )
+            closed = replace(closed, theta=construction.theta)
             code = _EXIT[cert.verdict]
         else:
             payload["verdict"] = INCONCLUSIVE
@@ -326,6 +310,10 @@ def _cmd_simulate(args, tol):
             )
     else:
         raise _UsageError("simulate requires a delay system (general_delay or delay_ph)")
+    if not (math.isfinite(args.h) and args.h > 0.0):
+        raise _UsageError(f"--h must be a positive finite number, got {args.h}")
+    if not math.isfinite(args.T):
+        raise _UsageError(f"--T must be a finite number, got {args.T}")
     history = _parse_history(args.history, general)
     times = np.arange(round(args.T / args.h) + 1) * args.h
     inputs, input_path = _parse_input(args.input, times, general.m)

@@ -66,14 +66,15 @@ GENERAL = "general"
 def classify_feedback(F, tol: Tolerance = DEFAULT_TOL) -> str:
     """Classify a port coupling matrix by its symmetric part.
 
-    "power_conserving" when sym(F) vanishes (within 1e-12 relative),
-    "dissipative" when -sym(F) is PSD, "general" otherwise.
+    "power_conserving" when ||sym(F)||_2 <= 1e-12 ||F||_2 (relative to F,
+    so scaling F does not change it), "dissipative" when -sym(F) is PSD,
+    "general" otherwise.
     """
     f = as_matrix(F, "F")
     if f.shape[0] != f.shape[1]:
         raise ValueError(f"F must be square, got shape {f.shape}")
     sym = sym_part(f)
-    if spectral_norm(sym) <= 1e-12 * (1.0 + spectral_norm(f)):
+    if spectral_norm(sym) <= 1e-12 * spectral_norm(f):
         return POWER_CONSERVING
     if is_psd(-sym, tol).is_psd:
         return DISSIPATIVE

@@ -294,8 +294,9 @@ def image_basis(matrix, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 def subspace_contained(basis, matrix, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Whether span(basis) lies inside ker(matrix).
 
-    True iff ||M @ basis||_2 <= rank_tol * max(1, ||M||_2).  An empty basis
-    is contained in everything.
+    True iff ||M @ basis||_2 <= rank_tol * ||M||_2, a bound relative to M,
+    so the decision does not change when M is scaled.  An empty basis is
+    contained in everything.
     """
     b = as_matrix(basis, "basis")
     m = as_matrix(matrix)
@@ -306,7 +307,7 @@ def subspace_contained(basis, matrix, tol: Tolerance = DEFAULT_TOL) -> bool:
             f"shape mismatch: matrix has {m.shape[1]} columns, basis vectors "
             f"have length {b.shape[0]}"
         )
-    bound = tol.rank_tol * max(1.0, spectral_norm(m))
+    bound = tol.rank_tol * spectral_norm(m)
     return spectral_norm(m @ b) <= bound
 
 

@@ -9,9 +9,15 @@ a top-level ``"kind"`` discriminator:
     delay_ph        {"kind", "n", "m", "tau", "H", "J", "R", "Z", "G"}
                     plus an optional "theta"
 
-Matrices are arrays of row arrays.  Unknown keys are rejected.  The writer
-emits a canonical form: keys sorted, reals with 17 significant digits, so
-write/read round-trips are bit-faithful and documents diff cleanly.
+Matrices are arrays of row arrays of numbers; ``tau`` is a finite
+positive number.  Unknown keys are rejected.  The writer emits a canonical
+form: keys sorted, reals with 17 significant digits, so write/read
+round-trips are bit-faithful and documents diff cleanly.
+
+The schema lives in one private table, ``_SCHEMA`` (kind -> class, matrix
+fields, port field), with ``_SHAPES`` giving each field's shape in terms of
+n and m.  Construction, ``validate``, ``read_system`` and ``write_system``
+all read it.
 
 Conventions for the delay port-Hamiltonian form: the state equation is
 ``H x'(t) = (J - R) x(t) - Z x(t - tau) + G u(t)`` with output
@@ -24,6 +30,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,29 +93,44 @@ def _freeze(obj, name, value):
     object.__setattr__(obj, name, arr)
 
 
+class _System:
+    """Construction shared by the four kinds; their fields are in ``_SCHEMA``.
+
+    Matrices (and a given ``theta``) become read-only float arrays, ``tau``
+    a finite float.
+    """
+
+    def __post_init__(self):
+        for name in _schema_of(self)[1]:
+            _freeze(self, name, getattr(self, name))
+        if getattr(self, "theta", None) is not None:
+            _freeze(self, "theta", self.theta)
+        if hasattr(self, "tau"):
+            tau = float(self.tau)
+            if not math.isfinite(tau):
+                raise ValueError(f"tau must be finite, got {tau!r}")
+            object.__setattr__(self, "tau", tau)
+
+    @property
+    def n(self) -> int:
+        return getattr(self, _schema_of(self)[1][0]).shape[0]
+
+    @property
+    def m(self) -> int:
+        return getattr(self, _schema_of(self)[2]).shape[1]
+
+
 @dataclass(frozen=True)
-class StandardLTISystem:
+class StandardLTISystem(_System):
     """x' = A x + B u,  y = C x."""
 
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
 
-    def __post_init__(self):
-        for name in ("A", "B", "C"):
-            _freeze(self, name, getattr(self, name))
-
-    @property
-    def n(self) -> int:
-        return self.A.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.B.shape[1]
-
 
 @dataclass(frozen=True)
-class StandardPHSystem:
+class StandardPHSystem(_System):
     """H x' = (J - R) x + G u,  y = G^T x, with Hamiltonian (1/2) x^T H x."""
 
     H: np.ndarray
@@ -116,21 +138,9 @@ class StandardPHSystem:
     R: np.ndarray
     G: np.ndarray
 
-    def __post_init__(self):
-        for name in ("H", "J", "R", "G"):
-            _freeze(self, name, getattr(self, name))
-
-    @property
-    def n(self) -> int:
-        return self.H.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.G.shape[1]
-
 
 @dataclass(frozen=True)
-class GeneralDelaySystem:
+class GeneralDelaySystem(_System):
     """x'(t) = A0 x(t) + A1 x(t - tau) + B u(t),  y = C x(t)."""
 
     A0: np.ndarray
@@ -139,22 +149,9 @@ class GeneralDelaySystem:
     C: np.ndarray
     tau: float
 
-    def __post_init__(self):
-        for name in ("A0", "A1", "B", "C"):
-            _freeze(self, name, getattr(self, name))
-        object.__setattr__(self, "tau", float(self.tau))
-
-    @property
-    def n(self) -> int:
-        return self.A0.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.B.shape[1]
-
 
 @dataclass(frozen=True)
-class DelayPHSystem:
+class DelayPHSystem(_System):
     """H x'(t) = (J - R) x(t) - Z x(t - tau) + G u(t),  y = G^T x(t).
 
     ``theta`` optionally stores the delay-energy weight of the
@@ -170,20 +167,43 @@ class DelayPHSystem:
     tau: float
     theta: np.ndarray | None = None
 
-    def __post_init__(self):
-        for name in ("H", "J", "R", "Z", "G"):
-            _freeze(self, name, getattr(self, name))
-        if self.theta is not None:
-            _freeze(self, "theta", self.theta)
-        object.__setattr__(self, "tau", float(self.tau))
 
-    @property
-    def n(self) -> int:
-        return self.H.shape[0]
+#: kind -> (class, matrix fields in document order, port field).  ``n`` is
+#: the row count of the first field, ``m`` the column count of the port
+#: field; the scalar ``tau`` and the optional ``theta`` are the class's
+#: remaining dataclass fields.
+_SCHEMA = {
+    "standard_lti": (StandardLTISystem, ("A", "B", "C"), "B"),
+    "standard_ph": (StandardPHSystem, ("H", "J", "R", "G"), "G"),
+    "general_delay": (GeneralDelaySystem, ("A0", "A1", "B", "C"), "B"),
+    "delay_ph": (DelayPHSystem, ("H", "J", "R", "Z", "G"), "G"),
+}
+#: the same rows by class, as (kind, matrix fields, port field)
+_BY_CLASS = {
+    cls: (kind, fields, port) for kind, (cls, fields, port) in _SCHEMA.items()
+}
 
-    @property
-    def m(self) -> int:
-        return self.G.shape[1]
+#: each matrix field's shape, as (rows, columns) in terms of n and m
+_SHAPES = {
+    **dict.fromkeys(("A", "A0", "A1", "H", "J", "R", "Z", "theta"), "nn"),
+    "B": "nm",
+    "G": "nm",
+    "C": "mn",
+}
+
+
+
+def _schema_of(system) -> tuple[str, tuple[str, ...], str]:
+    """(kind, matrix fields, port field) of a system instance."""
+    try:
+        return _BY_CLASS[type(system)]
+    except KeyError:
+        raise TypeError(f"not a system type: {type(system).__name__}") from None
+
+
+def _shape(name: str, n: int, m: int) -> tuple[int, int]:
+    rows, cols = _SHAPES[name]
+    return (n if rows == "n" else m), (n if cols == "n" else m)
 
 
 @dataclass(frozen=True)
@@ -262,50 +282,27 @@ def validate(system, tol: Tolerance = DEFAULT_TOL) -> list[str]:
     positive definite, R / Theta positive semidefinite, J antisymmetric)
     use the tolerance policy.
     """
+    kind, fields, _ = _schema_of(system)
+    n, m = system.n, system.m
     v: list[str] = []
-    if isinstance(system, StandardLTISystem):
-        n, m = system.n, system.m
-        _check_shape(v, "A", system.A, (n, n))
-        _check_shape(v, "B", system.B, (n, m))
-        _check_shape(v, "C", system.C, (m, n))
-        return v
-    if isinstance(system, StandardPHSystem):
-        n, m = system.n, system.m
-        ok = _check_shape(v, "H", system.H, (n, n))
-        ok &= _check_shape(v, "J", system.J, (n, n))
-        ok &= _check_shape(v, "R", system.R, (n, n))
-        _check_shape(v, "G", system.G, (n, m))
-        if ok:
+    ok = {
+        name: _check_shape(v, name, getattr(system, name), _shape(name, n, m))
+        for name in fields
+    }
+    if kind == "standard_ph" and ok["H"] and ok["J"] and ok["R"]:
+        _check_energy_matrices(v, system.H, system.J, tol)
+        _check_psd_field(v, "R", system.R, tol)
+    if kind == "delay_ph":
+        if ok["H"] and ok["J"]:
             _check_energy_matrices(v, system.H, system.J, tol)
-            _check_psd_field(v, "R", system.R, tol)
-        return v
-    if isinstance(system, GeneralDelaySystem):
-        n, m = system.n, system.m
-        _check_shape(v, "A0", system.A0, (n, n))
-        _check_shape(v, "A1", system.A1, (n, n))
-        _check_shape(v, "B", system.B, (n, m))
-        _check_shape(v, "C", system.C, (m, n))
-        if not system.tau > 0.0:
-            v.append(f"tau must be positive, got {system.tau}")
-        return v
-    if isinstance(system, DelayPHSystem):
-        n, m = system.n, system.m
-        ok = _check_shape(v, "H", system.H, (n, n))
-        ok &= _check_shape(v, "J", system.J, (n, n))
-        _check_shape(v, "R", system.R, (n, n))
-        _check_shape(v, "Z", system.Z, (n, n))
-        _check_shape(v, "G", system.G, (n, m))
-        if ok:
-            _check_energy_matrices(v, system.H, system.J, tol)
-        if system.R.shape == (n, n) and asymmetry(system.R) > SYMMETRY_RTOL:
+        if ok["R"] and asymmetry(system.R) > SYMMETRY_RTOL:
             v.append(f"R is not symmetric (relative asymmetry {asymmetry(system.R):.3e})")
         if system.theta is not None:
             if _check_shape(v, "theta", system.theta, (n, n)):
                 _check_psd_field(v, "theta", system.theta, tol)
-        if not system.tau > 0.0:
-            v.append(f"tau must be positive, got {system.tau}")
-        return v
-    raise TypeError(f"not a system type: {type(system).__name__}")
+    if hasattr(system, "tau") and not system.tau > 0.0:
+        v.append(f"tau must be positive, got {system.tau}")
+    return v
 
 
 def _antisym_deviation(mat) -> float:
@@ -359,6 +356,13 @@ def delay_ph_to_general(system: DelayPHSystem) -> GeneralDelaySystem:
     return GeneralDelaySystem(a0, a1, b, system.G.T.copy(), system.tau)
 
 
+def _standard_ph_to_lti(system: StandardPHSystem) -> StandardLTISystem:
+    """A = H^{-1}(J - R), B = H^{-1} G, C = G^T."""
+    a = np.linalg.solve(system.H, system.J - system.R)
+    b = np.linalg.solve(system.H, system.G)
+    return StandardLTISystem(a, b, system.G.T.copy())
+
+
 def general_to_delay_ph(
     system: GeneralDelaySystem,
     H,
@@ -390,36 +394,22 @@ def general_to_delay_ph(
 # ---------------------------------------------------------------------------
 # JSON serialization
 
-_KIND_FIELDS = {
-    "standard_lti": ("A", "B", "C"),
-    "standard_ph": ("H", "J", "R", "G"),
-    "general_delay": ("A0", "A1", "B", "C"),
-    "delay_ph": ("H", "J", "R", "Z", "G"),
-}
-_DELAY_KINDS = ("general_delay", "delay_ph")
-
-
-def _kind_of(system) -> str:
-    if isinstance(system, StandardLTISystem):
-        return "standard_lti"
-    if isinstance(system, StandardPHSystem):
-        return "standard_ph"
-    if isinstance(system, GeneralDelaySystem):
-        return "general_delay"
-    if isinstance(system, DelayPHSystem):
-        return "delay_ph"
-    raise TypeError(f"not a system type: {type(system).__name__}")
-
-
 def _matrix_rows(key, value, n_rows=None, n_cols=None):
+    """Parse an array of row arrays of numbers, checking the shape if given.
+
+    A matrix with no rows is written ``[]``.
+    """
     if not isinstance(value, list) or not all(isinstance(r, list) for r in value):
         raise SystemFormatError(f'"{key}" must be an array of row arrays')
+    bad = [x for r in value for x in r if type(x) not in (int, float)]
+    if bad:
+        raise SystemFormatError(f'"{key}" has non-numeric entries: {bad[0]!r}')
     try:
-        arr = np.array(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise SystemFormatError(f'"{key}" has non-numeric entries: {exc}') from None
-    if arr.ndim != 2:
-        raise SystemFormatError(f'"{key}" rows have inconsistent lengths')
+        arr = np.array(value, dtype=float) if value else np.zeros((0, n_cols or 0))
+    except ValueError:
+        raise SystemFormatError(f'"{key}" rows have inconsistent lengths') from None
+    except OverflowError:
+        raise SystemFormatError(f'"{key}" contains non-finite entries') from None
     if not np.all(np.isfinite(arr)):
         raise SystemFormatError(f'"{key}" contains non-finite entries')
     if n_rows is not None and arr.shape != (n_rows, n_cols):
@@ -429,24 +419,25 @@ def _matrix_rows(key, value, n_rows=None, n_cols=None):
     return arr
 
 
+def _rows(mat) -> list:
+    """A matrix in document form: a list of row lists of floats."""
+    return [[float(v) for v in row] for row in np.atleast_2d(mat)]
+
+
 def _parse_document(doc: dict):
     if not isinstance(doc, dict):
         raise SystemFormatError("system document must be a JSON object")
     kind = doc.get("kind")
-    if kind not in _KIND_FIELDS:
+    if not isinstance(kind, str) or kind not in _SCHEMA:
         raise SystemFormatError(
-            f'"kind" must be one of {sorted(_KIND_FIELDS)}, got {kind!r}'
+            f'"kind" must be one of {sorted(_SCHEMA)}, got {kind!r}'
         )
-    expected = {"kind", "n", "m", *_KIND_FIELDS[kind]}
-    if kind in _DELAY_KINDS:
-        expected.add("tau")
-    if kind == "delay_ph":
-        expected.add("theta")  # optional
+    cls, names, _ = _SCHEMA[kind]
+    expected = {"kind", "n", "m", *cls.__dataclass_fields__}
     unknown = set(doc) - expected
     if unknown:
         raise SystemFormatError(f"unknown keys: {sorted(unknown)}")
-    required = expected - {"theta"}
-    missing = required - set(doc)
+    missing = expected - {"theta"} - set(doc)
     if missing:
         raise SystemFormatError(f"missing keys: {sorted(missing)}")
     n, m = doc["n"], doc["m"]
@@ -455,32 +446,17 @@ def _parse_document(doc: dict):
     if not isinstance(m, int) or isinstance(m, bool) or m < 0:
         raise SystemFormatError(f'"m" must be a nonnegative integer, got {m!r}')
 
-    shapes = {
-        "A": (n, n), "A0": (n, n), "A1": (n, n), "H": (n, n), "J": (n, n),
-        "R": (n, n), "Z": (n, n), "B": (n, m), "G": (n, m), "C": (m, n),
-        "theta": (n, n),
-    }
-    mats = {
-        key: _matrix_rows(key, doc[key], *shapes[key])
-        for key in _KIND_FIELDS[kind]
-    }
-    if kind in _DELAY_KINDS:
+    kwargs = {key: _matrix_rows(key, doc[key], *_shape(key, n, m)) for key in names}
+    if "tau" in expected:
         tau = doc["tau"]
-        if not isinstance(tau, (int, float)) or isinstance(tau, bool):
+        if type(tau) not in (int, float):
             raise SystemFormatError(f'"tau" must be a number, got {tau!r}')
-        tau = float(tau)
-    if kind == "standard_lti":
-        return StandardLTISystem(mats["A"], mats["B"], mats["C"])
-    if kind == "standard_ph":
-        return StandardPHSystem(mats["H"], mats["J"], mats["R"], mats["G"])
-    if kind == "general_delay":
-        return GeneralDelaySystem(mats["A0"], mats["A1"], mats["B"], mats["C"], tau)
-    theta = None
+        if not abs(tau) <= sys.float_info.max:  # also false for nan
+            raise SystemFormatError(f'"tau" must be finite, got {tau!r}')
+        kwargs["tau"] = tau
     if doc.get("theta") is not None:
-        theta = _matrix_rows("theta", doc["theta"], n, n)
-    return DelayPHSystem(
-        mats["H"], mats["J"], mats["R"], mats["Z"], mats["G"], tau, theta
-    )
+        kwargs["theta"] = _matrix_rows("theta", doc["theta"], *_shape("theta", n, m))
+    return cls(**kwargs)
 
 
 def read_system(source, tol: Tolerance = DEFAULT_TOL, validated: bool = True):
@@ -536,14 +512,14 @@ def _canonical(value) -> str:
 
 def write_system(system) -> str:
     """Serialize to the canonical JSON form (sorted keys, 17-digit reals)."""
-    kind = _kind_of(system)
+    kind, names, _ = _schema_of(system)
     doc: dict = {"kind": kind, "n": system.n, "m": system.m}
-    for key in _KIND_FIELDS[kind]:
-        doc[key] = [[float(v) for v in row] for row in getattr(system, key)]
-    if kind in _DELAY_KINDS:
-        doc["tau"] = float(system.tau)
-    if kind == "delay_ph" and system.theta is not None:
-        doc["theta"] = [[float(v) for v in row] for row in system.theta]
+    for key in names:
+        doc[key] = _rows(getattr(system, key))
+    if hasattr(system, "tau"):
+        doc["tau"] = system.tau
+    if getattr(system, "theta", None) is not None:
+        doc["theta"] = _rows(system.theta)
     return _canonical(doc) + "\n"
 
 

@@ -241,6 +241,15 @@ def test_construct_kernel_guard_z_kernel():
     assert "ker(R) is not contained in ker(Z)" in out.reason
 
 
+@pytest.mark.parametrize("c", [1.0, 1e-6, 1e-9])
+def test_construct_kernel_guard_is_unit_free(c):
+    # Z e2 = (1e-6, 0) with ker(R) = span(e2): refused at every scale
+    out = construct_theta(c * np.diag([1.0, 0.0]),
+                          c * np.array([[0.5, 1e-6], [0.0, 0.0]]))
+    assert not out.success
+    assert "ker(R) is not contained in ker(Z)" in out.reason
+
+
 def test_construct_kernel_guard_image_meets_kernel():
     out = construct_theta(np.diag([1.0, 0.0]),
                           np.array([[0.0, 0.0], [1.0, 0.0]]))

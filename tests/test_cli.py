@@ -398,6 +398,19 @@ def test_simulate_input_spec_errors(capsys, tmp_path, scalar_file):
     assert code == 3 and "integer multiple" in report["error"]
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--h", "0"), ("--h", "-0.1"), ("--h", "nan"), ("--h", "inf"), ("--T", "inf"),
+])
+def test_simulate_rejects_non_positive_or_non_finite_steps(capsys, tmp_path,
+                                                            scalar_file, flag, value):
+    args = {"--T": "1.0", "--h": "0.1", flag: value}
+    code, report = run(capsys, "simulate", scalar_file, "--history", "const:0.1",
+                       "--T", args["--T"], "--h", args["--h"],
+                       "--out", str(tmp_path / "r.csv"))
+    assert code == 3 and report["exit_code"] == 3
+    assert report["error"].startswith(flag + " must be")
+
+
 # ---------------------------------------------------------------------------
 # check
 
@@ -461,6 +474,13 @@ def test_malformed_document_is_input_error(capsys, tmp_path):
     code, report = run(capsys, "certify", str(path))
     assert code == 3
     assert "error" in report
+
+
+def test_non_finite_tau_is_input_error(capsys, tmp_path):
+    path = write_doc(tmp_path / "sys.json", scalar_doc(theta=1.0, tau=float("inf")))
+    code, report = run(capsys, "certify", path)
+    assert code == 3
+    assert '"tau" must be finite' in report["error"]
 
 
 def test_invalid_system_is_input_error(capsys, tmp_path):

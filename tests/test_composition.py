@@ -41,6 +41,14 @@ def test_classify_feedback():
         classify_feedback(np.ones((2, 3)))
 
 
+@pytest.mark.parametrize("c", [1.0, 1e-6, 1e-12])
+def test_classify_feedback_is_unit_free(c):
+    assert classify_feedback(c * np.array([[0.0, 1.0], [-1.0, 0.0]])) == POWER_CONSERVING
+    # sym(F) = diag(1, 0) is a fixed fraction of F; at tiny scales the
+    # absolute PSD slack floor may still read it as dissipative
+    assert classify_feedback(c * np.array([[1.0, 1.0], [-1.0, 0.0]])) != POWER_CONSERVING
+
+
 # ---------------------------------------------------------------------------
 # interconnection structure
 

@@ -232,6 +232,14 @@ def test_subspace_contained():
     assert subspace_contained(np.zeros((3, 0)), m)
 
 
+@pytest.mark.parametrize("c", [1.0, 1e-6, 1e-9])
+def test_subspace_contained_is_unit_free(c):
+    # ||Z e2|| = 1e-6 ||Z|| / 0.5: outside the relative cutoff at every scale
+    e2 = np.array([[0.0], [1.0]])
+    assert not subspace_contained(e2, c * np.array([[0.5, 1e-6], [0.0, 0.0]]))
+    assert subspace_contained(e2, c * np.array([[0.5, 0.0], [0.0, 0.0]]))
+
+
 def test_intersection_trivial():
     m = np.array([[1.0, 0.0], [0.0, 0.0]])  # image = span(e1)
     e2 = np.array([[0.0], [1.0]])

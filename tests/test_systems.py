@@ -56,6 +56,11 @@ def test_matrices_are_read_only():
 def test_non_finite_entries_rejected_at_construction():
     with pytest.raises(ValueError, match="non-finite"):
         DelayPHSystem(H=[[np.nan]], J=0.0, R=1.0, Z=0.0, G=1.0, tau=1.0)
+    for tau in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="tau must be finite"):
+            DelayPHSystem(H=1.0, J=0.0, R=1.0, Z=0.0, G=1.0, tau=tau)
+        with pytest.raises(ValueError, match="tau must be finite"):
+            GeneralDelaySystem(A0=-1.0, A1=0.0, B=1.0, C=1.0, tau=tau)
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +261,15 @@ def test_read_rejects_schema_problems():
 
     bad = dict(base, tau="soon")
     with pytest.raises(SystemFormatError, match='"tau"'):
+        read_system(json.dumps(bad))
+
+    for tau in (float("inf"), float("-inf"), float("nan"), 10**400):
+        bad = dict(base, tau=tau)  # json.dumps writes Infinity / NaN
+        with pytest.raises(SystemFormatError, match='"tau" must be finite'):
+            read_system(json.dumps(bad))
+
+    bad = dict(base, tau=0.0)  # finite but not positive: a validation error
+    with pytest.raises(SystemValidationError, match="tau must be positive, got 0.0"):
         read_system(json.dumps(bad))
 
     with pytest.raises(SystemFormatError, match="malformed JSON"):
