@@ -12,8 +12,8 @@ passivity exactly when the block matrix
 
 is positive semidefinite.  Everything else here either produces such a
 Theta (``construct_theta``), checks one (``certify_delay_ph``), transports
-the condition across representations (``crosscheck_classical``,
-``kyp_delay_check``), preserves it under interconnection and delayed
+the condition to general coordinates as the block KYP test
+(``kyp_delay_check``), preserves it under interconnection and delayed
 feedback (``interconnect``, ``close_delayed_feedback``), or observes it
 numerically along trajectories (``simulate_delay_ph``,
 ``monitor_dissipation``).
@@ -22,15 +22,12 @@ numerically along trajectories (``simulate_delay_ph``,
 from .certificates import CERTIFIED, INCONCLUSIVE, REFUTED, Certificate
 from .certify import (
     AlphaInterval,
-    ClassicalCrosscheck,
     NecessaryConditions,
     ScalarThetaInterval,
     ThetaConstruction,
     certify_delay_ph,
     check_necessary,
-    classical_passivity_check,
     construct_theta,
-    crosscheck_classical,
     exists_certifying_theta_grid,
     kyp_delay_check,
     ph_condition_matrix,
@@ -108,7 +105,6 @@ __all__ = [
     "BlowUpError",
     "CERTIFIED",
     "Certificate",
-    "ClassicalCrosscheck",
     "DEFAULT_TOL",
     "DISSIPATIVE",
     "DelayPHSystem",
@@ -142,11 +138,9 @@ __all__ = [
     "check_feedback_conditions",
     "check_minimality",
     "check_necessary",
-    "classical_passivity_check",
     "classify_feedback",
     "close_delayed_feedback",
     "construct_theta",
-    "crosscheck_classical",
     "delay_ph_to_general",
     "evaluate_hamiltonian",
     "exists_certifying_theta_grid",

@@ -14,9 +14,9 @@ function exactly when Theta is symmetric PSD and the block condition
 holds.  This module certifies (*) for a given Theta, derives necessary
 conditions any certifying Theta must satisfy, constructs a Theta from
 (R, Z) alone when a whitened smallness test passes, and cross-checks the
-verdict against two classical delay-passivity formulations (a Riccati-type
-inequality and a block KYP test).  A brute-force grid oracle for n <= 2
-decides existence of a certifying Theta independently of the construction.
+verdict against the paper's block KYP test in general coordinates.  A
+brute-force grid oracle for n <= 2 decides existence of a certifying Theta
+independently of the construction.
 
 Verdict semantics: CERTIFIED and REFUTED always refer to the pair
 (system, Theta); a refuted pair says nothing about other Theta choices.
@@ -48,21 +48,17 @@ from .systems import (
     DelayPHSystem,
     GeneralDelaySystem,
     SystemValidationError,
-    delay_ph_to_general,
     validate,
 )
 
 __all__ = [
     "AlphaInterval",
-    "ClassicalCrosscheck",
     "NecessaryConditions",
     "ScalarThetaInterval",
     "ThetaConstruction",
     "certify_delay_ph",
     "check_necessary",
-    "classical_passivity_check",
     "construct_theta",
-    "crosscheck_classical",
     "exists_certifying_theta_grid",
     "kyp_delay_check",
     "ph_condition_matrix",
@@ -289,103 +285,6 @@ def construct_theta(R, Z, tol: Tolerance = DEFAULT_TOL) -> ThetaConstruction:
         True,
         theta=0.5 * r,
         interval=AlphaInterval(sigma=sigma, lo=lo, hi=hi, feasible=True),
-    )
-
-
-def classical_passivity_check(
-    system: GeneralDelaySystem, Q, theta, tol: Tolerance = DEFAULT_TOL
-) -> Certificate:
-    """Riccati-type delay passivity test in general coordinates.
-
-    Certifies when Q and Theta are symmetric positive definite
-    (ValueError otherwise, these are preconditions),
-
-        A0^T Q + Q A0 + Q A1 Theta^{-1} A1^T Q + Theta  is NSD,
-
-    and the output condition C = B^T Q holds within rank_tol * ||C||.
-    """
-    q = _require_spd(Q, "Q", tol)
-    th = _require_spd(theta, "Theta", tol)
-    lhs = _riccati_form(system, q, th)
-    residual, out_ok = output_residual(system.C, system.B, q, tol)
-    return Certificate.from_report(
-        is_psd(-lhs, tol),
-        -lhs,
-        "inequality_indefinite",
-        theta_used=th,
-        mismatch="" if out_ok else f"output_mismatch: ||C - B^T Q|| = {residual:.3e}",
-    )
-
-
-def _require_spd(matrix, name, tol):
-    m = require_symmetric(matrix, name)
-    report = is_psd(m, tol)
-    if report.min_eigenvalue <= report.slack:
-        raise ValueError(
-            f"{name} must be symmetric positive definite "
-            f"(min eigenvalue {report.min_eigenvalue:.6g})"
-        )
-    return m
-
-
-def _riccati_form(system, q, th):
-    qa1 = q @ system.A1
-    return (
-        system.A0.T @ q
-        + q @ system.A0
-        + qa1 @ np.linalg.solve(th, qa1.T)
-        + th
-    )
-
-
-@dataclass(frozen=True)
-class ClassicalCrosscheck:
-    """Agreement report between the block certificate and the Riccati test.
-
-    With Q = H/2 the Riccati form collapses algebraically to
-    ``-R + Theta + (1/4) Z Theta^{-1} Z^T`` (the Schur complement of (*)),
-    so for a certified system the inequality part must pass; the classical
-    output condition C = B^T Q, however, evaluates to G^T/2 against the
-    port-Hamiltonian output G^T and is reported as a residual instead of
-    being folded into the verdict.
-    """
-
-    inequality_certified: bool
-    min_eigenvalue: float
-    identity_error: float
-    output_residual: float
-    certificate: Certificate
-
-
-def crosscheck_classical(
-    system: DelayPHSystem, theta, tol: Tolerance = DEFAULT_TOL
-) -> ClassicalCrosscheck:
-    """Re-derive a block certificate through the classical Riccati route.
-
-    Preconditions: certify_delay_ph(system, theta) is CERTIFIED and Theta
-    is positive definite (ValueError otherwise).
-    """
-    base = certify_delay_ph(system, theta, tol)
-    if not base.certified:
-        raise ValueError(
-            "crosscheck requires a certified pair (system, Theta); got "
-            f"{base.verdict} ({base.reason})"
-        )
-    th = _require_spd(theta, "Theta", tol)
-    general = delay_ph_to_general(system)
-    q = 0.5 * system.H
-    lhs = _riccati_form(general, q, th)
-    rhs = -system.R + th + 0.25 * (system.Z @ np.linalg.solve(th, system.Z.T))
-    identity_error = float(np.max(np.abs(lhs - rhs))) if lhs.size else 0.0
-    report = is_psd(-lhs, tol)
-    residual, _ = output_residual(general.C, general.B, q, tol)
-    cert = Certificate.from_report(report, -lhs, "inequality_indefinite", theta_used=th)
-    return ClassicalCrosscheck(
-        inequality_certified=report.is_psd,
-        min_eigenvalue=report.min_eigenvalue,
-        identity_error=identity_error,
-        output_residual=residual,
-        certificate=cert,
     )
 
 

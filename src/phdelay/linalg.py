@@ -128,17 +128,29 @@ def skew_part(matrix) -> np.ndarray:
 
 
 def asymmetry(matrix) -> float:
-    """Relative asymmetry ||M - M^T||_F / (1 + ||M||_F)."""
-    return _asymmetry(_square(matrix))
+    """Relative asymmetry ||M - M^T||_F / ||M||_F; 0.0 for a zero matrix."""
+    m = _square(matrix)
+    return _relative_norm(m - m.T, m)
 
 
-def _asymmetry(m: np.ndarray) -> float:
-    if m.size == 0:
-        return 0.0
-    d = m - m.T
-    return math.sqrt(float((d * d).sum())) / (
-        1.0 + math.sqrt(float((m * m).sum()))
-    )
+def _relative_norm(d: np.ndarray, m: np.ndarray) -> float:
+    """||D||_F / ||M||_F, unchanged when both are scaled; 0.0 when M = 0.
+
+    When ||M||_F^2 leaves [1e-200, 1e200], both are divided by max |M|
+    first, so the squares neither overflow nor underflow.
+    """
+    d = d.ravel()
+    m = m.ravel()
+    with np.errstate(over="ignore"):
+        mm = float(m @ m)
+    if not 1e-200 <= mm <= 1e200:
+        big = float(np.abs(m).max()) if m.size else 0.0
+        if big == 0.0:
+            return 0.0
+        d = d / big
+        m = m / big
+        mm = float(m @ m)
+    return math.sqrt(float(d @ d) / mm)
 
 
 def require_symmetric(matrix, name: str = "matrix") -> np.ndarray:
@@ -149,7 +161,7 @@ def require_symmetric(matrix, name: str = "matrix") -> np.ndarray:
     symmetrized; anything larger raises ValueError.
     """
     m = _square(matrix, name)
-    a = _asymmetry(m)
+    a = _relative_norm(m - m.T, m)
     if a > SYMMETRY_RTOL:
         raise ValueError(
             f"{name} is not symmetric (relative asymmetry {a:.3e} > {SYMMETRY_RTOL:.0e})"

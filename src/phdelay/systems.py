@@ -39,6 +39,7 @@ from .linalg import (
     DEFAULT_TOL,
     SYMMETRY_RTOL,
     Tolerance,
+    _relative_norm,
     as_matrix,
     asymmetry,
     output_residual,
@@ -87,17 +88,25 @@ class OutputMismatchError(ValueError):
         )
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """``arr`` if it is read-only and owns its data (as a system's matrix
+    does), else a read-only copy: no write to the caller's array, or to an
+    array it views, can then reach the system."""
+    if arr.flags.writeable or arr.base is not None:
+        arr = arr.copy()
+        arr.setflags(write=False)
+    return arr
+
+
 def _freeze(obj, name, value):
-    arr = as_matrix(value, name)
-    arr.setflags(write=False)
-    object.__setattr__(obj, name, arr)
+    object.__setattr__(obj, name, _read_only(as_matrix(value, name)))
 
 
 class _System:
     """Construction shared by the four kinds; their fields are in ``_SCHEMA``.
 
-    Matrices (and a given ``theta``) become read-only float arrays, ``tau``
-    a finite float.
+    Matrices (and a given ``theta``) become read-only float arrays (see
+    ``_read_only``), ``tau`` a finite float.
     """
 
     def __post_init__(self):
@@ -218,8 +227,8 @@ class HistoryFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float).reshape(-1)
-        values = as_matrix(self.values, "values")
+        grid = _read_only(np.asarray(self.grid, dtype=float).reshape(-1))
+        values = _read_only(as_matrix(self.values, "values"))
         if grid.size < 2:
             raise ValueError("history grid needs at least two points")
         if not np.all(np.isfinite(grid)):
@@ -234,8 +243,6 @@ class HistoryFunction:
             raise ValueError(
                 f"values has {values.shape[1]} columns for {grid.size} grid points"
             )
-        grid.setflags(write=False)
-        values.setflags(write=False)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
 
@@ -305,24 +312,17 @@ def validate(system, tol: Tolerance = DEFAULT_TOL) -> list[str]:
     return v
 
 
-def _antisym_deviation(mat) -> float:
-    """Relative size ||M + M^T|| / (1 + ||M||) of the symmetric residue."""
-    if mat.size == 0:
-        return 0.0
-    return float(np.linalg.norm(mat + mat.T) / (1.0 + np.linalg.norm(mat)))
-
-
 def _check_energy_matrices(violations, h, j, tol):
     a = asymmetry(h)
     if a > SYMMETRY_RTOL:
         violations.append(f"H is not symmetric (relative asymmetry {a:.3e})")
-    else:
+    elif h.size:  # an empty H is positive definite
         report = psd_report_symmetric(0.5 * (h + h.T), tol)
         if report.min_eigenvalue <= report.slack:
             violations.append(
                 f"H is not positive definite (min eigenvalue {report.min_eigenvalue:.6g})"
             )
-    dev = _antisym_deviation(j)
+    dev = _relative_norm(j + j.T, j)
     if dev > SYMMETRY_RTOL:
         violations.append(f"J is not antisymmetric (relative deviation {dev:.3e})")
 
@@ -490,7 +490,9 @@ def read_system(source, tol: Tolerance = DEFAULT_TOL, validated: bool = True):
 def _fmt_real(x: float) -> str:
     if not math.isfinite(x):
         raise ValueError(f"cannot serialize non-finite value {x!r}")
-    return format(float(x), ".17g")
+    text = format(float(x), ".17g")
+    # "-0" would read back as the integer 0 and lose the sign
+    return "-0.0" if text == "-0" else text
 
 
 def _canonical(value) -> str:

@@ -11,7 +11,6 @@ from phdelay import (
     GeneralDelaySystem,
     StandardLTISystem,
     certify_ph,
-    classical_passivity_check,
     kyp_delay_check,
 )
 
@@ -70,7 +69,6 @@ def test_output_mismatch_certificates_carry_no_witness():
     certs = [
         certify_ph(StandardLTISystem(A=[[-1.0]], B=[[1.0]], C=[[1.0]]),
                    [[0.5]]).certificate,
-        classical_passivity_check(gen, Q=[[0.5]], theta=[[0.5]]),
         kyp_delay_check(gen, [[0.5]], [[0.5]]),
     ]
     for cert in certs:

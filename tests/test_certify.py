@@ -11,9 +11,7 @@ from phdelay import (
     SystemValidationError,
     certify_delay_ph,
     check_necessary,
-    classical_passivity_check,
     construct_theta,
-    crosscheck_classical,
     delay_ph_to_general,
     exists_certifying_theta_grid,
     is_psd,
@@ -304,66 +302,6 @@ def test_construct_zero_matrices():
         out.theta,
     )
     assert cert.verdict == CERTIFIED
-
-
-# ---------------------------------------------------------------------------
-# classical Riccati-type route
-
-
-def test_classical_check_hand_example():
-    gen = GeneralDelaySystem(A0=[[-2.0]], A1=[[-1.0]], B=[[1.0]], C=[[1.0]],
-                             tau=1.0)
-    cert = classical_passivity_check(gen, Q=[[0.5]], theta=[[0.5]])
-    assert cert.verdict == REFUTED  # C = 1 but B^T Q = 1/2
-    assert cert.reason.startswith("output_mismatch")
-    assert cert.min_eigenvalue == pytest.approx(1.0)  # inequality itself holds
-
-    gen_fixed = GeneralDelaySystem(A0=[[-2.0]], A1=[[-1.0]], B=[[1.0]],
-                                   C=[[0.5]], tau=1.0)
-    cert = classical_passivity_check(gen_fixed, Q=[[0.5]], theta=[[0.5]])
-    assert cert.verdict == CERTIFIED
-
-
-def test_classical_check_no_delay_term():
-    gen = GeneralDelaySystem(A0=[[-1.0]], A1=[[0.0]], B=[[1.0]], C=[[0.5]],
-                             tau=1.0)
-    cert = classical_passivity_check(gen, Q=[[0.5]], theta=[[0.25]])
-    assert cert.verdict == CERTIFIED
-    assert cert.min_eigenvalue == pytest.approx(0.75)
-
-
-def test_classical_check_requires_spd_inputs():
-    gen = GeneralDelaySystem(A0=[[-1.0]], A1=[[0.0]], B=[[1.0]], C=[[0.5]],
-                             tau=1.0)
-    with pytest.raises(ValueError, match="Q must be"):
-        classical_passivity_check(gen, Q=[[0.0]], theta=[[0.5]])
-    with pytest.raises(ValueError, match="Theta must be"):
-        classical_passivity_check(gen, Q=[[0.5]], theta=[[-0.5]])
-
-
-def test_crosscheck_scalar_identity():
-    """Both sides of the algebraic identity equal -3/4 on the worked scalar."""
-    out = crosscheck_classical(scalar_system(), [[1.0]])
-    assert out.inequality_certified
-    assert out.identity_error <= 1e-15
-    assert out.min_eigenvalue == pytest.approx(0.75)
-    assert out.output_residual == pytest.approx(0.5)  # G^T vs G^T/2
-    assert out.certificate.verdict == CERTIFIED
-
-
-def test_crosscheck_random_certified():
-    rng = np.random.default_rng(43)
-    for _ in range(20):
-        sys1 = rand_certified_delay_ph(rng, 3)
-        out = crosscheck_classical(sys1, sys1.theta)
-        assert out.inequality_certified
-        assert out.identity_error <= 1e-10
-        assert out.min_eigenvalue >= -1e-9
-
-
-def test_crosscheck_requires_certified_pair():
-    with pytest.raises(ValueError, match="certified"):
-        crosscheck_classical(scalar_system(), [[0.05]])
 
 
 # ---------------------------------------------------------------------------

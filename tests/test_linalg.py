@@ -56,7 +56,8 @@ def test_asymmetry_measure():
     assert asymmetry(np.eye(3)) == 0.0
     m = np.array([[0.0, 1.0], [0.0, 0.0]])
     # ||M - M^T||_F = sqrt(2), ||M||_F = 1
-    assert asymmetry(m) == pytest.approx(np.sqrt(2.0) / 2.0)
+    assert asymmetry(m) == pytest.approx(np.sqrt(2.0))
+    assert asymmetry(np.zeros((2, 2))) == 0.0
 
 
 def test_require_symmetric_symmetrizes_roundoff():
@@ -68,6 +69,21 @@ def test_require_symmetric_symmetrizes_roundoff():
 def test_require_symmetric_rejects_genuine_asymmetry():
     with pytest.raises(ValueError, match="not symmetric"):
         require_symmetric(np.array([[0.0, 1.0], [0.0, 0.0]]), "J")
+
+
+@pytest.mark.parametrize("c", [1.0, 1e-6, 1e-13, 1e-160, 1e160])
+def test_symmetry_checks_do_not_depend_on_units(c):
+    """A matrix c*M is as asymmetric as M, however small or large c is."""
+    r = c * np.array([[1.0, 1.0], [0.0, 1.0]])
+    assert asymmetry(r) == pytest.approx(asymmetry(r / c), rel=1e-15)
+    with pytest.raises(ValueError, match="not symmetric"):
+        require_symmetric(r, "R")
+    with pytest.raises(ValueError, match="not symmetric"):
+        is_psd(r)
+    # round-off asymmetry is still symmetrized at every scale
+    tiny = c * np.array([[1.0, 0.5 + 1e-15], [0.5, 2.0]])
+    out = require_symmetric(tiny)
+    np.testing.assert_array_equal(out, out.T)
 
 
 def test_is_psd_hand_example():

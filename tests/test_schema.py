@@ -72,8 +72,7 @@ def documents(draw, kinds=tuple(KINDS)):
 
 
 def _bits(mat):
-    # + 0.0 maps -0.0 to 0.0, the one value the 17-digit text form drops
-    return (np.asarray(mat, dtype=float) + 0.0).view(np.uint64)
+    return np.asarray(mat, dtype=float).view(np.uint64)
 
 
 @PROPERTY
@@ -156,3 +155,27 @@ def test_zero_size_matrices_round_trip(kind):
     system = read_system(json.dumps(doc))
     assert system.C.shape == (0, 2) and system.B.shape == (2, 0)
     assert write_system(read_system(write_system(system))) == write_system(system)
+
+
+def test_negative_zero_round_trips():
+    doc = {"kind": "standard_lti", "n": 1, "m": 1,
+           "A": [[-0.0]], "B": [[0.0]], "C": [[-0.0]]}
+    text = write_system(read_system(json.dumps(doc)))
+    assert '"A": [[-0.0]]' in text
+    again = read_system(text)
+    np.testing.assert_array_equal(_bits(again.A), _bits(np.array([[-0.0]])))
+    np.testing.assert_array_equal(_bits(again.B), _bits(np.array([[0.0]])))
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_empty_state_documents_read_validate_and_round_trip(kind):
+    # an empty H is positive definite; n = 0 is a valid, if trivial, system
+    doc = {"kind": kind, "n": 0, "m": 1}
+    for key, shape in KINDS[kind].items():
+        doc[key] = np.zeros(tuple(doc[d] for d in shape)).tolist()
+    if kind in DELAY_KINDS:
+        doc["tau"] = 1.0
+    system = read_system(json.dumps(doc))
+    assert (system.n, system.m) == (0, 1)
+    text = write_system(system)
+    assert write_system(read_system(text)) == text

@@ -53,6 +53,31 @@ def test_matrices_are_read_only():
         lti.A[0, 0] = 3.0
 
 
+def test_systems_and_histories_copy_the_callers_arrays():
+    h = np.eye(1)
+    sys1 = DelayPHSystem(H=h, J=0.0, R=1.0, Z=0.0, G=1.0, tau=1.0)
+    h[0, 0] = 5.0  # the caller's array stays writable
+    assert sys1.H[0, 0] == 1.0
+
+    base = np.eye(2)
+    sys2 = StandardPHSystem(H=base[:, :], J=np.zeros((2, 2)), R=np.eye(2),
+                            G=np.ones((2, 1)))
+    base[0, 0] = -7.0  # a write through the view does not reach the system
+    assert sys2.H[0, 0] == 1.0 and validate(sys2) == []
+    # a system's own read-only matrices are shared, not copied again
+    assert StandardPHSystem(sys2.H, sys2.J, sys2.R, sys2.G).H is sys2.H
+
+    g = np.array([-1.0, 0.0])
+    x = np.ones((1, 2))
+    hist = HistoryFunction(g, x)
+    g[0] = 5.0
+    x[0, 0] = 3.0
+    np.testing.assert_array_equal(hist.grid, [-1.0, 0.0])
+    np.testing.assert_array_equal(hist.values, [[1.0, 1.0]])
+    with pytest.raises(ValueError):
+        hist.grid[0] = 5.0
+
+
 def test_non_finite_entries_rejected_at_construction():
     with pytest.raises(ValueError, match="non-finite"):
         DelayPHSystem(H=[[np.nan]], J=0.0, R=1.0, Z=0.0, G=1.0, tau=1.0)
@@ -103,6 +128,16 @@ def test_validate_flags_asymmetric_r():
                          R=np.array([[1.0, 0.3], [0.0, 1.0]]),
                          Z=np.zeros((2, 2)), G=np.ones((2, 1)), tau=1.0)
     assert any("R is not symmetric" in m for m in validate(sys1))
+
+
+@pytest.mark.parametrize("c", [1.0, 1e-6, 1e-13])
+def test_validate_symmetry_checks_do_not_depend_on_units(c):
+    sys1 = DelayPHSystem(H=np.eye(2), J=c * np.array([[0.0, 1.0], [0.0, 0.0]]),
+                         R=c * np.array([[1.0, 1.0], [0.0, 1.0]]),
+                         Z=np.zeros((2, 2)), G=np.ones((2, 1)), tau=1.0)
+    msgs = validate(sys1)
+    assert any("R is not symmetric" in m for m in msgs)
+    assert any("J is not antisymmetric" in m for m in msgs)
 
 
 def test_validate_flags_standard_ph_indefinite_r():
