@@ -13,23 +13,21 @@ passivity exactly when the block matrix
 is positive semidefinite.  Everything else here either produces such a
 Theta (``construct_theta``), checks one (``certify_delay_ph``), transports
 the condition to general coordinates as the block KYP test
-(``kyp_delay_check``), preserves it under interconnection and delayed
-feedback (``interconnect``, ``close_delayed_feedback``), or observes it
-numerically along trajectories (``simulate_delay_ph``,
-``monitor_dissipation``).
+(``certify.kyp_delay_check``), preserves it under interconnection and
+delayed feedback (``interconnect``, ``close_delayed_feedback``), or
+observes it numerically along trajectories (``simulate_delay_ph``,
+``simulation.monitor_dissipation``).
+
+The top-level namespace holds what the command line, the demos and the
+README use; every other public name lives in its submodule.
 """
 
 from .certificates import CERTIFIED, INCONCLUSIVE, REFUTED, Certificate
 from .certify import (
-    AlphaInterval,
-    NecessaryConditions,
-    ScalarThetaInterval,
-    ThetaConstruction,
     certify_delay_ph,
     check_necessary,
     construct_theta,
     exists_certifying_theta_grid,
-    kyp_delay_check,
     ph_condition_matrix,
     scalar_theta_interval,
 )
@@ -37,7 +35,6 @@ from .composition import (
     DISSIPATIVE,
     GENERAL,
     POWER_CONSERVING,
-    FeedbackConditions,
     certify_interconnection,
     check_feedback_conditions,
     classify_feedback,
@@ -46,52 +43,33 @@ from .composition import (
     interconnect,
 )
 from .linalg import (
-    DEFAULT_TOL,
-    PsdReport,
     Tolerance,
-    image_basis,
     is_psd,
-    kernel_basis,
-    numerical_rank,
-    skew_part,
-    spectral_norm,
-    sym_part,
     whitening_basis,
 )
 from .simulation import (
     BlowUpError,
-    EnergyRecord,
-    Trajectory,
-    evaluate_hamiltonian,
     export_trajectory_csv,
     hamiltonian_series,
     integrate_dde,
-    monitor_dissipation,
     simulate_delay_ph,
 )
 from .standard import (
     MINIMAL,
     NOT_CONTROLLABLE,
     NOT_OBSERVABLE,
-    SigmaDecomposition,
-    StandardPHCertificate,
     certify_ph,
     check_minimality,
-    hamiltonian,
-    kyp_matrix,
-    weighted_system_matrix,
 )
 from .systems import (
     DelayPHSystem,
     GeneralDelaySystem,
     HistoryFunction,
-    OutputMismatchError,
     StandardLTISystem,
     StandardPHSystem,
     SystemFormatError,
     SystemValidationError,
     delay_ph_to_general,
-    general_to_delay_ph,
     read_system,
     save_system,
     validate,
@@ -101,15 +79,11 @@ from .systems import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlphaInterval",
     "BlowUpError",
     "CERTIFIED",
     "Certificate",
-    "DEFAULT_TOL",
     "DISSIPATIVE",
     "DelayPHSystem",
-    "EnergyRecord",
-    "FeedbackConditions",
     "GENERAL",
     "GeneralDelaySystem",
     "HistoryFunction",
@@ -117,21 +91,13 @@ __all__ = [
     "MINIMAL",
     "NOT_CONTROLLABLE",
     "NOT_OBSERVABLE",
-    "NecessaryConditions",
-    "OutputMismatchError",
     "POWER_CONSERVING",
-    "PsdReport",
     "REFUTED",
-    "ScalarThetaInterval",
-    "SigmaDecomposition",
     "StandardLTISystem",
-    "StandardPHCertificate",
     "StandardPHSystem",
     "SystemFormatError",
     "SystemValidationError",
-    "ThetaConstruction",
     "Tolerance",
-    "Trajectory",
     "certify_delay_ph",
     "certify_interconnection",
     "certify_ph",
@@ -142,32 +108,19 @@ __all__ = [
     "close_delayed_feedback",
     "construct_theta",
     "delay_ph_to_general",
-    "evaluate_hamiltonian",
     "exists_certifying_theta_grid",
     "export_trajectory_csv",
     "feedback_gain_bound",
-    "general_to_delay_ph",
-    "hamiltonian",
     "hamiltonian_series",
-    "image_basis",
     "integrate_dde",
     "interconnect",
     "is_psd",
-    "kernel_basis",
-    "kyp_delay_check",
-    "kyp_matrix",
-    "monitor_dissipation",
-    "numerical_rank",
     "ph_condition_matrix",
     "read_system",
     "save_system",
     "scalar_theta_interval",
     "simulate_delay_ph",
-    "skew_part",
-    "spectral_norm",
-    "sym_part",
     "validate",
-    "weighted_system_matrix",
     "whitening_basis",
     "write_system",
 ]

@@ -293,12 +293,13 @@ def kyp_delay_check(
 ) -> Certificate:
     """Block KYP test for delay passivity in general coordinates.
 
-    Certifies when
+    Certifies when the storage matrix Q11 is PSD,
 
         [[-A0^T Q11 - Q11 A0 - Q22, -Q11 A1],
          [-A1^T Q11,                  Q22  ]]  is PSD
 
-    and C = B^T Q11 within rank_tol * ||C||.
+    and C = B^T Q11 within rank_tol * ||C||.  An indefinite Q11 refutes
+    with reason "storage_not_psd" and a witness on Q11.
     """
     q11 = require_symmetric(Q11, "Q11")
     q22 = require_symmetric(Q22, "Q22")
@@ -308,6 +309,9 @@ def kyp_delay_check(
     block[:n, n:] = -q11 @ system.A1
     block[n:, :n] = block[:n, n:].T
     block[n:, n:] = q22
+    storage = psd_report_symmetric(q11, tol)
+    if not storage.is_psd:
+        return Certificate.from_report(storage, block, "storage_not_psd")
     residual, out_ok = output_residual(system.C, system.B, q11, tol)
     return Certificate.from_report(
         is_psd(block, tol),

@@ -53,7 +53,6 @@ from .systems import (
     _matrix_rows,
     _rows,
     _standard_ph_to_lti,
-    delay_ph_to_general,
     read_system,
     save_system,
     validate,
@@ -300,23 +299,25 @@ def _parse_input(spec: str, times: np.ndarray, m: int):
 
 def _cmd_simulate(args, tol):
     system = read_system(args.system, tol)
-    if isinstance(system, DelayPHSystem):
-        general = delay_ph_to_general(system)
-    elif isinstance(system, GeneralDelaySystem):
-        general = system
+    if isinstance(system, GeneralDelaySystem):
         if args.monitor:
             raise _UsageError(
                 "--monitor requires a delay_ph system with an energy matrix"
             )
-    else:
+    elif not isinstance(system, DelayPHSystem):
         raise _UsageError("simulate requires a delay system (general_delay or delay_ph)")
     if not (math.isfinite(args.h) and args.h > 0.0):
         raise _UsageError(f"--h must be a positive finite number, got {args.h}")
     if not math.isfinite(args.T):
         raise _UsageError(f"--T must be a finite number, got {args.T}")
-    history = _parse_history(args.history, general)
-    times = np.arange(round(args.T / args.h) + 1) * args.h
-    inputs, input_path = _parse_input(args.input, times, general.m)
+    steps = args.T / args.h
+    if not math.isfinite(steps):
+        raise _UsageError(
+            f"--T / --h = {args.T} / {args.h} is not a finite number of steps"
+        )
+    history = _parse_history(args.history, system)
+    times = np.arange(round(steps) + 1) * args.h
+    inputs, input_path = _parse_input(args.input, times, system.m)
     payload = {"inputs": {args.system: _digest(args.system)}}
     if not args.history.startswith("const:"):
         payload["inputs"][args.history] = _digest(args.history)
@@ -345,7 +346,7 @@ def _cmd_simulate(args, tol):
                 ],
             }
     else:
-        traj = integrate_dde(general, history, inputs, args.T, args.h)
+        traj = integrate_dde(system, history, inputs, args.T, args.h)
         energies = None
 
     export_trajectory_csv(traj, args.out, energies)
@@ -478,10 +479,10 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(json.dumps({"error": str(exc), "exit_code": 3}, indent=2))
         return 3
-    tol = Tolerance(psd_tol=args.psd_tol, rank_tol=args.rank_tol)
     try:
+        tol = Tolerance(psd_tol=args.psd_tol, rank_tol=args.rank_tol)
         payload, code = args.handler(args, tol)
-    except (_UsageError, BlowUpError, OSError, ValueError) as exc:
+    except (_UsageError, BlowUpError, OSError, ValueError, MemoryError) as exc:
         print(json.dumps(
             {"command": args.command, "error": str(exc), "exit_code": 3}, indent=2
         ))

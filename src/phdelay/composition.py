@@ -62,6 +62,9 @@ POWER_CONSERVING = "power_conserving"
 DISSIPATIVE = "dissipative"
 GENERAL = "general"
 
+#: relative difference up to which two delays count as one shared delay
+TAU_RTOL = 1e-12
+
 
 def classify_feedback(F, tol: Tolerance = DEFAULT_TOL) -> str:
     """Classify a port coupling matrix by its symmetric part.
@@ -95,11 +98,12 @@ def interconnect(
 ) -> DelayPHSystem:
     """Close the loop u = F y + w around the stacked pair.
 
-    Both systems must share the same delay exactly; F must be
+    Both systems must share one delay, equal within the relative
+    ``TAU_RTOL``; the closed loop keeps ``sys1.tau``.  F must be
     (m1 + m2) x (m1 + m2).  The combined theta blkdiag(theta1, theta2) is
     attached when both subsystems carry one.
     """
-    if sys1.tau != sys2.tau:
+    if abs(sys1.tau - sys2.tau) > TAU_RTOL * max(sys1.tau, sys2.tau):
         raise ValueError(
             f"delays differ: {sys1.tau} vs {sys2.tau}; interconnection "
             "requires one shared delay"

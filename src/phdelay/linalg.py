@@ -60,10 +60,10 @@ class Tolerance:
     rank_tol: float = 1e-10
 
     def __post_init__(self):
-        if self.psd_tol is not None and not self.psd_tol >= 0.0:
-            raise ValueError("psd_tol must be nonnegative")
-        if not self.rank_tol >= 0.0:
-            raise ValueError("rank_tol must be nonnegative")
+        if self.psd_tol is not None and not 0.0 <= self.psd_tol < math.inf:
+            raise ValueError("psd_tol must be finite and nonnegative")
+        if not 0.0 <= self.rank_tol < math.inf:
+            raise ValueError("rank_tol must be finite and nonnegative")
 
     def psd_slack(self, scale: float) -> float:
         """Effective PSD slack for a matrix with spectral norm ``scale``."""

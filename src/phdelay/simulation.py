@@ -49,7 +49,6 @@ __all__ = [
     "BlowUpError",
     "EnergyRecord",
     "Trajectory",
-    "evaluate_hamiltonian",
     "export_trajectory_csv",
     "hamiltonian_series",
     "integrate_dde",
@@ -85,27 +84,23 @@ class Trajectory:
 
     step: float
     times: np.ndarray          # (K+1,)
-    states: np.ndarray         # (n, K+1)
     inputs: np.ndarray         # (m, K+1)
     outputs: np.ndarray        # (m, K+1)
-    history: HistoryFunction   # resampled onto the step grid
     delay_steps: int
     padded_states: np.ndarray  # (n, delay_steps + K + 1)
 
     @property
+    def states(self) -> np.ndarray:
+        """(n, K+1) view of ``padded_states`` for t >= 0."""
+        return self.padded_states[:, self.delay_steps :]
+
+    @property
     def n(self) -> int:
-        return self.states.shape[0]
+        return self.padded_states.shape[0]
 
     @property
     def m(self) -> int:
         return self.inputs.shape[0]
-
-    def state_window(self, k: int) -> np.ndarray:
-        """Samples of x on [t_k - tau, t_k], one column per grid point."""
-        d = self.delay_steps
-        if not 0 <= k < self.times.size:
-            raise IndexError(f"step index {k} out of range")
-        return self.padded_states[:, k : k + d + 1]
 
 
 @dataclass(frozen=True)
@@ -224,8 +219,7 @@ def integrate_dde(
         raise ValueError(
             f"history covers [-{history.span}, 0] but the delay is {system.tau}"
         )
-    hist_grid = (np.arange(d + 1) - d) * h
-    hist_vals = history.sample_at(hist_grid)
+    hist_vals = history.sample_at((np.arange(d + 1) - d) * h)
     times = np.arange(big_k + 1) * h
     u = _input_samples(inputs, times, m)
 
@@ -264,42 +258,22 @@ def integrate_dde(
         deriv[:, new] = a0 @ x_all[:, new] + a1 @ x_all[:, hi] + b @ u[:, hi]
         k0 += span
 
-    states = x_all[:, d:].copy()
-    outputs = system.C @ states
     return Trajectory(
         step=float(h),
         times=times,
-        states=states,
         inputs=u.copy(),
-        outputs=outputs,
-        history=HistoryFunction(hist_grid, hist_vals),
+        outputs=system.C @ x_all[:, d:],
         delay_steps=d,
         padded_states=x_all,
     )
 
 
-def evaluate_hamiltonian(traj: Trajectory, H, theta, k: int) -> float:
-    """Lyapunov-Krasovskii energy at step k.
-
-    (1/2) x_k^T H x_k plus the trapezoidal approximation of the integral
-    of x^T Theta x over [t_k - tau, t_k] on the step grid.
-    """
-    h_mat = require_symmetric(H, "H")
-    th = require_symmetric(theta, "theta")
-    w = traj.state_window(k)
-    x = w[:, -1]
-    quad = 0.5 * float(x @ (h_mat @ x))
-    g = np.einsum("ij,ij->j", w, th @ w)
-    integral = traj.step * (0.5 * g[0] + g[1:-1].sum() + 0.5 * g[-1])
-    return quad + float(integral)
-
-
 def hamiltonian_series(traj: Trajectory, H, theta) -> np.ndarray:
     """Lyapunov-Krasovskii energy E_k at every step k = 0..K, in O((K + d) n^2).
 
-    Equals ``evaluate_hamiltonian(traj, H, theta, k)`` for each k up to
-    rounding.  The trapezoid of g_j = x_j^T Theta x_j is summed once over
-    the first window and then slid one step at a time with the exact
+    E_k = (1/2) x_k^T H x_k plus the trapezoid of g_j = x_j^T Theta x_j
+    over the grid points of [t_k - tau, t_k].  The trapezoid is summed once
+    over the first window and then slid one step at a time with the exact
     increment h/2 (g_{k+d} + g_{k+d+1} - g_k - g_{k+1}).
     """
     h_mat = require_symmetric(H, "H")
@@ -372,10 +346,6 @@ def simulate_delay_ph(
     return traj, record
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def export_trajectory_csv(traj: Trajectory, path, energies=None) -> None:
     """Write t, x1..xn, u1..um, y1..ym, H rows with 17-digit reals.
 
@@ -397,14 +367,9 @@ def export_trajectory_csv(traj: Trajectory, path, energies=None) -> None:
         + [f"y{j + 1}" for j in range(traj.m)]
         + ["H"]
     )
+    columns = np.column_stack(
+        [traj.times, traj.states.T, traj.inputs.T, traj.outputs.T, energies]
+    )
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for k in range(count):
-            row = (
-                [traj.times[k]]
-                + list(traj.states[:, k])
-                + list(traj.inputs[:, k])
-                + list(traj.outputs[:, k])
-                + [energies[k]]
-            )
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        np.savetxt(fh, columns, fmt="%.17g", delimiter=",",
+                   header=",".join(header), comments="")

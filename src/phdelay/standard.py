@@ -49,7 +49,6 @@ __all__ = [
     "StandardPHCertificate",
     "certify_ph",
     "check_minimality",
-    "hamiltonian",
     "kyp_matrix",
     "weighted_system_matrix",
 ]
@@ -155,9 +154,3 @@ def _krylov(a, b, n):
         blocks.append(a @ blocks[-1])
     return np.hstack(blocks) if blocks else b
 
-
-def hamiltonian(H, x) -> float:
-    """Quadratic energy (1/2) x^T H x."""
-    h = as_matrix(H, "H")
-    vec = np.asarray(x, dtype=float).reshape(-1)
-    return 0.5 * float(vec @ (h @ vec))

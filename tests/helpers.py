@@ -6,7 +6,8 @@ controls its own seed and failures reproduce exactly.
 
 import numpy as np
 
-from phdelay import DEFAULT_TOL, DelayPHSystem
+from phdelay import DelayPHSystem
+from phdelay.linalg import DEFAULT_TOL, require_symmetric
 from phdelay.simulation import BLOWUP_NORM, BlowUpError
 
 
@@ -114,3 +115,22 @@ def integrate_dde_stepwise(system, history, u, T, h):
         x_all[:, c + 1] = x_next
         deriv[:, c + 1] = f(x_next, x_all[:, k + 1], u1)
     return x_all
+
+
+def evaluate_hamiltonian(traj, H, theta, k):
+    """Reference Lyapunov-Krasovskii energy at step k, one window at a time.
+
+    (1/2) x_k^T H x_k plus the trapezoidal approximation of the integral
+    of x^T Theta x over [t_k - tau, t_k] on the step grid: the per-step
+    form of ``phdelay.simulation.hamiltonian_series``.
+    """
+    h_mat = require_symmetric(H, "H")
+    th = require_symmetric(theta, "theta")
+    if not 0 <= k < traj.times.size:
+        raise IndexError(f"step index {k} out of range")
+    w = traj.padded_states[:, k : k + traj.delay_steps + 1]  # [t_k - tau, t_k]
+    x = w[:, -1]
+    quad = 0.5 * float(x @ (h_mat @ x))
+    g = np.einsum("ij,ij->j", w, th @ w)
+    integral = traj.step * (0.5 * g[0] + g[1:-1].sum() + 0.5 * g[-1])
+    return quad + float(integral)

@@ -28,14 +28,12 @@ from phdelay import (
     delay_ph_to_general,
     exists_certifying_theta_grid,
     integrate_dde,
-    kyp_matrix,
     ph_condition_matrix,
     simulate_delay_ph,
-    spectral_norm,
-    sym_part,
-    weighted_system_matrix,
     whitening_basis,
 )
+from phdelay.linalg import spectral_norm, sym_part
+from phdelay.standard import kyp_matrix, weighted_system_matrix
 from helpers import rand_antisym, rand_certified_delay_ph, rand_spd
 
 SQ3 = math.sqrt(3.0)

@@ -11,8 +11,8 @@ from phdelay import (
     GeneralDelaySystem,
     StandardLTISystem,
     certify_ph,
-    kyp_delay_check,
 )
+from phdelay.certify import kyp_delay_check
 
 
 def test_verdict_constants():

@@ -15,10 +15,10 @@ from phdelay import (
     delay_ph_to_general,
     exists_certifying_theta_grid,
     is_psd,
-    kyp_delay_check,
     ph_condition_matrix,
     scalar_theta_interval,
 )
+from phdelay.certify import kyp_delay_check
 from helpers import rand_certified_delay_ph, rand_spd
 
 SQ3 = math.sqrt(3.0)
@@ -367,6 +367,19 @@ def test_kyp_doubled_storage_matches_verdict_with_output():
         cond = ph_condition_matrix(sys1.R, sys1.Z, sys1.theta)
         np.testing.assert_allclose(cert.condition_matrix, 2.0 * cond,
                                    atol=1e-10)
+
+
+def test_kyp_negative_storage_refutes():
+    """x' = x + u is unstable; the storage -x^2/2 must not certify it."""
+    gen = GeneralDelaySystem(A0=[[1.0]], A1=[[0.0]], B=[[1.0]], C=[[-1.0]],
+                             tau=1.0)
+    cert = kyp_delay_check(gen, Q11=[[-1.0]], Q22=[[1.0]])
+    assert cert.verdict == REFUTED
+    assert cert.reason == "storage_not_psd"
+    assert cert.min_eigenvalue == pytest.approx(-1.0)
+    w = cert.witness
+    assert float(w @ np.array([[-1.0]]) @ w) < 0.0
+    np.testing.assert_allclose(cert.condition_matrix, [[1.0, 0.0], [0.0, 1.0]])
 
 
 # ---------------------------------------------------------------------------

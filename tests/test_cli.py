@@ -1,8 +1,12 @@
+import contextlib
 import hashlib
+import io
 import json
+import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from phdelay import (
     HistoryFunction,
@@ -11,6 +15,8 @@ from phdelay import (
     simulate_delay_ph,
 )
 from phdelay.cli import main
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def write_doc(path, doc):
@@ -411,6 +417,27 @@ def test_simulate_rejects_non_positive_or_non_finite_steps(capsys, tmp_path,
     assert report["error"].startswith(flag + " must be")
 
 
+@pytest.mark.parametrize("argv, needle", [
+    (["certify", "{system}", "--psd-tol", "-1"], "psd_tol"),
+    (["certify", "{system}", "--rank-tol", "nan"], "rank_tol"),
+    # T / h overflows to inf
+    (["simulate", "{system}", "--history", "const:0.5", "--T", "1e308",
+      "--h", "1e-300", "--out", "{out}"], "--T / --h"),
+    # 1e14 + 1 samples, 728 TiB: more than a 128 TiB user address space,
+    # so the allocation fails before any page is touched
+    (["simulate", "{system}", "--history", "const:0.5", "--T", "100000",
+      "--h", "1e-9", "--out", "{out}"], "allocate"),
+], ids=["negative-psd-tol", "nan-rank-tol", "overflowing-step-count",
+        "unallocatable-step-count"])
+def test_input_errors_end_in_json_error(capsys, tmp_path, scalar_file, argv, needle):
+    out = str(tmp_path / "traj.csv")
+    argv = [a.format(system=scalar_file, out=out) for a in argv]
+    code, report = run(capsys, *argv)
+    assert code == 3 and report["exit_code"] == 3
+    assert needle in report["error"]
+    assert not (tmp_path / "traj.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # check
 
@@ -543,3 +570,115 @@ def test_tolerance_flags_are_threaded(capsys, tmp_path):
     code, report = run(capsys, "certify", system, "--psd-tol", "1e-3")
     assert code == 0
     assert report["tolerances"]["psd_tol"] == pytest.approx(1e-3)
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: every argv ends in one JSON object and a documented exit code
+
+MALFORMED = ["0", "-1", "nan", "inf", "-inf", "1e-320", "1e308", "abc", ""]
+
+
+def _text(valid, malformed=MALFORMED):
+    return st.sampled_from(valid) | st.sampled_from(malformed)
+
+
+@st.composite
+def _steps(draw):
+    """--T and --h, with T/h either at most 1e4 or at least 1e14.
+
+    The documents have tau = 1, so h also stays either at least 1e-4 or at
+    most 1e-14: a count in between could really allocate gigabytes, while
+    1e14 samples ask for more than a 128 TiB address space and fail at once.
+    """
+    h = draw(st.sampled_from([0.1, 0.25, 0.5, 1e-3]) | st.floats(1e-4, 2.0)
+             | st.floats(1e-300, 1e-14))
+    ratio = draw(st.integers(-2, 10**4) | st.floats(-1e4, 1e4) | st.floats(1e14, 1e300))
+    h_text = draw(_text([repr(h)]))
+    big_t = ratio * h if h_text == repr(h) else 1.0
+    return ["--T", draw(_text([repr(big_t)], ["nan", "inf", "abc"])), "--h", h_text]
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    general = {"kind": "general_delay", "n": 1, "m": 1, "tau": 1.0,
+               "A0": [[-2.0]], "A1": [[-1.0]], "B": [[1.0]], "C": [[1.0]]}
+    (root / "broken.json").write_text('{"grid": [')
+    return {
+        "scalar": write_doc(root / "scalar.json", scalar_doc(theta=1.0)),
+        "bare": write_doc(root / "bare.json", scalar_doc(a0=1.0, a1=2.0)),
+        "general": write_doc(root / "general.json", general),
+        "plant": str(DATA / "mass_spring_damper.json"),
+        "F1": write_doc(root / "f1.json", [[1.0]]),
+        "F2": write_doc(root / "f2.json", [[0.0, 1.0], [-1.0, 0.0]]),
+        "history": write_doc(root / "history.json",
+                             {"grid": [-1.0, 0.0], "values": [[0.5, 1.0]]}),
+        "short": write_doc(root / "short.json",
+                           {"grid": [-0.5, 0.0], "values": [[0.5, 1.0]]}),
+        "broken": str(root / "broken.json"),
+        "missing": str(root / "missing.json"),
+        "out": str(root / "out.csv"),
+    }
+
+
+@st.composite
+def _argv(draw, files):
+    command = draw(st.sampled_from(
+        ["certify", "construct-theta", "check", "interconnect", "feedback", "simulate"]
+    ))
+    scalar = draw(st.sampled_from([files["scalar"], files["bare"]]))
+    argv = {
+        "certify": ["certify", scalar],
+        "construct-theta": ["construct-theta", scalar],
+        "check": ["check", draw(st.sampled_from([scalar, files["plant"]]))],
+        "interconnect": ["interconnect", scalar, scalar, files["F2"], "--certify"],
+        "feedback": ["feedback", files["plant"], files["F1"], "--certify",
+                     "--tau", draw(_text(["1.0", "0.5", "1e-300"]))],
+        "simulate": ["simulate", draw(st.sampled_from([scalar, files["general"]])),
+                     "--out", files["out"]],
+    }[command]
+    if command == "simulate":
+        argv += draw(_steps())
+        argv += ["--history", draw(_text(
+            ["const:0.5", "const:1e300", files["history"]],
+            ["const:nan", "const:abc", files["short"], files["broken"], files["missing"]],
+        ))]
+        argv += ["--input", draw(_text(
+            ["zero", "step:1.0", "sine:1.0,2.0"],
+            ["step:nan", "sine:1.0", "csv:" + files["missing"],
+             "csv:" + files["broken"], "ramp:1.0"],
+        ))]
+        if draw(st.booleans()):
+            argv.append("--monitor")
+    if draw(st.booleans()):
+        argv += ["--psd-tol", draw(_text(["1e-9", "1e-3"]))]
+    if draw(st.booleans()):
+        argv += ["--rank-tol", draw(_text(["1e-10", "1e-6"]))]
+    return argv
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_fuzzed_argv_ends_in_one_json_object(fuzz_files):
+    simulate = ["simulate", "--T", "2.0", "--h", "0.01", "--history", "const:0.5",
+                "--input", "sine:1.0,2.0", "--out", fuzz_files["out"]]
+
+    @settings(max_examples=250, deadline=None, derandomize=True, database=None)
+    @given(_argv(fuzz_files))
+    @example(simulate + [fuzz_files["scalar"], "--monitor"])
+    @example(simulate + [fuzz_files["general"], "--rank-tol", "1e-6"])
+    def check(argv):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+        assert code in (0, 1, 2, 3)
+        # strict JSON: NaN and Infinity are refused
+        report = json.loads(out.getvalue(), parse_constant=_reject_constant)
+        assert isinstance(report, dict)
+        assert report["exit_code"] == code
+        if code == 3:
+            assert "error" in report
+
+    check()

@@ -126,6 +126,20 @@ def test_interconnect_rejects_mismatched_delay():
         interconnect(scalar_system(), other, np.zeros((2, 2)))
 
 
+def test_interconnect_accepts_delays_equal_up_to_rounding():
+    def with_tau(tau):
+        return DelayPHSystem(H=[[1.0]], J=[[0.0]], R=[[2.0]], Z=[[1.0]],
+                             G=[[1.0]], tau=tau, theta=[[1.0]])
+
+    assert 0.1 + 0.2 != 0.3
+    closed = interconnect(with_tau(0.1 + 0.2), with_tau(0.3), np.zeros((2, 2)))
+    assert closed.tau == 0.1 + 0.2
+    assert interconnect(with_tau(0.3), with_tau(0.1 + 0.2),
+                        np.zeros((2, 2))).tau == 0.3
+    with pytest.raises(ValueError, match="delays differ"):
+        interconnect(with_tau(0.3), with_tau(0.31), np.zeros((2, 2)))
+
+
 def test_interconnect_rejects_wrong_f_shape():
     with pytest.raises(ValueError, match="expected"):
         interconnect(scalar_system(), scalar_system(), np.zeros((3, 3)))

@@ -10,16 +10,19 @@ from phdelay import (
     GeneralDelaySystem,
     HistoryFunction,
     SystemValidationError,
-    evaluate_hamiltonian,
     export_trajectory_csv,
     hamiltonian_series,
     integrate_dde,
-    monitor_dissipation,
     simulate_delay_ph,
 )
+from phdelay.simulation import monitor_dissipation
 from phdelay.systems import delay_ph_to_general
 
-from helpers import integrate_dde_stepwise, rand_certified_delay_ph
+from helpers import (
+    evaluate_hamiltonian,
+    integrate_dde_stepwise,
+    rand_certified_delay_ph,
+)
 
 
 def pure_delay_system():
@@ -200,12 +203,12 @@ def test_trajectory_window_alignment():
     d = traj.delay_steps
     assert d == 4
     np.testing.assert_array_equal(traj.padded_states[:, d:], traj.states)
-    np.testing.assert_array_equal(traj.state_window(0)[:, -1], traj.states[:, 0])
-    np.testing.assert_array_equal(traj.state_window(0)[:, 0],
-                                  traj.history.values[:, 0])
-    assert traj.state_window(3).shape == (1, d + 1)
-    with pytest.raises(IndexError):
-        traj.state_window(traj.times.size)
+    assert np.shares_memory(traj.states, traj.padded_states)
+    assert traj.padded_states.shape == (1, d + traj.times.size)
+    # columns k..k+d hold x on [t_k - tau, t_k]; for k = 0, the history
+    window = traj.padded_states[:, : d + 1]
+    np.testing.assert_array_equal(window[:, -1], traj.states[:, 0])
+    np.testing.assert_array_equal(window, hist.sample_at((np.arange(d + 1) - d) * 0.25))
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +222,7 @@ def test_hamiltonian_constant_state():
     hist = HistoryFunction.constant([3.0], 1.0)
     traj = integrate_dde(sys1, hist, None, T=1.0, h=0.1)
     for k in (0, 5, 10):
-        e = evaluate_hamiltonian(traj, [[2.0]], [[0.5]], k)
+        e = hamiltonian_series(traj, [[2.0]], [[0.5]])[k]
         assert e == pytest.approx(0.5 * 2.0 * 9.0 + 1.0 * 0.5 * 9.0, abs=1e-12)
 
 
@@ -235,7 +238,7 @@ def test_hamiltonian_trapezoid_error_bound():
     for k in (0, 10, 20):
         t = traj.times[k]
         exact = 0.5 * t * t + (t**3 - (t - 1.0) ** 3) / 3.0
-        got = evaluate_hamiltonian(traj, [[1.0]], [[1.0]], k)
+        got = hamiltonian_series(traj, [[1.0]], [[1.0]])[k]
         assert abs(got - exact) <= h * h / 3.0
 
 

@@ -7,15 +7,12 @@ from phdelay import (
     NOT_OBSERVABLE,
     REFUTED,
     GeneralDelaySystem,
-    OutputMismatchError,
     StandardLTISystem,
     certify_ph,
     check_minimality,
-    general_to_delay_ph,
-    hamiltonian,
-    kyp_matrix,
-    weighted_system_matrix,
 )
+from phdelay.standard import kyp_matrix, weighted_system_matrix
+from phdelay.systems import OutputMismatchError, general_to_delay_ph
 from helpers import rand_antisym, rand_spd
 
 
@@ -149,9 +146,3 @@ def test_check_minimality_controllability_reported_first():
     sys1 = StandardLTISystem(A=np.diag([-1.0, -2.0]), B=[[1.0], [0.0]],
                              C=[[1.0, 0.0]])
     assert check_minimality(sys1) == NOT_CONTROLLABLE
-
-
-def test_hamiltonian_value():
-    h = np.diag([2.0, 4.0])
-    assert hamiltonian(h, [1.0, 1.0]) == pytest.approx(3.0)
-    assert hamiltonian(h, np.zeros(2)) == 0.0

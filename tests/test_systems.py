@@ -8,18 +8,17 @@ from phdelay import (
     DelayPHSystem,
     GeneralDelaySystem,
     HistoryFunction,
-    OutputMismatchError,
     StandardLTISystem,
     StandardPHSystem,
     SystemFormatError,
     SystemValidationError,
     delay_ph_to_general,
-    general_to_delay_ph,
     read_system,
     save_system,
     validate,
     write_system,
 )
+from phdelay.systems import OutputMismatchError, general_to_delay_ph
 from helpers import rand_certified_delay_ph
 
 DATA = pathlib.Path(__file__).parent / "data"
