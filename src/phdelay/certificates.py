@@ -21,10 +21,10 @@ class Certificate:
     """Verdict plus the evidence that produced it.
 
     For a CERTIFIED verdict ``min_eigenvalue`` is the smallest eigenvalue of
-    the tested condition matrix (>= -slack); for REFUTED the ``witness``
-    vector exhibits a negative quadratic form on ``condition_matrix`` (or on
-    the offending matrix named by ``reason``).  A refutation by an output
-    mismatch carries no witness.
+    the tested condition matrix (>= -slack) and ``witness`` is None; for
+    REFUTED the ``witness`` vector exhibits a negative quadratic form on
+    ``condition_matrix`` (or on the matrix named by ``reason``).  Only a
+    refutation by an output mismatch carries no witness.
     """
 
     verdict: str

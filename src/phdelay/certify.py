@@ -304,6 +304,9 @@ def kyp_delay_check(
     q11 = require_symmetric(Q11, "Q11")
     q22 = require_symmetric(Q22, "Q22")
     n = system.n
+    for name, q in (("Q11", q11), ("Q22", q22)):
+        if q.shape != (n, n):
+            raise ValueError(f"{name} has shape {q.shape}, expected {(n, n)}")
     block = np.empty((2 * n, 2 * n))
     block[:n, :n] = -system.A0.T @ q11 - q11 @ system.A0 - q22
     block[:n, n:] = -q11 @ system.A1
@@ -375,14 +378,13 @@ def exists_certifying_theta_grid(
         pd = det > slack * scale
         if not pd.any():
             continue
-        # W = Z Theta^{-1} Z^T via the 2x2 adjugate, entrywise
+        # W = Z Theta^{-1} Z^T via the 2x2 adjugate, entrywise, where pd
         a = z11 * t22g - z12 * t12g
         b = -z11 * t12g + z12 * t11
         c = z21 * t22g - z22 * t12g
         d = -z21 * t12g + z22 * t11
-        w11 = (a * z11 + b * z12) / det
-        w12 = (a * z21 + b * z22) / det
-        w22 = (c * z21 + d * z22) / det
+        w11, w12, w22 = (np.divide(x, det, out=np.zeros_like(det), where=pd)
+                         for x in (a * z11 + b * z12, a * z21 + b * z22, c * z21 + d * z22))
         s11 = r11 - t11 - 0.25 * w11
         s22 = r22 - t22g - 0.25 * w22
         s12 = r12 - t12g - 0.25 * w12

@@ -6,10 +6,10 @@ largest singular value; semidefiniteness tests grant an absolute eigenvalue
 slack that defaults to ``1e-9 * (1 + ||M||_2)``.  Every semidefiniteness
 test goes through ``psd_report_symmetric``, which decides diagonal blocks
 that exact zeros decouple one block at a time (from order 128 up; no
-threshold decides what counts as zero).  Higher-level certificates
-report exactly the slack they were granted, so these primitives return
-witnesses (eigenvectors, measured norms) rather than bare booleans where
-that matters.
+threshold decides what counts as zero) from eigenvalues, computing an
+eigenvector only for the witness of a NOT_PSD verdict.  Certificates report
+the slack they were granted, so these primitives return evidence (minimum
+eigenvalues, witnesses, measured norms) rather than bare booleans.
 """
 
 from __future__ import annotations
@@ -79,14 +79,14 @@ DEFAULT_TOL = Tolerance()
 class PsdReport:
     """Outcome of a semidefiniteness test.
 
-    ``witness`` is a unit eigenvector for ``min_eigenvalue``; when the
-    verdict is NOT_PSD it exhibits a negative quadratic form.  ``slack``
+    ``witness`` is None for PSD; for NOT_PSD it is a unit eigenvector for
+    ``min_eigenvalue``, which exhibits a negative quadratic form.  ``slack``
     records the absolute eigenvalue slack that was granted.
     """
 
     verdict: str  # "PSD" | "NOT_PSD"
     min_eigenvalue: float
-    witness: np.ndarray
+    witness: np.ndarray | None
     slack: float
 
     @property
@@ -180,12 +180,12 @@ def spectral_norm(matrix) -> float:
 def is_psd(matrix, tol: Tolerance = DEFAULT_TOL) -> PsdReport:
     """Test a symmetric matrix for positive semidefiniteness.
 
-    Uses symmetric eigendecompositions (never a Cholesky attempt) so the
-    report always carries a witness eigenvector for the smallest
-    eigenvalue: one of the whole matrix, or, from order 128 up, one per
-    diagonal block that exact zeros decouple.  The input must be symmetric
-    within 1e-12 relative asymmetry; it is symmetrized before the
-    decomposition.
+    Decides from symmetric eigenvalues (never a Cholesky attempt): of the
+    whole matrix, or, from order 128 up, of each diagonal block that exact
+    zeros decouple.  A NOT_PSD report carries a witness eigenvector for
+    the smallest eigenvalue; a PSD report carries none.  The input must be
+    symmetric within 1e-12 relative asymmetry; it is symmetrized before
+    the decomposition.
     """
     return psd_report_symmetric(require_symmetric(matrix), tol)
 
@@ -195,26 +195,27 @@ def psd_report_symmetric(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> PsdRepo
 
     Skips the coercion and symmetry checks; for hot paths whose matrix is
     symmetric by construction.  Diagonal blocks that exact zeros decouple
-    are decomposed one by one (see ``_decoupled_blocks``): the spectrum of
-    a block-diagonal matrix is the union of its blocks' spectra, so the
-    minimum eigenvalue is the least block minimum, the witness is that
-    block's eigenvector padded with zeros, and the slack scale is the
-    largest |eigenvalue| over all blocks.
+    are decided one by one (see ``_decoupled_blocks``): the spectrum of a
+    block-diagonal matrix is the union of its blocks' spectra, so the least
+    block minimum and the largest |eigenvalue| over all blocks (the slack
+    scale) decide.  Only NOT_PSD computes an eigenvector: the witness is
+    the worst block's, padded with zeros.
     """
     n = m.shape[0]
     if n == 0:
-        return PsdReport("PSD", 0.0, np.zeros(0), tol.psd_slack(0.0))
-    lam, scale, witness = math.inf, 0.0, np.zeros(n)
+        return PsdReport("PSD", 0.0, None, tol.psd_slack(0.0))
+    lam, scale, worst = math.inf, 0.0, None
     for idx in _decoupled_blocks(m):
-        evals, evecs = np.linalg.eigh(m[idx][:, idx])
+        evals = np.linalg.eigvalsh(m[idx][:, idx])
         scale = max(scale, float(np.max(np.abs(evals))))
         if evals[0] < lam:
-            lam = float(evals[0])
-            witness[:] = 0.0
-            witness[idx] = evecs[:, 0]
+            lam, worst = float(evals[0]), idx
     slack = tol.psd_slack(scale)
-    verdict = "PSD" if lam >= -slack else "NOT_PSD"
-    return PsdReport(verdict, lam, witness, slack)
+    if lam >= -slack:
+        return PsdReport("PSD", lam, None, slack)
+    witness = np.zeros(n)
+    witness[worst] = np.linalg.eigh(m[worst][:, worst])[1][:, 0]
+    return PsdReport("NOT_PSD", lam, witness, slack)
 
 
 #: order from which psd_report_symmetric searches for decoupled blocks.  On

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -382,6 +383,17 @@ def test_kyp_negative_storage_refutes():
     np.testing.assert_allclose(cert.condition_matrix, [[1.0, 0.0], [0.0, 1.0]])
 
 
+@pytest.mark.parametrize("q11, q22, name", [
+    (np.eye(2), [[1.0]], "Q11"),
+    ([[1.0]], np.eye(2), "Q22"),
+], ids=["Q11", "Q22"])
+def test_kyp_rejects_misshapen_storage(q11, q22, name):
+    gen = GeneralDelaySystem(A0=[[-1.0]], A1=[[0.0]], B=[[1.0]], C=[[1.0]],
+                             tau=1.0)
+    with pytest.raises(ValueError, match=rf"{name} has shape .*expected \(1, 1\)"):
+        kyp_delay_check(gen, q11, q22)
+
+
 # ---------------------------------------------------------------------------
 # brute-force grid oracle
 
@@ -409,6 +421,17 @@ def test_grid_oracle_zero_edge_cases():
     np.testing.assert_array_equal(theta, np.zeros((2, 2)))
     found, _ = exists_certifying_theta_grid(np.zeros((2, 2)), np.eye(2))
     assert not found
+
+
+@pytest.mark.parametrize("r, z", [
+    (np.diag([1.0, 0.0]), np.diag([0.9, 0.0])),  # det = 0 on part of the grid
+    (np.eye(2), 1.5 * np.eye(2)),
+], ids=["rank_deficient_r", "infeasible"])
+def test_grid_oracle_emits_no_warnings(r, z):
+    """Singular Theta candidates are skipped without dividing by zero."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert exists_certifying_theta_grid(r, z) == (False, None)
 
 
 def test_grid_oracle_rejects_large_systems():

@@ -76,6 +76,19 @@ def test_certify_theta_flag_overrides(capsys, tmp_path):
     assert theta in report["inputs"] and system in report["inputs"]
 
 
+def test_certify_witness_only_refutes(capsys, tmp_path):
+    """A CERTIFIED report prints a null witness, a REFUTED one a vector."""
+    certified = write_doc(tmp_path / "ok.json", scalar_doc(theta=1.0))
+    code, report = run(capsys, "certify", certified)
+    assert code == 0 and report["certificate"]["witness"] is None
+    refuted = write_doc(tmp_path / "bad.json", scalar_doc(theta=0.05))
+    code, report = run(capsys, "certify", refuted)
+    assert code == 1
+    witness = report["certificate"]["witness"]
+    assert isinstance(witness, list) and len(witness) == 2
+    assert np.linalg.norm(witness) == pytest.approx(1.0)
+
+
 def test_certify_constructs_when_no_theta(capsys, tmp_path):
     system = write_doc(tmp_path / "sys.json", scalar_doc())
     code, report = run(capsys, "certify", system)

@@ -101,19 +101,21 @@ def test_interconnect_skew_coupling_keeps_r_block_diagonal():
 
 
 def test_certify_interconnection_eigh_stays_subsystem_sized(monkeypatch):
-    """Power-conserving coupling: every eigh is at most 2n, never 4n."""
+    """Power-conserving coupling: every eigh or eigvalsh is at most 2n, never 4n."""
     rng = np.random.default_rng(71)
     n = 128
     sys1 = rand_certified_delay_ph(rng, n, m=2)
     sys2 = rand_certified_delay_ph(rng, n, m=2)
     orders = []
-    eigh = np.linalg.eigh
 
-    def counted(a, *args, **kwargs):
-        orders.append(np.shape(a)[-1])
-        return eigh(a, *args, **kwargs)
+    def counted(fn):
+        def call(a, *args, **kwargs):
+            orders.append(np.shape(a)[-1])
+            return fn(a, *args, **kwargs)
+        return call
 
-    monkeypatch.setattr(np.linalg, "eigh", counted)
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
     cert = certify_interconnection(sys1, sys2, rand_antisym(rng, 4))
     assert cert.verdict == CERTIFIED
     assert orders and max(orders) <= 2 * n
