@@ -14,10 +14,17 @@ x_{k+1} = x_k + D x_k + F z_k, where z_k stacks the delayed samples, their
 derivative samples and the inputs at both ends of the step.  D and F are
 obtained once per run by pushing identity columns through the stage
 formulas.  Steps then run in blocks of up to d = tau / h steps, whose
-delayed data all exist when the block starts: one matrix product gives
-the forcing F z_k of the whole block, each step costs one n x n
-matrix-vector product, O(n^2), and one more product fills the block's
-derivative samples.
+delayed data all exist when the block starts, and no block crosses step
+d, where the midpoint rule changes.  One matrix product gives the forcing
+f_j = F z_j of the whole block, and the block's recurrence
+x_{j+1} = (I + D) x_j + f_j is then solved by a doubling prefix scan: for
+o = 1, 2, 4, ... each pass adds (I + D)^o applied to the rows o steps
+back, so a block of span steps costs ceil(log2(span + 1)) vectorized
+passes of O(span n^2) each instead of span separate steps.  The matrices
+P_o = (I + D)^o - I are squared once per run as P_2o = 2 P_o + P_o^2,
+which keeps the rounding of increments that are small against the state;
+an unstable A0 whose powers overflow gets shorter blocks instead.  One
+more product fills the block's derivative samples.
 
 Energy accounting uses the Lyapunov-Krasovskii Hamiltonian
 
@@ -35,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import require_symmetric
+from .linalg import require_symmetric, spectral_norm
 from .systems import (
     DelayPHSystem,
     GeneralDelaySystem,
@@ -224,40 +231,67 @@ def integrate_dde(
     u = _input_samples(inputs, times, m)
 
     a0, a1, b = system.A0, system.A1, system.B
-    x_all = np.empty((n, d + big_k + 1))
-    x_all[:, : d + 1] = hist_vals
-    deriv = np.zeros((n, d + big_k + 1))  # derivative samples for t >= 0 only
-    deriv[:, d] = a0 @ x_all[:, d] + a1 @ x_all[:, 0] + b @ u[:, 0]
-
     d_map, f_history, f_hermite = _rk4_maps(a0, a1, b, h)
-    k0 = 0
-    while k0 < big_k:
-        # steps k0 .. k0 + span - 1 read delayed data up to column d + k0 only
-        span = min(d, big_k - k0)
-        c0 = d + k0
-        lo, hi = slice(k0, k0 + span), slice(k0 + 1, k0 + span + 1)
-        new = slice(c0 + 1, c0 + span + 1)
-        delayed = np.concatenate(
-            [x_all[:, lo], x_all[:, hi], deriv[:, lo], deriv[:, hi], u[:, lo], u[:, hi]]
-        )
-        forcing = ((f_history if k0 < d else f_hermite) @ delayed).T
-        block = np.empty((span, n))
-        x = x_all[:, c0]
-        # norms are checked once per block, so the steps after a blow-up
-        # may overflow before the first offending step is reported
-        with np.errstate(over="ignore", invalid="ignore"):
-            for j in range(span):
-                x = x + (d_map @ x + forcing[j])
-                block[j] = x
-            norms = np.linalg.norm(block, axis=1)
-        bad = ~(norms <= BLOWUP_NORM)
-        if bad.any():
-            j = int(np.argmax(bad))
-            raise BlowUpError(k0 + j + 1, times[k0 + j + 1], norms[j])
-        x_all[:, new] = block.T
-        deriv[:, new] = a0 @ x_all[:, new] + a1 @ x_all[:, hi] + b @ u[:, hi]
-        k0 += span
+    # time-major work arrays: row c holds column c of the padded states,
+    # so each block is one contiguous run of rows
+    xs = np.empty((d + big_k + 1, n))
+    xs[: d + 1] = hist_vals.T
+    ds = np.zeros_like(xs)  # derivative samples for t >= 0 only
+    us = np.ascontiguousarray(u.T)
+    ds[d] = a0 @ xs[d] + a1 @ xs[0] + b @ us[0]
+    # norms are checked once per block, so the steps after a blow-up may
+    # overflow before the first offending step is reported
+    with np.errstate(over="ignore", invalid="ignore"):
+        # transposed P_o = (I + D)^o - I for o = 1, 2, 4, ..., squared as
+        # P_2o = 2 P_o + P_o^2, which never forms a power of I + D and so
+        # keeps the rounding of small increments; doubling stops at the
+        # first non-finite P_o, and offsets up to o cover 2o - 1 steps
+        powers, o = [d_map.T], 1
+        while 2 * o <= d:
+            p = 2.0 * powers[-1] + powers[-1] @ powers[-1]
+            if not np.isfinite(p).all():
+                break
+            powers.append(p)
+            o *= 2
+        chunk = min(d, 2 * o - 1)
+        k0 = 0
+        while k0 < big_k:
+            # steps k0 .. k0 + span - 1 read delayed data up to row d + k0
+            # only, and no block crosses step d, where the midpoint rule
+            # switches from linear to Hermite
+            span = min(chunk, big_k - k0, d - k0 if k0 < d else chunk)
+            c0 = d + k0
+            lo, hi = slice(k0, k0 + span), slice(k0 + 1, k0 + span + 1)
+            new = slice(c0 + 1, c0 + span + 1)
+            delayed = np.concatenate(
+                [xs[lo], xs[hi], ds[lo], ds[hi], us[lo], us[hi]], axis=1
+            )
+            f_map = f_history if k0 < d else f_hermite
+            np.matmul(delayed, f_map.T, out=xs[new])
+            # prefix scan of x_{j+1} = (I + D) x_j + f_j in place over rows
+            # x_0, f_0, ..., f_{span-1}: after offset o, row j holds the
+            # sum of (I + D)^i applied to row j - i for i < 2o
+            block = xs[c0 : c0 + span + 1]
+            for i, p in enumerate(powers):
+                o = 1 << i
+                if o > span:
+                    break
+                prev = block[:-o]
+                block[o:] += prev + prev @ p
+            # one dot product clears a block whose squared norm sum is in
+            # range; any other block has its steps' norms taken one by one
+            flat = xs[new].ravel()
+            if not flat @ flat <= BLOWUP_NORM**2:
+                norms = np.linalg.norm(xs[new], axis=1)
+                bad = ~(norms <= BLOWUP_NORM)
+                if bad.any():
+                    j = int(np.argmax(bad))
+                    raise BlowUpError(k0 + j + 1, times[k0 + j + 1], norms[j])
+            ds[new] = xs[new] @ a0.T + xs[hi] @ a1.T + us[hi] @ b.T
+            k0 += span
 
+    del ds, us  # peak memory: at most two state-sized arrays at a time
+    x_all = np.ascontiguousarray(xs.T)
     return Trajectory(
         step=float(h),
         times=times,
@@ -294,20 +328,24 @@ def monitor_dissipation(
 
     Flags step k when E_{k+1} - E_k - supplied_k > tol_energy, where
     supplied_k is the trapezoidal estimate of the y^T u integral over one
-    step.  The default tolerance is 10 h^2 (1 + max_k ||x_k||^2), which
-    covers the quadrature error of both trapezoid rules on a resolved run.
+    step.  The default tolerance is
+    10 h^2 (||H||_2 + tau ||Theta||_2) max_k ||x_k||^2, the maximum taken
+    over the padded states: it covers the quadrature error of both
+    trapezoid rules on a resolved run, in units of energy, so scaling H
+    and Theta by c > 0 scales it by c.
     """
     ham = hamiltonian_series(traj, H, theta)
     power = np.einsum("ij,ij->j", traj.outputs, traj.inputs)
     seg = 0.5 * traj.step * (power[:-1] + power[1:])
     supplied = np.concatenate([[0.0], np.cumsum(seg)])
     if tol_energy is None:
+        tau = traj.delay_steps * traj.step
+        weight = spectral_norm(H) + tau * spectral_norm(theta)
         max_sq = float(np.max(np.sum(traj.padded_states**2, axis=0)))
-        tol_energy = 10.0 * traj.step**2 * (1.0 + max_sq)
+        tol_energy = 10.0 * traj.step**2 * weight * max_sq
     gaps = ham[1:] - ham[:-1] - seg
-    violations = [
-        (int(k), float(g)) for k, g in enumerate(gaps) if g > tol_energy
-    ]
+    flagged = np.flatnonzero(gaps > tol_energy)
+    violations = [(int(k), float(g)) for k, g in zip(flagged, gaps[flagged])]
     return EnergyRecord(
         hamiltonians=ham,
         supplied=supplied,

@@ -462,19 +462,19 @@ def _parse_document(doc: dict):
 def read_system(source, tol: Tolerance = DEFAULT_TOL, validated: bool = True):
     """Parse and validate a system from a JSON document.
 
-    ``source`` is either a path or the JSON text itself (anything whose
-    first non-space character is "{" is treated as text).  Schema problems
+    ``source`` is either a path or the JSON text itself: an existing file
+    is read, even one named like "{a}.json", and any other string whose
+    first non-space character is "{" is treated as text.  Schema problems
     raise SystemFormatError; invariant violations are collected and raised
     together as SystemValidationError.  Pass ``validated=False`` to get the
     parsed object back even when its invariants fail, e.g. for diagnostics.
     """
-    if isinstance(source, (str, os.PathLike)):
-        text = str(source)
-        if not text.lstrip().startswith("{"):
-            with open(source, "r", encoding="utf-8") as fh:
-                text = fh.read()
-    else:
+    if not isinstance(source, (str, os.PathLike)):
         raise TypeError("source must be a path or JSON text")
+    text = str(source)
+    if os.path.isfile(text) or not text.lstrip().startswith("{"):
+        with open(source, "r", encoding="utf-8") as fh:
+            text = fh.read()
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -222,9 +222,10 @@ def test_criterion_09_monitored_energy_balance():
         h = 1e-3
         for inputs in (None, lambda t: 1.0, lambda t: math.sin(t)):
             traj, record = simulate_delay_ph(sys1, hist, inputs, T=10.0, h=h)
+            # (||H||_2 + tau ||Theta||_2) = 1 + 1 * 1 for this system
             max_sq = float(np.max(np.sum(traj.padded_states**2, axis=0)))
             assert record.tol_energy == pytest.approx(
-                10.0 * h * h * (1.0 + max_sq), rel=1e-12
+                10.0 * h * h * 2.0 * max_sq, rel=1e-12
             )
             assert record.violations == []
 

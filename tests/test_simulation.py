@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phdelay import (
     BlowUpError,
@@ -149,6 +150,85 @@ def test_block_integrator_matches_stepwise_oracle(d, big_k):
     assert traj.padded_states.shape == ref.shape
     scale = np.max(np.abs(ref))
     assert np.max(np.abs(traj.padded_states - ref)) <= 1e-12 * scale
+
+
+@st.composite
+def scan_cases(draw):
+    """(n, d, K, seed, shift): K below d or past it but off its multiples."""
+    n = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 64))
+    if d > 1 and draw(st.booleans()):
+        big_k = draw(st.integers(1, d - 1))
+    else:
+        big_k = d * draw(st.integers(1, 3)) + draw(st.integers(min(1, d - 1), d - 1))
+    shift = draw(st.sampled_from([-2.0, 0.3]))  # stable or mildly unstable A0
+    return n, d, big_k, draw(st.integers(0, 2**32 - 1)), shift
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(scan_cases())
+def test_block_scan_matches_stepwise_oracle(case):
+    """The doubling scan reproduces the stage-by-stage scheme to rounding."""
+    n, d, big_k, seed, shift = case
+    rng = np.random.default_rng(seed)
+    m, h = 2, 0.05
+    sys1 = GeneralDelaySystem(
+        A0=0.5 * rng.standard_normal((n, n)) + shift * np.eye(n),
+        A1=0.5 * rng.standard_normal((n, n)),
+        B=rng.standard_normal((n, m)),
+        C=rng.standard_normal((m, n)),
+        tau=d * h,
+    )
+    grid = np.linspace(-d * h, 0.0, 5)
+    hist = HistoryFunction(grid, rng.standard_normal((n, grid.size)))
+    u = rng.standard_normal((m, big_k + 1))
+    traj = integrate_dde(sys1, hist, u, big_k * h, h)
+    ref = integrate_dde_stepwise(sys1, hist, u, big_k * h, h)
+    assert traj.padded_states.shape == ref.shape
+    assert np.max(np.abs(traj.padded_states - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_unstable_zero_history_stays_exactly_zero():
+    """Powers of I + D overflow here; blocks shrink instead of making 0 * inf."""
+    sys1 = GeneralDelaySystem(A0=[[1e4]], A1=[[0.0]], B=[[0.0]], C=[[0.0]],
+                              tau=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = integrate_dde(sys1, HistoryFunction.constant([0.0], 1.0),
+                             None, T=3.0, h=0.01)
+    assert np.all(traj.padded_states == 0.0)
+
+
+def test_short_blocks_keep_the_midpoint_rule_of_their_steps():
+    """Shortened blocks must still switch from linear to Hermite at step d.
+
+    The overflowing unstable mode caps blocks below d = 100 steps, while
+    the decoupled stable mode reads its own delayed state through both
+    midpoint rules.
+    """
+    sys1 = GeneralDelaySystem(A0=np.diag([1e4, -1.0]), A1=np.diag([0.0, -0.5]),
+                              B=np.zeros((2, 1)), C=np.zeros((1, 2)), tau=1.0)
+    s = np.linspace(-1.0, 0.0, 201)
+    hist = HistoryFunction(s, np.vstack([np.zeros_like(s), np.cos(3.0 * s)]))
+    traj = integrate_dde(sys1, hist, None, T=3.0, h=0.01)
+    ref = integrate_dde_stepwise(sys1, hist, np.zeros((1, 301)), 3.0, 0.01)
+    assert np.all(traj.padded_states[0] == 0.0)
+    assert np.max(np.abs(traj.padded_states - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_block_scan_rounding_does_not_accumulate():
+    """A lossless rotation over 10^4 steps stays within 5e-14 of the oracle.
+
+    The scan applies P_o = (I + D)^o - I, not (I + D)^o: rounding I + D
+    drops the low bits of each small increment, which on this run drifts
+    the states by about 4e-13 of their size.
+    """
+    sys1 = GeneralDelaySystem(A0=[[0.0, 1.0], [-1.0, 0.0]], A1=np.zeros((2, 2)),
+                              B=np.zeros((2, 1)), C=np.zeros((1, 2)), tau=0.2)
+    hist = HistoryFunction.constant([1.0, 0.0], 0.2)
+    traj = integrate_dde(sys1, hist, None, T=100.0, h=0.01)
+    ref = integrate_dde_stepwise(sys1, hist, np.zeros((1, 10001)), 100.0, 0.01)
+    assert np.max(np.abs(traj.padded_states - ref)) <= 5e-14
 
 
 @pytest.mark.parametrize("a0, tau", [(1e4, 1.0), (30.0, 0.1)])
@@ -303,6 +383,12 @@ def test_monitor_flags_wrong_theta_on_lossless_rotation():
     gaps = [g for _, g in record.violations]
     assert all(0 <= k < traj.times.size - 1 for k in steps)
     assert max(gaps) > 5.0 * record.tol_energy
+    # no input: every step whose energy gain exceeds the tolerance, in order
+    gains = np.diff(record.hamiltonians).tolist()
+    assert record.violations == [
+        (k, g) for k, g in enumerate(gains) if g > record.tol_energy
+    ]
+    assert all(type(k) is int and type(g) is float for k, g in record.violations)
 
 
 def test_monitor_flags_uncertifiable_scalar_pair():
@@ -316,6 +402,28 @@ def test_monitor_flags_uncertifiable_scalar_pair():
         _, record = simulate_delay_ph(sys1, hist, None, T=4.0, h=2e-3)
         flagged += 0 if record.passivity_ok else 1
     assert flagged >= 1
+
+
+@pytest.mark.parametrize("c", [1.0, 1e-2])
+def test_monitor_verdict_is_unit_free(c):
+    """Scaling H, R, Z and Theta by c leaves the dynamics and the flags alone.
+
+    The energy scales by c, and so must the default tolerance; one in units
+    of state squared passed every step of this uncertifiable run at c = 1e-2.
+    """
+    def audit(scale):
+        sys1 = DelayPHSystem(H=[[scale]], J=[[0.0]], R=[[scale]], Z=[[2.0 * scale]],
+                             G=[[1.0]], tau=1.0, theta=[[0.5 * scale]])
+        s = np.linspace(-1.0, 0.0, 201)
+        hist = HistoryFunction(s, np.cos(2.0 * s).reshape(1, -1))
+        return simulate_delay_ph(sys1, hist, None, T=4.0, h=2e-3)
+
+    traj, ref = audit(1.0)
+    scaled_traj, record = audit(c)
+    assert np.array_equal(scaled_traj.padded_states, traj.padded_states)
+    assert record.tol_energy == pytest.approx(c * ref.tol_energy, rel=1e-12)
+    assert ref.violations
+    assert [k for k, _ in record.violations] == [k for k, _ in ref.violations]
 
 
 def test_monitor_explicit_tolerance():

@@ -256,6 +256,17 @@ def test_save_and_read_file(tmp_path):
     np.testing.assert_array_equal(again.R, sys1.R)
 
 
+def test_read_prefers_an_existing_file_named_like_json(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    sys1 = scalar_example()
+    save_system(sys1, "{a}.json")
+    np.testing.assert_array_equal(read_system("{a}.json").R, sys1.R)
+    np.testing.assert_array_equal(read_system(pathlib.Path("{a}.json")).R, sys1.R)
+    # a string that names no file is still read as JSON text
+    with pytest.raises(SystemFormatError, match="malformed JSON"):
+        read_system("{b}.json")
+
+
 def test_fixture_document_matches_constants():
     sys1 = read_system(DATA / "mass_spring_damper.json")
     assert isinstance(sys1, StandardPHSystem)
