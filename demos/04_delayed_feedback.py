@@ -24,8 +24,7 @@ plant = StandardPHSystem(H=[[1.0]], J=[[0.0]], R=[[2.0]], G=[[1.0]])
 
 conditions = check_feedback_conditions(plant.R, plant.G)
 print(f"kernel diagnostics: output_kernel_trivial={conditions.output_kernel_trivial}"
-      f" kernel_r_in_kernel_gt={conditions.kernel_r_in_kernel_gt}"
-      f" kernel_r_image_disjoint={conditions.kernel_r_image_disjoint}")
+      f" kernel_r_in_kernel_gt={conditions.kernel_r_in_kernel_gt}")
 
 beta = feedback_gain_bound(plant.R, plant.G)
 print(f"guaranteed gain budget beta = {beta}")

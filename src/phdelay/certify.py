@@ -33,15 +33,14 @@ from .certificates import Certificate
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
+    _contained,
+    _symmetric_kernel,
     as_matrix,
-    intersection_trivial,
     is_psd,
-    kernel_basis,
     output_residual,
     psd_report_symmetric,
     require_symmetric,
     spectral_norm,
-    subspace_contained,
     whitening_basis,
 )
 from .systems import (
@@ -177,32 +176,47 @@ def scalar_theta_interval(alpha0: float, alpha1: float) -> ScalarThetaInterval:
 class NecessaryConditions:
     """Necessary conditions on (R, Theta, Z) for (*) to hold.
 
-    kernel_chain         ker(R) <= ker(Theta) and ker(Theta) <= ker(Z)
-    z_image_disjoint     ker(R) meets image(Z) only at 0
-    theta_image_disjoint ker(R) meets image(Theta) only at 0
+    kernel_r_in_kernel_theta  ker(R) <= ker(Theta)
+    kernel_theta_in_kernel_z  ker(Theta) <= ker(Z)
+    kernel_r_in_kernel_zt     ker(R) <= ker(Z^T)
+
+    Each follows from (*) with Theta PSD: for v in ker(R) the form
+    -v^T Theta v must be >= 0, so Theta v = 0 and [v; 0] is a null vector
+    of the PSD condition matrix, which forces Z^T v = 0; for w in
+    ker(Theta), [0; w] is a null vector in the same way, so Z w = 0.  The
+    first also gives image(Theta) <= image(R), and the third
+    image(Z) <= image(R).
     """
 
-    kernel_chain: bool
-    z_image_disjoint: bool
-    theta_image_disjoint: bool
+    kernel_r_in_kernel_theta: bool
+    kernel_theta_in_kernel_z: bool
+    kernel_r_in_kernel_zt: bool
 
     @property
     def all_hold(self) -> bool:
-        return self.kernel_chain and self.z_image_disjoint and self.theta_image_disjoint
+        return (
+            self.kernel_r_in_kernel_theta
+            and self.kernel_theta_in_kernel_z
+            and self.kernel_r_in_kernel_zt
+        )
 
 
 def check_necessary(R, theta, Z, tol: Tolerance = DEFAULT_TOL) -> NecessaryConditions:
-    """Evaluate the necessary kernel/image conditions for (R, Theta, Z)."""
+    """Evaluate the necessary kernel containments for (R, Theta, Z).
+
+    The kernels of R and Theta come from one ``eigh`` each, and ||Z||_2 is
+    computed at most once, only when one of the kernels is nontrivial.
+    """
     r = require_symmetric(R, "R")
     th = require_symmetric(theta, "theta")
     z = as_matrix(Z, "Z")
-    ker_r = kernel_basis(r, tol)
-    ker_th = kernel_basis(th, tol)
-    chain = subspace_contained(ker_r, th, tol) and subspace_contained(ker_th, z, tol)
+    ker_r, _ = _symmetric_kernel(r, tol)
+    ker_th, th_norm = _symmetric_kernel(th, tol)
+    z_norm = spectral_norm(z) if ker_r.size or ker_th.size else 0.0
     return NecessaryConditions(
-        kernel_chain=chain,
-        z_image_disjoint=intersection_trivial(ker_r, z, tol),
-        theta_image_disjoint=intersection_trivial(ker_r, th, tol),
+        kernel_r_in_kernel_theta=_contained(ker_r, th, th_norm, tol),
+        kernel_theta_in_kernel_z=_contained(ker_th, z, z_norm, tol),
+        kernel_r_in_kernel_zt=_contained(ker_r, z.T, z_norm, tol),
     )
 
 
@@ -242,8 +256,8 @@ def construct_theta(R, Z, tol: Tolerance = DEFAULT_TOL) -> ThetaConstruction:
 
         ker(R) <= ker(Z)   and   image(Z) <= image(R),
 
-    which make the whitened reduction exhaustive (the second condition also
-    forces ker(R) and image(Z) to meet only at 0).  When they hold and the
+    which make the whitened reduction exhaustive; the second is tested as
+    ker(R) <= ker(Z^T).  When they hold and the
     whitened coupling s = ||V1^T Z V1||_2 is <= 1, Theta = R/2 certifies
     (*) and the full family Theta(alpha) = alpha R is feasible on the
     returned AlphaInterval.  Failure (hypotheses violated, or s > 1) is a
@@ -255,15 +269,12 @@ def construct_theta(R, Z, tol: Tolerance = DEFAULT_TOL) -> ThetaConstruction:
     if z.shape != r.shape:
         raise ValueError(f"Z has shape {z.shape}, expected {r.shape}")
     v1, ker_r = whitening_basis(r, tol)  # raises when R is not PSD
-    if not subspace_contained(ker_r, z, tol):
+    z_norm = spectral_norm(z) if ker_r.size else 0.0
+    if not _contained(ker_r, z, z_norm, tol):
         return ThetaConstruction(
             False, reason="kernel_condition: ker(R) is not contained in ker(Z)"
         )
-    if not intersection_trivial(ker_r, z, tol):
-        return ThetaConstruction(
-            False, reason="kernel_condition: ker(R) meets image(Z)"
-        )
-    if not subspace_contained(ker_r, z.T, tol):
+    if not _contained(ker_r, z.T, z_norm, tol):
         return ThetaConstruction(
             False,
             reason="kernel_condition: image(Z) is not contained in image(R)",

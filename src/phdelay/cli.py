@@ -27,6 +27,8 @@ from .certify import (
     construct_theta,
 )
 from .composition import (
+    _certify_parts,
+    _exactly_skew,
     _require_thetas,
     _whitened_gain_bound,
     check_feedback_conditions,
@@ -209,7 +211,11 @@ def _cmd_interconnect(args, tol):
     if not args.certify:
         return payload, 0
     _require_thetas(sys1, sys2)
-    cert = certify_delay_ph(closed, tol=tol)
+    # read_system has validated both parts, and with them the closed loop
+    if _exactly_skew(f):
+        cert = _certify_parts(sys1, sys2, tol)
+    else:
+        cert = _certify_validated(closed, tol=tol)
     payload["certificate"] = cert.to_dict()
     return payload, _EXIT[cert.verdict]
 
@@ -228,8 +234,8 @@ def _cmd_feedback(args, tol):
         },
         "feedback_conditions": asdict(conditions),
     }
-    if conditions.kernel_r_in_kernel_gt and conditions.kernel_r_image_disjoint:
-        # the two hypotheses of feedback_gain_bound hold: skip its re-test
+    if conditions.kernel_r_in_kernel_gt:
+        # the hypothesis of feedback_gain_bound holds: skip its re-test
         v1, _ = whitening_basis(system.R, tol)
         beta = _whitened_gain_bound(v1, system.G)
         payload["gain_bound"] = None if math.isinf(beta) else beta
@@ -413,7 +419,8 @@ def _cmd_check(args, tol):
 def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--psd-tol", type=float, default=None,
-                        help="absolute PSD eigenvalue slack (default: 1e-9 scaled)")
+                        help="absolute PSD eigenvalue slack (default: 1e-9 scaled "
+                             "by the largest |eigenvalue| tested)")
     common.add_argument("--rank-tol", type=float, default=1e-10,
                         help="relative singular-value cutoff (default 1e-10)")
 

@@ -10,9 +10,11 @@ gives another delay port-Hamiltonian system with
 
 so the stored closed loop reproduces the subsystem trajectories exactly.
 The dissipation coupling is computed as G sym(F) G^T, which equals
-sym(G F G^T): a power-conserving F then leaves R exactly blkdiag(R1, R2),
-with no rounding noise in the off-diagonal blocks, so the PSD tests see the
-two subsystems as decoupled blocks and decide them one by one.
+sym(G F G^T): an exactly skew F then leaves R exactly blkdiag(R1, R2), with
+no rounding noise in the off-diagonal blocks.  The closed loop's condition
+matrix is then blkdiag(M1, M2) of the parts' condition matrices, with rows
+and columns permuted, so ``certify_interconnection`` decides it from the
+two parts without building the closed loop.
 The coupled pair stays certifiable whenever both parts are certified and
 the feedback does not generate energy, i.e. -sym(F) is PSD
 (power-conserving feedback, sym(F) = 0, in particular).  Delayed output
@@ -24,17 +26,17 @@ guarantees that the Theta construction succeeds for the closed loop.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .certificates import Certificate
-from .certify import certify_delay_ph
+from .certify import _assemble_condition, certify_delay_ph
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
+    _psd_report_blocks,
     as_matrix,
-    intersection_trivial,
     is_psd,
     kernel_basis,
     skew_part,
@@ -43,7 +45,12 @@ from .linalg import (
     sym_part,
     whitening_basis,
 )
-from .systems import DelayPHSystem, StandardPHSystem
+from .systems import (
+    DelayPHSystem,
+    StandardPHSystem,
+    SystemValidationError,
+    validate,
+)
 
 __all__ = [
     "DISSIPATIVE",
@@ -103,15 +110,7 @@ def interconnect(
     (m1 + m2) x (m1 + m2).  The combined theta blkdiag(theta1, theta2) is
     attached when both subsystems carry one.
     """
-    if abs(sys1.tau - sys2.tau) > TAU_RTOL * max(sys1.tau, sys2.tau):
-        raise ValueError(
-            f"delays differ: {sys1.tau} vs {sys2.tau}; interconnection "
-            "requires one shared delay"
-        )
-    f = as_matrix(F, "F")
-    m = sys1.m + sys2.m
-    if f.shape != (m, m):
-        raise ValueError(f"F has shape {f.shape}, expected {(m, m)}")
+    f = _pair_feedback(sys1, sys2, F)
     g = _blkdiag(sys1.G, sys2.G)
     gfg = g @ f @ g.T
     # G sym(F) G^T, not sym(G F G^T): zero for a skew F, so R keeps the
@@ -131,22 +130,88 @@ def interconnect(
     )
 
 
+def _pair_feedback(sys1: DelayPHSystem, sys2: DelayPHSystem, F) -> np.ndarray:
+    """F as an array, once the pair shares one delay and F fits its ports."""
+    if abs(sys1.tau - sys2.tau) > TAU_RTOL * max(sys1.tau, sys2.tau):
+        raise ValueError(
+            f"delays differ: {sys1.tau} vs {sys2.tau}; interconnection "
+            "requires one shared delay"
+        )
+    f = as_matrix(F, "F")
+    m = sys1.m + sys2.m
+    if f.shape != (m, m):
+        raise ValueError(f"F has shape {f.shape}, expected {(m, m)}")
+    return f
+
+
 def certify_interconnection(
     sys1: DelayPHSystem, sys2: DelayPHSystem, F, tol: Tolerance = DEFAULT_TOL
 ) -> Certificate:
-    """Certify the closed loop: ``certify_delay_ph(interconnect(...))``.
+    """Certify the closed loop of ``interconnect(sys1, sys2, F)``.
 
     Both subsystems must carry a theta (ValueError otherwise).  The tested
     matrix is
 
         [[R - G sym(F) G^T - Theta, Z/2], [Z^T/2, Theta]]
 
-    over the stacked structure with theta blkdiag(theta1, theta2).  The
-    closed loop is validated first, so an invalid pair raises
-    SystemValidationError.
+    over the stacked structure with theta blkdiag(theta1, theta2).  When F
+    is exactly skew (F + F^T has no nonzero entry) that matrix is a
+    permuted blkdiag(M1, M2) of the parts' condition matrices: each part is
+    validated (SystemValidationError names the part) and decided on its
+    own, and the closed loop is never built.  Any other F certifies
+    ``certify_delay_ph(interconnect(...))``, which validates the closed
+    loop first.  Either way the certificate carries the closed loop's
+    condition matrix and theta.
     """
     _require_thetas(sys1, sys2)
-    return certify_delay_ph(interconnect(sys1, sys2, F), tol=tol)
+    f = _pair_feedback(sys1, sys2, F)
+    if not _exactly_skew(f):
+        return certify_delay_ph(interconnect(sys1, sys2, f), tol=tol)
+    violations = [
+        f"{label}: {v}"
+        for label, part in (("system 1", sys1), ("system 2", sys2))
+        for v in validate(part, tol)
+    ]
+    if violations:
+        raise SystemValidationError(violations)
+    return _certify_parts(sys1, sys2, tol)
+
+
+def _exactly_skew(f: np.ndarray) -> bool:
+    """Whether F + F^T has no nonzero entry: then R is blkdiag(R1, R2)."""
+    return not np.any(f + f.T)
+
+
+def _certify_parts(
+    sys1: DelayPHSystem, sys2: DelayPHSystem, tol: Tolerance = DEFAULT_TOL
+) -> Certificate:
+    """Closed-loop certificate of two validated parts under an exactly skew F.
+
+    Ordered (x1, x2, x1(t - tau), x2(t - tau)), the closed loop's condition
+    matrix holds part i's condition matrix on the rows and columns
+    ``index[i]`` and zeros elsewhere, bit for bit what ``certify_delay_ph``
+    assembles from ``interconnect``.
+    """
+    n1, n = sys1.n, sys1.n + sys2.n
+    index = (np.r_[0:n1, n : n + n1], np.r_[n1:n, n + n1 : 2 * n])
+    # validate has checked R and a stored Theta for symmetry and Theta for
+    # PSD, as certify_delay_ph relies on for a closed loop
+    thetas = [0.5 * (s.theta + s.theta.T) for s in (sys1, sys2)]
+    blocks = [
+        _assemble_condition(0.5 * (s.R + s.R.T), s.Z, th)
+        for s, th in zip((sys1, sys2), thetas)
+    ]
+    report, worst = _psd_report_blocks(blocks, tol)
+    cond = np.zeros((2 * n, 2 * n))
+    for idx, block in zip(index, blocks):
+        cond[np.ix_(idx, idx)] = block
+    if report.witness is not None:
+        witness = np.zeros(2 * n)
+        witness[index[worst]] = report.witness
+        report = replace(report, witness=witness)
+    return Certificate.from_report(
+        report, cond, "condition_indefinite", theta_used=_blkdiag(*thetas)
+    )
 
 
 def _require_thetas(sys1: DelayPHSystem, sys2: DelayPHSystem) -> None:
@@ -184,21 +249,16 @@ class FeedbackConditions:
     """Kernel diagnostics for delayed output feedback on (R, G).
 
     output_kernel_trivial   ker(G^T) = {0} (G has full row rank)
-    kernel_r_in_kernel_gt   ker(R) <= ker(G^T)
-    kernel_r_image_disjoint ker(R) meets image(G) only at 0
+    kernel_r_in_kernel_gt   ker(R) <= ker(G^T), so ker(R) meets image(G)
+                            only at 0
     """
 
     output_kernel_trivial: bool
     kernel_r_in_kernel_gt: bool
-    kernel_r_image_disjoint: bool
 
     @property
     def all_hold(self) -> bool:
-        return (
-            self.output_kernel_trivial
-            and self.kernel_r_in_kernel_gt
-            and self.kernel_r_image_disjoint
-        )
+        return self.output_kernel_trivial and self.kernel_r_in_kernel_gt
 
 
 def check_feedback_conditions(R, G, tol: Tolerance = DEFAULT_TOL) -> FeedbackConditions:
@@ -210,7 +270,6 @@ def check_feedback_conditions(R, G, tol: Tolerance = DEFAULT_TOL) -> FeedbackCon
     return FeedbackConditions(
         output_kernel_trivial=ker_gt.shape[1] == 0,
         kernel_r_in_kernel_gt=subspace_contained(ker_r, g.T, tol),
-        kernel_r_image_disjoint=intersection_trivial(ker_r, g, tol),
     )
 
 
@@ -220,16 +279,15 @@ def feedback_gain_bound(R, G, tol: Tolerance = DEFAULT_TOL) -> float:
     Returns beta = 1 / ||V1^T G||_2^2 (V1 whitens R): any F with
     ||F||_2 <= beta gives ||V1^T G F G^T V1||_2 <= 1, so construct_theta
     succeeds for the closed loop Z = G F G^T.  Requires ker(R) <= ker(G^T)
-    and ker(R) disjoint from image(G) (ValueError otherwise).  Returns
-    math.inf when V1^T G vanishes (no finite bound is needed).
+    (ValueError otherwise), which also keeps ker(R) disjoint from
+    image(G).  Returns math.inf when V1^T G vanishes (no finite bound is
+    needed).
     """
     r = as_matrix(R, "R")
     g = as_matrix(G, "G")
     v1, ker_r = whitening_basis(r, tol)
     if not subspace_contained(ker_r, g.T, tol):
         raise ValueError("hypothesis violated: ker(R) is not contained in ker(G^T)")
-    if not intersection_trivial(ker_r, g, tol):
-        raise ValueError("hypothesis violated: ker(R) meets image(G)")
     return _whitened_gain_bound(v1, g)
 
 

@@ -1,15 +1,17 @@
 """Dense linear-algebra primitives with an explicit tolerance policy.
 
 Every routine here is a pure function on real 2-D numpy arrays.  Rank-type
-decisions (kernels, images, subspace relations) are made relative to the
-largest singular value; semidefiniteness tests grant an absolute eigenvalue
-slack that defaults to ``1e-9 * (1 + ||M||_2)``.  Every semidefiniteness
-test goes through ``psd_report_symmetric``, which decides diagonal blocks
-that exact zeros decouple one block at a time (from order 128 up; no
-threshold decides what counts as zero) from eigenvalues, computing an
-eigenvector only for the witness of a NOT_PSD verdict.  Certificates report
-the slack they were granted, so these primitives return evidence (minimum
-eigenvalues, witnesses, measured norms) rather than bare booleans.
+decisions (kernels, subspace containments) are made relative to the largest
+singular value; the kernel of a symmetric matrix comes from its ``eigh``,
+whose |eigenvalues| are its singular values.  Semidefiniteness tests grant
+an absolute eigenvalue slack that defaults to ``1e-9 * scale``, where scale
+is the largest |eigenvalue| of the tested matrix, so a zero matrix gets no
+slack and is PSD exactly.  Every semidefiniteness test decides from
+eigenvalues, computing an eigenvector only for the witness of a NOT_PSD
+verdict; a block-diagonal matrix whose blocks the caller knows is decided
+one block at a time.  Certificates report the slack they were granted, so
+these primitives return evidence (minimum eigenvalues, witnesses, measured
+norms) rather than bare booleans.
 """
 
 from __future__ import annotations
@@ -24,8 +26,6 @@ __all__ = [
     "PsdReport",
     "Tolerance",
     "as_matrix",
-    "image_basis",
-    "intersection_trivial",
     "is_psd",
     "kernel_basis",
     "numerical_rank",
@@ -50,7 +50,8 @@ class Tolerance:
     psd_tol
         Absolute eigenvalue slack for semidefiniteness tests: a symmetric
         matrix counts as PSD when its smallest eigenvalue is >= -psd_tol.
-        ``None`` (the default) means auto-scale, ``1e-9 * (1 + ||M||_2)``.
+        ``None`` (the default) means ``1e-9 * scale``, relative to the
+        largest |eigenvalue| of the tested matrix: 0 for a zero matrix.
     rank_tol
         Relative singular-value cutoff for rank and kernel decisions:
         singular values <= rank_tol * sigma_max are treated as zero.
@@ -69,7 +70,7 @@ class Tolerance:
         """Effective PSD slack for a matrix with spectral norm ``scale``."""
         if self.psd_tol is not None:
             return self.psd_tol
-        return 1e-9 * (1.0 + float(scale))
+        return 1e-9 * float(scale)
 
 
 DEFAULT_TOL = Tolerance()
@@ -180,12 +181,11 @@ def spectral_norm(matrix) -> float:
 def is_psd(matrix, tol: Tolerance = DEFAULT_TOL) -> PsdReport:
     """Test a symmetric matrix for positive semidefiniteness.
 
-    Decides from symmetric eigenvalues (never a Cholesky attempt): of the
-    whole matrix, or, from order 128 up, of each diagonal block that exact
-    zeros decouple.  A NOT_PSD report carries a witness eigenvector for
-    the smallest eigenvalue; a PSD report carries none.  The input must be
-    symmetric within 1e-12 relative asymmetry; it is symmetrized before
-    the decomposition.
+    Decides from symmetric eigenvalues (never a Cholesky attempt).  A
+    NOT_PSD report carries a witness eigenvector for the smallest
+    eigenvalue; a PSD report carries none.  The input must be symmetric
+    within 1e-12 relative asymmetry; it is symmetrized before the
+    decomposition.
     """
     return psd_report_symmetric(require_symmetric(matrix), tol)
 
@@ -194,75 +194,36 @@ def psd_report_symmetric(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> PsdRepo
     """``is_psd`` for a float array the caller has already symmetrized.
 
     Skips the coercion and symmetry checks; for hot paths whose matrix is
-    symmetric by construction.  Diagonal blocks that exact zeros decouple
-    are decided one by one (see ``_decoupled_blocks``): the spectrum of a
-    block-diagonal matrix is the union of its blocks' spectra, so the least
-    block minimum and the largest |eigenvalue| over all blocks (the slack
-    scale) decide.  Only NOT_PSD computes an eigenvector: the witness is
-    the worst block's, padded with zeros.
+    symmetric by construction.
     """
-    n = m.shape[0]
-    if n == 0:
-        return PsdReport("PSD", 0.0, None, tol.psd_slack(0.0))
+    return _psd_report_blocks([m], tol)[0]
+
+
+def _psd_report_blocks(blocks, tol: Tolerance = DEFAULT_TOL):
+    """PSD test of blkdiag(*blocks), one symmetric float block at a time.
+
+    The spectrum of a block-diagonal matrix is the union of its blocks'
+    spectra, so the least block minimum decides, with the slack granted for
+    the largest |eigenvalue| over all blocks.  Returns ``(report, worst)``:
+    ``worst`` indexes the block with the least eigenvalue (None when every
+    block is empty), and a NOT_PSD witness is that block's unit eigenvector,
+    not padded; only NOT_PSD computes an eigenvector.
+    """
     lam, scale, worst = math.inf, 0.0, None
-    for idx in _decoupled_blocks(m):
-        evals = np.linalg.eigvalsh(m[idx][:, idx])
+    for k, block in enumerate(blocks):
+        if not block.size:
+            continue
+        evals = np.linalg.eigvalsh(block)
         scale = max(scale, float(np.max(np.abs(evals))))
         if evals[0] < lam:
-            lam, worst = float(evals[0]), idx
+            lam, worst = float(evals[0]), k
     slack = tol.psd_slack(scale)
+    if worst is None:
+        return PsdReport("PSD", 0.0, None, slack), None
     if lam >= -slack:
-        return PsdReport("PSD", lam, None, slack)
-    witness = np.zeros(n)
-    witness[worst] = np.linalg.eigh(m[worst][:, worst])[1][:, 0]
-    return PsdReport("NOT_PSD", lam, witness, slack)
-
-
-#: order from which psd_report_symmetric searches for decoupled blocks.  On
-#: one BLAS thread (2-vCPU Xeon, OpenBLAS) two decoupled halves of order 128
-#: take 0.8 ms against 1.1 ms for one eigh of the whole, and the search
-#: costs about 0.1 ms on an order-128 pattern that does not split.
-_SPLIT_MIN_ORDER = 128
-
-
-def _decoupled_blocks(m: np.ndarray) -> list:
-    """Index sets of the diagonal blocks that exact zeros decouple in ``m``.
-
-    The blocks are the connected components of the exact-nonzero pattern of
-    the symmetric ``m``; no threshold is involved.  Indices without an
-    off-diagonal nonzero are gathered into one diagonal block.  Returns
-    ``[slice(None)]`` (the whole matrix) below ``_SPLIT_MIN_ORDER``, when
-    the first row has no zero, or when the pattern is connected.
-    """
-    n = m.shape[0]
-    if n < _SPLIT_MIN_ORDER or np.all(m[0] != 0.0):
-        return [slice(None)]
-    # row i as an int whose bit j is set iff m[i, j] != 0
-    rows = [
-        int.from_bytes(row.tobytes(), "little")
-        for row in np.packbits(m != 0.0, axis=1, bitorder="little")
-    ]
-    label = np.empty(n, dtype=int)
-    free, count = (1 << n) - 1, 0
-    while free:  # breadth-first search over bitsets, one component a pass
-        reach = frontier = free & -free
-        while frontier:
-            grown = 0
-            while frontier:
-                low = frontier & -frontier
-                i = low.bit_length() - 1
-                label[i] = count
-                grown |= rows[i]
-                frontier ^= low
-            frontier = grown & ~reach
-            reach |= frontier
-        free &= ~reach
-        count += 1
-    sizes = np.bincount(label)
-    blocks = [np.flatnonzero(label == c) for c in np.flatnonzero(sizes > 1)]
-    if (sizes == 1).any():
-        blocks.append(np.flatnonzero(sizes[label] == 1))
-    return blocks if len(blocks) > 1 else [slice(None)]
+        return PsdReport("PSD", lam, None, slack), worst
+    witness = np.linalg.eigh(blocks[worst])[1][:, 0]
+    return PsdReport("NOT_PSD", lam, witness, slack), worst
 
 
 def _svd_full(matrix):
@@ -295,15 +256,6 @@ def kernel_basis(matrix, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return vt[rank:].T.copy()
 
 
-def image_basis(matrix, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis (columns) of the numerical column space of M."""
-    m = as_matrix(matrix)
-    u, s, _ = _svd_full(m)
-    cutoff = tol.rank_tol * float(s[0]) if s.size else 0.0
-    rank = int(np.count_nonzero(s > cutoff))
-    return u[:, :rank].copy()
-
-
 def subspace_contained(basis, matrix, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Whether span(basis) lies inside ker(matrix).
 
@@ -320,26 +272,27 @@ def subspace_contained(basis, matrix, tol: Tolerance = DEFAULT_TOL) -> bool:
             f"shape mismatch: matrix has {m.shape[1]} columns, basis vectors "
             f"have length {b.shape[0]}"
         )
-    bound = tol.rank_tol * spectral_norm(m)
-    return spectral_norm(m @ b) <= bound
+    return _contained(b, m, spectral_norm(m), tol)
 
 
-def intersection_trivial(basis, matrix, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Whether span(basis) meets the column space of M only at 0.
+def _contained(basis: np.ndarray, m: np.ndarray, norm: float, tol: Tolerance) -> bool:
+    """``subspace_contained`` for conforming arrays, given ``norm`` = ||M||_2."""
+    return not basis.shape[1] or spectral_norm(m @ basis) <= tol.rank_tol * norm
 
-    Decided by a rank test on the stacked basis [basis | image_basis(M)]:
-    the intersection is trivial iff the stack has full column rank.
+
+def _symmetric_kernel(m: np.ndarray, tol: Tolerance):
+    """Kernel basis and spectral norm of a symmetric float array, one eigh.
+
+    Returns ``(K, ||M||_2)``: K holds the orthonormal eigenvectors with
+    |eigenvalue| <= rank_tol * max|eigenvalue|.  The singular values of a
+    symmetric matrix are its |eigenvalues|, so this is the cutoff of
+    ``kernel_basis``.
     """
-    b = as_matrix(basis, "basis")
-    if b.shape[1] == 0:
-        return True
-    img = image_basis(matrix, tol)
-    if img.shape[1] == 0:
-        return True
-    if b.shape[0] != img.shape[0]:
-        raise ValueError("basis and matrix live in different spaces")
-    stacked = np.hstack([b, img])
-    return numerical_rank(stacked, tol) == b.shape[1] + img.shape[1]
+    if not m.size:
+        return np.zeros((m.shape[0], 0)), 0.0
+    evals, evecs = np.linalg.eigh(m)
+    scale = float(np.max(np.abs(evals)))
+    return evecs[:, np.abs(evals) <= tol.rank_tol * scale], scale
 
 
 def whitening_basis(matrix, tol: Tolerance = DEFAULT_TOL):

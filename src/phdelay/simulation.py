@@ -231,17 +231,18 @@ def integrate_dde(
     u = _input_samples(inputs, times, m)
 
     a0, a1, b = system.A0, system.A1, system.B
-    d_map, f_history, f_hermite = _rk4_maps(a0, a1, b, h)
     # time-major work arrays: row c holds column c of the padded states,
     # so each block is one contiguous run of rows
     xs = np.empty((d + big_k + 1, n))
     xs[: d + 1] = hist_vals.T
     ds = np.zeros_like(xs)  # derivative samples for t >= 0 only
     us = np.ascontiguousarray(u.T)
-    ds[d] = a0 @ xs[d] + a1 @ xs[0] + b @ us[0]
-    # norms are checked once per block, so the steps after a blow-up may
-    # overflow before the first offending step is reported
+    # norms are checked once per block, so the step maps and the steps
+    # after a blow-up may overflow before the first offending step is
+    # reported
     with np.errstate(over="ignore", invalid="ignore"):
+        d_map, f_history, f_hermite = _rk4_maps(a0, a1, b, h)
+        ds[d] = a0 @ xs[d] + a1 @ xs[0] + b @ us[0]
         # transposed P_o = (I + D)^o - I for o = 1, 2, 4, ..., squared as
         # P_2o = 2 P_o + P_o^2, which never forms a power of I + D and so
         # keeps the rounding of small increments; doubling stops at the

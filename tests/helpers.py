@@ -7,7 +7,14 @@ controls its own seed and failures reproduce exactly.
 import numpy as np
 
 from phdelay import DelayPHSystem
-from phdelay.linalg import DEFAULT_TOL, require_symmetric
+from phdelay.linalg import (
+    DEFAULT_TOL,
+    as_matrix,
+    kernel_basis,
+    numerical_rank,
+    require_symmetric,
+    subspace_contained,
+)
 from phdelay.simulation import BLOWUP_NORM, BlowUpError
 
 
@@ -71,6 +78,37 @@ def dense_psd_oracle(m, tol=DEFAULT_TOL):
     slack = tol.psd_slack(scale)
     lam = float(evals[0])
     return ("PSD" if lam >= -slack else "NOT_PSD"), lam, scale, slack
+
+
+def check_necessary_svd(R, theta, Z, tol=DEFAULT_TOL):
+    """Reference necessary conditions from full SVDs; True when all hold.
+
+    The conditions are the kernel chain ker(R) <= ker(Theta) <= ker(Z), and
+    that ker(R) meets image(Z) and image(Theta) only at 0.  Kernels and
+    images come from full SVDs with the relative cutoff rank_tol, and an
+    intersection is trivial when the stacked orthonormal bases have full
+    column rank.
+    """
+    r = require_symmetric(R, "R")
+    th = require_symmetric(theta, "theta")
+    z = as_matrix(Z, "Z")
+    ker_r = kernel_basis(r, tol)
+    ker_th = kernel_basis(th, tol)
+
+    def meets_only_at_zero(basis, m):
+        u, s, _ = np.linalg.svd(m)
+        image = u[:, : np.count_nonzero(s > tol.rank_tol * s[0])]
+        if not basis.shape[1] or not image.shape[1]:
+            return True
+        stacked = np.hstack([basis, image])
+        return numerical_rank(stacked, tol) == stacked.shape[1]
+
+    return (
+        subspace_contained(ker_r, th, tol)
+        and subspace_contained(ker_th, z, tol)
+        and meets_only_at_zero(ker_r, z)
+        and meets_only_at_zero(ker_r, th)
+    )
 
 
 def integrate_dde_stepwise(system, history, u, T, h):

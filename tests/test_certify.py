@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phdelay import (
     CERTIFIED,
@@ -20,7 +21,7 @@ from phdelay import (
     scalar_theta_interval,
 )
 from phdelay.certify import kyp_delay_check
-from helpers import rand_certified_delay_ph, rand_spd
+from helpers import check_necessary_svd, rand_certified_delay_ph, rand_orth, rand_spd
 
 SQ3 = math.sqrt(3.0)
 
@@ -55,6 +56,16 @@ def test_scalar_certify_eigenvalues():
     evals = np.linalg.eigvalsh(cert.condition_matrix)
     np.testing.assert_allclose(evals, [0.5, 1.5], atol=1e-14)
     assert cert.min_eigenvalue == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("c", [1.0, 1e-8, 1e-9, 1e-10])
+def test_scalar_refutation_does_not_depend_on_units(c):
+    # R = Z = Theta = c: the least eigenvalue is (1 - sqrt(2)) c / 2 < 0
+    system = DelayPHSystem(H=[[1.0]], J=[[0.0]], R=[[c]], Z=[[c]], G=[[1.0]],
+                           tau=1.0, theta=[[c]])
+    cert = certify_delay_ph(system)
+    assert cert.verdict == REFUTED
+    assert cert.min_eigenvalue == pytest.approx((1.0 - math.sqrt(2.0)) * c / 2.0)
 
 
 def test_scalar_eigenvalue_law():
@@ -156,20 +167,66 @@ def test_necessary_all_hold_on_certified():
         assert conditions.all_hold
 
 
+@st.composite
+def necessary_triples(draw):
+    """(R, Theta, Z) with R of any rank and Theta, Z in or out of its image."""
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q = rand_orth(rng, n)
+    lam = np.zeros(n)
+    lam[: draw(st.integers(0, n))] = rng.uniform(0.5, 2.0)
+    r = (q * lam) @ q.T
+    root = (q * np.sqrt(lam)) @ q.T
+    theta = {
+        "half_r": 0.5 * r,
+        "inside": root @ rand_spd(rng, n, (0.1, 1.0)) @ root,
+        "full": rand_spd(rng, n, (0.1, 1.0)),
+    }[draw(st.sampled_from(["half_r", "inside", "full"]))]
+    w = rng.standard_normal((n, n))
+    w *= rng.uniform(0.2, 1.5) / np.linalg.norm(w, 2)
+    z = {
+        "inside": root @ w @ root,
+        "left": root @ w,
+        "right": w @ root,
+        "any": w,
+    }[draw(st.sampled_from(["inside", "left", "right", "any"]))]
+    c = 10.0 ** draw(st.integers(-8, 4))
+    return c * r, c * theta, c * z
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(necessary_triples())
+def test_necessary_containments_imply_the_svd_conditions(triple):
+    """The three containments imply the SVD oracle's chain and intersections,
+    and every certified triple satisfies them."""
+    r, theta, z = triple
+    holds = check_necessary(r, theta, z).all_hold
+    if holds:
+        assert check_necessary_svd(r, theta, z)
+    if is_psd(ph_condition_matrix(r, z, theta)).is_psd:
+        assert holds
+
+
 def test_necessary_detects_kernel_chain_break():
     # ker(R) = span(e2) but Theta e2 != 0
     conditions = check_necessary(np.diag([1.0, 0.0]), np.diag([0.5, 0.5]),
                                  np.zeros((2, 2)))
-    assert not conditions.kernel_chain
-    assert not conditions.theta_image_disjoint
+    assert not conditions.kernel_r_in_kernel_theta
+    assert conditions.kernel_theta_in_kernel_z and conditions.kernel_r_in_kernel_zt
     assert not conditions.all_hold
+    # ker(Theta) = span(e2) but Z e2 != 0
+    conditions = check_necessary(np.diag([1.0, 0.0]), np.diag([0.5, 0.0]),
+                                 np.array([[0.0, 1.0], [0.0, 0.0]]))
+    assert not conditions.kernel_theta_in_kernel_z
+    assert conditions.kernel_r_in_kernel_theta and conditions.kernel_r_in_kernel_zt
 
 
 def test_necessary_detects_z_image_meeting_kernel():
-    # image(Z) = span(e2) = ker(R)
+    # image(Z) = span(e2) = ker(R), so Z^T e2 != 0
     z = np.array([[0.0, 0.0], [1.0, 0.0]])
     conditions = check_necessary(np.diag([1.0, 0.0]), np.diag([0.5, 0.0]), z)
-    assert not conditions.z_image_disjoint
+    assert not conditions.kernel_r_in_kernel_zt
+    assert conditions.kernel_r_in_kernel_theta and conditions.kernel_theta_in_kernel_z
 
 
 def test_necessary_holds_on_degenerate_but_consistent_triple():
@@ -250,10 +307,11 @@ def test_construct_kernel_guard_is_unit_free(c):
 
 
 def test_construct_kernel_guard_image_meets_kernel():
+    # image(Z) = ker(R) = span(e2): the image containment refuses it
     out = construct_theta(np.diag([1.0, 0.0]),
                           np.array([[0.0, 0.0], [1.0, 0.0]]))
     assert not out.success
-    assert "ker(R) meets image(Z)" in out.reason
+    assert "image(Z) is not contained in image(R)" in out.reason
 
 
 def test_construct_kernel_guard_image_escape():

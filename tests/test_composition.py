@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phdelay import (
     CERTIFIED,
@@ -11,6 +12,7 @@ from phdelay import (
     REFUTED,
     DelayPHSystem,
     StandardPHSystem,
+    SystemValidationError,
     certify_delay_ph,
     certify_interconnection,
     check_feedback_conditions,
@@ -44,9 +46,9 @@ def test_classify_feedback():
 @pytest.mark.parametrize("c", [1.0, 1e-6, 1e-12])
 def test_classify_feedback_is_unit_free(c):
     assert classify_feedback(c * np.array([[0.0, 1.0], [-1.0, 0.0]])) == POWER_CONSERVING
-    # sym(F) = diag(1, 0) is a fixed fraction of F; at tiny scales the
-    # absolute PSD slack floor may still read it as dissipative
-    assert classify_feedback(c * np.array([[1.0, 1.0], [-1.0, 0.0]])) != POWER_CONSERVING
+    # sym(F) = diag(1, 0) and diag(1, -1) inject energy at every scale
+    assert classify_feedback(c * np.array([[1.0, 1.0], [-1.0, 0.0]])) == GENERAL
+    assert classify_feedback(c * np.diag([1.0, -1.0])) == GENERAL
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +178,62 @@ def test_certify_interconnection_matches_direct_certificate():
     np.testing.assert_array_equal(via_pair.witness, direct.witness)
 
 
+def _scaled_part(rng, n, m, c, refuted):
+    """A random part with (R, Z, Theta) scaled by c; Theta = R refutes it."""
+    part = rand_certified_delay_ph(rng, n, m)
+    theta = part.R if refuted else part.theta
+    return DelayPHSystem(H=part.H, J=part.J, R=c * part.R, Z=c * part.Z,
+                         G=part.G, tau=part.tau, theta=c * theta)
+
+
+@st.composite
+def skew_pairs(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c = 10.0 ** draw(st.floats(-6.0, 4.0))
+    m1, m2 = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    parts = [
+        _scaled_part(rng, draw(st.integers(1, 6)), m, c, draw(st.booleans()))
+        for m in (m1, m2)
+    ]
+    a = rng.standard_normal((m1 + m2, m1 + m2))
+    f = draw(st.sampled_from([0.0, 1.0, 1e3])) * (a - a.T)  # exactly skew
+    return parts[0], parts[1], f
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(skew_pairs())
+def test_skew_interconnection_from_parts_matches_closed_loop(pair):
+    """Deciding the two parts reproduces the closed loop's certificate."""
+    sys1, sys2, f = pair
+    via_parts = certify_interconnection(sys1, sys2, f)
+    direct = certify_delay_ph(interconnect(sys1, sys2, f))
+    assert via_parts.verdict == direct.verdict
+    assert via_parts.reason == direct.reason
+    cond = direct.condition_matrix
+    assert via_parts.condition_matrix.tobytes() == cond.tobytes()
+    assert via_parts.theta_used.tobytes() == direct.theta_used.tobytes()
+    scale = float(np.max(np.abs(np.linalg.eigvalsh(cond))))
+    assert abs(via_parts.min_eigenvalue - direct.min_eigenvalue) <= 1e-12 * scale
+    assert via_parts.slack == pytest.approx(direct.slack, rel=1e-12)
+    w = via_parts.witness
+    if via_parts.verdict == CERTIFIED:
+        assert w is None
+    else:
+        assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-12)
+        assert abs(float(w @ cond @ w) - via_parts.min_eigenvalue) <= 1e-12 * scale
+
+
+def test_skew_interconnection_names_the_invalid_part():
+    bad = DelayPHSystem(H=[[-1.0]], J=[[0.0]], R=[[2.0]], Z=[[1.0]],
+                        G=[[1.0]], tau=1.0, theta=[[-1.0]])
+    with pytest.raises(SystemValidationError) as info:
+        certify_interconnection(scalar_system(), bad, [[0.0, 1.0], [-1.0, 0.0]])
+    assert info.value.violations == [
+        "system 2: H is not positive definite (min eigenvalue -1)",
+        "system 2: theta is not positive semidefinite (min eigenvalue -1)",
+    ]
+
+
 def test_dissipative_coupling_never_hurts():
     """-sym(F) PSD only adds dissipation, so certificates survive."""
     rng = np.random.default_rng(63)
@@ -216,10 +274,9 @@ def test_feedback_conditions_cases():
     assert ok.all_hold
     wide = check_feedback_conditions(np.eye(2), [[1.0], [0.0]])
     assert not wide.output_kernel_trivial
-    assert wide.kernel_r_in_kernel_gt and wide.kernel_r_image_disjoint
+    assert wide.kernel_r_in_kernel_gt
     broken = check_feedback_conditions(np.diag([1.0, 0.0]), [[0.0], [1.0]])
     assert not broken.kernel_r_in_kernel_gt
-    assert not broken.kernel_r_image_disjoint
     assert not broken.all_hold
 
 

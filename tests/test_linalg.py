@@ -6,12 +6,9 @@ from phdelay.linalg import (
     Tolerance,
     as_matrix,
     asymmetry,
-    image_basis,
-    intersection_trivial,
     is_psd,
     kernel_basis,
     numerical_rank,
-    psd_report_symmetric,
     require_symmetric,
     skew_part,
     spectral_norm,
@@ -19,7 +16,7 @@ from phdelay.linalg import (
     sym_part,
     whitening_basis,
 )
-from phdelay.linalg import _SPLIT_MIN_ORDER, _decoupled_blocks
+from phdelay.linalg import _psd_report_blocks
 from helpers import dense_psd_oracle, rand_orth, rand_spd
 
 
@@ -98,6 +95,7 @@ def test_is_psd_accepts_identity_and_zero():
     assert is_psd(np.eye(4)).verdict == "PSD"
     zero = is_psd(np.zeros((3, 3)))
     assert zero.is_psd and zero.min_eigenvalue == pytest.approx(0.0)
+    assert zero.slack == 0.0  # no slack floor: a zero matrix is PSD exactly
 
 
 def test_is_psd_witness_is_unit_eigenvector():
@@ -117,7 +115,7 @@ def test_is_psd_witness_is_unit_eigenvector():
 
 def test_is_psd_slack_scales_with_norm():
     report = is_psd(1e6 * np.eye(2))
-    assert report.slack == pytest.approx(1e-9 * (1 + 1e6))
+    assert report.slack == pytest.approx(1e-9 * 1e6)
     fixed = is_psd(1e6 * np.eye(2), Tolerance(psd_tol=1e-3))
     assert fixed.slack == 1e-3
 
@@ -156,55 +154,47 @@ def _indefinite(rng, n):
 
 def _split_cases():
     rng = np.random.default_rng(23)
-    half = _SPLIT_MIN_ORDER // 2
+    order = 128
+    half = order // 2
     same = rand_spd(rng, half)
-    diagonal = rng.uniform(0.5, 2.0, _SPLIT_MIN_ORDER + 3)
+    diagonal = rng.uniform(0.5, 2.0, order + 3)
     diagonal[17] = -0.25
-    # (name, blocks, number of blocks the search must find)
+    # (name, blocks)
     return [
-        ("permuted_psd", [rand_spd(rng, half), rand_spd(rng, half + 5)], 2),
-        ("not_psd_second", [rand_spd(rng, half), _indefinite(rng, half)], 2),
-        ("diagonal", [np.array([[v]]) for v in diagonal], 1),
-        ("one_by_one", [rand_spd(rng, _SPLIT_MIN_ORDER), np.array([[-0.2]])], 2),
-        ("equal_blocks", [same, same.copy()], 2),
+        ("permuted_psd", [rand_spd(rng, half), rand_spd(rng, half + 5)]),
+        ("not_psd_second", [rand_spd(rng, half), _indefinite(rng, half)]),
+        ("diagonal", [np.array([[v]]) for v in diagonal]),
+        ("one_by_one", [rand_spd(rng, order), np.array([[-0.2]])]),
+        ("equal_blocks", [same, same.copy()]),
         ("three_scaled", [1e4 * rand_spd(rng, 50), 1e-3 * _indefinite(rng, 60),
-                          rand_spd(rng, 40)], 3),
+                          rand_spd(rng, 40)]),
     ]
 
 
-@pytest.mark.parametrize("name,blocks,found", _split_cases(),
+@pytest.mark.parametrize("name,blocks", _split_cases(),
                          ids=[c[0] for c in _split_cases()])
-def test_psd_report_block_split_matches_dense_oracle(name, blocks, found):
+def test_psd_report_block_split_matches_dense_oracle(name, blocks):
+    """Deciding given diagonal blocks one by one matches one eigh of the whole."""
     for m, block_of in _block_layouts(blocks):
-        assert m.shape[0] >= _SPLIT_MIN_ORDER
-        assert len(_decoupled_blocks(m)) == found
-        report = psd_report_symmetric(m)
+        index = [np.flatnonzero(block_of == k) for k in range(len(blocks))]
+        report, worst = _psd_report_blocks([m[np.ix_(i, i)] for i in index])
         verdict, lam, scale, slack = dense_psd_oracle(m)
         assert report.verdict == verdict
         assert abs(report.min_eigenvalue - lam) <= 1e-12 * scale
         assert report.slack == pytest.approx(slack, rel=1e-12)
-        w = report.witness
         if report.is_psd:
-            assert w is None
+            assert report.witness is None
             continue
+        w = np.zeros(m.shape[0])
+        w[index[worst]] = report.witness
         assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-12)
-        assert np.unique(block_of[np.flatnonzero(w)]).size == 1
         assert abs(float(w @ m @ w) - report.min_eigenvalue) <= 1e-12 * scale
 
 
-def test_decoupled_blocks_single_block_cases():
-    n = _SPLIT_MIN_ORDER
-    assert _decoupled_blocks(np.eye(n - 1)) == [slice(None)]  # below crossover
-    arrow = np.eye(n)
-    arrow[0, :] = arrow[:, 0] = 1.0  # first row has no zero
-    assert _decoupled_blocks(arrow) == [slice(None)]
-    chain = np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)  # connected
-    assert _decoupled_blocks(chain) == [slice(None)]
-    chain[n // 2, n // 2 + 1] = chain[n // 2 + 1, n // 2] = 0.0
-    halves = _decoupled_blocks(chain)
-    assert [list(b) for b in halves] == [
-        list(range(n // 2 + 1)), list(range(n // 2 + 1, n))
-    ]
+def test_psd_report_blocks_without_entries():
+    report, worst = _psd_report_blocks([np.zeros((0, 0)), np.zeros((0, 0))])
+    assert report.is_psd and report.min_eigenvalue == 0.0 and worst is None
+    assert report.slack == 0.0
 
 
 def test_tolerance_validation():
@@ -230,11 +220,6 @@ def test_rank_kernel_image_rank_one():
     assert ker.shape == (3, 2)
     np.testing.assert_allclose(m @ ker, 0.0, atol=1e-12)
     np.testing.assert_allclose(ker.T @ ker, np.eye(2), atol=1e-12)
-    img = image_basis(m)
-    assert img.shape == (3, 1)
-    np.testing.assert_allclose(
-        np.abs(img[:, 0]), np.abs(u[:, 0]) / 3.0, atol=1e-12
-    )
 
 
 def test_kernel_basis_edge_cases():
@@ -257,16 +242,6 @@ def test_subspace_contained_is_unit_free(c):
     e2 = np.array([[0.0], [1.0]])
     assert not subspace_contained(e2, c * np.array([[0.5, 1e-6], [0.0, 0.0]]))
     assert subspace_contained(e2, c * np.array([[0.5, 0.0], [0.0, 0.0]]))
-
-
-def test_intersection_trivial():
-    m = np.array([[1.0, 0.0], [0.0, 0.0]])  # image = span(e1)
-    e2 = np.array([[0.0], [1.0]])
-    e1 = np.array([[1.0], [0.0]])
-    assert intersection_trivial(e2, m)
-    assert not intersection_trivial(e1, m)
-    assert intersection_trivial(np.zeros((2, 0)), m)
-    assert intersection_trivial(e1, np.zeros((2, 2)))
 
 
 def test_whitening_basis_full_rank_hand_example():

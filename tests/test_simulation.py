@@ -251,6 +251,18 @@ def test_blow_up_inside_a_block(a0, tau):
     assert err.norm == pytest.approx(oracle.value.norm, rel=1e-12)
 
 
+def test_overflowing_step_map_aborts_without_a_warning():
+    """An A0 whose RK4 map itself overflows stops at step 1, warning-free."""
+    sys1 = GeneralDelaySystem(A0=[[1e80]], A1=[[0.0]], B=[[0.0]], C=[[0.0]],
+                              tau=1.0)
+    hist = HistoryFunction.constant([1.0], 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BlowUpError) as info:
+            integrate_dde(sys1, hist, None, 2.0, 1.0)
+    assert info.value.step_index == 1
+
+
 def test_input_forms_agree():
     sys1 = GeneralDelaySystem(A0=[[-1.0]], A1=[[-0.2]], B=[[1.0]], C=[[1.0]],
                               tau=1.0)

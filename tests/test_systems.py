@@ -105,6 +105,14 @@ def test_validate_flags_indefinite_h():
     assert any("H is not positive definite" in m for m in msgs)
 
 
+def test_validate_accepts_a_tiny_positive_definite_h():
+    # the PSD slack is relative to H, so H = 1e-10 I is positive definite
+    sys1 = DelayPHSystem(H=1e-10 * np.eye(2), J=np.zeros((2, 2)),
+                         R=np.eye(2), Z=np.zeros((2, 2)), G=np.ones((2, 1)),
+                         tau=1.0)
+    assert validate(sys1) == []
+
+
 def test_validate_flags_non_antisymmetric_j():
     sys1 = DelayPHSystem(H=np.eye(2), J=np.array([[0.0, 1.0], [1.0, 0.0]]),
                          R=np.eye(2), Z=np.zeros((2, 2)), G=np.ones((2, 1)),
