@@ -34,14 +34,14 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerance,
     _contained,
-    _symmetric_kernel,
+    _symmetric_eigh,
+    _whitening,
     as_matrix,
     is_psd,
     output_residual,
     psd_report_symmetric,
     require_symmetric,
     spectral_norm,
-    whitening_basis,
 )
 from .systems import (
     DelayPHSystem,
@@ -210,8 +210,8 @@ def check_necessary(R, theta, Z, tol: Tolerance = DEFAULT_TOL) -> NecessaryCondi
     r = require_symmetric(R, "R")
     th = require_symmetric(theta, "theta")
     z = as_matrix(Z, "Z")
-    ker_r, _ = _symmetric_kernel(r, tol)
-    ker_th, th_norm = _symmetric_kernel(th, tol)
+    _, _, ker_r, _ = _symmetric_eigh(r, tol)
+    _, _, ker_th, th_norm = _symmetric_eigh(th, tol)
     z_norm = spectral_norm(z) if ker_r.size or ker_th.size else 0.0
     return NecessaryConditions(
         kernel_r_in_kernel_theta=_contained(ker_r, th, th_norm, tol),
@@ -251,8 +251,9 @@ class ThetaConstruction:
 def construct_theta(R, Z, tol: Tolerance = DEFAULT_TOL) -> ThetaConstruction:
     """Construct a certifying Theta from the dissipation structure alone.
 
-    Requires R symmetric PSD (ValueError otherwise).  The construction is
-    sound under the kernel hypotheses
+    R must be symmetric and Z of R's shape (ValueError otherwise); an R
+    that is not PSD fails with reason "R is not positive semidefinite".
+    The construction is sound under the kernel hypotheses
 
         ker(R) <= ker(Z)   and   image(Z) <= image(R),
 
@@ -268,7 +269,11 @@ def construct_theta(R, Z, tol: Tolerance = DEFAULT_TOL) -> ThetaConstruction:
     z = as_matrix(Z, "Z")
     if z.shape != r.shape:
         raise ValueError(f"Z has shape {z.shape}, expected {r.shape}")
-    v1, ker_r = whitening_basis(r, tol)  # raises when R is not PSD
+    evals, evecs, ker_r, scale = _symmetric_eigh(r, tol)
+    try:
+        v1 = _whitening(evals, evecs, scale, tol, "R")
+    except ValueError as exc:  # R is not PSD
+        return ThetaConstruction(False, reason=str(exc))
     z_norm = spectral_norm(z) if ker_r.size else 0.0
     if not _contained(ker_r, z, z_norm, tol):
         return ThetaConstruction(

@@ -27,16 +27,15 @@ from .certify import (
     construct_theta,
 )
 from .composition import (
-    _certify_parts,
-    _exactly_skew,
-    _require_thetas,
-    _whitened_gain_bound,
+    FeedbackConditions,
+    _certify_pair,
+    _feedback_hypotheses,
     check_feedback_conditions,
     classify_feedback,
     close_delayed_feedback,
     interconnect,
 )
-from .linalg import Tolerance, whitening_basis
+from .linalg import Tolerance
 from .simulation import (
     BlowUpError,
     export_trajectory_csv,
@@ -210,12 +209,8 @@ def _cmd_interconnect(args, tol):
         payload["out"] = args.out
     if not args.certify:
         return payload, 0
-    _require_thetas(sys1, sys2)
-    # read_system has validated both parts, and with them the closed loop
-    if _exactly_skew(f):
-        cert = _certify_parts(sys1, sys2, tol)
-    else:
-        cert = _certify_validated(closed, tol=tol)
+    # read_system has validated both parts
+    cert = _certify_pair(sys1, sys2, f, tol, closed)
     payload["certificate"] = cert.to_dict()
     return payload, _EXIT[cert.verdict]
 
@@ -226,18 +221,17 @@ def _cmd_feedback(args, tol):
         raise _UsageError("feedback requires a standard_ph system")
     f = _read_matrix(args.feedback_matrix, "F")
     closed = close_delayed_feedback(system, f, args.tau)
-    conditions = check_feedback_conditions(system.R, system.G, tol)
+    trivial, contained, beta = _feedback_hypotheses(
+        system.R, system.G, tol, rank=True, gain=True
+    )
     payload = {
         "inputs": {
             args.system: _digest(args.system),
             args.feedback_matrix: _digest(args.feedback_matrix),
         },
-        "feedback_conditions": asdict(conditions),
+        "feedback_conditions": asdict(FeedbackConditions(trivial, contained)),
     }
-    if conditions.kernel_r_in_kernel_gt:
-        # the hypothesis of feedback_gain_bound holds: skip its re-test
-        v1, _ = whitening_basis(system.R, tol)
-        beta = _whitened_gain_bound(v1, system.G)
+    if contained:
         payload["gain_bound"] = None if math.isinf(beta) else beta
         payload["gain_unbounded"] = math.isinf(beta)
     else:
@@ -367,50 +361,46 @@ def _cmd_simulate(args, tol):
 
 def _cmd_check(args, tol):
     system = read_system(args.system, tol, validated=False)
-    checks = []
-
     violations = validate(system, tol)
-    checks.append({
-        "name": "validate",
-        "passed": not violations,
-        "detail": violations or "all type invariants hold",
-    })
-
+    runs = [("validate", lambda: (not violations, violations or "all type invariants hold"))]
     if isinstance(system, (StandardLTISystem, StandardPHSystem)):
-        lti = system if isinstance(system, StandardLTISystem) else _standard_ph_to_lti(system)
-        verdict = check_minimality(lti, tol)
-        checks.append({
-            "name": "minimality",
-            "passed": verdict == "minimal",
-            "detail": verdict,
-        })
+        runs.append(("minimality", lambda: _minimality(system, tol)))
     if isinstance(system, (StandardPHSystem, DelayPHSystem)):
-        conditions = check_feedback_conditions(system.R, system.G, tol)
-        checks.append({
-            "name": "feedback_conditions",
-            "passed": conditions.all_hold,
-            "detail": asdict(conditions),
-        })
+        runs.append(("feedback_conditions", lambda: _conditions(
+            check_feedback_conditions(system.R, system.G, tol))))
     if isinstance(system, DelayPHSystem):
         if system.theta is not None:
-            necessary = check_necessary(system.R, system.theta, system.Z, tol)
-            checks.append({
-                "name": "necessary_conditions",
-                "passed": necessary.all_hold,
-                "detail": asdict(necessary),
-            })
-        construction = construct_theta(system.R, system.Z, tol)
-        checks.append({
-            "name": "theta_construction",
-            "passed": construction.success,
-            "detail": _construction_dict(construction),
-        })
+            runs.append(("necessary_conditions", lambda: _conditions(
+                check_necessary(system.R, system.theta, system.Z, tol))))
+        runs.append(("theta_construction", lambda: _construction(
+            construct_theta(system.R, system.Z, tol))))
 
+    checks = []
+    for name, run in runs:
+        try:
+            passed, detail = run()
+        except ValueError as exc:  # a check the document cannot pass
+            passed, detail = False, str(exc)
+        checks.append({"name": name, "passed": passed, "detail": detail})
     payload = {
         "inputs": {args.system: _digest(args.system)},
         "checks": checks,
     }
     return payload, 0 if all(c["passed"] for c in checks) else 1
+
+
+def _minimality(system, tol):
+    lti = system if isinstance(system, StandardLTISystem) else _standard_ph_to_lti(system)
+    verdict = check_minimality(lti, tol)
+    return verdict == "minimal", verdict
+
+
+def _conditions(conditions):
+    return conditions.all_hold, asdict(conditions)
+
+
+def _construction(construction):
+    return construction.success, _construction_dict(construction)
 
 
 # ---------------------------------------------------------------------------

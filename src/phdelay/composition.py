@@ -31,19 +31,19 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .certificates import Certificate
-from .certify import _assemble_condition, certify_delay_ph
+from .certify import _assemble_condition, _certify_validated
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
+    _contained,
     _psd_report_blocks,
+    _symmetric_eigh,
+    _whitening,
     as_matrix,
-    is_psd,
-    kernel_basis,
+    require_symmetric,
     skew_part,
     spectral_norm,
-    subspace_contained,
     sym_part,
-    whitening_basis,
 )
 from .systems import (
     DelayPHSystem,
@@ -76,17 +76,22 @@ TAU_RTOL = 1e-12
 def classify_feedback(F, tol: Tolerance = DEFAULT_TOL) -> str:
     """Classify a port coupling matrix by its symmetric part.
 
-    "power_conserving" when ||sym(F)||_2 <= 1e-12 ||F||_2 (relative to F,
-    so scaling F does not change it), "dissipative" when -sym(F) is PSD,
-    "general" otherwise.
+    "power_conserving" when F is exactly skew or ||sym(F)||_2 <=
+    1e-12 ||F||_2 (relative to F, so scaling F does not change it),
+    "dissipative" when -sym(F) is PSD, "general" otherwise.  One
+    ``eigvalsh`` of sym(F) gives both its norm and its sign.
     """
     f = as_matrix(F, "F")
     if f.shape[0] != f.shape[1]:
         raise ValueError(f"F must be square, got shape {f.shape}")
-    sym = sym_part(f)
-    if spectral_norm(sym) <= 1e-12 * spectral_norm(f):
+    if _exactly_skew(f):
         return POWER_CONSERVING
-    if is_psd(-sym, tol).is_psd:
+    evals = np.linalg.eigvalsh(0.5 * (f + f.T))
+    scale = max(-float(evals[0]), float(evals[-1]))
+    if scale <= 1e-12 * spectral_norm(f):
+        return POWER_CONSERVING
+    # -sym(F) is PSD when its least eigenvalue, -evals[-1], is >= -slack
+    if float(evals[-1]) <= tol.psd_slack(scale):
         return DISSIPATIVE
     return GENERAL
 
@@ -154,19 +159,16 @@ def certify_interconnection(
 
         [[R - G sym(F) G^T - Theta, Z/2], [Z^T/2, Theta]]
 
-    over the stacked structure with theta blkdiag(theta1, theta2).  When F
-    is exactly skew (F + F^T has no nonzero entry) that matrix is a
-    permuted blkdiag(M1, M2) of the parts' condition matrices: each part is
-    validated (SystemValidationError names the part) and decided on its
-    own, and the closed loop is never built.  Any other F certifies
-    ``certify_delay_ph(interconnect(...))``, which validates the closed
-    loop first.  Either way the certificate carries the closed loop's
-    condition matrix and theta.
+    over the stacked structure with theta blkdiag(theta1, theta2).  Each
+    part is validated (SystemValidationError names the part); valid parts
+    make a valid closed loop, which is not validated again.  When F is
+    exactly skew (F + F^T has no nonzero entry) the tested matrix is a
+    permuted blkdiag(M1, M2) of the parts' condition matrices, each decided
+    on its own without building the closed loop; any other F certifies
+    the closed loop as a whole.  Either way the certificate carries the
+    closed loop's condition matrix and theta.
     """
-    _require_thetas(sys1, sys2)
     f = _pair_feedback(sys1, sys2, F)
-    if not _exactly_skew(f):
-        return certify_delay_ph(interconnect(sys1, sys2, f), tol=tol)
     violations = [
         f"{label}: {v}"
         for label, part in (("system 1", sys1), ("system 2", sys2))
@@ -174,7 +176,23 @@ def certify_interconnection(
     ]
     if violations:
         raise SystemValidationError(violations)
-    return _certify_parts(sys1, sys2, tol)
+    return _certify_pair(sys1, sys2, f, tol)
+
+
+def _certify_pair(sys1: DelayPHSystem, sys2: DelayPHSystem, f: np.ndarray,
+                  tol: Tolerance, closed: DelayPHSystem | None = None) -> Certificate:
+    """``certify_interconnection`` for validated parts and a fitting F array.
+
+    An exactly skew F is decided from the parts; any other F from the
+    closed loop, ``closed`` when the caller has built it already.
+    """
+    if sys1.theta is None or sys2.theta is None:
+        raise ValueError("both subsystems must carry a theta to certify")
+    if _exactly_skew(f):
+        return _certify_parts(sys1, sys2, tol)
+    if closed is None:
+        closed = interconnect(sys1, sys2, f)
+    return _certify_validated(closed, tol=tol)
 
 
 def _exactly_skew(f: np.ndarray) -> bool:
@@ -212,11 +230,6 @@ def _certify_parts(
     return Certificate.from_report(
         report, cond, "condition_indefinite", theta_used=_blkdiag(*thetas)
     )
-
-
-def _require_thetas(sys1: DelayPHSystem, sys2: DelayPHSystem) -> None:
-    if sys1.theta is None or sys2.theta is None:
-        raise ValueError("both subsystems must carry a theta to certify")
 
 
 def close_delayed_feedback(
@@ -262,15 +275,13 @@ class FeedbackConditions:
 
 
 def check_feedback_conditions(R, G, tol: Tolerance = DEFAULT_TOL) -> FeedbackConditions:
-    """Evaluate the kernel hypotheses used by the feedback gain bound."""
-    r = as_matrix(R, "R")
-    g = as_matrix(G, "G")
-    ker_gt = kernel_basis(g.T, tol)
-    ker_r = kernel_basis(r, tol)
-    return FeedbackConditions(
-        output_kernel_trivial=ker_gt.shape[1] == 0,
-        kernel_r_in_kernel_gt=subspace_contained(ker_r, g.T, tol),
-    )
+    """Evaluate the kernel hypotheses used by the feedback gain bound.
+
+    R must be symmetric and G must have R's row count (ValueError
+    otherwise).
+    """
+    trivial, contained, _ = _feedback_hypotheses(R, G, tol, rank=True, gain=False)
+    return FeedbackConditions(trivial, contained)
 
 
 def feedback_gain_bound(R, G, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -278,22 +289,40 @@ def feedback_gain_bound(R, G, tol: Tolerance = DEFAULT_TOL) -> float:
 
     Returns beta = 1 / ||V1^T G||_2^2 (V1 whitens R): any F with
     ||F||_2 <= beta gives ||V1^T G F G^T V1||_2 <= 1, so construct_theta
-    succeeds for the closed loop Z = G F G^T.  Requires ker(R) <= ker(G^T)
-    (ValueError otherwise), which also keeps ker(R) disjoint from
-    image(G).  Returns math.inf when V1^T G vanishes (no finite bound is
-    needed).
+    succeeds for the closed loop Z = G F G^T.  Requires R symmetric PSD
+    and ker(R) <= ker(G^T) (ValueError otherwise), which also keeps ker(R)
+    disjoint from image(G).  Returns math.inf when V1^T G vanishes (no
+    finite bound is needed).
     """
-    r = as_matrix(R, "R")
-    g = as_matrix(G, "G")
-    v1, ker_r = whitening_basis(r, tol)
-    if not subspace_contained(ker_r, g.T, tol):
+    _, contained, beta = _feedback_hypotheses(R, G, tol, rank=False, gain=True)
+    if not contained:
         raise ValueError("hypothesis violated: ker(R) is not contained in ker(G^T)")
-    return _whitened_gain_bound(v1, g)
+    return beta
 
 
-def _whitened_gain_bound(v1: np.ndarray, g: np.ndarray) -> float:
-    """``feedback_gain_bound`` from V1, once the kernel hypotheses hold."""
+def _feedback_hypotheses(R, G, tol: Tolerance, rank: bool, gain: bool):
+    """``(output_kernel_trivial, kernel_r_in_kernel_gt, beta)`` of (R, G).
+
+    ker(R), and with ``gain`` the whitening V1 of a PSD R, come from one
+    ``eigh`` of R.  G's singular values give rank G and ||G||_2; they are
+    computed only when ``rank`` asks whether ker(G^T) = {0}, i.e. rank G = n
+    (None otherwise), or ker(R) is nontrivial.  beta is the gain bound when
+    ``gain`` and ker(R) <= ker(G^T), None otherwise.
+    """
+    r = require_symmetric(R, "R")
+    g = as_matrix(G, "G")
+    n = r.shape[0]
+    if g.shape[0] != n:
+        raise ValueError(f"G has {g.shape[0]} rows, expected {n}")
+    evals, evecs, ker_r, scale = _symmetric_eigh(r, tol)
+    v1 = _whitening(evals, evecs, scale, tol, "R") if gain else None
+    s = np.zeros(0)
+    if g.size and (rank or ker_r.size):
+        s = np.linalg.svd(g, compute_uv=False)
+    g_norm = float(s[0]) if s.size else 0.0
+    trivial = int(np.count_nonzero(s > tol.rank_tol * g_norm)) == n if rank else None
+    contained = _contained(ker_r, g.T, g_norm, tol)
+    if not (gain and contained):
+        return trivial, contained, None
     coupling = spectral_norm(v1.T @ g)
-    if coupling == 0.0:
-        return math.inf
-    return 1.0 / (coupling * coupling)
+    return trivial, contained, math.inf if coupling == 0.0 else 1.0 / (coupling * coupling)

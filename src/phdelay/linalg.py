@@ -1,9 +1,10 @@
 """Dense linear-algebra primitives with an explicit tolerance policy.
 
 Every routine here is a pure function on real 2-D numpy arrays.  Rank-type
-decisions (kernels, subspace containments) are made relative to the largest
-singular value; the kernel of a symmetric matrix comes from its ``eigh``,
-whose |eigenvalues| are its singular values.  Semidefiniteness tests grant
+decisions (ranks, kernels, subspace containments) are made relative to the
+largest singular value.  Every kernel is that of a symmetric matrix and
+comes, with its whitening, from one ``eigh`` (``_symmetric_eigh``), whose
+|eigenvalues| are the singular values.  Semidefiniteness tests grant
 an absolute eigenvalue slack that defaults to ``1e-9 * scale``, where scale
 is the largest |eigenvalue| of the tested matrix, so a zero matrix gets no
 slack and is PSD exactly.  Every semidefiniteness test decides from
@@ -27,14 +28,12 @@ __all__ = [
     "Tolerance",
     "as_matrix",
     "is_psd",
-    "kernel_basis",
     "numerical_rank",
     "output_residual",
     "psd_report_symmetric",
     "require_symmetric",
     "skew_part",
     "spectral_norm",
-    "subspace_contained",
     "sym_part",
     "whitening_basis",
 ]
@@ -226,73 +225,53 @@ def _psd_report_blocks(blocks, tol: Tolerance = DEFAULT_TOL):
     return PsdReport("NOT_PSD", lam, witness, slack), worst
 
 
-def _svd_full(matrix):
-    m = as_matrix(matrix)
-    if m.size == 0:
-        rows, cols = m.shape
-        return np.eye(rows), np.zeros(0), np.eye(cols)
-    u, s, vt = np.linalg.svd(m, full_matrices=True)
-    return u, s, vt
-
-
 def numerical_rank(matrix, tol: Tolerance = DEFAULT_TOL) -> int:
     """Rank with singular values truncated at rank_tol * sigma_max."""
-    _, s, _ = _svd_full(matrix)
-    if s.size == 0:
+    m = as_matrix(matrix)
+    if m.size == 0:
         return 0
-    cutoff = tol.rank_tol * float(s[0])
-    return int(np.count_nonzero(s > cutoff))
+    s = np.linalg.svd(m, compute_uv=False)
+    return int(np.count_nonzero(s > tol.rank_tol * float(s[0])))
 
 
-def kernel_basis(matrix, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis (columns) of the numerical kernel of M.
-
-    Returns an n x k array where k = n - rank(M); k = 0 yields an n x 0
-    array, and the zero matrix yields the identity (full kernel).
-    """
-    _, s, vt = _svd_full(matrix)
-    cutoff = tol.rank_tol * float(s[0]) if s.size else 0.0
-    rank = int(np.count_nonzero(s > cutoff))
-    return vt[rank:].T.copy()
-
-
-def subspace_contained(basis, matrix, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Whether span(basis) lies inside ker(matrix).
+def _contained(basis: np.ndarray, m: np.ndarray, norm: float, tol: Tolerance) -> bool:
+    """Whether span(basis) lies inside ker(M), given ``norm`` = ||M||_2.
 
     True iff ||M @ basis||_2 <= rank_tol * ||M||_2, a bound relative to M,
     so the decision does not change when M is scaled.  An empty basis is
     contained in everything.
     """
-    b = as_matrix(basis, "basis")
-    m = as_matrix(matrix)
-    if b.shape[1] == 0:
-        return True
-    if m.shape[1] != b.shape[0]:
-        raise ValueError(
-            f"shape mismatch: matrix has {m.shape[1]} columns, basis vectors "
-            f"have length {b.shape[0]}"
-        )
-    return _contained(b, m, spectral_norm(m), tol)
-
-
-def _contained(basis: np.ndarray, m: np.ndarray, norm: float, tol: Tolerance) -> bool:
-    """``subspace_contained`` for conforming arrays, given ``norm`` = ||M||_2."""
     return not basis.shape[1] or spectral_norm(m @ basis) <= tol.rank_tol * norm
 
 
-def _symmetric_kernel(m: np.ndarray, tol: Tolerance):
-    """Kernel basis and spectral norm of a symmetric float array, one eigh.
+def _symmetric_eigh(m: np.ndarray, tol: Tolerance):
+    """One ``eigh`` of a symmetric float array, and its numerical kernel.
 
-    Returns ``(K, ||M||_2)``: K holds the orthonormal eigenvectors with
-    |eigenvalue| <= rank_tol * max|eigenvalue|.  The singular values of a
-    symmetric matrix are its |eigenvalues|, so this is the cutoff of
-    ``kernel_basis``.
+    Returns ``(evals, evecs, K, scale)``: scale = max|eigenvalue| = ||M||_2,
+    and K holds the orthonormal eigenvectors with |eigenvalue| <=
+    rank_tol * scale.  The singular values of a symmetric matrix are its
+    |eigenvalues|, so this is the cutoff an SVD would apply.
     """
     if not m.size:
-        return np.zeros((m.shape[0], 0)), 0.0
+        n = m.shape[0]
+        return np.zeros(0), np.zeros((n, 0)), np.zeros((n, 0)), 0.0
     evals, evecs = np.linalg.eigh(m)
     scale = float(np.max(np.abs(evals)))
-    return evecs[:, np.abs(evals) <= tol.rank_tol * scale], scale
+    return evals, evecs, evecs[:, np.abs(evals) <= tol.rank_tol * scale], scale
+
+
+def _whitening(evals, evecs, scale: float, tol: Tolerance, name: str = "matrix"):
+    """V1 with V1^T M V1 = I_r, from the ``_symmetric_eigh`` of M.
+
+    Eigenvalues <= rank_tol * lambda_max count as zero.  Raises ValueError
+    naming ``name`` when M is not PSD within the tolerance.
+    """
+    if evals.size and float(evals[0]) < -tol.psd_slack(scale):
+        raise ValueError(
+            f"{name} is not positive semidefinite (min eigenvalue {evals[0]:.3e})"
+        )
+    keep = evals > tol.rank_tol * float(np.max(evals, initial=0.0))
+    return evecs[:, keep] / np.sqrt(evals[keep])
 
 
 def whitening_basis(matrix, tol: Tolerance = DEFAULT_TOL):
@@ -301,25 +280,11 @@ def whitening_basis(matrix, tol: Tolerance = DEFAULT_TOL):
     Returns ``(V1, K)``.  V1 is n x r, r the numerical rank, with
     V1^T M V1 = I_r (columns are eigenvectors scaled by 1/sqrt(eigenvalue);
     eigenvalues <= rank_tol * lambda_max count as zero).  K holds the
-    orthonormal eigenvectors with |eigenvalue| <= rank_tol * max|eigenvalue|,
-    the same numerical kernel ``kernel_basis`` returns.  Raises ValueError
-    when M is not PSD within the tolerance.
+    orthonormal eigenvectors with |eigenvalue| <= rank_tol * max|eigenvalue|.
+    Raises ValueError when M is not PSD within the tolerance.
     """
-    m = require_symmetric(matrix)
-    if m.size == 0:
-        return np.zeros((0, 0)), np.zeros((0, 0))
-    evals, evecs = np.linalg.eigh(m)
-    scale = float(np.max(np.abs(evals)))
-    if float(evals[0]) < -tol.psd_slack(scale):
-        raise ValueError(
-            f"matrix is not positive semidefinite (min eigenvalue {evals[0]:.3e})"
-        )
-    lam_max = max(float(evals[-1]), 0.0)
-    keep = evals > tol.rank_tol * lam_max
-    if lam_max == 0.0:
-        keep = np.zeros_like(evals, dtype=bool)
-    v1 = evecs[:, keep] / np.sqrt(evals[keep])
-    return v1, evecs[:, np.abs(evals) <= tol.rank_tol * scale]
+    evals, evecs, kernel, scale = _symmetric_eigh(require_symmetric(matrix), tol)
+    return _whitening(evals, evecs, scale, tol), kernel
 
 
 def output_residual(C, B, Q, tol: Tolerance = DEFAULT_TOL):

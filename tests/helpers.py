@@ -4,16 +4,19 @@ The generators take an explicit ``numpy.random.Generator`` so each test file
 controls its own seed and failures reproduce exactly.
 """
 
+import math
+
 import numpy as np
 
 from phdelay import DelayPHSystem
+from phdelay.composition import FeedbackConditions
 from phdelay.linalg import (
     DEFAULT_TOL,
     as_matrix,
-    kernel_basis,
     numerical_rank,
     require_symmetric,
-    subspace_contained,
+    spectral_norm,
+    whitening_basis,
 )
 from phdelay.simulation import BLOWUP_NORM, BlowUpError
 
@@ -80,6 +83,29 @@ def dense_psd_oracle(m, tol=DEFAULT_TOL):
     return ("PSD" if lam >= -slack else "NOT_PSD"), lam, scale, slack
 
 
+def kernel_basis_svd(matrix, tol=DEFAULT_TOL):
+    """Orthonormal basis (columns) of the numerical kernel of M, by full SVD.
+
+    Singular values <= rank_tol * sigma_max count as zero; an n-column
+    M yields n x (n - rank), the zero matrix the identity.
+    """
+    m = as_matrix(matrix)
+    if m.size == 0:
+        return np.eye(m.shape[1])
+    _, s, vt = np.linalg.svd(m, full_matrices=True)
+    rank = int(np.count_nonzero(s > tol.rank_tol * float(s[0])))
+    return vt[rank:].T.copy()
+
+
+def contained_svd(basis, matrix, tol=DEFAULT_TOL):
+    """Whether span(basis) lies in ker(M): ||M basis||_2 <= rank_tol ||M||_2."""
+    b = as_matrix(basis, "basis")
+    m = as_matrix(matrix)
+    if b.shape[1] == 0:
+        return True
+    return spectral_norm(m @ b) <= tol.rank_tol * spectral_norm(m)
+
+
 def check_necessary_svd(R, theta, Z, tol=DEFAULT_TOL):
     """Reference necessary conditions from full SVDs; True when all hold.
 
@@ -92,8 +118,8 @@ def check_necessary_svd(R, theta, Z, tol=DEFAULT_TOL):
     r = require_symmetric(R, "R")
     th = require_symmetric(theta, "theta")
     z = as_matrix(Z, "Z")
-    ker_r = kernel_basis(r, tol)
-    ker_th = kernel_basis(th, tol)
+    ker_r = kernel_basis_svd(r, tol)
+    ker_th = kernel_basis_svd(th, tol)
 
     def meets_only_at_zero(basis, m):
         u, s, _ = np.linalg.svd(m)
@@ -104,11 +130,31 @@ def check_necessary_svd(R, theta, Z, tol=DEFAULT_TOL):
         return numerical_rank(stacked, tol) == stacked.shape[1]
 
     return (
-        subspace_contained(ker_r, th, tol)
-        and subspace_contained(ker_th, z, tol)
+        contained_svd(ker_r, th, tol)
+        and contained_svd(ker_th, z, tol)
         and meets_only_at_zero(ker_r, z)
         and meets_only_at_zero(ker_r, th)
     )
+
+
+def check_feedback_conditions_svd(R, G, tol=DEFAULT_TOL):
+    """Reference feedback kernel hypotheses, ker(R) and ker(G^T) by full SVD."""
+    g = as_matrix(G, "G")
+    ker_r = kernel_basis_svd(as_matrix(R, "R"), tol)
+    return FeedbackConditions(
+        output_kernel_trivial=kernel_basis_svd(g.T, tol).shape[1] == 0,
+        kernel_r_in_kernel_gt=contained_svd(ker_r, g.T, tol),
+    )
+
+
+def feedback_gain_bound_svd(R, G, tol=DEFAULT_TOL):
+    """Reference gain bound 1 / ||V1^T G||_2^2, its hypothesis tested by SVD."""
+    g = as_matrix(G, "G")
+    v1, _ = whitening_basis(R, tol)
+    if not contained_svd(kernel_basis_svd(as_matrix(R, "R"), tol), g.T, tol):
+        raise ValueError("hypothesis violated: ker(R) is not contained in ker(G^T)")
+    coupling = spectral_norm(v1.T @ g)
+    return math.inf if coupling == 0.0 else 1.0 / (coupling * coupling)
 
 
 def integrate_dde_stepwise(system, history, u, T, h):

@@ -345,8 +345,12 @@ def test_construct_counterexample_is_inconclusive_not_refuted():
 
 
 def test_construct_requires_psd_r():
-    with pytest.raises(ValueError, match="not positive semidefinite"):
-        construct_theta(np.diag([1.0, -1.0]), np.zeros((2, 2)))
+    # an indefinite R is a failed construction, not an input error
+    out = construct_theta(np.diag([1.0, -1.0]), np.zeros((2, 2)))
+    assert not out.success and out.theta is None and out.interval is None
+    assert out.reason == "R is not positive semidefinite (min eigenvalue -1.000e+00)"
+    with pytest.raises(ValueError, match="not symmetric"):
+        construct_theta([[1.0, 1.0], [0.0, 1.0]], np.zeros((2, 2)))
     with pytest.raises(ValueError, match="shape"):
         construct_theta(np.eye(2), np.eye(3))
 

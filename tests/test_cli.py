@@ -9,10 +9,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from phdelay import (
+    DelayPHSystem,
     HistoryFunction,
+    certify_interconnection,
     hamiltonian_series,
     read_system,
     simulate_delay_ph,
+    validate,
+    write_system,
 )
 from phdelay.cli import main
 
@@ -211,7 +215,9 @@ def test_interconnect_mismatched_delays(capsys, tmp_path):
     assert "delays differ" in report["error"]
 
 
-def test_interconnect_certify_builds_the_loop_once(capsys, monkeypatch, tmp_path):
+@pytest.mark.parametrize("f", [[[0.0, 1.0], [-1.0, 0.0]], [[-1.0, 1.0], [-1.0, -1.0]]],
+                         ids=["skew", "dissipative"])
+def test_interconnect_certify_builds_the_loop_once(capsys, monkeypatch, tmp_path, f):
     import phdelay.cli
     import phdelay.composition
 
@@ -225,7 +231,7 @@ def test_interconnect_certify_builds_the_loop_once(capsys, monkeypatch, tmp_path
     monkeypatch.setattr(phdelay.composition, "interconnect", counted)
     monkeypatch.setattr(phdelay.cli, "interconnect", counted)
     s1 = write_doc(tmp_path / "s1.json", scalar_doc(theta=1.0))
-    f = write_doc(tmp_path / "f.json", [[0.0, 1.0], [-1.0, 0.0]])
+    f = write_doc(tmp_path / "f.json", f)
     code, report = run(capsys, "interconnect", s1, s1, f, "--certify")
     assert code == 0
     assert report["certificate"]["verdict"] == "CERTIFIED"
@@ -342,25 +348,33 @@ def test_feedback_kernel_violation_reported(capsys, tmp_path):
 
 
 def test_feedback_tests_the_kernel_hypotheses_once(capsys, monkeypatch, tmp_path):
-    calls = []
-    svd = np.linalg.svd
+    svds, eighs = [], []
+    svd, eigh = np.linalg.svd, np.linalg.eigh
 
-    def counted(*args, **kwargs):
-        calls.append(1)
+    def counted_svd(*args, **kwargs):
+        svds.append(1)
         return svd(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counted)
+    def counted_eigh(a, *args, **kwargs):
+        eighs.append(np.array(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
     f = write_doc(tmp_path / "f.json", [[1.0]])
-    code, report = run(capsys, "feedback", "tests/data/mass_spring_damper.json",
-                       f, "--tau", "1.0")
+    path = "tests/data/mass_spring_damper.json"
+    code, report = run(capsys, "feedback", path, f, "--tau", "1.0")
     assert code == 0
     conditions = report["feedback_conditions"]
     assert conditions == {"output_kernel_trivial": False,
                           "kernel_r_in_kernel_gt": True}
     assert report["gain_bound"] == pytest.approx(0.5)
-    # ker(G^T) and ker(R); the 2-norms of the containment test do not go
-    # through numpy.linalg.svd
-    assert len(calls) == 2
+    # G's singular values give rank G and ||G||_2; the 2-norms of the
+    # containment test and the gain bound do not go through numpy.linalg.svd
+    assert len(svds) == 1
+    # one eigh of R gives ker(R) and its whitening
+    r = read_system(path).R
+    assert len(eighs) == 1 and np.array_equal(eighs[0], r)
 
 
 # ---------------------------------------------------------------------------
@@ -536,6 +550,95 @@ def test_check_reports_failed_construction(capsys, tmp_path):
     by_name = {c["name"]: c for c in report["checks"]}
     assert by_name["validate"]["passed"]
     assert not by_name["theta_construction"]["passed"]
+
+
+def test_check_reports_a_check_that_raised(capsys, tmp_path):
+    # an asymmetric R fails validation, and the checks that need a
+    # symmetric R fail with the reason instead of ending the run
+    doc = scalar_doc(theta=1.0)
+    doc.update(n=2, m=1, H=np.eye(2).tolist(), J=np.zeros((2, 2)).tolist(),
+               R=[[2.0, 0.5], [0.0, 2.0]], Z=np.eye(2).tolist(),
+               G=[[1.0], [0.0]], theta=np.eye(2).tolist())
+    code, report = run(capsys, "check", write_doc(tmp_path / "asym.json", doc))
+    assert code == 1
+    by_name = {c["name"]: c for c in report["checks"]}
+    assert list(by_name) == ["validate", "feedback_conditions",
+                             "necessary_conditions", "theta_construction"]
+    assert not any(c["passed"] for c in report["checks"])
+    for name in ("feedback_conditions", "necessary_conditions", "theta_construction"):
+        assert by_name[name]["detail"].startswith("R is not symmetric")
+
+
+def test_indefinite_r_is_not_an_input_error(capsys, tmp_path):
+    system = write_doc(tmp_path / "indefinite.json", scalar_doc(a0=-1.0, a1=0.5))
+    reason = "R is not positive semidefinite (min eigenvalue -1.000e+00)"
+    for command, want in (("certify", 2), ("construct-theta", 2), ("check", 1)):
+        code, report = run(capsys, command, system)
+        assert code == want, command
+        if command == "check":
+            by_name = {c["name"]: c for c in report["checks"]}
+            assert by_name["validate"]["passed"]
+            assert by_name["theta_construction"]["detail"]["reason"] == reason
+        else:
+            assert report["construction"] == {"success": False, "reason": reason}
+
+
+@st.composite
+def delay_ph_systems(draw):
+    """Valid-looking delay_ph systems: R PSD, rank-deficient or indefinite."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    c = 10.0 ** draw(st.floats(-8.0, 4.0))
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    lam = c * rng.uniform(0.5, 2.0, n)
+    kind = draw(st.sampled_from(["psd", "deficient", "indefinite"]))
+    if kind == "deficient":
+        lam[rng.permutation(n)[: draw(st.integers(1, n))]] = 0.0
+    elif kind == "indefinite":
+        lam[rng.permutation(n)[: draw(st.integers(1, n))]] *= -1.0
+    r = (q * lam) @ q.T
+    a = rng.standard_normal((n, n))
+    theta = None
+    if draw(st.booleans()):
+        b = rng.standard_normal((n, n))
+        theta = c * (b @ b.T)
+    return DelayPHSystem(
+        H=np.eye(n) + 0.1 * (a @ a.T), J=a - a.T, R=0.5 * (r + r.T),
+        Z=c * draw(st.sampled_from([0.0, 0.5, 3.0])) * rng.standard_normal((n, n)),
+        G=rng.standard_normal((n, m)), tau=1.0, theta=theta,
+    )
+
+
+def test_valid_documents_never_end_in_input_errors(tmp_path):
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(delay_ph_systems())
+    def check(system):
+        assert validate(system) == []
+        path = tmp_path / "system.json"
+        path.write_text(write_system(system))
+        for command in ("certify", "construct-theta", "check"):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main([command, str(path)])
+            assert code in (0, 1, 2), (command, out.getvalue())
+
+    check()
+
+
+@pytest.mark.parametrize("f", [[[0.0, 1.0], [-1.0, 0.0]], [[-1.0, 1.0], [-1.0, -1.0]]],
+                         ids=["skew", "dissipative"])
+def test_interconnect_verdict_is_the_librarys(capsys, tmp_path, f):
+    # blkdiag(H1, H2) fails validate's conditioning guard, each part passes
+    docs = [scalar_doc(theta=1.0) for _ in range(2)]
+    docs[0]["H"], docs[1]["H"] = [[1e6]], [[1e-4]]
+    paths = [write_doc(tmp_path / f"s{i}.json", d) for i, d in enumerate(docs)]
+    parts = [read_system(p) for p in paths]
+    cert = certify_interconnection(parts[0], parts[1], f)
+    code, report = run(capsys, "interconnect", *paths,
+                       write_doc(tmp_path / "f.json", f), "--certify")
+    assert cert.verdict == report["certificate"]["verdict"] == "CERTIFIED"
+    assert code == 0
+    assert report["certificate"]["min_eigenvalue"] == cert.min_eigenvalue
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,12 @@ from phdelay import (
     feedback_gain_bound,
     interconnect,
 )
-from helpers import rand_antisym, rand_certified_delay_ph
+from helpers import (
+    check_feedback_conditions_svd,
+    feedback_gain_bound_svd,
+    rand_antisym,
+    rand_certified_delay_ph,
+)
 
 
 def scalar_system(a0=2.0, a1=1.0, theta=1.0):
@@ -326,3 +331,53 @@ def test_feedback_gain_bound_unbounded_without_port():
 def test_feedback_gain_bound_rejects_broken_kernel():
     with pytest.raises(ValueError, match="ker"):
         feedback_gain_bound(np.diag([1.0, 0.0]), [[0.0], [1.0]])
+
+
+@st.composite
+def feedback_pairs(draw):
+    """(R, G) with R PSD of any rank and G of any rank, m <= n, at any scale.
+
+    G either lies in image(R), so ker(R) <= ker(G^T), or is generic.  Zero
+    eigenvalues and lost ranks are exact, so every decision stays far from
+    the rank_tol cutoff.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, n))
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    rank_r = n - draw(st.integers(0, n))
+    lam = np.zeros(n)
+    lam[:rank_r] = rng.uniform(0.5, 2.0, rank_r)
+    r = 10.0 ** draw(st.floats(-8.0, 4.0)) * (q * lam) @ q.T
+    rank_g = m - draw(st.integers(0, m))
+    basis = q[:, :rank_r] if draw(st.booleans()) else rng.standard_normal((n, n))
+    w = rng.standard_normal((basis.shape[1], rank_g)) @ rng.standard_normal((rank_g, m))
+    g = 10.0 ** draw(st.floats(-8.0, 4.0)) * basis @ w
+    return 0.5 * (r + r.T), g
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(feedback_pairs())
+def test_feedback_hypotheses_match_the_svd_oracles(pair):
+    r, g = pair
+    conditions = check_feedback_conditions(r, g)
+    assert conditions == check_feedback_conditions_svd(r, g)
+    if not conditions.kernel_r_in_kernel_gt:
+        for bound in (feedback_gain_bound, feedback_gain_bound_svd):
+            with pytest.raises(ValueError, match="hypothesis violated"):
+                bound(r, g)
+        return
+    beta = feedback_gain_bound(r, g)
+    want = feedback_gain_bound_svd(r, g)
+    assert beta == want or beta == pytest.approx(want, rel=1e-9)
+
+
+def test_feedback_hypotheses_need_a_symmetric_r_of_fitting_shape():
+    with pytest.raises(ValueError, match="R is not symmetric"):
+        check_feedback_conditions([[1.0, 1.0], [0.0, 1.0]], np.eye(2))
+    with pytest.raises(ValueError, match="rows"):
+        check_feedback_conditions(np.eye(2), np.eye(3))
+    with pytest.raises(ValueError, match="R is not positive semidefinite"):
+        feedback_gain_bound(np.diag([1.0, -1.0]), np.eye(2))
+    # an indefinite R still has kernel hypotheses to report
+    assert check_feedback_conditions(np.diag([1.0, -1.0]), np.eye(2)).all_hold

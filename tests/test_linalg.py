@@ -7,17 +7,16 @@ from phdelay.linalg import (
     as_matrix,
     asymmetry,
     is_psd,
-    kernel_basis,
     numerical_rank,
     require_symmetric,
     skew_part,
     spectral_norm,
-    subspace_contained,
     sym_part,
     whitening_basis,
 )
-from phdelay.linalg import _psd_report_blocks
-from helpers import dense_psd_oracle, rand_orth, rand_spd
+from phdelay import check_feedback_conditions, check_necessary
+from phdelay.linalg import _contained, _psd_report_blocks, _symmetric_eigh
+from helpers import dense_psd_oracle, kernel_basis_svd, rand_orth, rand_spd
 
 
 def test_sym_skew_hand_values():
@@ -216,32 +215,59 @@ def test_rank_kernel_image_rank_one():
     u = np.array([[1.0], [2.0], [2.0]])
     m = u @ u.T
     assert numerical_rank(m) == 1
-    ker = kernel_basis(m)
+    _, ker = whitening_basis(m)
     assert ker.shape == (3, 2)
     np.testing.assert_allclose(m @ ker, 0.0, atol=1e-12)
     np.testing.assert_allclose(ker.T @ ker, np.eye(2), atol=1e-12)
 
 
+def test_numerical_rank_edge_cases():
+    assert numerical_rank(np.eye(3)) == 3
+    assert numerical_rank(np.zeros((3, 3))) == 0
+    assert numerical_rank(np.zeros((0, 2))) == 0
+    assert numerical_rank(np.diag([1.0, 1e-11])) == 1
+    assert numerical_rank(np.diag([1.0, 1e-9])) == 2
+
+
 def test_kernel_basis_edge_cases():
-    assert kernel_basis(np.eye(3)).shape == (3, 0)
-    np.testing.assert_allclose(np.abs(kernel_basis(np.zeros((3, 3)))), np.eye(3))
+    _, _, ker, scale = _symmetric_eigh(np.eye(3), DEFAULT_TOL)
+    assert ker.shape == (3, 0) and scale == 1.0
+    _, _, ker, scale = _symmetric_eigh(np.zeros((3, 3)), DEFAULT_TOL)
+    np.testing.assert_allclose(np.abs(ker), np.eye(3))
+    assert scale == 0.0
+    _, _, ker, scale = _symmetric_eigh(np.zeros((0, 0)), DEFAULT_TOL)
+    assert ker.shape == (0, 0) and scale == 0.0
+    # an indefinite matrix: the kernel keeps the eigenvalue near zero only
+    _, _, ker, _ = _symmetric_eigh(np.diag([-2.0, 1e-12, 1.0]), DEFAULT_TOL)
+    np.testing.assert_allclose(np.abs(ker), [[0.0], [1.0], [0.0]])
+    # through the public callers: full kernel of the zero matrix, none of I
+    assert check_necessary(np.eye(3), np.eye(3), np.ones((3, 3))).all_hold
+    zero = check_necessary(np.zeros((3, 3)), np.zeros((3, 3)), np.eye(3))
+    assert zero.kernel_r_in_kernel_theta and not zero.kernel_r_in_kernel_zt
 
 
 def test_subspace_contained():
     m = np.diag([1.0, 1.0, 0.0])
     e3 = np.array([[0.0], [0.0], [1.0]])
     e1 = np.array([[1.0], [0.0], [0.0]])
-    assert subspace_contained(e3, m)
-    assert not subspace_contained(e1, m)
-    assert subspace_contained(np.zeros((3, 0)), m)
+    norm = spectral_norm(m)
+    assert _contained(e3, m, norm, DEFAULT_TOL)
+    assert not _contained(e1, m, norm, DEFAULT_TOL)
+    assert _contained(np.zeros((3, 0)), m, norm, DEFAULT_TOL)
 
 
 @pytest.mark.parametrize("c", [1.0, 1e-6, 1e-9])
 def test_subspace_contained_is_unit_free(c):
     # ||Z e2|| = 1e-6 ||Z|| / 0.5: outside the relative cutoff at every scale
     e2 = np.array([[0.0], [1.0]])
-    assert not subspace_contained(e2, c * np.array([[0.5, 1e-6], [0.0, 0.0]]))
-    assert subspace_contained(e2, c * np.array([[0.5, 0.0], [0.0, 0.0]]))
+    leaky = c * np.array([[0.5, 1e-6], [0.0, 0.0]])
+    clean = c * np.array([[0.5, 0.0], [0.0, 0.0]])
+    assert not _contained(e2, leaky, spectral_norm(leaky), DEFAULT_TOL)
+    assert _contained(e2, clean, spectral_norm(clean), DEFAULT_TOL)
+    # the same decision through a public caller: ker(diag(1, 0)) = span(e2)
+    r = np.diag([1.0, 0.0])
+    assert not check_feedback_conditions(r, leaky.T).kernel_r_in_kernel_gt
+    assert check_feedback_conditions(r, clean.T).kernel_r_in_kernel_gt
 
 
 def test_whitening_basis_full_rank_hand_example():
@@ -258,10 +284,10 @@ def test_whitening_basis_singular_psd():
     v1, ker = whitening_basis(r)
     assert v1.shape == (4, 3)
     np.testing.assert_allclose(v1.T @ r @ v1, np.eye(3), atol=1e-10)
-    # the kernel is the last column of q, the same one kernel_basis finds
+    # the kernel is the last column of q, the same one a full SVD finds
     assert ker.shape == (4, 1)
     np.testing.assert_allclose(np.abs(ker[:, 0]), np.abs(q[:, 3]), atol=1e-12)
-    np.testing.assert_allclose(np.abs(ker), np.abs(kernel_basis(r)), atol=1e-12)
+    np.testing.assert_allclose(np.abs(ker), np.abs(kernel_basis_svd(r)), atol=1e-12)
 
 
 def test_whitening_basis_rejects_indefinite():
