@@ -42,11 +42,7 @@ from .composition import (
     feedback_gain_bound,
     interconnect,
 )
-from .linalg import (
-    Tolerance,
-    is_psd,
-    whitening_basis,
-)
+from .linalg import Tolerance, is_psd
 from .simulation import (
     BlowUpError,
     export_trajectory_csv,
@@ -121,6 +117,5 @@ __all__ = [
     "scalar_theta_interval",
     "simulate_delay_ph",
     "validate",
-    "whitening_basis",
     "write_system",
 ]

@@ -66,11 +66,13 @@ class Certificate:
         return self.verdict == CERTIFIED
 
     def to_dict(self) -> dict:
-        """JSON-ready summary (verdict, min eigenvalue, witness, theta, reason)."""
+        """JSON-ready summary (verdict, min eigenvalue, witness, theta, reason,
+        slack)."""
         return {
             "verdict": self.verdict,
             "min_eigenvalue": self.min_eigenvalue,
             "witness": None if self.witness is None else [float(w) for w in self.witness],
             "theta": None if self.theta_used is None else _rows(self.theta_used),
             "reason": self.reason,
+            "slack": self.slack,
         }

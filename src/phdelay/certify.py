@@ -34,6 +34,9 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerance,
     _contained,
+    _memo,
+    _psd_report_blocks,
+    _set_read_only,
     _symmetric_eigh,
     _whitening,
     as_matrix,
@@ -141,9 +144,19 @@ def _certify_validated(
             return Certificate.from_report(
                 theta_report, cond, "theta_not_psd", theta_used=th
             )
+    spectra = [_stored_spectrum(system, cond)] if stored else None
     return Certificate.from_report(
-        psd_report_symmetric(cond, tol), cond, "condition_indefinite",
+        _psd_report_blocks([cond], tol, spectra)[0], cond, "condition_indefinite",
         theta_used=th,
+    )
+
+
+def _stored_spectrum(system: DelayPHSystem, cond: np.ndarray) -> np.ndarray:
+    """``eigvalsh`` of ``cond``, the condition matrix of ``system`` and its
+    stored Theta, computed once per system through ``_memo``."""
+    return _memo(
+        system, "condition_spectrum",
+        lambda: _set_read_only(np.linalg.eigvalsh(cond)),
     )
 
 
@@ -210,7 +223,7 @@ def check_necessary(R, theta, Z, tol: Tolerance = DEFAULT_TOL) -> NecessaryCondi
     r = require_symmetric(R, "R")
     th = require_symmetric(theta, "theta")
     z = as_matrix(Z, "Z")
-    _, _, ker_r, _ = _symmetric_eigh(r, tol)
+    _, _, ker_r, _ = _symmetric_eigh(r, tol, R)
     _, _, ker_th, th_norm = _symmetric_eigh(th, tol)
     z_norm = spectral_norm(z) if ker_r.size or ker_th.size else 0.0
     return NecessaryConditions(
@@ -269,7 +282,7 @@ def construct_theta(R, Z, tol: Tolerance = DEFAULT_TOL) -> ThetaConstruction:
     z = as_matrix(Z, "Z")
     if z.shape != r.shape:
         raise ValueError(f"Z has shape {z.shape}, expected {r.shape}")
-    evals, evecs, ker_r, scale = _symmetric_eigh(r, tol)
+    evals, evecs, ker_r, scale = _symmetric_eigh(r, tol, R)
     try:
         v1 = _whitening(evals, evecs, scale, tol, "R")
     except ValueError as exc:  # R is not PSD

@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .certificates import Certificate
-from .certify import _assemble_condition, _certify_validated
+from .certify import _assemble_condition, _certify_validated, _stored_spectrum
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
@@ -219,7 +219,8 @@ def _certify_parts(
         _assemble_condition(0.5 * (s.R + s.R.T), s.Z, th)
         for s, th in zip((sys1, sys2), thetas)
     ]
-    report, worst = _psd_report_blocks(blocks, tol)
+    spectra = [_stored_spectrum(s, b) for s, b in zip((sys1, sys2), blocks)]
+    report, worst = _psd_report_blocks(blocks, tol, spectra)
     cond = np.zeros((2 * n, 2 * n))
     for idx, block in zip(index, blocks):
         cond[np.ix_(idx, idx)] = block
@@ -314,7 +315,7 @@ def _feedback_hypotheses(R, G, tol: Tolerance, rank: bool, gain: bool):
     n = r.shape[0]
     if g.shape[0] != n:
         raise ValueError(f"G has {g.shape[0]} rows, expected {n}")
-    evals, evecs, ker_r, scale = _symmetric_eigh(r, tol)
+    evals, evecs, ker_r, scale = _symmetric_eigh(r, tol, R)
     v1 = _whitening(evals, evecs, scale, tol, "R") if gain else None
     s = np.zeros(0)
     if g.size and (rank or ker_r.size):

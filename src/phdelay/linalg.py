@@ -13,11 +13,19 @@ verdict; a block-diagonal matrix whose blocks the caller knows is decided
 one block at a time.  Certificates report the slack they were granted, so
 these primitives return evidence (minimum eigenvalues, witnesses, measured
 norms) rather than bare booleans.
+
+A decomposition of an immutable input (a read-only array that owns its
+data, or a system made of such arrays) is kept in a small memo,
+``_memo``, so a chain of calls on one system decomposes each of its
+matrices once.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+import weakref
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +48,13 @@ __all__ = [
 
 #: relative asymmetry beyond which a matrix is rejected as "not symmetric"
 SYMMETRY_RTOL = 1e-12
+
+#: results ``_memo`` keeps: about what one chain of calls on one system
+#: reuses, so nothing piles up over the many systems of a long run
+MEMO_SIZE = 8
+
+_MEMO: OrderedDict = OrderedDict()  # (id, tag) -> (weak reference, result)
+_MEMO_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -105,6 +120,58 @@ def as_matrix(value, name: str = "matrix") -> np.ndarray:
         )
     if arr.size and not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
+    return arr
+
+
+def _owns_read_only(arr) -> bool:
+    """Whether ``arr`` is a read-only ndarray that owns its data.
+
+    No write through another array can reach such an array, so its
+    entries stay fixed while it stays read-only.
+    """
+    return isinstance(arr, np.ndarray) and not arr.flags.writeable and arr.base is None
+
+
+def _immutable(obj) -> bool:
+    """Whether ``obj`` is an ``_owns_read_only`` array, or a frozen dataclass
+    (a phdelay system) whose every array field is one."""
+    if isinstance(obj, np.ndarray):
+        return _owns_read_only(obj)
+    params = getattr(type(obj), "__dataclass_params__", None)
+    return params is not None and params.frozen and all(
+        _owns_read_only(v) for v in vars(obj).values() if isinstance(v, np.ndarray)
+    )
+
+
+def _memo(obj, tag, compute):
+    """``compute()``, reused for as long as ``obj`` stays ``_immutable``.
+
+    Results are keyed by ``(id(obj), tag)`` and kept for the ``MEMO_SIZE``
+    most recently used keys.  A weak reference to ``obj`` keeps a recycled
+    id from hitting, and every call re-checks ``_immutable``, so an array
+    made writeable again is recomputed.  Every caller gets the same result,
+    so ``compute`` must return an immutable one (a tuple, read-only
+    arrays).  For any other ``obj`` it computes afresh each time.
+    """
+    if not _immutable(obj):
+        return compute()
+    key = (id(obj), tag)
+    with _MEMO_LOCK:
+        entry = _MEMO.get(key)
+        if entry is not None and entry[0]() is obj:
+            _MEMO.move_to_end(key)
+            return entry[1]
+    value = compute()
+    with _MEMO_LOCK:
+        _MEMO[key] = (weakref.ref(obj), value)
+        _MEMO.move_to_end(key)  # a dead entry kept its old place
+        if len(_MEMO) > MEMO_SIZE:
+            _MEMO.popitem(last=False)
+    return value
+
+
+def _set_read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
     return arr
 
 
@@ -198,21 +265,23 @@ def psd_report_symmetric(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> PsdRepo
     return _psd_report_blocks([m], tol)[0]
 
 
-def _psd_report_blocks(blocks, tol: Tolerance = DEFAULT_TOL):
+def _psd_report_blocks(blocks, tol: Tolerance = DEFAULT_TOL, spectra=None):
     """PSD test of blkdiag(*blocks), one symmetric float block at a time.
 
     The spectrum of a block-diagonal matrix is the union of its blocks'
     spectra, so the least block minimum decides, with the slack granted for
-    the largest |eigenvalue| over all blocks.  Returns ``(report, worst)``:
-    ``worst`` indexes the block with the least eigenvalue (None when every
-    block is empty), and a NOT_PSD witness is that block's unit eigenvector,
-    not padded; only NOT_PSD computes an eigenvector.
+    the largest |eigenvalue| over all blocks.  ``spectra``, when given,
+    holds each block's ascending ``eigvalsh``, computed by the caller.
+    Returns ``(report, worst)``: ``worst`` indexes the block with the least
+    eigenvalue (None when every block is empty), and a NOT_PSD witness is
+    that block's unit eigenvector, not padded; only NOT_PSD computes an
+    eigenvector.
     """
     lam, scale, worst = math.inf, 0.0, None
     for k, block in enumerate(blocks):
         if not block.size:
             continue
-        evals = np.linalg.eigvalsh(block)
+        evals = np.linalg.eigvalsh(block) if spectra is None else spectra[k]
         scale = max(scale, float(np.max(np.abs(evals))))
         if evals[0] < lam:
             lam, worst = float(evals[0]), k
@@ -244,18 +313,23 @@ def _contained(basis: np.ndarray, m: np.ndarray, norm: float, tol: Tolerance) ->
     return not basis.shape[1] or spectral_norm(m @ basis) <= tol.rank_tol * norm
 
 
-def _symmetric_eigh(m: np.ndarray, tol: Tolerance):
+def _symmetric_eigh(m: np.ndarray, tol: Tolerance, key=None):
     """One ``eigh`` of a symmetric float array, and its numerical kernel.
 
     Returns ``(evals, evecs, K, scale)``: scale = max|eigenvalue| = ||M||_2,
     and K holds the orthonormal eigenvectors with |eigenvalue| <=
     rank_tol * scale.  The singular values of a symmetric matrix are its
-    |eigenvalues|, so this is the cutoff an SVD would apply.
+    |eigenvalues|, so this is the cutoff an SVD would apply.  ``key`` is
+    the caller's matrix that M symmetrizes; when it is immutable, its
+    ``eigh`` is reused through ``_memo`` (evals and evecs are then
+    read-only).
     """
     if not m.size:
         n = m.shape[0]
         return np.zeros(0), np.zeros((n, 0)), np.zeros((n, 0)), 0.0
-    evals, evecs = np.linalg.eigh(m)
+    evals, evecs = _memo(
+        key, "eigh", lambda: tuple(map(_set_read_only, np.linalg.eigh(m)))
+    )
     scale = float(np.max(np.abs(evals)))
     return evals, evecs, evecs[:, np.abs(evals) <= tol.rank_tol * scale], scale
 

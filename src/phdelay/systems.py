@@ -39,7 +39,10 @@ from .linalg import (
     DEFAULT_TOL,
     SYMMETRY_RTOL,
     Tolerance,
+    _memo,
+    _owns_read_only,
     _relative_norm,
+    _set_read_only,
     as_matrix,
     asymmetry,
     output_residual,
@@ -89,13 +92,10 @@ class OutputMismatchError(ValueError):
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
-    """``arr`` if it is read-only and owns its data (as a system's matrix
-    does), else a read-only copy: no write to the caller's array, or to an
-    array it views, can then reach the system."""
-    if arr.flags.writeable or arr.base is not None:
-        arr = arr.copy()
-        arr.setflags(write=False)
-    return arr
+    """``arr`` if it ``_owns_read_only`` (as a system's matrix does), else
+    a read-only copy: no write to the caller's array, or to an array it
+    views, can then reach the system."""
+    return arr if _owns_read_only(arr) else _set_read_only(arr.copy())
 
 
 def _freeze(obj, name, value):
@@ -287,8 +287,15 @@ def validate(system, tol: Tolerance = DEFAULT_TOL) -> list[str]:
     Each violation names the offending field and the measured quantity.
     Dimensional consistency is checked first; spectral conditions (H
     positive definite, R / Theta positive semidefinite, J antisymmetric)
-    use the tolerance policy.
+    use the tolerance policy.  A system is immutable, so its verdict for a
+    tolerance is reused through ``linalg._memo``.
     """
+    return list(
+        _memo(system, ("validate", tol), lambda: tuple(_violations(system, tol)))
+    )
+
+
+def _violations(system, tol: Tolerance) -> list[str]:
     kind, fields, _ = _schema_of(system)
     n, m = system.n, system.m
     v: list[str] = []

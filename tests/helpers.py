@@ -4,6 +4,7 @@ The generators take an explicit ``numpy.random.Generator`` so each test file
 controls its own seed and failures reproduce exactly.
 """
 
+import contextlib
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ import numpy as np
 from phdelay import DelayPHSystem
 from phdelay.composition import FeedbackConditions
 from phdelay.linalg import (
+    _MEMO,
     DEFAULT_TOL,
     as_matrix,
     numerical_rank,
@@ -67,6 +69,33 @@ def rand_certified_delay_ph(rng, n, m=1, tau=1.0):
         tau=tau,
         theta=theta,
     )
+
+
+@contextlib.contextmanager
+def decompositions():
+    """Record the ``numpy.linalg`` ``eigh``, ``eigvalsh`` and ``svd`` calls.
+
+    Yields a list that gets one ``(name, copy of the matrix)`` per call.
+    The memo of ``phdelay.linalg`` is emptied on entry, so the count does
+    not depend on what ran before.
+    """
+    _MEMO.clear()
+    calls = []
+    saved = {name: getattr(np.linalg, name) for name in ("eigh", "eigvalsh", "svd")}
+
+    def counted(name, fn):
+        def call(a, *args, **kwargs):
+            calls.append((name, np.array(a)))
+            return fn(a, *args, **kwargs)
+        return call
+
+    for name, fn in saved.items():
+        setattr(np.linalg, name, counted(name, fn))
+    try:
+        yield calls
+    finally:
+        for name, fn in saved.items():
+            setattr(np.linalg, name, fn)
 
 
 def dense_psd_oracle(m, tol=DEFAULT_TOL):

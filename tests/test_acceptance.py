@@ -30,9 +30,8 @@ from phdelay import (
     integrate_dde,
     ph_condition_matrix,
     simulate_delay_ph,
-    whitening_basis,
 )
-from phdelay.linalg import spectral_norm, sym_part
+from phdelay.linalg import spectral_norm, sym_part, whitening_basis
 from phdelay.standard import kyp_matrix, weighted_system_matrix
 from helpers import rand_antisym, rand_certified_delay_ph, rand_spd
 

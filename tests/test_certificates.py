@@ -44,6 +44,7 @@ def test_to_dict_is_json_ready():
         "witness": [1.0, 0.0],
         "theta": [[0.5, 0.0], [0.0, 0.25]],
         "reason": "",
+        "slack": 1e-9,
     }
     # plain python containers only
     assert all(isinstance(w, float) for w in d["witness"])
@@ -52,7 +53,7 @@ def test_to_dict_is_json_ready():
 def test_to_dict_handles_missing_evidence():
     d = Certificate(verdict=INCONCLUSIVE, reason="whitened coupling > 1").to_dict()
     assert d["witness"] is None and d["theta"] is None
-    assert d["min_eigenvalue"] is None
+    assert d["min_eigenvalue"] is None and d["slack"] is None
     assert "coupling" in d["reason"]
 
 

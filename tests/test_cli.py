@@ -19,6 +19,7 @@ from phdelay import (
     write_system,
 )
 from phdelay.cli import main
+from helpers import decompositions
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -65,6 +66,15 @@ def test_certify_embedded_theta(capsys, scalar_file):
         open(scalar_file, "rb").read()
     ).hexdigest()
     assert report["inputs"][scalar_file] == digest
+
+
+def test_certify_reports_the_granted_slack(capsys, scalar_file):
+    # condition matrix [[1, 1/2], [1/2, 1]], eigenvalues 1/2 and 3/2
+    code, report = run(capsys, "certify", scalar_file)
+    assert code == 0
+    assert report["certificate"]["slack"] == pytest.approx(1.5e-9)
+    code, report = run(capsys, "certify", scalar_file, "--psd-tol", "1e-3")
+    assert report["certificate"]["slack"] == 1e-3
 
 
 def test_certify_theta_flag_overrides(capsys, tmp_path):
@@ -247,7 +257,7 @@ def test_interconnect_certify_validates_each_part_once(capsys, monkeypatch,
     import phdelay.composition
     import phdelay.systems
 
-    validations, decompositions = [], []
+    validations = []
     check = phdelay.systems.validate
 
     def counted_validate(*args):
@@ -256,22 +266,19 @@ def test_interconnect_certify_validates_each_part_once(capsys, monkeypatch,
 
     for module in (phdelay.systems, phdelay.certify, phdelay.composition, phdelay.cli):
         monkeypatch.setattr(module, "validate", counted_validate)
-    for name in ("eigh", "eigvalsh"):
-        def counted(*args, _fn=getattr(np.linalg, name), **kwargs):
-            decompositions.append(1)
-            return _fn(*args, **kwargs)
-        monkeypatch.setattr(np.linalg, name, counted)
     s1 = write_doc(tmp_path / "s1.json", scalar_doc(theta=1.0))
     s2 = write_doc(tmp_path / "s2.json", scalar_doc(theta=1.0))
     f = write_doc(tmp_path / "f.json", f)
     out = tmp_path / "closed.json"
-    code, report = run(capsys, "interconnect", s1, s2, f, "--certify",
-                       "--out", str(out))
+    with decompositions() as calls:
+        code, report = run(capsys, "interconnect", s1, s2, f, "--certify",
+                           "--out", str(out))
     # read_system validates each part and the certificate validates nothing
     # again: one eigvalsh each for the parts' H and theta, then the two
     # parts' condition matrices (skew F), or the closed loop's and
     # classify_feedback's test of -sym(F)
-    assert (len(validations), len(decompositions)) == (2, 6)
+    eighs = [name for name, _ in calls if name != "svd"]
+    assert (len(validations), len(eighs)) == (2, 6)
     assert code == 0
     assert report["certificate"]["verdict"] == "CERTIFIED"
     assert read_system(out).n == 2
@@ -347,23 +354,13 @@ def test_feedback_kernel_violation_reported(capsys, tmp_path):
     assert report["feedback_conditions"]["kernel_r_in_kernel_gt"] is False
 
 
-def test_feedback_tests_the_kernel_hypotheses_once(capsys, monkeypatch, tmp_path):
-    svds, eighs = [], []
-    svd, eigh = np.linalg.svd, np.linalg.eigh
-
-    def counted_svd(*args, **kwargs):
-        svds.append(1)
-        return svd(*args, **kwargs)
-
-    def counted_eigh(a, *args, **kwargs):
-        eighs.append(np.array(a))
-        return eigh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counted_svd)
-    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+def test_feedback_tests_the_kernel_hypotheses_once(capsys, tmp_path):
     f = write_doc(tmp_path / "f.json", [[1.0]])
     path = "tests/data/mass_spring_damper.json"
-    code, report = run(capsys, "feedback", path, f, "--tau", "1.0")
+    with decompositions() as calls:
+        code, report = run(capsys, "feedback", path, f, "--tau", "1.0")
+    svds = [a for name, a in calls if name == "svd"]
+    eighs = [a for name, a in calls if name == "eigh"]
     assert code == 0
     conditions = report["feedback_conditions"]
     assert conditions == {"output_kernel_trivial": False,

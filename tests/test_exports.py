@@ -16,7 +16,7 @@ TOP_LEVEL = {
     "feedback_gain_bound", "hamiltonian_series", "integrate_dde",
     "interconnect", "is_psd", "ph_condition_matrix", "read_system",
     "save_system", "scalar_theta_interval", "simulate_delay_ph", "validate",
-    "whitening_basis", "write_system",
+    "write_system",
 }
 
 
@@ -28,5 +28,5 @@ def test_every_export_is_bound_once():
 
 
 def test_namespace_is_exactly_the_top_level_set():
-    assert len(TOP_LEVEL) == 44
+    assert len(TOP_LEVEL) == 43
     assert set(phdelay.__all__) == TOP_LEVEL

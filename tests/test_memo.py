@@ -1,0 +1,170 @@
+"""The decomposition memo of ``phdelay.linalg``: what it reuses, and when not.
+
+Every count runs inside ``helpers.decompositions``, which empties the memo
+first, so no count depends on which tests ran before.
+"""
+
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+from phdelay import (
+    CERTIFIED,
+    DelayPHSystem,
+    StandardPHSystem,
+    Tolerance,
+    certify_delay_ph,
+    certify_interconnection,
+    check_necessary,
+    close_delayed_feedback,
+    construct_theta,
+    feedback_gain_bound,
+    ph_condition_matrix,
+    validate,
+)
+from phdelay.linalg import DEFAULT_TOL, MEMO_SIZE, _MEMO, _symmetric_eigh
+from helpers import decompositions, rand_antisym, rand_certified_delay_ph
+
+
+def scalar(h=1.0, r=2.0):
+    return DelayPHSystem(H=[[h]], J=[[0.0]], R=[[r]], Z=[[1.0]], G=[[1.0]],
+                         tau=1.0, theta=[[1.0]])
+
+
+def count(calls, name, matrix):
+    return sum(n == name and np.array_equal(a, matrix) for n, a in calls)
+
+
+def test_pipeline_decomposes_each_matrix_once():
+    """The certify-mix chain of calls on one system: R, H, Theta and the
+    stored-Theta condition matrix are decomposed once each."""
+    rng = np.random.default_rng(13)
+    s = rand_certified_delay_ph(rng, 6, m=2)
+    partner = rand_certified_delay_ph(rng, 6, m=2)
+    plant = StandardPHSystem(s.H, s.J, s.R, s.G)
+    with decompositions() as calls:
+        assert validate(s) == []
+        built = construct_theta(s.R, s.Z)
+        cert = certify_delay_ph(s, s.theta)
+        necessary = check_necessary(s.R, s.theta, s.Z)
+        joint = certify_interconnection(s, partner, rand_antisym(rng, 4))
+        beta = feedback_gain_bound(plant.R, plant.G)
+        closed = close_delayed_feedback(plant, 0.5 * beta * np.eye(2), s.tau)
+        construct_theta(closed.R, closed.Z)
+    assert built.success and necessary.all_hold
+    assert cert.verdict == joint.verdict == CERTIFIED
+    cond = ph_condition_matrix(s.R, s.Z, s.theta)
+    assert count(calls, "eigh", s.R) == count(calls, "eigvalsh", cond) == 1
+    assert count(calls, "eigvalsh", s.H) == count(calls, "eigvalsh", s.theta) == 1
+    keys = [(name, a.tobytes()) for name, a in calls]
+    assert len(set(keys)) == len(keys)
+
+
+def test_writeable_r_is_decomposed_afresh():
+    r = np.diag([2.0, 1.0])
+    z = np.diag([1.0, 0.5])
+    assert construct_theta(r, z).interval.sigma == pytest.approx(0.5)
+    r[0, 0] = 0.5
+    assert construct_theta(r, z).interval.sigma == pytest.approx(2.0)
+
+
+def test_read_only_r_made_writeable_again_is_not_reused():
+    r = np.diag([2.0, 1.0])
+    r.setflags(write=False)
+    z = np.diag([1.0, 0.5])
+    with decompositions() as calls:
+        construct_theta(r, z)
+        construct_theta(r, z)
+        assert count(calls, "eigh", r) == 1
+        r.setflags(write=True)
+        r[0, 0] = 0.5
+        assert construct_theta(r, z).interval.sigma == pytest.approx(2.0)
+        assert count(calls, "eigh", r) == 1  # the new r, decomposed once
+
+
+def test_read_only_view_is_not_reused():
+    base = np.diag([2.0, 1.0])
+    r = base[:, :]
+    r.setflags(write=False)
+    with decompositions() as calls:
+        construct_theta(r, np.zeros((2, 2)))
+        construct_theta(r, np.zeros((2, 2)))
+    assert count(calls, "eigh", r) == 2
+
+
+def test_freed_system_replaced_by_an_invalid_one_is_validated_afresh():
+    for _ in range(20):
+        s = scalar()
+        assert validate(s) == []
+        old = id(s)
+        del s
+        bad = scalar(h=-1.0)
+        if id(bad) == old:  # the freed block went to the new system
+            break
+    else:
+        pytest.skip("the interpreter did not reuse the freed system's id")
+    assert validate(bad) == ["H is not positive definite (min eigenvalue -1)"]
+
+
+def test_validate_returns_a_fresh_list_per_tolerance():
+    s = DelayPHSystem(H=[[1.0]], J=[[0.0]], R=[[2.0]], Z=[[1.0]], G=[[1.0]],
+                      tau=1.0, theta=[[-1e-4]])
+    first = validate(s)
+    first.append("changed by the caller")
+    assert validate(s) == ["theta is not positive semidefinite (min eigenvalue -0.0001)"]
+    assert validate(s, Tolerance(psd_tol=1e-3)) == []
+
+
+def test_oldest_entry_is_recomputed_past_the_bound():
+    first = scalar(h=3.0)
+    others = [scalar(h=4.0 + k) for k in range(MEMO_SIZE)]
+    with decompositions() as calls:
+        validate(first)
+        validate(first)
+        assert count(calls, "eigvalsh", first.H) == 1
+        for other in others:
+            validate(other)
+        assert len(_MEMO) == MEMO_SIZE
+        validate(first)
+    assert count(calls, "eigvalsh", first.H) == 2
+
+
+def test_cached_arrays_are_read_only():
+    s = scalar()
+    with decompositions():
+        evals, evecs, _, _ = _symmetric_eigh(s.R, DEFAULT_TOL, s.R)
+        certify_delay_ph(s)
+    assert not evals.flags.writeable and not evecs.flags.writeable
+    spectra = [value for _, value in _MEMO.values() if isinstance(value, np.ndarray)]
+    assert len(spectra) == 1 and not spectra[0].flags.writeable
+
+
+def test_threads_share_the_memo_safely():
+    """More threads than cores cycling more systems than the bound."""
+    systems = [scalar(r=2.0 + k) for k in range(MEMO_SIZE + 4)]
+    want = [construct_theta(s.R, s.Z).interval.sigma for s in systems]
+    errors = []
+
+    def work():
+        try:
+            for _ in range(30):
+                for s, sigma in zip(systems, want):
+                    assert validate(s) == []
+                    assert construct_theta(s.R, s.Z).interval.sigma == sigma
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == [] and len(_MEMO) <= MEMO_SIZE
