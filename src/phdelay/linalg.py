@@ -14,10 +14,10 @@ one block at a time.  Certificates report the slack they were granted, so
 these primitives return evidence (minimum eigenvalues, witnesses, measured
 norms) rather than bare booleans.
 
-A decomposition of an immutable input (a read-only array that owns its
-data, or a system made of such arrays) is kept in a small memo,
-``_memo``, so a chain of calls on one system decomposes each of its
-matrices once.
+A decomposition of an immutable input (an array backed by a ``bytes``
+object, as every system matrix is, or a system made of such arrays) is
+kept in a small memo, ``_memo``, so a chain of calls on one system
+decomposes each of its matrices once.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ MEMO_SIZE = 8
 
 _MEMO: OrderedDict = OrderedDict()  # (id, tag) -> (weak reference, result)
 _MEMO_LOCK = threading.Lock()
+_FREED: list = []  # (key, dead weak reference) waiting for _MEMO_LOCK
 
 
 @dataclass(frozen=True)
@@ -123,56 +124,87 @@ def as_matrix(value, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def _owns_read_only(arr) -> bool:
-    """Whether ``arr`` is a read-only ndarray that owns its data.
+def _is_frozen(arr) -> bool:
+    """Whether ``arr`` is an ndarray backed by a ``bytes`` object, as
+    ``_frozen`` makes them: its write flag cannot be set again, so its
+    entries never change."""
+    return isinstance(arr, np.ndarray) and isinstance(arr.base, bytes)
 
-    No write through another array can reach such an array, so its
-    entries stay fixed while it stays read-only.
-    """
-    return isinstance(arr, np.ndarray) and not arr.flags.writeable and arr.base is None
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """``arr`` if it ``_is_frozen``, else an immutable C-ordered copy."""
+    if _is_frozen(arr):
+        return arr
+    return np.ndarray(arr.shape, arr.dtype, arr.tobytes())
 
 
 def _immutable(obj) -> bool:
-    """Whether ``obj`` is an ``_owns_read_only`` array, or a frozen dataclass
-    (a phdelay system) whose every array field is one."""
+    """Whether ``obj`` is a ``_frozen`` array, or a frozen dataclass (a
+    phdelay system) whose every array field is one."""
     if isinstance(obj, np.ndarray):
-        return _owns_read_only(obj)
+        return _is_frozen(obj)
     params = getattr(type(obj), "__dataclass_params__", None)
     return params is not None and params.frozen and all(
-        _owns_read_only(v) for v in vars(obj).values() if isinstance(v, np.ndarray)
+        _is_frozen(v) for v in vars(obj).values() if isinstance(v, np.ndarray)
     )
 
 
 def _memo(obj, tag, compute):
-    """``compute()``, reused for as long as ``obj`` stays ``_immutable``.
+    """``compute()``, reused for as long as ``obj`` lives, if ``_immutable``.
 
     Results are keyed by ``(id(obj), tag)`` and kept for the ``MEMO_SIZE``
     most recently used keys.  A weak reference to ``obj`` keeps a recycled
-    id from hitting, and every call re-checks ``_immutable``, so an array
-    made writeable again is recomputed.  Every caller gets the same result,
-    so ``compute`` must return an immutable one (a tuple, read-only
-    arrays).  For any other ``obj`` it computes afresh each time.
+    id from hitting, and its callback drops the entry when ``obj`` is
+    freed.  Every caller gets the same result, so ``compute`` must return
+    an immutable one (a tuple, ``_frozen`` arrays).  For any other ``obj``
+    it computes afresh each time.
     """
     if not _immutable(obj):
         return compute()
     key = (id(obj), tag)
     with _MEMO_LOCK:
+        _drop_freed()
         entry = _MEMO.get(key)
         if entry is not None and entry[0]() is obj:
             _MEMO.move_to_end(key)
             return entry[1]
     value = compute()
+    ref = weakref.ref(obj, lambda ref: _forget(key, ref))
     with _MEMO_LOCK:
-        _MEMO[key] = (weakref.ref(obj), value)
-        _MEMO.move_to_end(key)  # a dead entry kept its old place
+        _drop_freed()
+        _MEMO[key] = (ref, value)
+        _MEMO.move_to_end(key)  # a replaced entry kept its old place
         if len(_MEMO) > MEMO_SIZE:
             _MEMO.popitem(last=False)
     return value
 
 
-def _set_read_only(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
+def _forget(key, ref):
+    """Weak-reference callback: drop the entry of a freed object.
+
+    The garbage collector may free the object while this very thread holds
+    ``_MEMO_LOCK``, so the callback never waits for the lock: it queues the
+    entry, and whoever holds the lock next drops it.
+    """
+    _FREED.append((key, ref))
+    if _MEMO_LOCK.acquire(blocking=False):
+        try:
+            _drop_freed()
+        finally:
+            _MEMO_LOCK.release()
+
+
+def _drop_freed():
+    """Drop the queued entries of freed objects; needs ``_MEMO_LOCK``.
+
+    An entry is dropped only while it still holds the dead reference: a
+    new object that reused the id keeps its own.
+    """
+    while _FREED:
+        key, ref = _FREED.pop()
+        entry = _MEMO.get(key)
+        if entry is not None and entry[0] is ref:
+            del _MEMO[key]
 
 
 def _square(value, name: str = "matrix") -> np.ndarray:
@@ -328,7 +360,7 @@ def _symmetric_eigh(m: np.ndarray, tol: Tolerance, key=None):
         n = m.shape[0]
         return np.zeros(0), np.zeros((n, 0)), np.zeros((n, 0)), 0.0
     evals, evecs = _memo(
-        key, "eigh", lambda: tuple(map(_set_read_only, np.linalg.eigh(m)))
+        key, "eigh", lambda: tuple(map(_frozen, np.linalg.eigh(m)))
     )
     scale = float(np.max(np.abs(evals)))
     return evals, evecs, evecs[:, np.abs(evals) <= tol.rank_tol * scale], scale

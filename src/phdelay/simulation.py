@@ -4,27 +4,34 @@ The integrator is the classical fourth-order Runge-Kutta scheme organized
 by the method of steps: the step size h must divide the delay tau exactly,
 so the delayed time t - tau always lands on the grid for full steps.  The
 delayed state at stage midpoints is interpolated with a cubic Hermite
-polynomial on already-computed intervals (using stored derivative samples)
-and linearly inside the initial history, which is itself resampled
-linearly onto the step grid.  Input signals are samples on the step grid,
-read as piecewise-linear between samples.
+polynomial on already-computed intervals (its end slopes being the
+right-hand side at the delayed grid points) and linearly inside the
+initial history, which is itself resampled linearly onto the step grid.
+Input signals are samples on the step grid, read as piecewise-linear
+between samples.
 
-The coefficients are constant, so one RK4 step is a fixed linear map:
-x_{k+1} = x_k + D x_k + F z_k, where z_k stacks the delayed samples, their
-derivative samples and the inputs at both ends of the step.  D and F are
-obtained once per run by pushing identity columns through the stage
-formulas.  Steps then run in blocks of up to d = tau / h steps, whose
-delayed data all exist when the block starts, and no block crosses step
-d, where the midpoint rule changes.  One matrix product gives the forcing
-f_j = F z_j of the whole block, and the block's recurrence
-x_{j+1} = (I + D) x_j + f_j is then solved by a doubling prefix scan: for
-o = 1, 2, 4, ... each pass adds (I + D)^o applied to the rows o steps
-back, so a block of span steps costs ceil(log2(span + 1)) vectorized
-passes of O(span n^2) each instead of span separate steps.  The matrices
-P_o = (I + D)^o - I are squared once per run as P_2o = 2 P_o + P_o^2,
-which keeps the rounding of increments that are small against the state;
-an unstable A0 whose powers overflow gets shorter blocks instead.  One
-more product fills the block's derivative samples.
+The coefficients are constant, so one RK4 step is a fixed linear map.
+All grid data lives in one time-major work array whose row r holds
+[x_r | u_r]: the padded state at t_{r-d} and the input at t_r.  Step k
+reads the window w_k = [x_k | u_k | x_{k+1} | u_{k+1}] (rows k and k + 1,
+one row of a read-only sliding view), so x_{k+1} = x_k + D x_k +
+F_history w_k inside the history and x_k + D x_k + F_now w_k +
+F_past w_{k-d} after it, the delayed derivatives of the Hermite midpoint
+being the right-hand side evaluated on the window w_{k-d}.  D and the F maps are obtained once per
+run by pushing identity columns through the stage formulas.  Steps then
+run in blocks of up to d = tau / h steps, whose delayed data all exist
+when the block starts, and no block crosses step d, where the midpoint
+rule changes.  One matrix product of the block's windows (two after step
+d) gives the forcing f_j of the whole block, and the block's recurrence
+x_{j+1} = (I + D) x_j + f_j is then solved in a contiguous buffer by a
+doubling prefix scan: for o = 1, 2, 4, ... each pass adds (I + D)^o
+applied to the rows o steps back, so a block of span steps costs
+ceil(log2(span + 1)) vectorized passes of O(span n^2) each instead of
+span separate steps.  The matrices P_o = (I + D)^o - I are squared once
+per run as P_2o = 2 P_o + P_o^2, which keeps the rounding of increments
+that are small against the state; an unstable A0 whose powers overflow
+gets shorter blocks instead.  The solved block is then copied into the
+work array.
 
 Energy accounting uses the Lyapunov-Krasovskii Hamiltonian
 
@@ -141,6 +148,7 @@ def _step_count(value: float, h: float, name: str) -> int:
 
 
 def _input_samples(inputs, times: np.ndarray, m: int) -> np.ndarray:
+    """(m, K+1) input samples in a new array, which the trajectory keeps."""
     count = times.size
     if inputs is None:
         return np.zeros((m, count))
@@ -152,7 +160,7 @@ def _input_samples(inputs, times: np.ndarray, m: int) -> np.ndarray:
                 f"input callable must return {m} values per time, got shape {arr.shape}"
             )
     else:
-        arr = np.asarray(inputs, dtype=float)
+        arr = np.array(inputs, dtype=float)
         if arr.ndim == 1 and m == 1:
             arr = arr.reshape(1, -1)
         if arr.shape != (m, count):
@@ -164,23 +172,27 @@ def _input_samples(inputs, times: np.ndarray, m: int) -> np.ndarray:
     return arr
 
 
-def _rk4_increment(a0, a1, b, h, x, xd0, xd1, dd0, dd1, u0, u1, hermite):
+def _rk4_increment(a0, a1, b, h, x, now, past, hermite):
     """RK4 increment x_{k+1} - x_k over one step, column by column.
 
-    ``xd0``/``xd1`` are the delayed states and ``dd0``/``dd1`` their
-    derivative samples at t_k - tau and t_{k+1} - tau; ``u0``/``u1`` the
-    inputs at t_k and t_{k+1}.  The delayed midpoint is the cubic Hermite
-    value when ``hermite``, else the linear one (inside the history).
+    ``now`` is the window of step k, ``[x_k; u_k; x_{k+1}; u_{k+1}]``: the
+    delayed states at t_k - tau and t_{k+1} - tau and the inputs at t_k
+    and t_{k+1}.  ``past`` is the window of step k - d, from which the
+    right-hand side gives the delayed derivatives.  The delayed midpoint
+    is the cubic Hermite value when ``hermite``, else the linear one
+    (inside the history, where ``past`` is not read).
     """
+    n, m = b.shape
 
     def f(x, xd, uu):
         return a0 @ x + a1 @ xd + b @ uu
 
+    xd0, u0, xd1, u1 = np.split(now, np.cumsum([n, m, n]))
     um = 0.5 * (u0 + u1)
+    xdm = 0.5 * (xd0 + xd1)
     if hermite:
-        xdm = 0.5 * (xd0 + xd1) + 0.125 * h * (dd0 - dd1)
-    else:
-        xdm = 0.5 * (xd0 + xd1)
+        p0, pu0, p1, pu1 = np.split(past, np.cumsum([n, m, n]))
+        xdm = xdm + 0.125 * h * (f(xd0, p0, pu0) - f(xd1, p1, pu1))
     k1 = f(x, xd0, u0)
     k2 = f(x + 0.5 * h * k1, xdm, um)
     k3 = f(x + 0.5 * h * k2, xdm, um)
@@ -189,18 +201,22 @@ def _rk4_increment(a0, a1, b, h, x, xd0, xd1, dd0, dd1, u0, u1, hermite):
 
 
 def _rk4_maps(a0, a1, b, h):
-    """Matrices of the RK4 step as a linear map.
+    """Matrices of the RK4 step as a linear map of work-array windows.
 
-    Returns (D, F_history, F_hermite) with
-    x_{k+1} - x_k = D x_k + F [xd0; xd1; dd0; dd1; u0; u1] in the notation
-    of ``_rk4_increment``, one F per midpoint rule.  Each is read off by
-    pushing identity columns through the stage formulas themselves.
+    A window is two consecutive rows of the work array,
+    ``[x_k | u_k | x_{k+1} | u_{k+1}]``.  Returns (D, F_history, F_now,
+    F_past) with x_{k+1} - x_k = D x_k + F_history w_k inside the history
+    and D x_k + F_now w_k + F_past w_{k-d} after it, where w_k is the
+    window of step k as a column.  Each is read off by pushing identity
+    columns through ``_rk4_increment`` itself.
     """
     n, m = b.shape
-    eye = np.eye(5 * n + 2 * m)
-    parts = np.split(eye, np.cumsum([n, n, n, n, n, m]))
-    maps = [_rk4_increment(a0, a1, b, h, *parts, hermite) for hermite in (False, True)]
-    return maps[0][:, :n], maps[0][:, n:], maps[1][:, n:]
+    width = 2 * (n + m)
+    x, now, past = np.split(np.eye(n + 2 * width), [n, n + width])
+    history = _rk4_increment(a0, a1, b, h, x, now, past, False)
+    hermite = _rk4_increment(a0, a1, b, h, x, now, past, True)
+    return (history[:, :n], history[:, n : n + width],
+            hermite[:, n : n + width], hermite[:, n + width :])
 
 
 def integrate_dde(
@@ -226,28 +242,32 @@ def integrate_dde(
         raise ValueError(
             f"history covers [-{history.span}, 0] but the delay is {system.tau}"
         )
-    hist_vals = history.sample_at((np.arange(d + 1) - d) * h)
+    # time-major work array: row r holds [x_r | u_r], x_r the padded state
+    # at t_{r-d} and u_r the input at t_r (zero past K); row k of the
+    # read-only ``windows`` view spans rows k and k + 1, the delayed states
+    # and the inputs of step k
+    work = np.zeros((d + big_k + 1, n + m))
+    work[: d + 1, :n] = history.sample_at((np.arange(d + 1) - d) * h).T
     times = np.arange(big_k + 1) * h
     u = _input_samples(inputs, times, m)
-
-    a0, a1, b = system.A0, system.A1, system.B
-    # time-major work arrays: row c holds column c of the padded states,
-    # so each block is one contiguous run of rows
-    xs = np.empty((d + big_k + 1, n))
-    xs[: d + 1] = hist_vals.T
-    ds = np.zeros_like(xs)  # derivative samples for t >= 0 only
-    us = np.ascontiguousarray(u.T)
+    work[: big_k + 1, n:] = u.T
+    windows = np.lib.stride_tricks.as_strided(
+        work, (d + big_k, 2 * (n + m)), work.strides, writeable=False
+    )
     # norms are checked once per block, so the step maps and the steps
     # after a blow-up may overflow before the first offending step is
     # reported
     with np.errstate(over="ignore", invalid="ignore"):
-        d_map, f_history, f_hermite = _rk4_maps(a0, a1, b, h)
-        ds[d] = a0 @ xs[d] + a1 @ xs[0] + b @ us[0]
+        # transposed, as the rows of ``work`` and ``windows`` multiply them
+        d_map, f_history, f_now, f_past = (
+            np.ascontiguousarray(a.T)
+            for a in _rk4_maps(system.A0, system.A1, system.B, h)
+        )
         # transposed P_o = (I + D)^o - I for o = 1, 2, 4, ..., squared as
         # P_2o = 2 P_o + P_o^2, which never forms a power of I + D and so
         # keeps the rounding of small increments; doubling stops at the
         # first non-finite P_o, and offsets up to o cover 2o - 1 steps
-        powers, o = [d_map.T], 1
+        powers, o = [d_map], 1
         while 2 * o <= d:
             p = 2.0 * powers[-1] + powers[-1] @ powers[-1]
             if not np.isfinite(p).all():
@@ -255,6 +275,8 @@ def integrate_dde(
             powers.append(p)
             o *= 2
         chunk = min(d, 2 * o - 1)
+        # rows x_0, f_0, ..., f_{span-1} of the block being scanned
+        scratch = np.empty((chunk + 1, n))
         k0 = 0
         while k0 < big_k:
             # steps k0 .. k0 + span - 1 read delayed data up to row d + k0
@@ -262,17 +284,17 @@ def integrate_dde(
             # switches from linear to Hermite
             span = min(chunk, big_k - k0, d - k0 if k0 < d else chunk)
             c0 = d + k0
-            lo, hi = slice(k0, k0 + span), slice(k0 + 1, k0 + span + 1)
-            new = slice(c0 + 1, c0 + span + 1)
-            delayed = np.concatenate(
-                [xs[lo], xs[hi], ds[lo], ds[hi], us[lo], us[hi]], axis=1
-            )
-            f_map = f_history if k0 < d else f_hermite
-            np.matmul(delayed, f_map.T, out=xs[new])
-            # prefix scan of x_{j+1} = (I + D) x_j + f_j in place over rows
-            # x_0, f_0, ..., f_{span-1}: after offset o, row j holds the
-            # sum of (I + D)^i applied to row j - i for i < 2o
-            block = xs[c0 : c0 + span + 1]
+            block = scratch[: span + 1]
+            new = block[1:]
+            block[0] = work[c0, :n]
+            if k0 < d:
+                np.matmul(windows[k0 : k0 + span], f_history, out=new)
+            else:
+                np.matmul(windows[k0 : k0 + span], f_now, out=new)
+                new += windows[k0 - d : k0 - d + span] @ f_past
+            # prefix scan of x_{j+1} = (I + D) x_j + f_j in place over the
+            # block: after offset o, row j holds the sum of (I + D)^i
+            # applied to row j - i for i < 2o
             for i, p in enumerate(powers):
                 o = 1 << i
                 if o > span:
@@ -281,22 +303,20 @@ def integrate_dde(
                 block[o:] += prev + prev @ p
             # one dot product clears a block whose squared norm sum is in
             # range; any other block has its steps' norms taken one by one
-            flat = xs[new].ravel()
-            if not flat @ flat <= BLOWUP_NORM**2:
-                norms = np.linalg.norm(xs[new], axis=1)
+            if not np.vdot(new, new) <= BLOWUP_NORM**2:
+                norms = np.linalg.norm(new, axis=1)
                 bad = ~(norms <= BLOWUP_NORM)
                 if bad.any():
                     j = int(np.argmax(bad))
                     raise BlowUpError(k0 + j + 1, times[k0 + j + 1], norms[j])
-            ds[new] = xs[new] @ a0.T + xs[hi] @ a1.T + us[hi] @ b.T
+            work[c0 + 1 : c0 + span + 1, :n] = new
             k0 += span
 
-    del ds, us  # peak memory: at most two state-sized arrays at a time
-    x_all = np.ascontiguousarray(xs.T)
+    x_all = work[:, :n].T.copy()
     return Trajectory(
         step=float(h),
         times=times,
-        inputs=u.copy(),
+        inputs=u,
         outputs=system.C @ x_all[:, d:],
         delay_steps=d,
         padded_states=x_all,

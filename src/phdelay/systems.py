@@ -39,10 +39,9 @@ from .linalg import (
     DEFAULT_TOL,
     SYMMETRY_RTOL,
     Tolerance,
+    _frozen,
     _memo,
-    _owns_read_only,
     _relative_norm,
-    _set_read_only,
     as_matrix,
     asymmetry,
     output_residual,
@@ -91,22 +90,16 @@ class OutputMismatchError(ValueError):
         )
 
 
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    """``arr`` if it ``_owns_read_only`` (as a system's matrix does), else
-    a read-only copy: no write to the caller's array, or to an array it
-    views, can then reach the system."""
-    return arr if _owns_read_only(arr) else _set_read_only(arr.copy())
-
-
 def _freeze(obj, name, value):
-    object.__setattr__(obj, name, _read_only(as_matrix(value, name)))
+    object.__setattr__(obj, name, _frozen(as_matrix(value, name)))
 
 
 class _System:
     """Construction shared by the four kinds; their fields are in ``_SCHEMA``.
 
-    Matrices (and a given ``theta``) become read-only float arrays (see
-    ``_read_only``), ``tau`` a finite float.
+    Matrices (and a given ``theta``) become immutable float arrays (see
+    ``linalg._frozen``): no write to the caller's array, or to an array it
+    views, can reach the system.  ``tau`` becomes a finite float.
     """
 
     def __post_init__(self):
@@ -227,8 +220,8 @@ class HistoryFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        grid = _read_only(np.asarray(self.grid, dtype=float).reshape(-1))
-        values = _read_only(as_matrix(self.values, "values"))
+        grid = _frozen(np.asarray(self.grid, dtype=float).reshape(-1))
+        values = _frozen(as_matrix(self.values, "values"))
         if grid.size < 2:
             raise ValueError("history grid needs at least two points")
         if not np.all(np.isfinite(grid)):

@@ -13,6 +13,7 @@ import pytest
 from phdelay import (
     CERTIFIED,
     DelayPHSystem,
+    HistoryFunction,
     StandardPHSystem,
     Tolerance,
     certify_delay_ph,
@@ -24,6 +25,7 @@ from phdelay import (
     ph_condition_matrix,
     validate,
 )
+from phdelay import linalg
 from phdelay.linalg import DEFAULT_TOL, MEMO_SIZE, _MEMO, _symmetric_eigh
 from helpers import decompositions, rand_antisym, rand_certified_delay_ph
 
@@ -71,17 +73,51 @@ def test_writeable_r_is_decomposed_afresh():
 
 
 def test_read_only_r_made_writeable_again_is_not_reused():
+    """A read-only flag can be set writeable again, so it is not trusted."""
     r = np.diag([2.0, 1.0])
     r.setflags(write=False)
     z = np.diag([1.0, 0.5])
     with decompositions() as calls:
         construct_theta(r, z)
         construct_theta(r, z)
-        assert count(calls, "eigh", r) == 1
+        assert count(calls, "eigh", r) == 2
         r.setflags(write=True)
         r[0, 0] = 0.5
         assert construct_theta(r, z).interval.sigma == pytest.approx(2.0)
         assert count(calls, "eigh", r) == 1  # the new r, decomposed once
+
+
+def test_re_frozen_r_gets_no_stale_theta():
+    """Written between two read-only spells, R is decomposed afresh."""
+    r = np.diag([2.0, 1.0])
+    z = np.diag([1.0, 0.5])
+    r.setflags(write=False)
+    assert construct_theta(r, z).success
+    r.setflags(write=True)
+    r[0, 0] = 0.5
+    r.setflags(write=False)
+    fresh = construct_theta(r.copy(), z)
+    result = construct_theta(r, z)
+    assert not fresh.success and "whitened coupling 2 > 1" in fresh.reason
+    assert not result.success and result.reason == fresh.reason
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_system_matrices_cannot_be_made_writeable(n):
+    """A system's arrays, its history's and the memo's results are backed
+    by immutable buffers: their write flag cannot be set again."""
+    s = DelayPHSystem(H=np.eye(n), J=np.zeros((n, n)), R=np.eye(n),
+                      Z=np.zeros((n, n)), G=np.ones((n, 1)), tau=1.0,
+                      theta=0.5 * np.eye(n))
+    hist = HistoryFunction.constant(np.ones(n), 1.0)
+    arrays = [getattr(s, name) for name in ("H", "J", "R", "Z", "G", "theta")]
+    arrays += [hist.grid, hist.values]
+    if n:
+        arrays += list(_symmetric_eigh(s.R, DEFAULT_TOL, s.R)[:2])
+    for arr in arrays:
+        with pytest.raises(ValueError):
+            arr.setflags(write=True)
+    assert validate(s) == []
 
 
 def test_read_only_view_is_not_reused():
@@ -141,8 +177,45 @@ def test_cached_arrays_are_read_only():
     assert len(spectra) == 1 and not spectra[0].flags.writeable
 
 
+def test_freed_objects_leave_no_entry():
+    """A closed loop built and certified inside one call is freed on
+    return, and its condition spectrum leaves the memo with it."""
+    s1 = scalar(h=1e6)
+    s2 = scalar(h=1e-4)
+    with decompositions():
+        cert = certify_interconnection(s1, s2, [[-1.0, 1.0], [-1.0, -1.0]])
+        assert cert.verdict == CERTIFIED
+        assert _MEMO and all(ref() is not None for ref, _ in _MEMO.values())
+
+
+def test_freeing_under_the_held_lock_does_not_deadlock(monkeypatch):
+    """The garbage collector may free a memoized object while this thread
+    holds the memo's lock: the entry goes with the next holder instead."""
+    monkeypatch.setattr(linalg, "_MEMO_LOCK", threading.Lock())
+    s = scalar()
+    with decompositions():
+        validate(s)
+        assert len(_MEMO) == 1
+
+        def free_under_lock(box):
+            with linalg._MEMO_LOCK:
+                box.clear()  # the last reference to s: its callback runs here
+
+        box = [s]
+        del s
+        worker = threading.Thread(target=free_under_lock, args=(box,), daemon=True)
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert len(_MEMO) == 1  # queued for the next holder of the lock
+        other = scalar(h=2.0)
+        validate(other)
+        assert [key for key, _ in _MEMO] == [id(other)]
+
+
 def test_threads_share_the_memo_safely():
-    """More threads than cores cycling more systems than the bound."""
+    """More threads than cores cycling more systems than the bound, and
+    freeing a fresh system per pass, whose entry must not outlive it."""
     systems = [scalar(r=2.0 + k) for k in range(MEMO_SIZE + 4)]
     want = [construct_theta(s.R, s.Z).interval.sigma for s in systems]
     errors = []
@@ -153,6 +226,7 @@ def test_threads_share_the_memo_safely():
                 for s, sigma in zip(systems, want):
                     assert validate(s) == []
                     assert construct_theta(s.R, s.Z).interval.sigma == sigma
+                assert validate(scalar(h=5.0)) == []
         except Exception as exc:  # reported by the main thread
             errors.append(exc)
 
@@ -168,3 +242,5 @@ def test_threads_share_the_memo_safely():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == [] and len(_MEMO) <= MEMO_SIZE
+    validate(systems[0])  # drops what frees queued while the lock was held
+    assert all(ref() is not None for ref, _ in _MEMO.values())

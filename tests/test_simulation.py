@@ -152,6 +152,48 @@ def test_block_integrator_matches_stepwise_oracle(d, big_k):
     assert np.max(np.abs(traj.padded_states - ref)) <= 1e-12 * scale
 
 
+def test_block_integrator_matches_stepwise_oracle_at_audit_scale():
+    """n = 32, d = 1000: the window of step k - d spans two blocks."""
+    rng = np.random.default_rng(32)
+    n, m, d, h = 32, 2, 1000, 1e-3
+    big_k = 2 * d + 7
+    scale = 0.5 / math.sqrt(n)
+    sys1 = GeneralDelaySystem(
+        A0=scale * rng.standard_normal((n, n)) - 2.0 * np.eye(n),
+        A1=scale * rng.standard_normal((n, n)),
+        B=rng.standard_normal((n, m)),
+        C=rng.standard_normal((m, n)),
+        tau=d * h,
+    )
+    grid = np.linspace(-d * h, 0.0, 9)
+    hist = HistoryFunction(grid, rng.standard_normal((n, grid.size)))
+    u = rng.standard_normal((m, big_k + 1))
+    traj = integrate_dde(sys1, hist, u, big_k * h, h)
+    ref = integrate_dde_stepwise(sys1, hist, u, big_k * h, h)
+    assert traj.padded_states.shape == ref.shape
+    assert np.max(np.abs(traj.padded_states - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_integration_writes_no_caller_array():
+    """Inputs and history are only read, and the trajectory owns its
+    states: no view of the integrator's work array leaks out."""
+    rng = np.random.default_rng(3)
+    sys1 = GeneralDelaySystem(A0=-np.eye(2), A1=0.3 * rng.standard_normal((2, 2)),
+                              B=rng.standard_normal((2, 1)), C=np.ones((1, 2)),
+                              tau=0.5)
+    hist = HistoryFunction(np.linspace(-0.5, 0.0, 4), rng.standard_normal((2, 4)))
+    grid, values = hist.grid.copy(), hist.values.copy()
+    u = rng.standard_normal((1, 31))
+    before = u.copy()
+    traj = integrate_dde(sys1, hist, u, 3.0, 0.1)
+    np.testing.assert_array_equal(u, before)
+    np.testing.assert_array_equal(hist.grid, grid)
+    np.testing.assert_array_equal(hist.values, values)
+    assert not np.shares_memory(traj.inputs, u)
+    padded = traj.padded_states
+    assert padded.flags.c_contiguous and padded.base is None
+
+
 @st.composite
 def scan_cases(draw):
     """(n, d, K, seed, shift): K below d or past it but off its multiples."""
