@@ -34,9 +34,9 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerance,
     _contained,
-    _frozen,
     _memo,
     _psd_report_blocks,
+    _set_read_only,
     _symmetric_eigh,
     _whitening,
     as_matrix,
@@ -156,7 +156,7 @@ def _stored_spectrum(system: DelayPHSystem, cond: np.ndarray) -> np.ndarray:
     stored Theta, computed once per system through ``_memo``."""
     return _memo(
         system, "condition_spectrum",
-        lambda: _frozen(np.linalg.eigvalsh(cond)),
+        lambda: _set_read_only(np.linalg.eigvalsh(cond)),
     )
 
 

@@ -14,10 +14,10 @@ one block at a time.  Certificates report the slack they were granted, so
 these primitives return evidence (minimum eigenvalues, witnesses, measured
 norms) rather than bare booleans.
 
-A decomposition of an immutable input (an array backed by a ``bytes``
-object, as every system matrix is, or a system made of such arrays) is
-kept in a small memo, ``_memo``, so a chain of calls on one system
-decomposes each of its matrices once.
+A decomposition of an immutable input (a ``_frozen`` array, as every
+system matrix is, or a system made of such arrays) is kept in a small
+memo, ``_memo``, so a chain of calls on one system decomposes each of its
+matrices once.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ MEMO_SIZE = 8
 
 _MEMO: OrderedDict = OrderedDict()  # (id, tag) -> (weak reference, result)
 _MEMO_LOCK = threading.Lock()
-_FREED: list = []  # (key, dead weak reference) waiting for _MEMO_LOCK
 
 
 @dataclass(frozen=True)
@@ -125,10 +124,19 @@ def as_matrix(value, name: str = "matrix") -> np.ndarray:
 
 
 def _is_frozen(arr) -> bool:
-    """Whether ``arr`` is an ndarray backed by a ``bytes`` object, as
-    ``_frozen`` makes them: its write flag cannot be set again, so its
-    entries never change."""
-    return isinstance(arr, np.ndarray) and isinstance(arr.base, bytes)
+    """Whether ``arr`` is a read-only ndarray over a ``bytes`` object, as
+    ``_frozen`` makes them: its write flag cannot be set again.
+
+    numpy unpickles a large array as a writeable one over ``bytes``, so
+    the flag is checked too.  An array that a caller builds by hand over
+    the bytes of such an unpickled array would pass and still change with
+    it; no phdelay routine builds one.
+    """
+    return (
+        isinstance(arr, np.ndarray)
+        and not arr.flags.writeable
+        and isinstance(arr.base, bytes)
+    )
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -154,57 +162,33 @@ def _memo(obj, tag, compute):
 
     Results are keyed by ``(id(obj), tag)`` and kept for the ``MEMO_SIZE``
     most recently used keys.  A weak reference to ``obj`` keeps a recycled
-    id from hitting, and its callback drops the entry when ``obj`` is
-    freed.  Every caller gets the same result, so ``compute`` must return
-    an immutable one (a tuple, ``_frozen`` arrays).  For any other ``obj``
-    it computes afresh each time.
+    id from hitting, and each insertion first drops the entries whose
+    object has been freed.  Every caller gets the same result, so
+    ``compute`` must return an immutable one (a tuple, read-only arrays).
+    For any other ``obj`` it computes afresh each time.
     """
     if not _immutable(obj):
         return compute()
     key = (id(obj), tag)
     with _MEMO_LOCK:
-        _drop_freed()
         entry = _MEMO.get(key)
         if entry is not None and entry[0]() is obj:
             _MEMO.move_to_end(key)
             return entry[1]
     value = compute()
-    ref = weakref.ref(obj, lambda ref: _forget(key, ref))
     with _MEMO_LOCK:
-        _drop_freed()
-        _MEMO[key] = (ref, value)
-        _MEMO.move_to_end(key)  # a replaced entry kept its old place
+        for dead in [k for k, (ref, _) in _MEMO.items() if ref() is None]:
+            del _MEMO[dead]
+        _MEMO[key] = (weakref.ref(obj), value)
+        _MEMO.move_to_end(key)  # another thread's entry kept its old place
         if len(_MEMO) > MEMO_SIZE:
             _MEMO.popitem(last=False)
     return value
 
 
-def _forget(key, ref):
-    """Weak-reference callback: drop the entry of a freed object.
-
-    The garbage collector may free the object while this very thread holds
-    ``_MEMO_LOCK``, so the callback never waits for the lock: it queues the
-    entry, and whoever holds the lock next drops it.
-    """
-    _FREED.append((key, ref))
-    if _MEMO_LOCK.acquire(blocking=False):
-        try:
-            _drop_freed()
-        finally:
-            _MEMO_LOCK.release()
-
-
-def _drop_freed():
-    """Drop the queued entries of freed objects; needs ``_MEMO_LOCK``.
-
-    An entry is dropped only while it still holds the dead reference: a
-    new object that reused the id keeps its own.
-    """
-    while _FREED:
-        key, ref = _FREED.pop()
-        entry = _MEMO.get(key)
-        if entry is not None and entry[0] is ref:
-            del _MEMO[key]
+def _set_read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 def _square(value, name: str = "matrix") -> np.ndarray:
@@ -360,7 +344,7 @@ def _symmetric_eigh(m: np.ndarray, tol: Tolerance, key=None):
         n = m.shape[0]
         return np.zeros(0), np.zeros((n, 0)), np.zeros((n, 0)), 0.0
     evals, evecs = _memo(
-        key, "eigh", lambda: tuple(map(_frozen, np.linalg.eigh(m)))
+        key, "eigh", lambda: tuple(map(_set_read_only, np.linalg.eigh(m)))
     )
     scale = float(np.max(np.abs(evals)))
     return evals, evecs, evecs[:, np.abs(evals) <= tol.rank_tol * scale], scale

@@ -4,6 +4,7 @@ Every count runs inside ``helpers.decompositions``, which empties the memo
 first, so no count depends on which tests ran before.
 """
 
+import pickle
 import sys
 import threading
 
@@ -25,7 +26,6 @@ from phdelay import (
     ph_condition_matrix,
     validate,
 )
-from phdelay import linalg
 from phdelay.linalg import DEFAULT_TOL, MEMO_SIZE, _MEMO, _symmetric_eigh
 from helpers import decompositions, rand_antisym, rand_certified_delay_ph
 
@@ -104,20 +104,37 @@ def test_re_frozen_r_gets_no_stale_theta():
 
 @pytest.mark.parametrize("n", [0, 1, 3])
 def test_system_matrices_cannot_be_made_writeable(n):
-    """A system's arrays, its history's and the memo's results are backed
-    by immutable buffers: their write flag cannot be set again."""
+    """A system's arrays and its history's are backed by immutable
+    buffers: their write flag cannot be set again."""
     s = DelayPHSystem(H=np.eye(n), J=np.zeros((n, n)), R=np.eye(n),
                       Z=np.zeros((n, n)), G=np.ones((n, 1)), tau=1.0,
                       theta=0.5 * np.eye(n))
     hist = HistoryFunction.constant(np.ones(n), 1.0)
     arrays = [getattr(s, name) for name in ("H", "J", "R", "Z", "G", "theta")]
-    arrays += [hist.grid, hist.values]
-    if n:
-        arrays += list(_symmetric_eigh(s.R, DEFAULT_TOL, s.R)[:2])
-    for arr in arrays:
+    for arr in arrays + [hist.grid, hist.values]:
         with pytest.raises(ValueError):
             arr.setflags(write=True)
     assert validate(s) == []
+
+
+def test_unpickled_arrays_are_not_trusted():
+    """numpy unpickles a large array as a writeable one over ``bytes``:
+    a system does not share it, nor does the memo keep its decomposition."""
+    n = 16
+    r = pickle.loads(pickle.dumps(np.diag([2.0] + [1.0] * (n - 1))))
+    assert r.flags.writeable and isinstance(r.base, bytes)
+    z = np.diag([1.0] + [0.5] * (n - 1))
+    s = DelayPHSystem(H=r, J=np.zeros((n, n)), R=r, Z=z, G=np.ones((n, 1)),
+                      tau=1.0, theta=z)
+    with decompositions() as calls:
+        assert construct_theta(r, z).success
+        assert validate(s) == []
+        r[0, 0] = 0.5
+        result = construct_theta(r, z)
+        assert validate(s) == []
+        assert count(calls, "eigh", r) == 1  # the written r, afresh
+    assert not result.success and "whitened coupling 2 > 1" in result.reason
+    assert s.H[0, 0] == s.R[0, 0] == 2.0
 
 
 def test_read_only_view_is_not_reused():
@@ -179,38 +196,15 @@ def test_cached_arrays_are_read_only():
 
 def test_freed_objects_leave_no_entry():
     """A closed loop built and certified inside one call is freed on
-    return, and its condition spectrum leaves the memo with it."""
+    return; the next insertion drops its condition spectrum."""
     s1 = scalar(h=1e6)
     s2 = scalar(h=1e-4)
+    other = scalar(h=2.0)
     with decompositions():
         cert = certify_interconnection(s1, s2, [[-1.0, 1.0], [-1.0, -1.0]])
         assert cert.verdict == CERTIFIED
-        assert _MEMO and all(ref() is not None for ref, _ in _MEMO.values())
-
-
-def test_freeing_under_the_held_lock_does_not_deadlock(monkeypatch):
-    """The garbage collector may free a memoized object while this thread
-    holds the memo's lock: the entry goes with the next holder instead."""
-    monkeypatch.setattr(linalg, "_MEMO_LOCK", threading.Lock())
-    s = scalar()
-    with decompositions():
-        validate(s)
-        assert len(_MEMO) == 1
-
-        def free_under_lock(box):
-            with linalg._MEMO_LOCK:
-                box.clear()  # the last reference to s: its callback runs here
-
-        box = [s]
-        del s
-        worker = threading.Thread(target=free_under_lock, args=(box,), daemon=True)
-        worker.start()
-        worker.join(timeout=10)
-        assert not worker.is_alive()
-        assert len(_MEMO) == 1  # queued for the next holder of the lock
-        other = scalar(h=2.0)
         validate(other)
-        assert [key for key, _ in _MEMO] == [id(other)]
+        assert _MEMO and all(ref() is not None for ref, _ in _MEMO.values())
 
 
 def test_threads_share_the_memo_safely():
@@ -242,5 +236,6 @@ def test_threads_share_the_memo_safely():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == [] and len(_MEMO) <= MEMO_SIZE
-    validate(systems[0])  # drops what frees queued while the lock was held
+    last = scalar(h=6.0)
+    validate(last)  # an insertion: drops the entries of freed systems
     assert all(ref() is not None for ref, _ in _MEMO.values())
