@@ -153,7 +153,7 @@ def _certify_validated(
 
 def _stored_spectrum(system: DelayPHSystem, cond: np.ndarray) -> np.ndarray:
     """``eigvalsh`` of ``cond``, the condition matrix of ``system`` and its
-    stored Theta, computed once per system through ``_memo``."""
+    stored Theta, computed once and stored on the system by ``_memo``."""
     return _memo(
         system, "condition_spectrum",
         lambda: _set_read_only(np.linalg.eigvalsh(cond)),

@@ -15,17 +15,14 @@ these primitives return evidence (minimum eigenvalues, witnesses, measured
 norms) rather than bare booleans.
 
 A decomposition of an immutable input (a ``_frozen`` array, as every
-system matrix is, or a system made of such arrays) is kept in a small
-memo, ``_memo``, so a chain of calls on one system decomposes each of its
-matrices once.
+system matrix is, or a system) is stored on that input by ``_memo``, so a
+chain of calls on one system decomposes each of its matrices once, and the
+result lives and dies with the input.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-import weakref
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,13 +45,6 @@ __all__ = [
 
 #: relative asymmetry beyond which a matrix is rejected as "not symmetric"
 SYMMETRY_RTOL = 1e-12
-
-#: results ``_memo`` keeps: about what one chain of calls on one system
-#: reuses, so nothing piles up over the many systems of a long run
-MEMO_SIZE = 8
-
-_MEMO: OrderedDict = OrderedDict()  # (id, tag) -> (weak reference, result)
-_MEMO_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -123,67 +113,47 @@ def as_matrix(value, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def _is_frozen(arr) -> bool:
-    """Whether ``arr`` is a read-only ndarray over a ``bytes`` object, as
-    ``_frozen`` makes them: its write flag cannot be set again.
+class _Buffer(bytes):
+    """The immutable bytes behind a ``_frozen`` array; its ``__dict__``
+    holds what ``_memo`` computed from that array."""
 
-    numpy unpickles a large array as a writeable one over ``bytes``, so
-    the flag is checked too.  An array that a caller builds by hand over
-    the bytes of such an unpickled array would pass and still change with
-    it; no phdelay routine builds one.
+
+def _is_frozen(arr) -> bool:
+    """Whether ``arr`` is an array that ``_frozen`` made: one over a
+    ``_Buffer``, whose write flag numpy refuses to set again.
+
+    A view or a reshape has the array as its base, and an unpickled array
+    plain ``bytes`` or none, so neither is trusted.  An array that a caller
+    builds by hand over the buffer of another would share its results; no
+    phdelay routine builds one.
     """
-    return (
-        isinstance(arr, np.ndarray)
-        and not arr.flags.writeable
-        and isinstance(arr.base, bytes)
-    )
+    return isinstance(arr, np.ndarray) and isinstance(arr.base, _Buffer)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
     """``arr`` if it ``_is_frozen``, else an immutable C-ordered copy."""
     if _is_frozen(arr):
         return arr
-    return np.ndarray(arr.shape, arr.dtype, arr.tobytes())
-
-
-def _immutable(obj) -> bool:
-    """Whether ``obj`` is a ``_frozen`` array, or a frozen dataclass (a
-    phdelay system) whose every array field is one."""
-    if isinstance(obj, np.ndarray):
-        return _is_frozen(obj)
-    params = getattr(type(obj), "__dataclass_params__", None)
-    return params is not None and params.frozen and all(
-        _is_frozen(v) for v in vars(obj).values() if isinstance(v, np.ndarray)
-    )
+    return np.ndarray(arr.shape, arr.dtype, _Buffer(arr.tobytes()))
 
 
 def _memo(obj, tag, compute):
-    """``compute()``, reused for as long as ``obj`` lives, if ``_immutable``.
+    """``compute()``, stored on ``obj`` under ``tag`` if ``obj`` is immutable.
 
-    Results are keyed by ``(id(obj), tag)`` and kept for the ``MEMO_SIZE``
-    most recently used keys.  A weak reference to ``obj`` keeps a recycled
-    id from hitting, and each insertion first drops the entries whose
-    object has been freed.  Every caller gets the same result, so
-    ``compute`` must return an immutable one (a tuple, read-only arrays).
-    For any other ``obj`` it computes afresh each time.
+    A ``_frozen`` array keeps its results in its buffer's ``__dict__``, a
+    system in its ``_cache``; both live exactly as long as ``obj``.  Every
+    caller gets the same result, so ``compute`` must return an immutable
+    one (a tuple, read-only arrays).  Two threads that miss together store
+    equal values, and both get the first.  For any other ``obj`` it
+    computes afresh each time.
     """
-    if not _immutable(obj):
+    cache = vars(obj.base) if _is_frozen(obj) else getattr(obj, "_cache", None)
+    if cache is None:
         return compute()
-    key = (id(obj), tag)
-    with _MEMO_LOCK:
-        entry = _MEMO.get(key)
-        if entry is not None and entry[0]() is obj:
-            _MEMO.move_to_end(key)
-            return entry[1]
-    value = compute()
-    with _MEMO_LOCK:
-        for dead in [k for k, (ref, _) in _MEMO.items() if ref() is None]:
-            del _MEMO[dead]
-        _MEMO[key] = (weakref.ref(obj), value)
-        _MEMO.move_to_end(key)  # another thread's entry kept its old place
-        if len(_MEMO) > MEMO_SIZE:
-            _MEMO.popitem(last=False)
-    return value
+    try:
+        return cache[tag]
+    except KeyError:
+        return cache.setdefault(tag, compute())
 
 
 def _set_read_only(arr: np.ndarray) -> np.ndarray:
@@ -336,8 +306,8 @@ def _symmetric_eigh(m: np.ndarray, tol: Tolerance, key=None):
     and K holds the orthonormal eigenvectors with |eigenvalue| <=
     rank_tol * scale.  The singular values of a symmetric matrix are its
     |eigenvalues|, so this is the cutoff an SVD would apply.  ``key`` is
-    the caller's matrix that M symmetrizes; when it is immutable, its
-    ``eigh`` is reused through ``_memo`` (evals and evecs are then
+    the caller's matrix that M symmetrizes; when it is ``_frozen``, its
+    ``eigh`` is stored on it through ``_memo`` (evals and evecs are then
     read-only).
     """
     if not m.size:

@@ -31,7 +31,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -94,15 +94,26 @@ def _freeze(obj, name, value):
     object.__setattr__(obj, name, _frozen(as_matrix(value, name)))
 
 
+def _by_constructor(obj):
+    """``__reduce__`` that rebuilds ``obj`` from its fields, so a pickled
+    or copied object is frozen again by its own ``__post_init__``."""
+    return type(obj), tuple(getattr(obj, f.name) for f in fields(obj))
+
+
 class _System:
     """Construction shared by the four kinds; their fields are in ``_SCHEMA``.
 
     Matrices (and a given ``theta``) become immutable float arrays (see
     ``linalg._frozen``): no write to the caller's array, or to an array it
-    views, can reach the system.  ``tau`` becomes a finite float.
+    views, can reach the system, nor any write to a pickled or copied one.
+    ``tau`` becomes a finite float.  ``_cache`` holds what
+    ``linalg._memo`` computed from the system; a copy starts empty.
     """
 
+    __reduce__ = _by_constructor
+
     def __post_init__(self):
+        object.__setattr__(self, "_cache", {})
         for name in _schema_of(self)[1]:
             _freeze(self, name, getattr(self, name))
         if getattr(self, "theta", None) is not None:
@@ -213,11 +224,14 @@ class HistoryFunction:
     """Sampled initial history on [-tau, 0], interpolated linearly.
 
     ``grid`` is strictly increasing with grid[0] < 0 and grid[-1] = 0;
-    ``values`` holds one column of the state per grid point.
+    ``values`` holds one column of the state per grid point.  Both are
+    immutable, in a pickled or copied history too.
     """
 
     grid: np.ndarray
     values: np.ndarray
+
+    __reduce__ = _by_constructor
 
     def __post_init__(self):
         grid = _frozen(np.asarray(self.grid, dtype=float).reshape(-1))
@@ -280,8 +294,9 @@ def validate(system, tol: Tolerance = DEFAULT_TOL) -> list[str]:
     Each violation names the offending field and the measured quantity.
     Dimensional consistency is checked first; spectral conditions (H
     positive definite, R / Theta positive semidefinite, J antisymmetric)
-    use the tolerance policy.  A system is immutable, so its verdict for a
-    tolerance is reused through ``linalg._memo``.
+    use the tolerance policy.  A system is immutable, so its violations
+    for a tolerance are stored on it (``linalg._memo``) and each call
+    returns a fresh list of them.
     """
     return list(
         _memo(system, ("validate", tol), lambda: tuple(_violations(system, tol)))
@@ -302,8 +317,8 @@ def _violations(system, tol: Tolerance) -> list[str]:
     if kind == "delay_ph":
         if ok["H"] and ok["J"]:
             _check_energy_matrices(v, system.H, system.J, tol)
-        if ok["R"] and asymmetry(system.R) > SYMMETRY_RTOL:
-            v.append(f"R is not symmetric (relative asymmetry {asymmetry(system.R):.3e})")
+        if ok["R"]:
+            _symmetric(v, "R", system.R)
         if system.theta is not None:
             if _check_shape(v, "theta", system.theta, (n, n)):
                 _check_psd_field(v, "theta", system.theta, tol)
@@ -312,11 +327,18 @@ def _violations(system, tol: Tolerance) -> list[str]:
     return v
 
 
-def _check_energy_matrices(violations, h, j, tol):
-    a = asymmetry(h)
+def _symmetric(violations, name, mat) -> bool:
+    """Whether ``mat`` is symmetric within ``SYMMETRY_RTOL``; records the
+    violation when it is not."""
+    a = asymmetry(mat)
     if a > SYMMETRY_RTOL:
-        violations.append(f"H is not symmetric (relative asymmetry {a:.3e})")
-    elif h.size:  # an empty H is positive definite
+        violations.append(f"{name} is not symmetric (relative asymmetry {a:.3e})")
+        return False
+    return True
+
+
+def _check_energy_matrices(violations, h, j, tol):
+    if _symmetric(violations, "H", h) and h.size:  # an empty H is positive definite
         report = psd_report_symmetric(0.5 * (h + h.T), tol)
         if report.min_eigenvalue <= report.slack:
             violations.append(
@@ -328,9 +350,7 @@ def _check_energy_matrices(violations, h, j, tol):
 
 
 def _check_psd_field(violations, name, mat, tol):
-    a = asymmetry(mat)
-    if a > SYMMETRY_RTOL:
-        violations.append(f"{name} is not symmetric (relative asymmetry {a:.3e})")
+    if not _symmetric(violations, name, mat):
         return
     report = psd_report_symmetric(0.5 * (mat + mat.T), tol)
     if not report.is_psd:

@@ -12,7 +12,6 @@ import numpy as np
 from phdelay import DelayPHSystem
 from phdelay.composition import FeedbackConditions
 from phdelay.linalg import (
-    _MEMO,
     DEFAULT_TOL,
     as_matrix,
     numerical_rank,
@@ -76,10 +75,9 @@ def decompositions():
     """Record the ``numpy.linalg`` ``eigh``, ``eigvalsh`` and ``svd`` calls.
 
     Yields a list that gets one ``(name, copy of the matrix)`` per call.
-    The memo of ``phdelay.linalg`` is emptied on entry, so the count does
-    not depend on what ran before.
+    Decompositions are cached on the systems and arrays they came from, so
+    a count starts from nothing for objects made inside the test.
     """
-    _MEMO.clear()
     calls = []
     saved = {name: getattr(np.linalg, name) for name in ("eigh", "eigvalsh", "svd")}
 

@@ -63,7 +63,7 @@ def test_certify_embedded_theta(capsys, scalar_file):
     assert cert["verdict"] == "CERTIFIED"
     assert cert["min_eigenvalue"] == pytest.approx(0.5)
     digest = "sha256:" + hashlib.sha256(
-        open(scalar_file, "rb").read()
+        pathlib.Path(scalar_file).read_bytes()
     ).hexdigest()
     assert report["inputs"][scalar_file] == digest
 

@@ -1,12 +1,15 @@
-"""The decomposition memo of ``phdelay.linalg``: what it reuses, and when not.
+"""The decompositions ``phdelay.linalg._memo`` stores on immutable systems
+and arrays: what it reuses, and when not.
 
-Every count runs inside ``helpers.decompositions``, which empties the memo
-first, so no count depends on which tests ran before.
+Every count runs inside ``helpers.decompositions`` on objects made inside
+the test, so no count depends on which tests ran before.
 """
 
+import copy
 import pickle
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -26,7 +29,7 @@ from phdelay import (
     ph_condition_matrix,
     validate,
 )
-from phdelay.linalg import DEFAULT_TOL, MEMO_SIZE, _MEMO, _symmetric_eigh
+from phdelay.linalg import DEFAULT_TOL, _symmetric_eigh
 from helpers import decompositions, rand_antisym, rand_certified_delay_ph
 
 
@@ -117,6 +120,34 @@ def test_system_matrices_cannot_be_made_writeable(n):
     assert validate(s) == []
 
 
+@pytest.mark.parametrize("clone", [
+    lambda obj: pickle.loads(pickle.dumps(obj)), copy.deepcopy,
+], ids=["pickle", "deepcopy"])
+@pytest.mark.parametrize("kind", ["system", "history"])
+def test_copies_cannot_be_written(clone, kind):
+    """A pickled or deep-copied system or history is rebuilt through its
+    constructor: its arrays are immutable again, and it starts with no
+    cached results of the original."""
+    if kind == "system":
+        original = scalar()
+        assert validate(original) == []
+        names = ("H", "J", "R", "Z", "G", "theta")
+    else:
+        original = HistoryFunction.constant([0.5, -1.0], 1.0)
+        names = ("grid", "values")
+    copied = clone(original)
+    for name in names:
+        arr = getattr(copied, name)
+        assert np.array_equal(arr, getattr(original, name))
+        with pytest.raises(ValueError):
+            arr[0] = -1.0
+        with pytest.raises(ValueError):
+            arr.setflags(write=True)
+    if kind == "system":
+        assert original._cache and copied._cache == {}
+        assert validate(copied) == []
+
+
 def test_unpickled_arrays_are_not_trusted():
     """numpy unpickles a large array as a writeable one over ``bytes``:
     a system does not share it, nor does the memo keep its decomposition."""
@@ -170,49 +201,41 @@ def test_validate_returns_a_fresh_list_per_tolerance():
     assert validate(s, Tolerance(psd_tol=1e-3)) == []
 
 
-def test_oldest_entry_is_recomputed_past_the_bound():
-    first = scalar(h=3.0)
-    others = [scalar(h=4.0 + k) for k in range(MEMO_SIZE)]
-    with decompositions() as calls:
-        validate(first)
-        validate(first)
-        assert count(calls, "eigvalsh", first.H) == 1
-        for other in others:
-            validate(other)
-        assert len(_MEMO) == MEMO_SIZE
-        validate(first)
-    assert count(calls, "eigvalsh", first.H) == 2
-
-
 def test_cached_arrays_are_read_only():
     s = scalar()
     with decompositions():
         evals, evecs, _, _ = _symmetric_eigh(s.R, DEFAULT_TOL, s.R)
         certify_delay_ph(s)
     assert not evals.flags.writeable and not evecs.flags.writeable
-    spectra = [value for _, value in _MEMO.values() if isinstance(value, np.ndarray)]
+    cached = vars(s.R.base)["eigh"]
+    assert cached[0] is evals and cached[1] is evecs
+    spectra = [value for value in s._cache.values() if isinstance(value, np.ndarray)]
     assert len(spectra) == 1 and not spectra[0].flags.writeable
 
 
-def test_freed_objects_leave_no_entry():
-    """A closed loop built and certified inside one call is freed on
-    return; the next insertion drops its condition spectrum."""
-    s1 = scalar(h=1e6)
-    s2 = scalar(h=1e-4)
-    other = scalar(h=2.0)
-    with decompositions():
-        cert = certify_interconnection(s1, s2, [[-1.0, 1.0], [-1.0, -1.0]])
-        assert cert.verdict == CERTIFIED
-        validate(other)
-        assert _MEMO and all(ref() is not None for ref, _ in _MEMO.values())
+def test_caching_keeps_no_system_alive():
+    """What a chain of calls stores on a system and its matrices holds no
+    reference back to them: both die on ``del``, with no garbage cycle to
+    wait for."""
+    s = scalar()
+    partner = scalar(h=2.0)
+    assert validate(s) == [] and construct_theta(s.R, s.Z).success
+    assert certify_delay_ph(s).verdict == CERTIFIED
+    cert = certify_interconnection(s, partner, [[-1.0, 1.0], [-1.0, -1.0]])
+    assert cert.verdict == CERTIFIED
+    assert s._cache and "eigh" in vars(s.R.base)
+    system, matrix = weakref.ref(s), weakref.ref(s.R)
+    del s
+    assert system() is None and matrix() is None
 
 
 def test_threads_share_the_memo_safely():
-    """More threads than cores cycling more systems than the bound, and
-    freeing a fresh system per pass, whose entry must not outlive it."""
-    systems = [scalar(r=2.0 + k) for k in range(MEMO_SIZE + 4)]
+    """More threads than cores cycling a dozen shared systems, and
+    freeing a fresh system per pass, whose results must not outlive it."""
+    systems = [scalar(r=2.0 + k) for k in range(12)]
     want = [construct_theta(s.R, s.Z).interval.sigma for s in systems]
     errors = []
+    freed = []
 
     def work():
         try:
@@ -220,7 +243,10 @@ def test_threads_share_the_memo_safely():
                 for s, sigma in zip(systems, want):
                     assert validate(s) == []
                     assert construct_theta(s.R, s.Z).interval.sigma == sigma
-                assert validate(scalar(h=5.0)) == []
+                fresh = scalar(h=5.0)
+                assert validate(fresh) == []
+                freed.append(weakref.ref(fresh))
+                del fresh
         except Exception as exc:  # reported by the main thread
             errors.append(exc)
 
@@ -235,7 +261,8 @@ def test_threads_share_the_memo_safely():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert errors == [] and len(_MEMO) <= MEMO_SIZE
-    last = scalar(h=6.0)
-    validate(last)  # an insertion: drops the entries of freed systems
-    assert all(ref() is not None for ref, _ in _MEMO.values())
+    assert errors == [] and len(freed) == 4 * 30
+    assert all(ref() is None for ref in freed)
+    for s in systems:
+        assert s._cache == {("validate", DEFAULT_TOL): ()}
+        assert list(vars(s.R.base)) == ["eigh"]
