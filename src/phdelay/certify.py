@@ -34,8 +34,10 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerance,
     _contained,
+    _halves,
     _memo,
     _psd_report_blocks,
+    _require_shape,
     _set_read_only,
     _symmetric_eigh,
     _whitening,
@@ -78,13 +80,8 @@ ALPHA_CLAMP = 1e-9
 def ph_condition_matrix(R, Z, theta) -> np.ndarray:
     """Assemble the 2n x 2n block matrix [[R - Theta, Z/2], [Z^T/2, Theta]]."""
     r = require_symmetric(R, "R")
-    th = require_symmetric(theta, "theta")
-    z = as_matrix(Z, "Z")
-    n = r.shape[0]
-    if th.shape != (n, n) or z.shape != (n, n):
-        raise ValueError(
-            f"shape mismatch: R {r.shape}, Z {z.shape}, theta {th.shape}"
-        )
+    th = _require_shape(require_symmetric(theta, "theta"), r.shape, "theta")
+    z = _require_shape(as_matrix(Z, "Z"), r.shape, "Z")
     return _assemble_condition(r, z, th)
 
 
@@ -131,13 +128,10 @@ def _certify_validated(
             "no Theta available: pass one explicitly, store it on the "
             "system, or construct one with construct_theta"
         )
-    th = require_symmetric(theta, "theta")
-    if th.shape != (system.n, system.n):
-        raise ValueError(f"theta has shape {th.shape}, expected {(system.n,) * 2}")
+    th = _require_shape(require_symmetric(theta, "theta"), system.R.shape, "theta")
     # validate has checked R for shape and symmetry, so the blocks need no
     # second pass through ph_condition_matrix's checks
-    r = system.R
-    cond = _assemble_condition(0.5 * (r + r.T), system.Z, th)
+    cond = _assemble_condition(_halves(system.R), system.Z, th)
     if not stored:
         theta_report = psd_report_symmetric(th, tol)
         if not theta_report.is_psd:
@@ -176,12 +170,16 @@ class ScalarThetaInterval:
 
 
 def scalar_theta_interval(alpha0: float, alpha1: float) -> ScalarThetaInterval:
-    """Closed-form theta interval for the scalar system (see class docs)."""
+    """Closed-form theta interval (see class docs) for finite arguments."""
     a0 = float(alpha0)
     a1 = float(alpha1)
+    if not (math.isfinite(a0) and math.isfinite(a1)):
+        raise ValueError(f"alpha0 and alpha1 must be finite, got {a0!r}, {a1!r}")
     if a0 < 0.0 or a0 < abs(a1):
         return ScalarThetaInterval(False)
-    half_width = 0.5 * math.sqrt(max(a0 * a0 - a1 * a1, 0.0))
+    # sqrt(a0^2 - a1^2) / 2 as a product, so that no square overflows
+    b = abs(a1)
+    half_width = math.sqrt(0.5 * (a0 - b)) * math.sqrt(0.5 * a0 + 0.5 * b)
     return ScalarThetaInterval(True, 0.5 * a0 - half_width, 0.5 * a0 + half_width)
 
 
@@ -217,12 +215,13 @@ class NecessaryConditions:
 def check_necessary(R, theta, Z, tol: Tolerance = DEFAULT_TOL) -> NecessaryConditions:
     """Evaluate the necessary kernel containments for (R, Theta, Z).
 
-    The kernels of R and Theta come from one ``eigh`` each, and ||Z||_2 is
-    computed at most once, only when one of the kernels is nontrivial.
+    Theta and Z must have R's shape (ValueError otherwise).  The kernels of
+    R and Theta come from one ``eigh`` each, and ||Z||_2 is computed at
+    most once, only when one of the kernels is nontrivial.
     """
     r = require_symmetric(R, "R")
-    th = require_symmetric(theta, "theta")
-    z = as_matrix(Z, "Z")
+    th = _require_shape(require_symmetric(theta, "theta"), r.shape, "theta")
+    z = _require_shape(as_matrix(Z, "Z"), r.shape, "Z")
     _, _, ker_r, _ = _symmetric_eigh(r, tol, R)
     _, _, ker_th, th_norm = _symmetric_eigh(th, tol)
     z_norm = spectral_norm(z) if ker_r.size or ker_th.size else 0.0
@@ -279,9 +278,7 @@ def construct_theta(R, Z, tol: Tolerance = DEFAULT_TOL) -> ThetaConstruction:
     alpha-family may still exist.
     """
     r = require_symmetric(R, "R")
-    z = as_matrix(Z, "Z")
-    if z.shape != r.shape:
-        raise ValueError(f"Z has shape {z.shape}, expected {r.shape}")
+    z = _require_shape(as_matrix(Z, "Z"), r.shape, "Z")
     evals, evecs, ker_r, scale = _symmetric_eigh(r, tol, R)
     try:
         v1 = _whitening(evals, evecs, scale, tol, "R")
@@ -330,12 +327,9 @@ def kyp_delay_check(
     and C = B^T Q11 within rank_tol * ||C||.  An indefinite Q11 refutes
     with reason "storage_not_psd" and a witness on Q11.
     """
-    q11 = require_symmetric(Q11, "Q11")
-    q22 = require_symmetric(Q22, "Q22")
     n = system.n
-    for name, q in (("Q11", q11), ("Q22", q22)):
-        if q.shape != (n, n):
-            raise ValueError(f"{name} has shape {q.shape}, expected {(n, n)}")
+    q11 = _require_shape(require_symmetric(Q11, "Q11"), (n, n), "Q11")
+    q22 = _require_shape(require_symmetric(Q22, "Q22"), (n, n), "Q22")
     block = np.empty((2 * n, 2 * n))
     block[:n, :n] = -system.A0.T @ q11 - q11 @ system.A0 - q22
     block[:n, n:] = -q11 @ system.A1
@@ -369,10 +363,8 @@ def exists_certifying_theta_grid(
     scanned; the oracle is a desk-scale approximation of true existence.
     """
     r = require_symmetric(R, "R")
-    z = as_matrix(Z, "Z")
+    z = _require_shape(as_matrix(Z, "Z"), r.shape, "Z")
     n = r.shape[0]
-    if z.shape != (n, n):
-        raise ValueError(f"Z has shape {z.shape}, expected {(n, n)}")
     if n not in (1, 2):
         raise ValueError("the grid oracle supports n = 1 and n = 2 only")
     scale = spectral_norm(r)

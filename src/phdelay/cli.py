@@ -51,13 +51,13 @@ from .systems import (
     StandardLTISystem,
     StandardPHSystem,
     SystemFormatError,
+    _document,
     _matrix_rows,
     _rows,
     _standard_ph_to_lti,
     read_system,
     save_system,
     validate,
-    write_system,
 )
 
 __all__ = ["main"]
@@ -86,10 +86,6 @@ def _read_matrix(path: str, name: str) -> np.ndarray:
         except json.JSONDecodeError as exc:
             raise SystemFormatError(f"{name}: malformed JSON: {exc}") from None
     return _matrix_rows(name, doc)
-
-
-def _system_doc(system) -> dict:
-    return json.loads(write_system(system))
 
 
 def _jsonable(obj):
@@ -202,7 +198,7 @@ def _cmd_interconnect(args, tol):
             args.feedback_matrix: _digest(args.feedback_matrix),
         },
         "classification": classify_feedback(f, tol),
-        "system": _system_doc(closed),
+        "system": _document(closed),
     }
     if args.out:
         save_system(closed, args.out)
@@ -250,7 +246,7 @@ def _cmd_feedback(args, tol):
         else:
             payload["verdict"] = INCONCLUSIVE
             code = _EXIT[INCONCLUSIVE]
-    payload["system"] = _system_doc(closed)
+    payload["system"] = _document(closed)
     if args.out:
         save_system(closed, args.out)
         payload["out"] = args.out

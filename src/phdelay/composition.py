@@ -36,7 +36,10 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerance,
     _contained,
+    _halves,
     _psd_report_blocks,
+    _require_shape,
+    _square,
     _symmetric_eigh,
     _whitening,
     as_matrix,
@@ -81,12 +84,10 @@ def classify_feedback(F, tol: Tolerance = DEFAULT_TOL) -> str:
     "dissipative" when -sym(F) is PSD, "general" otherwise.  One
     ``eigvalsh`` of sym(F) gives both its norm and its sign.
     """
-    f = as_matrix(F, "F")
-    if f.shape[0] != f.shape[1]:
-        raise ValueError(f"F must be square, got shape {f.shape}")
+    f = _square(F, "F")
     if _exactly_skew(f):
         return POWER_CONSERVING
-    evals = np.linalg.eigvalsh(0.5 * (f + f.T))
+    evals = np.linalg.eigvalsh(_halves(f))
     scale = max(-float(evals[0]), float(evals[-1]))
     if scale <= 1e-12 * spectral_norm(f):
         return POWER_CONSERVING
@@ -142,11 +143,8 @@ def _pair_feedback(sys1: DelayPHSystem, sys2: DelayPHSystem, F) -> np.ndarray:
             f"delays differ: {sys1.tau} vs {sys2.tau}; interconnection "
             "requires one shared delay"
         )
-    f = as_matrix(F, "F")
     m = sys1.m + sys2.m
-    if f.shape != (m, m):
-        raise ValueError(f"F has shape {f.shape}, expected {(m, m)}")
-    return f
+    return _require_shape(as_matrix(F, "F"), (m, m), "F")
 
 
 def certify_interconnection(
@@ -197,7 +195,7 @@ def _certify_pair(sys1: DelayPHSystem, sys2: DelayPHSystem, f: np.ndarray,
 
 def _exactly_skew(f: np.ndarray) -> bool:
     """Whether F + F^T has no nonzero entry: then R is blkdiag(R1, R2)."""
-    return not np.any(f + f.T)
+    return bool(np.all(f == -f.T))
 
 
 def _certify_parts(
@@ -214,9 +212,9 @@ def _certify_parts(
     index = (np.r_[0:n1, n : n + n1], np.r_[n1:n, n + n1 : 2 * n])
     # validate has checked R and a stored Theta for symmetry and Theta for
     # PSD, as certify_delay_ph relies on for a closed loop
-    thetas = [0.5 * (s.theta + s.theta.T) for s in (sys1, sys2)]
+    thetas = [_halves(s.theta) for s in (sys1, sys2)]
     blocks = [
-        _assemble_condition(0.5 * (s.R + s.R.T), s.Z, th)
+        _assemble_condition(_halves(s.R), s.Z, th)
         for s, th in zip((sys1, sys2), thetas)
     ]
     spectra = [_stored_spectrum(s, b) for s, b in zip((sys1, sys2), blocks)]
@@ -242,10 +240,8 @@ def close_delayed_feedback(
     Z = G F G^T and all other structure matrices unchanged (no theta is
     attached; construct one separately).
     """
-    f = as_matrix(F, "F")
     m = system.m
-    if f.shape != (m, m):
-        raise ValueError(f"F has shape {f.shape}, expected {(m, m)}")
+    f = _require_shape(as_matrix(F, "F"), (m, m), "F")
     if not float(tau) > 0.0:
         raise ValueError(f"tau must be positive, got {tau}")
     return DelayPHSystem(

@@ -1,6 +1,7 @@
 """Dense linear-algebra primitives with an explicit tolerance policy.
 
-Every routine here is a pure function on real 2-D numpy arrays.  Rank-type
+Every routine here is a pure function on real 2-D numpy arrays.  Symmetric
+parts are formed as 0.5 M + 0.5 M^T, finite for every finite M.  Rank-type
 decisions (ranks, kernels, subspace containments) are made relative to the
 largest singular value.  Every kernel is that of a symmetric matrix and
 comes, with its whitening, from one ``eigh`` (``_symmetric_eigh``), whose
@@ -113,34 +114,36 @@ def as_matrix(value, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-class _Buffer(bytes):
-    """The immutable bytes behind a ``_frozen`` array; its ``__dict__``
+class _Root(np.ndarray):
+    """The read-only bytes behind a ``_frozen`` array; its ``__dict__``
     holds what ``_memo`` computed from that array."""
 
 
 def _is_frozen(arr) -> bool:
-    """Whether ``arr`` is an array that ``_frozen`` made: one over a
-    ``_Buffer``, whose write flag numpy refuses to set again.
+    """Whether ``arr`` is an array that ``_frozen`` made: a plain array
+    over a ``_Root``, whose write flag numpy refuses to set again.
 
-    A view or a reshape has the array as its base, and an unpickled array
-    plain ``bytes`` or none, so neither is trusted.  An array that a caller
-    builds by hand over the buffer of another would share its results; no
-    phdelay routine builds one.
+    A view or a reshape has the array as its base, an unpickled or copied
+    array ``bytes`` or none, and a slice of the root is itself a ``_Root``,
+    so none of them is trusted.  An array that a caller builds by hand over
+    the root of another would share its results; no phdelay routine builds
+    one.
     """
-    return isinstance(arr, np.ndarray) and isinstance(arr.base, _Buffer)
+    return type(arr) is np.ndarray and type(arr.base) is _Root
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
-    """``arr`` if it ``_is_frozen``, else an immutable C-ordered copy."""
+    """``arr`` if it ``_is_frozen``, else one immutable C-ordered copy."""
     if _is_frozen(arr):
         return arr
-    return np.ndarray(arr.shape, arr.dtype, _Buffer(arr.tobytes()))
+    root = _Root((arr.nbytes,), np.uint8, arr.tobytes())
+    return np.ndarray(arr.shape, arr.dtype, root)
 
 
 def _memo(obj, tag, compute):
     """``compute()``, stored on ``obj`` under ``tag`` if ``obj`` is immutable.
 
-    A ``_frozen`` array keeps its results in its buffer's ``__dict__``, a
+    A ``_frozen`` array keeps its results in its root's ``__dict__``, a
     system in its ``_cache``; both live exactly as long as ``obj``.  Every
     caller gets the same result, so ``compute`` must return an immutable
     one (a tuple, read-only arrays).  Two threads that miss together store
@@ -168,22 +171,34 @@ def _square(value, name: str = "matrix") -> np.ndarray:
     return arr
 
 
+def _require_shape(arr: np.ndarray, shape: tuple, name: str) -> np.ndarray:
+    """``arr``, once it has ``shape``; ValueError naming ``name`` otherwise."""
+    if arr.shape != shape:
+        raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
+    return arr
+
+
+def _halves(m: np.ndarray, skew: bool = False) -> np.ndarray:
+    """0.5 M + 0.5 M^T, or with ``skew`` 0.5 M - 0.5 M^T: halving before
+    adding keeps both finite for every finite square M."""
+    half = 0.5 * m
+    return half - half.T if skew else half + half.T
+
+
 def sym_part(matrix) -> np.ndarray:
     """Symmetric part (M + M^T) / 2 of a square matrix."""
-    m = _square(matrix)
-    return 0.5 * (m + m.T)
+    return _halves(_square(matrix))
 
 
 def skew_part(matrix) -> np.ndarray:
     """Antisymmetric part (M - M^T) / 2 of a square matrix."""
-    m = _square(matrix)
-    return 0.5 * (m - m.T)
+    return _halves(_square(matrix), skew=True)
 
 
 def asymmetry(matrix) -> float:
     """Relative asymmetry ||M - M^T||_F / ||M||_F; 0.0 for a zero matrix."""
     m = _square(matrix)
-    return _relative_norm(m - m.T, m)
+    return 2.0 * _relative_norm(_halves(m, skew=True), m)
 
 
 def _relative_norm(d: np.ndarray, m: np.ndarray) -> float:
@@ -214,12 +229,12 @@ def require_symmetric(matrix, name: str = "matrix") -> np.ndarray:
     symmetrized; anything larger raises ValueError.
     """
     m = _square(matrix, name)
-    a = _relative_norm(m - m.T, m)
+    a = asymmetry(m)
     if a > SYMMETRY_RTOL:
         raise ValueError(
             f"{name} is not symmetric (relative asymmetry {a:.3e} > {SYMMETRY_RTOL:.0e})"
         )
-    return 0.5 * (m + m.T)
+    return _halves(m)
 
 
 def spectral_norm(matrix) -> float:

@@ -45,11 +45,12 @@ than a quadrature tolerance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import require_symmetric, spectral_norm
+from .linalg import _require_shape, require_symmetric, spectral_norm
 from .systems import (
     DelayPHSystem,
     GeneralDelaySystem,
@@ -139,7 +140,7 @@ class EnergyRecord:
 
 def _step_count(value: float, h: float, name: str) -> int:
     ratio = float(value) / h
-    k = round(ratio)
+    k = round(ratio) if math.isfinite(ratio) else 0
     if abs(ratio - k) > 1e-9 * max(1.0, abs(ratio)) or k < 1:
         raise ValueError(
             f"{name} = {value!r} must be a positive integer multiple of h = {h!r}"
@@ -224,13 +225,13 @@ def integrate_dde(
 ) -> Trajectory:
     """Integrate x' = A0 x + A1 x(t - tau) + B u from the given history.
 
-    ``h`` must divide both tau and T exactly (within 1e-9 relative);
-    ``inputs`` is None (zero input), an (m, K+1) sample array on the step
-    grid, or a callable t -> u(t) sampled onto it.  Raises BlowUpError when
+    A finite ``h`` must divide both tau and a finite T exactly (within 1e-9
+    relative); ``inputs`` is None (zero input), an (m, K+1) sample array on
+    the step grid, or a callable t -> u(t) sampled onto it.  Raises BlowUpError when
     the state norm exceeds 1e12.
     """
-    if not h > 0.0:
-        raise ValueError(f"h must be positive, got {h}")
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"h must be positive and finite, got {h}")
     d = _step_count(system.tau, h, "tau")
     big_k = _step_count(T, h, "T")
     n, m = system.n, system.m
@@ -329,10 +330,12 @@ def hamiltonian_series(traj: Trajectory, H, theta) -> np.ndarray:
     E_k = (1/2) x_k^T H x_k plus the trapezoid of g_j = x_j^T Theta x_j
     over the grid points of [t_k - tau, t_k].  The trapezoid is summed once
     over the first window and then slid one step at a time with the exact
-    increment h/2 (g_{k+d} + g_{k+d+1} - g_k - g_{k+1}).
+    increment h/2 (g_{k+d} + g_{k+d+1} - g_k - g_{k+1}).  H and Theta must
+    be symmetric n x n (ValueError otherwise).
     """
-    h_mat = require_symmetric(H, "H")
-    th = require_symmetric(theta, "theta")
+    shape = (traj.n, traj.n)
+    h_mat = _require_shape(require_symmetric(H, "H"), shape, "H")
+    th = _require_shape(require_symmetric(theta, "theta"), shape, "theta")
     x, d, step = traj.padded_states, traj.delay_steps, traj.step
     g = np.einsum("ij,ij->j", x, th @ x)
     first = step * (0.5 * g[0] + g[1:d].sum() + 0.5 * g[d])

@@ -32,6 +32,7 @@ from .certificates import Certificate
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
+    _require_shape,
     as_matrix,
     is_psd,
     numerical_rank,
@@ -78,9 +79,9 @@ class StandardPHCertificate:
 
 
 def weighted_system_matrix(system: StandardLTISystem, H) -> np.ndarray:
-    """Assemble [[H A, H B], [-C, 0]]."""
-    h = as_matrix(H, "H")
+    """Assemble [[H A, H B], [-C, 0]]; H must be n x n (ValueError otherwise)."""
     n, m = system.n, system.m
+    h = _require_shape(as_matrix(H, "H"), (n, n), "H")
     out = np.zeros((n + m, n + m))
     out[:n, :n] = h @ system.A
     out[:n, n:] = h @ system.B
@@ -89,9 +90,9 @@ def weighted_system_matrix(system: StandardLTISystem, H) -> np.ndarray:
 
 
 def kyp_matrix(system: StandardLTISystem, H) -> np.ndarray:
-    """Assemble [[-A^T H - H A, C^T - H B], [C - B^T H, 0]]."""
-    h = as_matrix(H, "H")
+    """Assemble [[-A^T H - H A, C^T - H B], [C - B^T H, 0]]; H must be n x n."""
     n, m = system.n, system.m
+    h = _require_shape(as_matrix(H, "H"), (n, n), "H")
     out = np.zeros((n + m, n + m))
     out[:n, :n] = -system.A.T @ h - h @ system.A
     out[:n, n:] = system.C.T - h @ system.B
@@ -116,8 +117,9 @@ def certify_ph(
     n = system.n
     # ||C - B^T H^T|| = ||H B - C^T||, the structural condition as stated
     residual, out_ok = output_residual(system.C, system.B, h.T, tol)
+    dissipation = -sym_part(sigma)
     cert = Certificate.from_report(
-        is_psd(-sym_part(sigma), tol),
+        is_psd(dissipation, tol),
         sigma,
         "dissipation_indefinite",
         mismatch="" if out_ok else f"output_mismatch: ||H B - C^T|| = {residual:.3e}",
@@ -127,7 +129,7 @@ def certify_ph(
     skew = skew_part(sigma)
     decomp = SigmaDecomposition(
         J=skew[:n, :n].copy(),
-        R=-sym_part(sigma)[:n, :n].copy(),
+        R=dissipation[:n, :n].copy(),
         G=skew[:n, n:].copy(),
     )
     return StandardPHCertificate(cert, decomp)

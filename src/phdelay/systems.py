@@ -11,8 +11,9 @@ a top-level ``"kind"`` discriminator:
 
 Matrices are arrays of row arrays of numbers; ``tau`` is a finite
 positive number.  Unknown keys are rejected.  The writer emits a canonical
-form: keys sorted, reals with 17 significant digits, so write/read
-round-trips are bit-faithful and documents diff cleanly.
+form: ``json.dumps`` with keys sorted, and each real as Python's shortest
+repr that reads back to the same float, so write/read round-trips are
+bit-faithful and documents diff cleanly.
 
 The schema lives in one private table, ``_SCHEMA`` (kind -> class, matrix
 fields, port field), with ``_SHAPES`` giving each field's shape in terms of
@@ -40,6 +41,7 @@ from .linalg import (
     SYMMETRY_RTOL,
     Tolerance,
     _frozen,
+    _halves,
     _memo,
     _relative_norm,
     as_matrix,
@@ -339,12 +341,12 @@ def _symmetric(violations, name, mat) -> bool:
 
 def _check_energy_matrices(violations, h, j, tol):
     if _symmetric(violations, "H", h) and h.size:  # an empty H is positive definite
-        report = psd_report_symmetric(0.5 * (h + h.T), tol)
+        report = psd_report_symmetric(_halves(h), tol)
         if report.min_eigenvalue <= report.slack:
             violations.append(
                 f"H is not positive definite (min eigenvalue {report.min_eigenvalue:.6g})"
             )
-    dev = _relative_norm(j + j.T, j)
+    dev = 2.0 * _relative_norm(_halves(j), j)
     if dev > SYMMETRY_RTOL:
         violations.append(f"J is not antisymmetric (relative deviation {dev:.3e})")
 
@@ -352,7 +354,7 @@ def _check_energy_matrices(violations, h, j, tol):
 def _check_psd_field(violations, name, mat, tol):
     if not _symmetric(violations, name, mat):
         return
-    report = psd_report_symmetric(0.5 * (mat + mat.T), tol)
+    report = psd_report_symmetric(_halves(mat), tol)
     if not report.is_psd:
         violations.append(
             f"{name} is not positive semidefinite (min eigenvalue "
@@ -507,33 +509,8 @@ def read_system(source, tol: Tolerance = DEFAULT_TOL, validated: bool = True):
     return system
 
 
-def _fmt_real(x: float) -> str:
-    if not math.isfinite(x):
-        raise ValueError(f"cannot serialize non-finite value {x!r}")
-    text = format(float(x), ".17g")
-    # "-0" would read back as the integer 0 and lose the sign
-    return "-0.0" if text == "-0" else text
-
-
-def _canonical(value) -> str:
-    if isinstance(value, dict):
-        items = ", ".join(
-            f"{json.dumps(k)}: {_canonical(value[k])}" for k in sorted(value)
-        )
-        return "{" + items + "}"
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_canonical(v) for v in value) + "]"
-    if isinstance(value, bool) or value is None or isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return _fmt_real(value)
-    raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
-def write_system(system) -> str:
-    """Serialize to the canonical JSON form (sorted keys, 17-digit reals)."""
+def _document(system) -> dict:
+    """A system in document form, the dict that ``write_system`` writes."""
     kind, names, _ = _schema_of(system)
     doc: dict = {"kind": kind, "n": system.n, "m": system.m}
     for key in names:
@@ -542,7 +519,13 @@ def write_system(system) -> str:
         doc["tau"] = system.tau
     if getattr(system, "theta", None) is not None:
         doc["theta"] = _rows(system.theta)
-    return _canonical(doc) + "\n"
+    return doc
+
+
+def write_system(system) -> str:
+    """Serialize to the canonical JSON form: sorted keys, and reals in
+    Python's shortest form that reads back to the same float."""
+    return json.dumps(_document(system), sort_keys=True, allow_nan=False) + "\n"
 
 
 def save_system(system, path) -> None:

@@ -50,6 +50,17 @@ def test_condition_matrix_shape_mismatch():
         ph_condition_matrix(np.eye(2), np.eye(2), np.eye(3))
 
 
+def test_scalar_certificate_at_the_largest_scale():
+    """H = 1, R = 2, Z = 1, theta = 1 scaled by 7.5e307: 2R overflows, but
+    the condition matrix 7.5e307 [[1, 1/2], [1/2, 1]] does not."""
+    c = 7.5e307
+    cert = certify_delay_ph(scalar_system(2.0 * c, c, theta=[[c]]))
+    assert cert.verdict == CERTIFIED
+    assert np.isfinite(cert.condition_matrix).all()
+    assert cert.min_eigenvalue == pytest.approx(3.75e307, rel=1e-12)
+    assert cert.slack == pytest.approx(1e-9 * 1.5 * c)
+
+
 def test_scalar_certify_eigenvalues():
     cert = certify_delay_ph(scalar_system(), [[1.0]])
     assert cert.verdict == CERTIFIED
@@ -109,6 +120,22 @@ def test_scalar_interval_infeasible_and_degenerate():
     assert tight.lo == tight.hi == pytest.approx(0.75)
 
 
+@pytest.mark.parametrize("alpha0, alpha1", [
+    (math.nan, 0.0), (math.inf, 0.0), (1.0, math.nan), (1.0, -math.inf),
+])
+def test_scalar_interval_rejects_non_finite_arguments(alpha0, alpha1):
+    with pytest.raises(ValueError, match="must be finite"):
+        scalar_theta_interval(alpha0, alpha1)
+
+
+@pytest.mark.parametrize("c", [1e-300, 1e200, 1e307])
+def test_scalar_interval_does_not_depend_on_units(c):
+    interval = scalar_theta_interval(2.0 * c, c)
+    assert interval.feasible
+    assert interval.lo == pytest.approx(c * (1.0 - SQ3 / 2.0), rel=1e-15)
+    assert interval.hi == pytest.approx(c * (1.0 + SQ3 / 2.0), rel=1e-15)
+
+
 def test_certify_theta_priority_argument_wins():
     sys1 = scalar_system(theta=[[0.05]])  # stored theta refutes
     assert certify_delay_ph(sys1).verdict == REFUTED
@@ -157,6 +184,14 @@ def test_certify_random_certified_instances():
 
 # ---------------------------------------------------------------------------
 # necessary conditions
+
+
+@pytest.mark.parametrize("theta, z, name", [
+    (np.eye(3), np.eye(2), "theta"), (np.eye(2), np.eye(3), "Z"),
+], ids=["theta", "Z"])
+def test_necessary_rejects_misshapen_arguments(theta, z, name):
+    with pytest.raises(ValueError, match=rf"^{name} has shape .*expected \(2, 2\)"):
+        check_necessary(np.eye(2), theta, z)
 
 
 def test_necessary_all_hold_on_certified():

@@ -663,6 +663,51 @@ def test_non_finite_tau_is_input_error(capsys, tmp_path):
     assert '"tau" must be finite' in report["error"]
 
 
+SIMULATE = ["--T", "1.0", "--h", "0.1", "--out", "{out}"]
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (["certify", "{scalar}", "--theta", "{broken}"], "--theta: malformed JSON"),
+    (["certify", "{scalar}", "--h-matrix", "{one}"], "--h-matrix only applies"),
+    (["certify", "{plant}", "--theta", "{one}"], "--theta only applies"),
+    (["interconnect", "{plant}", "{scalar}", "{one}"], "requires two delay_ph"),
+    (["feedback", "{scalar}", "{one}", "--tau", "1.0"], "requires a standard_ph"),
+    (["simulate", "{scalar}", "--history", "{broken}", *SIMULATE],
+     "history: malformed JSON"),
+    (["simulate", "{scalar}", "--history", "{one}", *SIMULATE], '"grid" and "values"'),
+    (["simulate", "{scalar}", "--history", "{no_values}", *SIMULATE],
+     '"grid" and "values"'),
+    (["simulate", "{scalar}", "--history", "const:0.5", "--input", "sine:1.0",
+      *SIMULATE], "amplitude,frequency"),
+    (["simulate", "{scalar}", "--history", "const:0.5", "--input", "csv:{csv}",
+      *SIMULATE], "must have 11 rows and 1 columns, got (3, 1)"),
+    (["simulate", "{plant}", "--history", "const:0.5", *SIMULATE],
+     "requires a delay system"),
+    (["simulate", "{bare}", "--history", "const:0.5", "--monitor", *SIMULATE],
+     "--monitor requires a theta"),
+], ids=["malformed-theta-file", "h-matrix-on-delay-ph", "theta-on-standard-ph",
+        "interconnect-standard-ph", "feedback-on-delay-ph", "malformed-history",
+        "history-not-an-object", "history-without-values", "one-sine-value",
+        "misshapen-csv-input", "simulate-standard-ph", "monitor-without-theta"])
+def test_misused_inputs_end_in_json_error(capsys, tmp_path, scalar_file, argv, needle):
+    (tmp_path / "broken.json").write_text("[[1.0,")
+    (tmp_path / "input.csv").write_text("1.0\n1.0\n1.0\n")
+    files = {
+        "scalar": scalar_file,
+        "bare": write_doc(tmp_path / "bare.json", scalar_doc()),
+        "plant": str(DATA / "mass_spring_damper.json"),
+        "one": write_doc(tmp_path / "one.json", [[1.0]]),
+        "no_values": write_doc(tmp_path / "grid.json", {"grid": [-1.0, 0.0]}),
+        "broken": str(tmp_path / "broken.json"),
+        "csv": str(tmp_path / "input.csv"),
+        "out": str(tmp_path / "traj.csv"),
+    }
+    code, report = run(capsys, *(a.format(**files) for a in argv))
+    assert code == 3 and report["exit_code"] == 3
+    assert needle in report["error"]
+    assert not (tmp_path / "traj.csv").exists()
+
+
 def test_invalid_system_is_input_error(capsys, tmp_path):
     doc = scalar_doc(theta=1.0)
     doc["H"] = [[-1.0]]

@@ -49,6 +49,23 @@ def test_classify_feedback():
         classify_feedback(np.ones((2, 3)))
 
 
+def test_classify_feedback_nearly_skew_is_power_conserving():
+    """F + F^T = 1e-14 diag(1, 0) is nonzero, but ||sym(F)|| is below
+    1e-12 ||F||."""
+    f = np.array([[1e-14, 1.0], [-1.0, 0.0]])
+    assert np.any(f + f.T)
+    assert classify_feedback(f) == POWER_CONSERVING
+    assert classify_feedback(1e300 * f) == POWER_CONSERVING
+
+
+def test_classify_feedback_at_the_largest_floats():
+    big = np.finfo(float).max
+    assert classify_feedback([[0.0, big], [-big, 0.0]]) == POWER_CONSERVING
+    # sym(F) = F, with eigenvalues 0 and -big
+    assert classify_feedback(0.5 * big * np.array([[-1.0, 1.0], [1.0, -1.0]])) == DISSIPATIVE
+    assert classify_feedback([[big, 0.0], [0.0, -big]]) == GENERAL
+
+
 @pytest.mark.parametrize("c", [1.0, 1e-6, 1e-12])
 def test_classify_feedback_is_unit_free(c):
     assert classify_feedback(c * np.array([[0.0, 1.0], [-1.0, 0.0]])) == POWER_CONSERVING

@@ -34,6 +34,33 @@ def test_sym_skew_decomposition_reassembles():
         np.testing.assert_array_equal(skew_part(m), -skew_part(m).T)
 
 
+def test_sym_skew_match_the_halved_sums_bit_for_bit():
+    """Halving before adding rounds alike whenever no entry is subnormal."""
+    rng = np.random.default_rng(17)
+    for scale in (1e-300, 1e-8, 1.0, 1e8, 1e300):
+        m = scale * rng.standard_normal((6, 6))
+        assert sym_part(m).tobytes() == (0.5 * (m + m.T)).tobytes()
+        assert skew_part(m).tobytes() == (0.5 * (m - m.T)).tobytes()
+
+
+def test_sym_skew_and_asymmetry_stay_finite_at_the_largest_floats():
+    big = np.finfo(float).max
+    m = np.array([[big, big], [-big, big]])
+    np.testing.assert_array_equal(sym_part(m), [[big, 0.0], [0.0, big]])
+    np.testing.assert_array_equal(skew_part(m), [[0.0, big], [-big, 0.0]])
+    # ||M - M^T||_F = 2 sqrt(2) big, ||M||_F = 2 big
+    assert asymmetry(m) == pytest.approx(np.sqrt(2.0))
+    with pytest.raises(ValueError, match="not symmetric"):
+        require_symmetric(m)
+
+
+def test_is_psd_of_the_largest_scalars():
+    report = is_psd([[1e308]])
+    assert report.is_psd and report.min_eigenvalue == 1e308
+    assert report.slack == pytest.approx(1e299)
+    assert not is_psd([[-1e308]]).is_psd
+
+
 def test_as_matrix_scalar_promotion():
     np.testing.assert_array_equal(as_matrix(3.0), [[3.0]])
     np.testing.assert_array_equal(as_matrix(np.float64(2)), [[2.0]])

@@ -29,7 +29,7 @@ from phdelay import (
     ph_condition_matrix,
     validate,
 )
-from phdelay.linalg import DEFAULT_TOL, _symmetric_eigh
+from phdelay.linalg import DEFAULT_TOL, _frozen, _is_frozen, _memo, _symmetric_eigh
 from helpers import decompositions, rand_antisym, rand_certified_delay_ph
 
 
@@ -176,6 +176,22 @@ def test_read_only_view_is_not_reused():
         construct_theta(r, np.zeros((2, 2)))
         construct_theta(r, np.zeros((2, 2)))
     assert count(calls, "eigh", r) == 2
+
+
+def test_slices_of_a_frozen_root_are_not_trusted():
+    """A slice of the root behind a frozen array has the root's type, so
+    it is no plain array over a root: nothing is stored on it."""
+    assert _is_frozen(scalar().R)
+    r = _frozen(np.diag([2.0, 1.0]))
+    root = r.base
+    assert _is_frozen(r) and _frozen(r) is r and not r.flags.writeable
+    computed = []
+    for piece in (root[:], root[8:], root.view(float).reshape(2, 2)):
+        assert type(piece) is type(root) and not _is_frozen(piece)
+        _memo(piece, "tag", lambda: computed.append(1))
+        _memo(piece, "tag", lambda: computed.append(1))
+    assert len(computed) == 6 and "tag" not in vars(root)
+    assert not any(map(_is_frozen, (r[:], r.reshape(-1), r.T, r.copy())))
 
 
 def test_freed_system_replaced_by_an_invalid_one_is_validated_afresh():

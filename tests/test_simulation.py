@@ -100,6 +100,15 @@ def test_grid_and_history_validation():
                       None, T=1.0, h=0.1)
 
 
+@pytest.mark.parametrize("T, h, name", [
+    (math.inf, 0.1, "T"), (math.nan, 0.1, "T"), (1.0, math.inf, "h"),
+], ids=["T-inf", "T-nan", "h-inf"])
+def test_non_finite_step_arguments_are_named(T, h, name):
+    hist = HistoryFunction.constant([1.0], 1.0)
+    with pytest.raises(ValueError, match=rf"^{name} (=|must)"):
+        integrate_dde(pure_delay_system(), hist, None, T=T, h=h)
+
+
 def test_zero_history_zero_input_stays_zero():
     hist = HistoryFunction.constant([0.0], 1.0)
     traj = integrate_dde(pure_delay_system(), hist, None, T=2.0, h=0.05)
@@ -358,6 +367,18 @@ def test_hamiltonian_constant_state():
     for k in (0, 5, 10):
         e = hamiltonian_series(traj, [[2.0]], [[0.5]])[k]
         assert e == pytest.approx(0.5 * 2.0 * 9.0 + 1.0 * 0.5 * 9.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("H, theta, name", [
+    (np.eye(2), [[0.5]], "H"), ([[2.0]], np.eye(2), "theta"),
+], ids=["H", "theta"])
+def test_hamiltonian_series_names_a_misshapen_weight(H, theta, name):
+    sys1 = GeneralDelaySystem(A0=[[0.0]], A1=[[0.0]], B=[[0.0]], C=[[0.0]],
+                              tau=1.0)
+    traj = integrate_dde(sys1, HistoryFunction.constant([3.0], 1.0), None,
+                         T=1.0, h=0.1)
+    with pytest.raises(ValueError, match=rf"^{name} has shape \(2, 2\), expected \(1, 1\)"):
+        hamiltonian_series(traj, H, theta)
 
 
 def test_hamiltonian_trapezoid_error_bound():

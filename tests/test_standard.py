@@ -94,6 +94,12 @@ def test_certify_ph_dissipation_indefinite():
     assert float(w @ -sym @ w) < 0.0
 
 
+@pytest.mark.parametrize("build", [certify_ph, weighted_system_matrix, kyp_matrix])
+def test_misshapen_energy_matrix_is_named(build):
+    with pytest.raises(ValueError, match=r"^H has shape \(1, 2\), expected \(2, 2\)"):
+        build(example_ph_lti(), [[1.0, 0.0]])
+
+
 def test_weighted_system_matrix_hand_value():
     sys1 = example_ph_lti()
     sigma = weighted_system_matrix(sys1, np.eye(2))

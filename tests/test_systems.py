@@ -113,6 +113,13 @@ def test_validate_accepts_a_tiny_positive_definite_h():
     assert validate(sys1) == []
 
 
+def test_validate_accepts_the_largest_positive_definite_h():
+    # forming sym(H) must not overflow: 0.5 * (H + H^T) is inf here
+    sys1 = DelayPHSystem(H=[[1e308]], J=[[0.0]], R=[[1.0]], Z=[[0.0]],
+                         G=[[1.0]], tau=1.0, theta=[[1e308]])
+    assert validate(sys1) == []
+
+
 def test_validate_flags_non_antisymmetric_j():
     sys1 = DelayPHSystem(H=np.eye(2), J=np.array([[0.0, 1.0], [1.0, 0.0]]),
                          R=np.eye(2), Z=np.zeros((2, 2)), G=np.ones((2, 1)),
@@ -159,6 +166,16 @@ def test_validate_flags_bad_theta_and_tau():
     msgs = validate(sys1)
     assert any("theta is not positive semidefinite" in m for m in msgs)
     assert any("tau must be positive" in m for m in msgs)
+
+
+def test_validate_names_an_asymmetric_theta_once():
+    """An asymmetric theta is reported as such, and not tested for PSD."""
+    sys1 = DelayPHSystem(H=np.eye(2), J=np.zeros((2, 2)), R=np.eye(2),
+                         Z=np.zeros((2, 2)), G=np.ones((2, 1)), tau=1.0,
+                         theta=[[1.0, 5.0], [0.0, 1.0]])
+    msgs = validate(sys1)
+    assert len(msgs) == 1
+    assert msgs[0].startswith("theta is not symmetric (relative asymmetry ")
 
 
 def test_validate_flags_shape_mismatch():
@@ -253,6 +270,23 @@ def test_write_preserves_17_digit_reals():
                          G=[[1.0]], tau=1.0)
     again = read_system(write_system(sys1))
     assert float(again.R[0, 0]) == value
+
+
+def test_write_uses_shortest_round_trip_reals():
+    sys1 = DelayPHSystem(H=[[1.0]], J=[[0.0]], R=[[0.1]], Z=[[0.0]],
+                         G=[[1.0]], tau=0.1)
+    text = write_system(sys1)
+    assert '"R": [[0.1]]' in text and '"tau": 0.1' in text
+    assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+
+
+def test_write_read_round_trip_is_bit_exact_at_the_float_extremes():
+    g = [[-0.0, 5e-324, 1e308, 1.0 / 3.0]]
+    sys1 = DelayPHSystem(H=[[1.0]], J=[[0.0]], R=[[1.0]], Z=[[0.0]], G=g,
+                         tau=1.0)
+    again = read_system(write_system(sys1))
+    assert again.G.tobytes() == np.array(g).tobytes()
+    assert np.signbit(again.G[0, 0])
 
 
 def test_save_and_read_file(tmp_path):
