@@ -18,6 +18,10 @@ verdict against the paper's block KYP test in general coordinates.  A
 brute-force grid oracle for n <= 2 decides existence of a certifying Theta
 independently of the construction.
 
+One routine decides (*) for systems with a stored Theta, side by side:
+one system from ``certify_delay_ph``, and from ``composition`` the two
+parts of an exactly skew coupling or the closed loop of any other.
+
 Verdict semantics: CERTIFIED and REFUTED always refer to the pair
 (system, Theta); a refuted pair says nothing about other Theta choices.
 """
@@ -25,7 +29,7 @@ Verdict semantics: CERTIFIED and REFUTED always refer to the pair
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,6 +37,7 @@ from .certificates import Certificate
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
+    _blkdiag,
     _contained,
     _halves,
     _memo,
@@ -119,39 +124,61 @@ def _certify_validated(
     system: DelayPHSystem, theta=None, tol: Tolerance = DEFAULT_TOL
 ) -> Certificate:
     """``certify_delay_ph`` for a system that ``validate`` has passed."""
-    # validate has tested a stored Theta for PSD with this tolerance
-    stored = theta is None or theta is system.theta
-    if theta is None:
-        theta = system.theta
-    if theta is None:
-        raise ValueError(
-            "no Theta available: pass one explicitly, store it on the "
-            "system, or construct one with construct_theta"
-        )
+    if theta is None or theta is system.theta:
+        if system.theta is None:
+            raise ValueError(
+                "no Theta available: pass one explicitly, store it on the "
+                "system, or construct one with construct_theta"
+            )
+        return _certify_stored([system], tol)
     th = _require_shape(require_symmetric(theta, "theta"), system.R.shape, "theta")
     # validate has checked R for shape and symmetry, so the blocks need no
     # second pass through ph_condition_matrix's checks
     cond = _assemble_condition(_halves(system.R), system.Z, th)
-    if not stored:
-        theta_report = psd_report_symmetric(th, tol)
-        if not theta_report.is_psd:
-            return Certificate.from_report(
-                theta_report, cond, "theta_not_psd", theta_used=th
-            )
-    spectra = [_stored_spectrum(system, cond)] if stored else None
+    theta_report = psd_report_symmetric(th, tol)
+    if not theta_report.is_psd:
+        return Certificate.from_report(theta_report, cond, "theta_not_psd", theta_used=th)
     return Certificate.from_report(
-        _psd_report_blocks([cond], tol, spectra)[0], cond, "condition_indefinite",
-        theta_used=th,
+        psd_report_symmetric(cond, tol), cond, "condition_indefinite", theta_used=th
     )
 
 
-def _stored_spectrum(system: DelayPHSystem, cond: np.ndarray) -> np.ndarray:
-    """``eigvalsh`` of ``cond``, the condition matrix of ``system`` and its
-    stored Theta, computed once and stored on the system by ``_memo``."""
-    return _memo(
-        system, "condition_spectrum",
-        lambda: _set_read_only(np.linalg.eigvalsh(cond)),
-    )
+def _certify_stored(systems, tol: Tolerance) -> Certificate:
+    """Decide (*) for validated systems with their stored Theta, side by side.
+
+    Ordered (x1, ..., xk, x1(t - tau), ..., xk(t - tau)), the condition
+    matrix of blkdiag(R_i), blkdiag(Z_i) and blkdiag(Theta_i) holds system
+    i's condition matrix on that system's rows and columns and zeros
+    elsewhere.  So each system is decided on its own, and keeps the
+    ``eigvalsh`` of its condition matrix on it through ``_memo``; a REFUTED
+    witness is the worst system's eigenvector, zero-padded.  validate has
+    checked each R and Theta for symmetry and each Theta for PSD.
+    """
+    thetas = [_halves(s.theta) for s in systems]
+    blocks = [_assemble_condition(_halves(s.R), s.Z, th) for s, th in zip(systems, thetas)]
+    spectra = [
+        _memo(s, "condition_spectrum", lambda b=b: _set_read_only(np.linalg.eigvalsh(b)))
+        for s, b in zip(systems, blocks)
+    ]
+    report, worst = _psd_report_blocks(blocks, tol, spectra)
+    if len(systems) == 1:  # the block is the whole matrix: nothing to place
+        return Certificate.from_report(
+            report, blocks[0], "condition_indefinite", theta_used=thetas[0]
+        )
+    # cond[a * n + i, b * n + j] is cond4[a, i, b, j], so a system's block
+    # goes into its rows and columns by one copy into a view
+    sizes = [s.n for s in systems]
+    n, offsets = sum(sizes), np.cumsum([0] + sizes)
+    cond4 = np.zeros((2, n, 2, n))
+    for o, k, block in zip(offsets, sizes, blocks):
+        cond4[:, o : o + k, :, o : o + k] = block.reshape(2, k, 2, k)
+    if report.witness is not None:
+        o, k = offsets[worst], sizes[worst]
+        witness = np.zeros((2, n))
+        witness[:, o : o + k] = report.witness.reshape(2, k)
+        report = replace(report, witness=witness.reshape(-1))
+    return Certificate.from_report(report, cond4.reshape(2 * n, 2 * n),
+                                   "condition_indefinite", theta_used=_blkdiag(*thetas))
 
 
 @dataclass(frozen=True)
@@ -361,6 +388,9 @@ def exists_certifying_theta_grid(
     ``(found, theta)`` with the first certifying grid point, or
     ``(False, None)``.  Boundary (singular PSD) Theta candidates are not
     scanned; the oracle is a desk-scale approximation of true existence.
+    The scan decides R / ||R|| and Z / ||R|| with the unit-free slack
+    1e-12 and scales the found Theta back, so scaling R and Z by c > 0
+    scales the answer by c, up to the largest floats, without overflow.
     """
     r = require_symmetric(R, "R")
     z = _require_shape(as_matrix(Z, "Z"), r.shape, "Z")
@@ -372,31 +402,32 @@ def exists_certifying_theta_grid(
         if spectral_norm(z) == 0.0:
             return True, np.zeros((n, n))
         return False, None
-    step = resolution * scale
-    axis = np.arange(step, box_scale * scale + 0.5 * step, step)
-    slack = 1e-12 * scale
+    # (*) is homogeneous in (R, Z, Theta): decide it at unit scale, where
+    # no product below can overflow
+    r = r / scale
+    z = z / scale
+    axis = np.arange(resolution, box_scale + 0.5 * resolution, resolution)
+    slack = 1e-12
 
     if n == 1:
         r0 = float(r[0, 0])
         z0 = float(z[0, 0])
         good = (r0 - axis >= -slack) & (
-            (r0 - axis) * axis - 0.25 * z0 * z0 >= -slack * scale
+            (r0 - axis) * axis - 0.25 * z0 * z0 >= -slack
         )
         idx = np.flatnonzero(good)
         if idx.size:
-            return True, np.array([[axis[idx[0]]]])
+            return True, np.array([[axis[idx[0]] * scale]])
         return False, None
 
-    off_axis = np.arange(
-        -box_scale * scale, box_scale * scale + 0.5 * step, step
-    )
+    off_axis = np.arange(-box_scale, box_scale + 0.5 * resolution, resolution)
     r11, r12, r22 = float(r[0, 0]), float(r[0, 1]), float(r[1, 1])
     z11, z12 = float(z[0, 0]), float(z[0, 1])
     z21, z22 = float(z[1, 0]), float(z[1, 1])
     t22g, t12g = np.meshgrid(axis, off_axis, indexing="ij")
     for t11 in axis:
         det = t11 * t22g - t12g * t12g
-        pd = det > slack * scale
+        pd = det > slack
         if not pd.any():
             continue
         # W = Z Theta^{-1} Z^T via the 2x2 adjugate, entrywise, where pd
@@ -413,12 +444,12 @@ def exists_certifying_theta_grid(
             pd
             & (s11 >= -slack)
             & (s22 >= -slack)
-            & (s11 * s22 - s12 * s12 >= -slack * scale)
+            & (s11 * s22 - s12 * s12 >= -slack)
         )
         if good.any():
             i, j = np.argwhere(good)[0]
             theta = np.array(
                 [[t11, off_axis[j]], [off_axis[j], axis[i]]]
             )
-            return True, theta
+            return True, theta * scale
     return False, None

@@ -27,12 +27,11 @@ from .certify import (
     construct_theta,
 )
 from .composition import (
-    FeedbackConditions,
     _certify_pair,
-    _feedback_hypotheses,
     check_feedback_conditions,
     classify_feedback,
     close_delayed_feedback,
+    feedback_gain_bound,
     interconnect,
 )
 from .linalg import Tolerance
@@ -52,6 +51,7 @@ from .systems import (
     StandardPHSystem,
     SystemFormatError,
     _document,
+    _load_json,
     _matrix_rows,
     _rows,
     _standard_ph_to_lti,
@@ -81,11 +81,7 @@ def _digest(path: str) -> str:
 
 def _read_matrix(path: str, name: str) -> np.ndarray:
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SystemFormatError(f"{name}: malformed JSON: {exc}") from None
-    return _matrix_rows(name, doc)
+        return _matrix_rows(name, _load_json(fh.read(), f"{name}: "))
 
 
 def _jsonable(obj):
@@ -217,17 +213,16 @@ def _cmd_feedback(args, tol):
         raise _UsageError("feedback requires a standard_ph system")
     f = _read_matrix(args.feedback_matrix, "F")
     closed = close_delayed_feedback(system, f, args.tau)
-    trivial, contained, beta = _feedback_hypotheses(
-        system.R, system.G, tol, rank=True, gain=True
-    )
+    conditions = check_feedback_conditions(system.R, system.G, tol)
     payload = {
         "inputs": {
             args.system: _digest(args.system),
             args.feedback_matrix: _digest(args.feedback_matrix),
         },
-        "feedback_conditions": asdict(FeedbackConditions(trivial, contained)),
+        "feedback_conditions": asdict(conditions),
     }
-    if contained:
+    if conditions.kernel_r_in_kernel_gt:
+        beta = feedback_gain_bound(system.R, system.G, tol)
         payload["gain_bound"] = None if math.isinf(beta) else beta
         payload["gain_unbounded"] = math.isinf(beta)
     else:
@@ -260,13 +255,14 @@ def _parse_history(spec: str, system) -> HistoryFunction:
             np.full(system.n, value), system.tau
         )
     with open(spec, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SystemFormatError(f"history: malformed JSON: {exc}") from None
+        doc = _load_json(fh.read(), "history: ")
     if not isinstance(doc, dict) or "grid" not in doc or "values" not in doc:
         raise SystemFormatError('history file needs "grid" and "values" keys')
-    return HistoryFunction(np.asarray(doc["grid"], float), np.asarray(doc["values"], float))
+    if not isinstance(doc["grid"], list):
+        raise SystemFormatError('"grid" must be an array of numbers')
+    # the numeric checks of a system document: no strings, no booleans
+    return HistoryFunction(_matrix_rows("grid", [doc["grid"]])[0],
+                           _matrix_rows("values", doc["values"]))
 
 
 def _parse_input(spec: str, times: np.ndarray, m: int):

@@ -12,9 +12,10 @@ so the stored closed loop reproduces the subsystem trajectories exactly.
 The dissipation coupling is computed as G sym(F) G^T, which equals
 sym(G F G^T): an exactly skew F then leaves R exactly blkdiag(R1, R2), with
 no rounding noise in the off-diagonal blocks.  The closed loop's condition
-matrix is then blkdiag(M1, M2) of the parts' condition matrices, with rows
-and columns permuted, so ``certify_interconnection`` decides it from the
-two parts without building the closed loop.
+matrix is then the parts' condition matrices side by side, so
+``certify_interconnection`` hands the two parts, or for any other F the
+closed loop, to the one routine in ``certify`` that decides (*) for
+systems with a stored Theta.
 The coupled pair stays certifiable whenever both parts are certified and
 the feedback does not generate energy, i.e. -sym(F) is PSD
 (power-conserving feedback, sym(F) = 0, in particular).  Delayed output
@@ -26,19 +27,21 @@ guarantees that the Theta construction succeeds for the closed loop.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .certificates import Certificate
-from .certify import _assemble_condition, _certify_validated, _stored_spectrum
+from .certify import _certify_stored
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
+    _blkdiag,
     _contained,
     _halves,
-    _psd_report_blocks,
+    _memo,
     _require_shape,
+    _set_read_only,
     _square,
     _symmetric_eigh,
     _whitening,
@@ -97,15 +100,6 @@ def classify_feedback(F, tol: Tolerance = DEFAULT_TOL) -> str:
     return GENERAL
 
 
-def _blkdiag(a, b) -> np.ndarray:
-    a = as_matrix(a)
-    b = as_matrix(b)
-    out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]))
-    out[: a.shape[0], : a.shape[1]] = a
-    out[a.shape[0] :, a.shape[1] :] = b
-    return out
-
-
 def interconnect(
     sys1: DelayPHSystem, sys2: DelayPHSystem, F
 ) -> DelayPHSystem:
@@ -160,11 +154,13 @@ def certify_interconnection(
     over the stacked structure with theta blkdiag(theta1, theta2).  Each
     part is validated (SystemValidationError names the part); valid parts
     make a valid closed loop, which is not validated again.  When F is
-    exactly skew (F + F^T has no nonzero entry) the tested matrix is a
-    permuted blkdiag(M1, M2) of the parts' condition matrices, each decided
-    on its own without building the closed loop; any other F certifies
+    exactly skew (F + F^T has no nonzero entry) the tested matrix holds the
+    parts' condition matrices side by side, ordered (x1, x2, x1(t - tau),
+    x2(t - tau)), and each part is decided on its own, with the spectrum
+    stored on it, without building the closed loop; any other F certifies
     the closed loop as a whole.  Either way the certificate carries the
-    closed loop's condition matrix and theta.
+    closed loop's condition matrix and theta, bit for bit those that
+    ``certify_delay_ph(interconnect(sys1, sys2, F))`` reports.
     """
     f = _pair_feedback(sys1, sys2, F)
     violations = [
@@ -187,48 +183,13 @@ def _certify_pair(sys1: DelayPHSystem, sys2: DelayPHSystem, f: np.ndarray,
     if sys1.theta is None or sys2.theta is None:
         raise ValueError("both subsystems must carry a theta to certify")
     if _exactly_skew(f):
-        return _certify_parts(sys1, sys2, tol)
-    if closed is None:
-        closed = interconnect(sys1, sys2, f)
-    return _certify_validated(closed, tol=tol)
+        return _certify_stored([sys1, sys2], tol)
+    return _certify_stored([interconnect(sys1, sys2, f) if closed is None else closed], tol)
 
 
 def _exactly_skew(f: np.ndarray) -> bool:
     """Whether F + F^T has no nonzero entry: then R is blkdiag(R1, R2)."""
     return bool(np.all(f == -f.T))
-
-
-def _certify_parts(
-    sys1: DelayPHSystem, sys2: DelayPHSystem, tol: Tolerance = DEFAULT_TOL
-) -> Certificate:
-    """Closed-loop certificate of two validated parts under an exactly skew F.
-
-    Ordered (x1, x2, x1(t - tau), x2(t - tau)), the closed loop's condition
-    matrix holds part i's condition matrix on the rows and columns
-    ``index[i]`` and zeros elsewhere, bit for bit what ``certify_delay_ph``
-    assembles from ``interconnect``.
-    """
-    n1, n = sys1.n, sys1.n + sys2.n
-    index = (np.r_[0:n1, n : n + n1], np.r_[n1:n, n + n1 : 2 * n])
-    # validate has checked R and a stored Theta for symmetry and Theta for
-    # PSD, as certify_delay_ph relies on for a closed loop
-    thetas = [_halves(s.theta) for s in (sys1, sys2)]
-    blocks = [
-        _assemble_condition(_halves(s.R), s.Z, th)
-        for s, th in zip((sys1, sys2), thetas)
-    ]
-    spectra = [_stored_spectrum(s, b) for s, b in zip((sys1, sys2), blocks)]
-    report, worst = _psd_report_blocks(blocks, tol, spectra)
-    cond = np.zeros((2 * n, 2 * n))
-    for idx, block in zip(index, blocks):
-        cond[np.ix_(idx, idx)] = block
-    if report.witness is not None:
-        witness = np.zeros(2 * n)
-        witness[index[worst]] = report.witness
-        report = replace(report, witness=witness)
-    return Certificate.from_report(
-        report, cond, "condition_indefinite", theta_used=_blkdiag(*thetas)
-    )
 
 
 def close_delayed_feedback(
@@ -277,8 +238,7 @@ def check_feedback_conditions(R, G, tol: Tolerance = DEFAULT_TOL) -> FeedbackCon
     R must be symmetric and G must have R's row count (ValueError
     otherwise).
     """
-    trivial, contained, _ = _feedback_hypotheses(R, G, tol, rank=True, gain=False)
-    return FeedbackConditions(trivial, contained)
+    return _feedback_hypotheses(R, G, tol)[0]
 
 
 def feedback_gain_bound(R, G, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -291,20 +251,21 @@ def feedback_gain_bound(R, G, tol: Tolerance = DEFAULT_TOL) -> float:
     disjoint from image(G).  Returns math.inf when V1^T G vanishes (no
     finite bound is needed).
     """
-    _, contained, beta = _feedback_hypotheses(R, G, tol, rank=False, gain=True)
-    if not contained:
+    conditions, g, (evals, evecs, scale) = _feedback_hypotheses(R, G, tol)
+    v1 = _whitening(evals, evecs, scale, tol, "R")
+    if not conditions.kernel_r_in_kernel_gt:
         raise ValueError("hypothesis violated: ker(R) is not contained in ker(G^T)")
-    return beta
+    coupling = spectral_norm(v1.T @ g)
+    return math.inf if coupling == 0.0 else 1.0 / (coupling * coupling)
 
 
-def _feedback_hypotheses(R, G, tol: Tolerance, rank: bool, gain: bool):
-    """``(output_kernel_trivial, kernel_r_in_kernel_gt, beta)`` of (R, G).
+def _feedback_hypotheses(R, G, tol: Tolerance):
+    """``(FeedbackConditions, G as an array, (evals, evecs, scale) of R)``.
 
-    ker(R), and with ``gain`` the whitening V1 of a PSD R, come from one
-    ``eigh`` of R.  G's singular values give rank G and ||G||_2; they are
-    computed only when ``rank`` asks whether ker(G^T) = {0}, i.e. rank G = n
-    (None otherwise), or ker(R) is nontrivial.  beta is the gain bound when
-    ``gain`` and ker(R) <= ker(G^T), None otherwise.
+    ker(R) comes from one ``eigh`` of R, which also gives its whitening.
+    G's singular values give rank G, so whether ker(G^T) = {0} (rank G =
+    n), and ||G||_2; on a ``_frozen`` G they are stored by ``_memo``, as
+    R's ``eigh`` is on a ``_frozen`` R.
     """
     r = require_symmetric(R, "R")
     g = as_matrix(G, "G")
@@ -312,14 +273,10 @@ def _feedback_hypotheses(R, G, tol: Tolerance, rank: bool, gain: bool):
     if g.shape[0] != n:
         raise ValueError(f"G has {g.shape[0]} rows, expected {n}")
     evals, evecs, ker_r, scale = _symmetric_eigh(r, tol, R)
-    v1 = _whitening(evals, evecs, scale, tol, "R") if gain else None
-    s = np.zeros(0)
-    if g.size and (rank or ker_r.size):
-        s = np.linalg.svd(g, compute_uv=False)
+    s = _memo(g, "svd", lambda: _set_read_only(np.linalg.svd(g, compute_uv=False)))
     g_norm = float(s[0]) if s.size else 0.0
-    trivial = int(np.count_nonzero(s > tol.rank_tol * g_norm)) == n if rank else None
-    contained = _contained(ker_r, g.T, g_norm, tol)
-    if not (gain and contained):
-        return trivial, contained, None
-    coupling = spectral_norm(v1.T @ g)
-    return trivial, contained, math.inf if coupling == 0.0 else 1.0 / (coupling * coupling)
+    conditions = FeedbackConditions(
+        output_kernel_trivial=int(np.count_nonzero(s > tol.rank_tol * g_norm)) == n,
+        kernel_r_in_kernel_gt=_contained(ker_r, g.T, g_norm, tol),
+    )
+    return conditions, g, (evals, evecs, scale)

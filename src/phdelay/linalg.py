@@ -185,6 +185,16 @@ def _halves(m: np.ndarray, skew: bool = False) -> np.ndarray:
     return half - half.T if skew else half + half.T
 
 
+def _blkdiag(*blocks) -> np.ndarray:
+    """blkdiag(*blocks) of 2-D float arrays, with zeros elsewhere."""
+    out = np.zeros(tuple(map(sum, zip(*(b.shape for b in blocks)))))
+    i = j = 0
+    for b in blocks:
+        out[i : i + b.shape[0], j : j + b.shape[1]] = b
+        i, j = i + b.shape[0], j + b.shape[1]
+    return out
+
+
 def sym_part(matrix) -> np.ndarray:
     """Symmetric part (M + M^T) / 2 of a square matrix."""
     return _halves(_square(matrix))

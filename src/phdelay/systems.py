@@ -416,6 +416,15 @@ def general_to_delay_ph(
 # ---------------------------------------------------------------------------
 # JSON serialization
 
+def _load_json(text: str, label: str = ""):
+    """``json.loads(text)``; SystemFormatError("<label>malformed JSON: ...")
+    for text that is not JSON or nests too deeply for the parser."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise SystemFormatError(f"{label}malformed JSON: {exc}") from None
+
+
 def _matrix_rows(key, value, n_rows=None, n_cols=None):
     """Parse an array of row arrays of numbers, checking the shape if given.
 
@@ -497,11 +506,7 @@ def read_system(source, tol: Tolerance = DEFAULT_TOL, validated: bool = True):
     if os.path.isfile(text) or not text.lstrip().startswith("{"):
         with open(source, "r", encoding="utf-8") as fh:
             text = fh.read()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SystemFormatError(f"malformed JSON: {exc}") from None
-    system = _parse_document(doc)
+    system = _parse_document(_load_json(text))
     if validated:
         violations = validate(system, tol)
         if violations:

@@ -172,6 +172,35 @@ def test_refuted_witness_exhibits_negativity():
     assert cert.min_eigenvalue < 0
 
 
+@st.composite
+def stored_theta_systems(draw):
+    """A random system with (R, Z, Theta) scaled by c; Theta = R refutes it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    part = rand_certified_delay_ph(rng, draw(st.integers(1, 6)), draw(st.integers(1, 3)))
+    c = 10.0 ** draw(st.floats(-6.0, 4.0))
+    theta = part.R if draw(st.booleans()) else part.theta
+    return DelayPHSystem(H=part.H, J=part.J, R=c * part.R, Z=c * part.Z,
+                         G=part.G, tau=part.tau, theta=c * theta)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(stored_theta_systems())
+def test_stored_theta_certifies_like_the_same_theta_passed_in(system):
+    """The stored Theta and an equal Theta passed in take different routes
+    through certify_delay_ph and give the same certificate."""
+    stored = certify_delay_ph(system)
+    passed = certify_delay_ph(system, np.array(system.theta))
+    assert (stored.verdict, stored.reason) == (passed.verdict, passed.reason)
+    assert stored.min_eigenvalue == passed.min_eigenvalue
+    assert stored.slack == passed.slack
+    if passed.witness is None:
+        assert stored.witness is None and passed.verdict == CERTIFIED
+    else:
+        assert stored.witness.tobytes() == passed.witness.tobytes()
+    assert stored.condition_matrix.tobytes() == passed.condition_matrix.tobytes()
+    assert stored.theta_used.tobytes() == passed.theta_used.tobytes()
+
+
 def test_certify_random_certified_instances():
     rng = np.random.default_rng(33)
     for n in (1, 2, 3, 5):
@@ -529,6 +558,28 @@ def test_grid_oracle_emits_no_warnings(r, z):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert exists_certifying_theta_grid(r, z) == (False, None)
+
+
+@pytest.mark.parametrize("r, z", [
+    ([[2.0]], [[1.0]]), counterexample_rz(), (np.eye(2), 1.5 * np.eye(2)),
+], ids=["scalar", "counterexample", "infeasible"])
+def test_grid_oracle_is_decided_at_unit_scale(r, z):
+    """(*) is homogeneous in (R, Z, Theta): R and Z scaled by c give the same
+    answer with Theta scaled by c, up to the largest floats, with no
+    overflow warning."""
+    r, z = np.asarray(r), np.asarray(z)
+    found, theta = exists_certifying_theta_grid(r, z)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for c in (1e-300, 1.0, 1e150, 1e300, 2e300, 8e307):
+            got, scaled = exists_certifying_theta_grid(c * r, c * z)
+            assert got == found
+            if found:
+                # the same grid point; off-diagonal zeros carry arange's residue
+                np.testing.assert_allclose(scaled / c, theta, rtol=1e-12,
+                                           atol=1e-12 * np.abs(theta).max())
+            else:
+                assert scaled is None
 
 
 def test_grid_oracle_rejects_large_systems():

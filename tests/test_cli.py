@@ -708,6 +708,46 @@ def test_misused_inputs_end_in_json_error(capsys, tmp_path, scalar_file, argv, n
     assert not (tmp_path / "traj.csv").exists()
 
 
+@pytest.mark.parametrize("argv, label", [
+    (["certify", "{nested}"], ""),
+    (["certify", "{scalar}", "--theta", "{nested}"], "--theta: "),
+    (["interconnect", "{scalar}", "{scalar}", "{nested}"], "F: "),
+    (["simulate", "{scalar}", "--history", "{nested}", *SIMULATE], "history: "),
+], ids=["system", "theta", "interconnect-F", "history"])
+def test_too_deeply_nested_json_is_input_error(capsys, tmp_path, scalar_file,
+                                               argv, label):
+    """Each JSON input nested beyond the parser's recursion limit ends in
+    one JSON error report and exit code 3, not a traceback."""
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 200_000 + "]" * 200_000)
+    files = {"scalar": scalar_file, "nested": str(nested),
+             "out": str(tmp_path / "traj.csv")}
+    code = main([a.format(**files) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.err == ""
+    report = json.loads(captured.out)
+    assert report["exit_code"] == 3
+    assert report["error"].startswith(f"{label}malformed JSON: ")
+
+
+@pytest.mark.parametrize("history, key", [
+    ({"grid": ["-1", 0.0], "values": [[1.0, 1.0]]}, "grid"),
+    ({"grid": [-1.0, False], "values": [[1.0, 1.0]]}, "grid"),
+    ({"grid": [-1.0, 0.0], "values": [[1.0, "2"]]}, "values"),
+    ({"grid": [-1.0, 0.0], "values": [[True, 1.0]]}, "values"),
+    ({"grid": ["-1", False], "values": [[True, "2"]]}, "grid"),
+], ids=["grid-string", "grid-bool", "values-string", "values-bool", "both"])
+def test_history_file_entries_must_be_numbers(capsys, tmp_path, scalar_file,
+                                              history, key):
+    """A history file gets the numeric checks of a system document."""
+    hist = write_doc(tmp_path / "history.json", history)
+    code, report = run(capsys, "simulate", scalar_file, "--history", hist,
+                       *(a.format(out=tmp_path / "traj.csv") for a in SIMULATE))
+    assert code == 3
+    assert report["error"].startswith(f'"{key}" has non-numeric entries: ')
+    assert not (tmp_path / "traj.csv").exists()
+
+
 def test_invalid_system_is_input_error(capsys, tmp_path):
     doc = scalar_doc(theta=1.0)
     doc["H"] = [[-1.0]]

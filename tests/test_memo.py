@@ -22,6 +22,7 @@ from phdelay import (
     Tolerance,
     certify_delay_ph,
     certify_interconnection,
+    check_feedback_conditions,
     check_necessary,
     close_delayed_feedback,
     construct_theta,
@@ -65,6 +66,20 @@ def test_pipeline_decomposes_each_matrix_once():
     assert count(calls, "eigvalsh", s.H) == count(calls, "eigvalsh", s.theta) == 1
     keys = [(name, a.tobytes()) for name, a in calls]
     assert len(set(keys)) == len(keys)
+
+
+def test_feedback_routines_decompose_r_and_g_once():
+    """The kernel hypotheses and then the gain bound on one system's (R, G):
+    one eigh of R and one svd of G, both stored on the system's arrays."""
+    rng = np.random.default_rng(17)
+    s = rand_certified_delay_ph(rng, 5, m=2)
+    plant = StandardPHSystem(s.H, s.J, s.R, s.G)
+    with decompositions() as calls:
+        conditions = check_feedback_conditions(plant.R, plant.G)
+        beta = feedback_gain_bound(plant.R, plant.G)
+    assert conditions.kernel_r_in_kernel_gt and 0.0 < beta < np.inf
+    assert [name for name, _ in calls] == ["eigh", "svd"]
+    assert count(calls, "eigh", plant.R) == count(calls, "svd", plant.G) == 1
 
 
 def test_writeable_r_is_decomposed_afresh():

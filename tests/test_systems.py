@@ -363,6 +363,17 @@ def test_read_rejects_schema_problems():
         read_system("{not json")
 
 
+def test_read_turns_too_deep_nesting_into_a_format_error(tmp_path):
+    """JSON nested beyond the parser's recursion limit is malformed input,
+    not a RecursionError."""
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    with pytest.raises(SystemFormatError, match="^malformed JSON: "):
+        read_system(path)
+    with pytest.raises(SystemFormatError, match="^malformed JSON: "):
+        read_system('{"kind": ' + "[" * 200_000 + "]" * 200_000 + "}")
+
+
 def test_read_rejects_non_finite_entries():
     text = ('{"kind": "standard_lti", "n": 1, "m": 1, '
             '"A": [[Infinity]], "B": [[1.0]], "C": [[1.0]]}')
