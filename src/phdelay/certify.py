@@ -250,7 +250,7 @@ def check_necessary(R, theta, Z, tol: Tolerance = DEFAULT_TOL) -> NecessaryCondi
     th = _require_shape(require_symmetric(theta, "theta"), r.shape, "theta")
     z = _require_shape(as_matrix(Z, "Z"), r.shape, "Z")
     _, _, ker_r, _ = _symmetric_eigh(r, tol, R)
-    _, _, ker_th, th_norm = _symmetric_eigh(th, tol)
+    _, _, ker_th, th_norm = _symmetric_eigh(th, tol, theta)
     z_norm = spectral_norm(z) if ker_r.size or ker_th.size else 0.0
     return NecessaryConditions(
         kernel_r_in_kernel_theta=_contained(ker_r, th, th_norm, tol),

@@ -15,10 +15,10 @@ one block at a time.  Certificates report the slack they were granted, so
 these primitives return evidence (minimum eigenvalues, witnesses, measured
 norms) rather than bare booleans.
 
-A decomposition of an immutable input (a ``_frozen`` array, as every
-system matrix is, or a system) is stored on that input by ``_memo``, so a
-chain of calls on one system decomposes each of its matrices once, and the
-result lives and dies with the input.
+A decomposition or 2-norm of an immutable input (a ``_frozen`` array, as
+every system matrix is, or a system) is stored on that input by
+``_memo``, so a chain of calls on one system decomposes each of its
+matrices once, and the result lives and dies with the input.
 """
 
 from __future__ import annotations
@@ -248,11 +248,14 @@ def require_symmetric(matrix, name: str = "matrix") -> np.ndarray:
 
 
 def spectral_norm(matrix) -> float:
-    """Largest singular value; 0.0 for an empty matrix."""
+    """Largest singular value; 0.0 for an empty matrix.
+
+    Stored on a ``_frozen`` input through ``_memo``.
+    """
     m = as_matrix(matrix)
     if m.size == 0:
         return 0.0
-    return float(np.linalg.norm(m, 2))
+    return _memo(m, "norm2", lambda: float(np.linalg.norm(m, 2)))
 
 
 def is_psd(matrix, tol: Tolerance = DEFAULT_TOL) -> PsdReport:

@@ -17,21 +17,38 @@ reads the window w_k = [x_k | u_k | x_{k+1} | u_{k+1}] (rows k and k + 1,
 one row of a read-only sliding view), so x_{k+1} = x_k + D x_k +
 F_history w_k inside the history and x_k + D x_k + F_now w_k +
 F_past w_{k-d} after it, the delayed derivatives of the Hermite midpoint
-being the right-hand side evaluated on the window w_{k-d}.  D and the F maps are obtained once per
-run by pushing identity columns through the stage formulas.  Steps then
+being the right-hand side evaluated on the window w_{k-d}.  D and the F
+maps are obtained by pushing identity columns through the stage
+formulas.  Steps then
 run in blocks of up to d = tau / h steps, whose delayed data all exist
 when the block starts, and no block crosses step d, where the midpoint
 rule changes.  One matrix product of the block's windows (two after step
 d) gives the forcing f_j of the whole block, and the block's recurrence
-x_{j+1} = (I + D) x_j + f_j is then solved in a contiguous buffer by a
-doubling prefix scan: for o = 1, 2, 4, ... each pass adds (I + D)^o
-applied to the rows o steps back, so a block of span steps costs
-ceil(log2(span + 1)) vectorized passes of O(span n^2) each instead of
-span separate steps.  The matrices P_o = (I + D)^o - I are squared once
-per run as P_2o = 2 P_o + P_o^2, which keeps the rounding of increments
-that are small against the state; an unstable A0 whose powers overflow
-gets shorter blocks instead.  The solved block is then copied into the
-work array.
+x_{j+1} = (I + D) x_j + f_j is then solved in a contiguous buffer
+[x_0 | f_0 ... f_{span-1}] by one of two solvers:
+
+* the transfer matrix: one product of the flattened buffer with the
+  leading corner of a block lower-triangular Toeplitz matrix T, whose x_0
+  rows hold P_j = (I + D)^j - I and whose f_i rows hold I + P_{j-1-i},
+  followed by adding x_0 to every state.  The split x_0 + x_0 P_j never
+  forms I + P_j, which would round away the low bits of increments that
+  are small against the state.  T has (chunk + 1) chunk n^2 entries for
+  blocks of up to chunk steps, so it serves short delays and small n;
+* the doubling prefix scan: for o = 1, 2, 4, ... each pass adds
+  (I + D)^o applied to the rows o steps back, so a block of span steps
+  costs ceil(log2(span + 1)) vectorized passes of O(span n^2) each.
+
+T is used when it has at most TRANSFER_MAX_ENTRIES = 2^16 entries
+(512 KiB) and is finite; any longer or wider block runs the scan, which
+measured faster from about 10^5 entries on.  The powers P_o, o = 1, 2,
+4, ..., are squared as P_2o = 2 P_o + P_o^2 for the same reason of
+rounding, and T's P_j are composed from them bit by bit as
+P_{a+b} = P_a + P_b + P_a P_b; an unstable A0 whose powers overflow gets
+shorter blocks instead.  The solved block is then copied into the work
+array.  The RK4 maps, the powers, the block length and T depend only on
+the system and h, so they are stored on the (immutable) system per step
+size through ``linalg._memo``; a system simulated again at the same h
+reuses them.
 
 Energy accounting uses the Lyapunov-Krasovskii Hamiltonian
 
@@ -47,10 +64,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import _require_shape, require_symmetric, spectral_norm
+from .linalg import _memo, _require_shape, require_symmetric, spectral_norm
 from .systems import (
     DelayPHSystem,
     GeneralDelaySystem,
@@ -73,6 +91,11 @@ __all__ = [
 
 #: state norm beyond which integration aborts
 BLOWUP_NORM = 1e12
+
+#: most entries, (chunk + 1) chunk n^2, of a block transfer matrix T
+#: (512 KiB); blocks that would need a larger T run the doubling scan,
+#: which measured faster from about 10^5 entries on
+TRANSFER_MAX_ENTRIES = 2**16
 
 
 class BlowUpError(RuntimeError):
@@ -220,6 +243,84 @@ def _rk4_maps(a0, a1, b, h):
             hermite[:, n : n + width], hermite[:, n + width :])
 
 
+class _StepData(NamedTuple):
+    """What ``integrate_dde`` derives from a system and a step size.
+
+    All arrays are transposed, as the rows of the work array multiply
+    them, and read-only.  ``powers`` holds P_o = (I + D)^o - I for
+    o = 1, 2, 4, ..., ``chunk`` is the longest block, and ``transfer`` is
+    the block transfer matrix T, or None where blocks run the scan.
+    """
+
+    f_history: np.ndarray
+    f_now: np.ndarray
+    f_past: np.ndarray
+    powers: tuple
+    chunk: int
+    transfer: np.ndarray | None
+
+
+def _step_data(system: GeneralDelaySystem, h: float, d: int) -> _StepData:
+    """The RK4 maps, the doubling powers, the block length and T."""
+    # the step maps, the powers and T may overflow for an unstable A0; the
+    # integrator then reports the first offending step
+    with np.errstate(over="ignore", invalid="ignore"):
+        d_map, f_history, f_now, f_past = (
+            np.ascontiguousarray(a.T)
+            for a in _rk4_maps(system.A0, system.A1, system.B, h)
+        )
+        # P_2o = 2 P_o + P_o^2 never forms a power of I + D and so keeps
+        # the rounding of small increments; doubling stops at the first
+        # non-finite P_o, and offsets up to o cover 2o - 1 steps
+        powers, o = [d_map], 1
+        while 2 * o <= d:
+            p = 2.0 * powers[-1] + powers[-1] @ powers[-1]
+            if not np.isfinite(p).all():
+                break
+            powers.append(p)
+            o *= 2
+        chunk = min(d, 2 * o - 1)
+        transfer = _transfer_matrix(powers, chunk)
+    for arr in (f_history, f_now, f_past, *powers, transfer):
+        if arr is not None:
+            arr.setflags(write=False)
+    return _StepData(f_history, f_now, f_past, tuple(powers), chunk, transfer)
+
+
+def _transfer_matrix(powers, chunk: int) -> np.ndarray | None:
+    """T with [x_0 | f_0 | ... | f_{chunk-1}] T = [x_1 - x_0 | ... | x_chunk - x_0].
+
+    Column block j - 1 takes P_j from the x_0 row and I + P_{j-1-i} from
+    the f_i row for i < j, so T is block lower-triangular Toeplitz.  Its
+    leading ((span + 1) n, span n) corner serves a block of span steps.
+    None when T would have more than TRANSFER_MAX_ENTRIES entries, or
+    when a P_j overflows.
+    """
+    n = powers[0].shape[0]
+    if (chunk + 1) * chunk * n * n > TRANSFER_MAX_ENTRIES:
+        return None
+    # P_j for j = 0 .. chunk, composed from the doubling powers bit by bit
+    # as P_{o+i} = P_o + P_i + P_i P_o for i < o
+    stack = np.zeros((chunk + 1, n, n))
+    for i, p in enumerate(powers):
+        o = 1 << i
+        if o > chunk:
+            break
+        low = stack[: min(o, chunk + 1 - o)]
+        stack[o : o + low.shape[0]] = p + low + low @ p
+    if not np.isfinite(stack).all():
+        return None
+    # blocks [P_0 .. P_chunk, I + P_0 .. I + P_{chunk-1}]; column block c
+    # takes P_{c+1} from row block 0, I + P_{c-i} from row block 1 + i for
+    # i <= c, and P_0 = 0 above the diagonal
+    blocks = np.concatenate([stack, np.eye(n) + stack[:-1]])
+    row = np.arange(chunk + 1)[:, None]
+    col = np.arange(chunk)
+    index = np.where(row == 0, col + 1,
+                     np.where(row <= col + 1, chunk + 2 + col - row, 0))
+    return blocks[index].transpose(0, 2, 1, 3).reshape((chunk + 1) * n, chunk * n)
+
+
 def integrate_dde(
     system: GeneralDelaySystem, history: HistoryFunction, inputs, T: float, h: float
 ) -> Trajectory:
@@ -229,6 +330,14 @@ def integrate_dde(
     relative); ``inputs`` is None (zero input), an (m, K+1) sample array on
     the step grid, or a callable t -> u(t) sampled onto it.  Raises BlowUpError when
     the state norm exceeds 1e12.
+
+    Each block of up to d steps solves x_{j+1} = (I + D) x_j + f_j.  When
+    the block transfer matrix T has at most TRANSFER_MAX_ENTRIES entries,
+    a block takes one product [x_0 | f_0 ... f_{span-1}] T, whose x_0 rows
+    hold P_j = (I + D)^j - I, and then adds x_0 to every state: the split
+    x_0 + x_0 P_j keeps the low bits of small increments that I + P_j
+    would round away.  Longer or wider blocks run the doubling scan.  The
+    maps, the powers and T are stored on ``system`` per step size.
     """
     if not 0.0 < h < math.inf:
         raise ValueError(f"h must be positive and finite, got {h}")
@@ -243,6 +352,9 @@ def integrate_dde(
         raise ValueError(
             f"history covers [-{history.span}, 0] but the delay is {system.tau}"
         )
+    f_history, f_now, f_past, powers, chunk, transfer = _memo(
+        system, ("steps", h), lambda: _step_data(system, h, d)
+    )
     # time-major work array: row r holds [x_r | u_r], x_r the padded state
     # at t_{r-d} and u_r the input at t_r (zero past K); row k of the
     # read-only ``windows`` view spans rows k and k + 1, the delayed states
@@ -255,29 +367,13 @@ def integrate_dde(
     windows = np.lib.stride_tricks.as_strided(
         work, (d + big_k, 2 * (n + m)), work.strides, writeable=False
     )
-    # norms are checked once per block, so the step maps and the steps
-    # after a blow-up may overflow before the first offending step is
-    # reported
+    # rows x_0, f_0, ..., f_{span-1} of the block being solved, and the
+    # states x_1, ..., x_span that T gives
+    scratch = np.empty((chunk + 1, n))
+    solved = np.empty((chunk, n))
+    # norms are checked once per block, so the steps after a blow-up may
+    # overflow before the first offending step is reported
     with np.errstate(over="ignore", invalid="ignore"):
-        # transposed, as the rows of ``work`` and ``windows`` multiply them
-        d_map, f_history, f_now, f_past = (
-            np.ascontiguousarray(a.T)
-            for a in _rk4_maps(system.A0, system.A1, system.B, h)
-        )
-        # transposed P_o = (I + D)^o - I for o = 1, 2, 4, ..., squared as
-        # P_2o = 2 P_o + P_o^2, which never forms a power of I + D and so
-        # keeps the rounding of small increments; doubling stops at the
-        # first non-finite P_o, and offsets up to o cover 2o - 1 steps
-        powers, o = [d_map], 1
-        while 2 * o <= d:
-            p = 2.0 * powers[-1] + powers[-1] @ powers[-1]
-            if not np.isfinite(p).all():
-                break
-            powers.append(p)
-            o *= 2
-        chunk = min(d, 2 * o - 1)
-        # rows x_0, f_0, ..., f_{span-1} of the block being scanned
-        scratch = np.empty((chunk + 1, n))
         k0 = 0
         while k0 < big_k:
             # steps k0 .. k0 + span - 1 read delayed data up to row d + k0
@@ -293,15 +389,21 @@ def integrate_dde(
             else:
                 np.matmul(windows[k0 : k0 + span], f_now, out=new)
                 new += windows[k0 - d : k0 - d + span] @ f_past
-            # prefix scan of x_{j+1} = (I + D) x_j + f_j in place over the
-            # block: after offset o, row j holds the sum of (I + D)^i
-            # applied to row j - i for i < 2o
-            for i, p in enumerate(powers):
-                o = 1 << i
-                if o > span:
-                    break
-                prev = block[:-o]
-                block[o:] += prev + prev @ p
+            if transfer is None:
+                # prefix scan of x_{j+1} = (I + D) x_j + f_j in place over
+                # the block: after offset o, row j holds the sum of
+                # (I + D)^i applied to row j - i for i < 2o
+                for i, p in enumerate(powers):
+                    o = 1 << i
+                    if o > span:
+                        break
+                    prev = block[:-o]
+                    block[o:] += prev + prev @ p
+            else:
+                new = solved[:span]
+                np.matmul(block.reshape(-1), transfer[: (span + 1) * n, : span * n],
+                          out=new.reshape(-1))
+                new += block[0]
             # one dot product clears a block whose squared norm sum is in
             # range; any other block has its steps' norms taken one by one
             if not np.vdot(new, new) <= BLOWUP_NORM**2:

@@ -369,8 +369,14 @@ def _check_psd_field(violations, name, mat, tol):
 def delay_ph_to_general(system: DelayPHSystem) -> GeneralDelaySystem:
     """Inflate the port-Hamiltonian form by H^{-1}.
 
-    A0 = H^{-1}(J - R), A1 = -H^{-1} Z, B = H^{-1} G, C = G^T.
+    A0 = H^{-1}(J - R), A1 = -H^{-1} Z, B = H^{-1} G, C = G^T.  The result
+    is stored on ``system`` (``linalg._memo``), so every call on one system
+    returns the same immutable object, with what was cached on it.
     """
+    return _memo(system, "general", lambda: _inflate(system))
+
+
+def _inflate(system: DelayPHSystem) -> GeneralDelaySystem:
     h = system.H
     a0 = np.linalg.solve(h, system.J - system.R)
     a1 = -np.linalg.solve(h, system.Z)

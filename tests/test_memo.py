@@ -26,10 +26,13 @@ from phdelay import (
     check_necessary,
     close_delayed_feedback,
     construct_theta,
+    delay_ph_to_general,
     feedback_gain_bound,
     ph_condition_matrix,
+    simulate_delay_ph,
     validate,
 )
+from phdelay import simulation
 from phdelay.linalg import DEFAULT_TOL, _frozen, _is_frozen, _memo, _symmetric_eigh
 from helpers import decompositions, rand_antisym, rand_certified_delay_ph
 
@@ -242,6 +245,76 @@ def test_cached_arrays_are_read_only():
     assert cached[0] is evals and cached[1] is evecs
     spectra = [value for value in s._cache.values() if isinstance(value, np.ndarray)]
     assert len(spectra) == 1 and not spectra[0].flags.writeable
+    simulate_delay_ph(s, HistoryFunction.constant([1.0], 1.0), None, 1.0, 0.1,
+                      monitor=False)
+    steps = delay_ph_to_general(s)._cache[("steps", 0.1)]
+    arrays = [steps.f_history, steps.f_now, steps.f_past, *steps.powers,
+              steps.transfer]
+    assert steps.transfer is not None
+    assert not any(arr.flags.writeable for arr in arrays)
+
+
+def test_repeated_simulations_build_the_step_data_once(monkeypatch):
+    """Three histories of one system: one conversion to the general form
+    (three solves against H) and one set of RK4 maps, both stored."""
+    rng = np.random.default_rng(19)
+    s = rand_certified_delay_ph(rng, 4, m=2, tau=0.2)
+    solves, maps = [], []
+
+    def counted(calls, fn):
+        def call(*args, **kwargs):
+            calls.append(1)
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(np.linalg, "solve", counted(solves, np.linalg.solve))
+    monkeypatch.setattr(simulation, "_rk4_maps", counted(maps, simulation._rk4_maps))
+    for _ in range(3):
+        hist = HistoryFunction.constant(rng.standard_normal(4), 0.2)
+        simulate_delay_ph(s, hist, None, 1.0, 0.01)
+    assert len(solves) == 3 and len(maps) == 1
+    assert delay_ph_to_general(s) is delay_ph_to_general(s)
+    assert list(delay_ph_to_general(s)._cache) == [("steps", 0.01)]
+
+
+def test_copies_start_without_the_general_form_or_step_data():
+    s = scalar()
+    simulate_delay_ph(s, HistoryFunction.constant([1.0], 1.0), None, 1.0, 0.1)
+    general = delay_ph_to_general(s)
+    assert "general" in s._cache and general._cache
+    for copied in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s)):
+        assert copied._cache == {}
+        assert delay_ph_to_general(copied) is not general
+    assert pickle.loads(pickle.dumps(general))._cache == {}
+
+
+def test_check_necessary_decomposes_theta_once():
+    s = scalar()
+    with decompositions() as calls:
+        check_necessary(s.R, s.theta, s.Z)
+        check_necessary(s.R, s.theta, s.Z)
+    assert count(calls, "eigh", s.theta) == 1
+    assert len(calls) == 2  # R and Theta, once each
+
+
+def test_spectral_norm_of_z_is_taken_once_per_chain(monkeypatch):
+    """With a rank-deficient R, the construction and the necessary
+    conditions both need ||Z||_2: one 2-norm of the stored Z serves both."""
+    s = DelayPHSystem(H=np.eye(2), J=np.zeros((2, 2)), R=np.diag([2.0, 0.0]),
+                      Z=np.diag([1.0, 0.0]), G=np.ones((2, 1)), tau=1.0,
+                      theta=np.diag([1.0, 0.0]))
+    norms = []
+    norm = np.linalg.norm
+
+    def counted(a, ord=None, *args, **kwargs):
+        if ord == 2:
+            norms.append(np.array(a))
+        return norm(a, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counted)
+    assert construct_theta(s.R, s.Z).success
+    assert check_necessary(s.R, s.theta, s.Z).all_hold
+    assert sum(np.array_equal(a, s.Z) for a in norms) == 1
 
 
 def test_caching_keeps_no_system_alive():
@@ -254,10 +327,13 @@ def test_caching_keeps_no_system_alive():
     assert certify_delay_ph(s).verdict == CERTIFIED
     cert = certify_interconnection(s, partner, [[-1.0, 1.0], [-1.0, -1.0]])
     assert cert.verdict == CERTIFIED
-    assert s._cache and "eigh" in vars(s.R.base)
+    simulate_delay_ph(s, HistoryFunction.constant([1.0], 1.0), None, 1.0, 0.1)
+    general = delay_ph_to_general(s)
+    assert s._cache and "eigh" in vars(s.R.base) and general._cache
     system, matrix = weakref.ref(s), weakref.ref(s.R)
+    general = weakref.ref(general)
     del s
-    assert system() is None and matrix() is None
+    assert system() is None and matrix() is None and general() is None
 
 
 def test_threads_share_the_memo_safely():

@@ -16,7 +16,7 @@ from phdelay import (
     integrate_dde,
     simulate_delay_ph,
 )
-from phdelay.simulation import monitor_dissipation
+from phdelay.simulation import TRANSFER_MAX_ENTRIES, monitor_dissipation
 from phdelay.systems import delay_ph_to_general
 
 from helpers import (
@@ -239,6 +239,49 @@ def test_block_scan_matches_stepwise_oracle(case):
     assert np.max(np.abs(traj.padded_states - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+@st.composite
+def solver_cases(draw):
+    """(n, m, d, K, seed, scan): d on the side of the T bound that ``scan``
+    names, K from 1 to 3d."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(0, 2))
+    # the least d whose transfer matrix exceeds TRANSFER_MAX_ENTRIES
+    first_scan = next(d for d in range(1, 300)
+                      if (d + 1) * d * n * n > TRANSFER_MAX_ENTRIES)
+    scan = draw(st.booleans())
+    if scan:
+        d = draw(st.integers(first_scan, first_scan + 20))
+    else:
+        d = draw(st.integers(1, min(40, first_scan - 1)))
+    big_k = draw(st.integers(1, 3 * d))
+    return n, m, d, big_k, draw(st.integers(0, 2**32 - 1)), scan
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(solver_cases())
+def test_both_block_solvers_match_stepwise_oracle(case):
+    """The transfer-matrix product and the doubling scan each reproduce
+    the stage-by-stage scheme to rounding, with random inputs."""
+    n, m, d, big_k, seed, scan = case
+    rng = np.random.default_rng(seed)
+    h = 0.05
+    sys1 = GeneralDelaySystem(
+        A0=0.5 * rng.standard_normal((n, n)) - np.eye(n),
+        A1=0.5 * rng.standard_normal((n, n)),
+        B=rng.standard_normal((n, m)),
+        C=rng.standard_normal((m, n)),
+        tau=d * h,
+    )
+    grid = np.linspace(-d * h, 0.0, 5)
+    hist = HistoryFunction(grid, rng.standard_normal((n, grid.size)))
+    u = rng.standard_normal((m, big_k + 1))
+    traj = integrate_dde(sys1, hist, u, big_k * h, h)
+    ref = integrate_dde_stepwise(sys1, hist, u, big_k * h, h)
+    assert (sys1._cache[("steps", h)].transfer is None) == scan
+    assert traj.padded_states.shape == ref.shape
+    assert np.max(np.abs(traj.padded_states - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_unstable_zero_history_stays_exactly_zero():
     """Powers of I + D overflow here; blocks shrink instead of making 0 * inf."""
     sys1 = GeneralDelaySystem(A0=[[1e4]], A1=[[0.0]], B=[[0.0]], C=[[0.0]],
@@ -270,16 +313,37 @@ def test_short_blocks_keep_the_midpoint_rule_of_their_steps():
 def test_block_scan_rounding_does_not_accumulate():
     """A lossless rotation over 10^4 steps stays within 5e-14 of the oracle.
 
-    The scan applies P_o = (I + D)^o - I, not (I + D)^o: rounding I + D
-    drops the low bits of each small increment, which on this run drifts
-    the states by about 4e-13 of their size.
+    Both block solvers apply P_j = (I + D)^j - I, not (I + D)^j: rounding
+    I + D drops the low bits of each small increment, which on this run
+    drifts the states by about 4e-13 of their size.  tau = 0.2 (d = 20)
+    takes the transfer matrix, tau = 2.0 (d = 200) the scan.
     """
+    for tau, scan in ((0.2, False), (2.0, True)):
+        sys1 = GeneralDelaySystem(A0=[[0.0, 1.0], [-1.0, 0.0]], A1=np.zeros((2, 2)),
+                                  B=np.zeros((2, 1)), C=np.zeros((1, 2)), tau=tau)
+        hist = HistoryFunction.constant([1.0, 0.0], tau)
+        traj = integrate_dde(sys1, hist, None, T=100.0, h=0.01)
+        ref = integrate_dde_stepwise(sys1, hist, np.zeros((1, 10001)), 100.0, 0.01)
+        assert (sys1._cache[("steps", 0.01)].transfer is None) == scan
+        assert np.max(np.abs(traj.padded_states - ref)) <= 5e-14
+
+
+def test_transfer_matrix_keeps_the_low_bits_of_small_increments():
+    """The state rows of T hold P_j and x_0 is added after the product.
+
+    At h = 1e-7 each block moves the state by about 2e-6 of its size.
+    x_0 + x_0 P_j stays within about 6e-16 of the oracle over 10^4 steps;
+    I + P_j in T's state rows would round those increments and drift by
+    about 2e-14.
+    """
+    h, d, big_k = 1e-7, 20, 10000
     sys1 = GeneralDelaySystem(A0=[[0.0, 1.0], [-1.0, 0.0]], A1=np.zeros((2, 2)),
-                              B=np.zeros((2, 1)), C=np.zeros((1, 2)), tau=0.2)
-    hist = HistoryFunction.constant([1.0, 0.0], 0.2)
-    traj = integrate_dde(sys1, hist, None, T=100.0, h=0.01)
-    ref = integrate_dde_stepwise(sys1, hist, np.zeros((1, 10001)), 100.0, 0.01)
-    assert np.max(np.abs(traj.padded_states - ref)) <= 5e-14
+                              B=np.zeros((2, 1)), C=np.zeros((1, 2)), tau=d * h)
+    hist = HistoryFunction.constant([1.0, 0.0], d * h)
+    traj = integrate_dde(sys1, hist, None, big_k * h, h)
+    ref = integrate_dde_stepwise(sys1, hist, np.zeros((1, big_k + 1)), big_k * h, h)
+    assert sys1._cache[("steps", h)].transfer is not None
+    assert np.max(np.abs(traj.padded_states - ref)) <= 5e-15
 
 
 @pytest.mark.parametrize("a0, tau", [(1e4, 1.0), (30.0, 0.1)])
