@@ -81,6 +81,9 @@ FEASIBILITY_SLACK = 1e-9
 #: clamp for the open alpha interval (0, 1) in the Z = 0 degenerate case
 ALPHA_CLAMP = 1e-9
 
+#: step and half-width of the grid oracle's Theta grid, relative to ||R||_2
+_GRID_STEP, _GRID_BOX = 0.02, 2.0
+
 
 def ph_condition_matrix(R, Z, theta) -> np.ndarray:
     """Assemble the 2n x 2n block matrix [[R - Theta, Z/2], [Z^T/2, Theta]]."""
@@ -374,17 +377,15 @@ def kyp_delay_check(
     )
 
 
-def exists_certifying_theta_grid(
-    R, Z, resolution: float = 0.02, box_scale: float = 2.0
-):
+def exists_certifying_theta_grid(R, Z):
     """Brute-force existence oracle for a certifying Theta (n <= 2 only).
 
     Scans symmetric positive-definite Theta candidates on a regular grid,
-    diagonal entries over (0, box_scale * ||R||] and the off-diagonal entry
-    over [-box_scale * ||R||, box_scale * ||R||], with step
-    resolution * ||R|| per axis.  Each candidate is decided by the
-    closed-form 2x2 Schur complement of (*), independently of the
-    eigendecomposition and whitening machinery used elsewhere.  Returns
+    diagonal entries over (0, 2 ||R||] and the off-diagonal entry over
+    [-2 ||R||, 2 ||R||], with step 0.02 ||R|| per axis (``_GRID_BOX`` and
+    ``_GRID_STEP``).  Each candidate is decided by the closed-form 2x2
+    Schur complement of (*), independently of the eigendecomposition and
+    whitening machinery used elsewhere.  Returns
     ``(found, theta)`` with the first certifying grid point, or
     ``(False, None)``.  Boundary (singular PSD) Theta candidates are not
     scanned; the oracle is a desk-scale approximation of true existence.
@@ -406,7 +407,7 @@ def exists_certifying_theta_grid(
     # no product below can overflow
     r = r / scale
     z = z / scale
-    axis = np.arange(resolution, box_scale + 0.5 * resolution, resolution)
+    axis = np.arange(_GRID_STEP, _GRID_BOX + 0.5 * _GRID_STEP, _GRID_STEP)
     slack = 1e-12
 
     if n == 1:
@@ -420,7 +421,7 @@ def exists_certifying_theta_grid(
             return True, np.array([[axis[idx[0]] * scale]])
         return False, None
 
-    off_axis = np.arange(-box_scale, box_scale + 0.5 * resolution, resolution)
+    off_axis = np.arange(-_GRID_BOX, _GRID_BOX + 0.5 * _GRID_STEP, _GRID_STEP)
     r11, r12, r22 = float(r[0, 0]), float(r[0, 1]), float(r[1, 1])
     z11, z12 = float(z[0, 0]), float(z[0, 1])
     z21, z22 = float(z[1, 0]), float(z[1, 1])

@@ -1,20 +1,23 @@
 """Command-line interface.
 
 Subcommands: certify, construct-theta, interconnect, feedback, simulate,
-check.  Every run prints a single JSON report to stdout (inputs are
-identified by their sha256 digests) and exits with 0 for a certified or
-successful run, 1 for a refuted condition, 2 for an inconclusive
-construction, and 3 for input or usage errors.  Data artifacts (system
-documents, trajectory CSV files) go to the paths given by --out.
+check.  Every run prints a single JSON report to stdout and exits with 0
+for a certified or successful run, 1 for a refuted condition, 2 for an
+inconclusive construction, and 3 for input or usage errors.  Each input
+file is read once, and the report's "inputs" maps its path to the sha256
+of the bytes parsed.  Data artifacts (system documents, trajectory CSV
+files) go to the paths given by --out.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import math
 import sys
+import warnings
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -55,7 +58,7 @@ from .systems import (
     _matrix_rows,
     _rows,
     _standard_ph_to_lti,
-    read_system,
+    _system_from_text,
     save_system,
     validate,
 )
@@ -74,14 +77,22 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _digest(path: str) -> str:
+def _read(path: str, inputs: dict) -> str:
+    """The text of the file at ``path``, decoded as ``open(path,
+    encoding="utf-8")`` decodes it (universal newlines); the sha256 of the
+    bytes read goes to ``inputs[path]``."""
     with open(path, "rb") as fh:
-        return "sha256:" + hashlib.sha256(fh.read()).hexdigest()
+        data = fh.read()
+    inputs[path] = "sha256:" + hashlib.sha256(data).hexdigest()
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
 
 
-def _read_matrix(path: str, name: str) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        return _matrix_rows(name, _load_json(fh.read(), f"{name}: "))
+def _read_system(path: str, inputs: dict, tol, validated: bool = True):
+    return _system_from_text(_read(path, inputs), tol, validated)
+
+
+def _read_matrix(path: str, name: str, inputs: dict) -> np.ndarray:
+    return _matrix_rows(name, _load_json(_read(path, inputs), f"{name}: "))
 
 
 def _jsonable(obj):
@@ -95,47 +106,38 @@ def _jsonable(obj):
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (payload, exit_code)
+# subcommand handlers: (args, tol, inputs) -> (payload, exit_code)
 
 
-def _cmd_certify(args, tol):
-    system = read_system(args.system, tol)
-    payload = {"inputs": {args.system: _digest(args.system)}}
+def _cmd_certify(args, tol, inputs):
+    system = _read_system(args.system, inputs, tol)
+    payload = {}
     if isinstance(system, DelayPHSystem):
         if args.h_matrix:
             raise _UsageError("--h-matrix only applies to standard_lti systems")
         if args.theta:
-            theta = _read_matrix(args.theta, "--theta")
-            payload["inputs"][args.theta] = _digest(args.theta)
-            source = "flag"
+            theta = _read_matrix(args.theta, "--theta", inputs)
+            payload["theta_source"] = "flag"
         elif system.theta is not None:
             theta = system.theta
-            source = "embedded"
+            payload["theta_source"] = "embedded"
         else:
-            construction = construct_theta(system.R, system.Z, tol)
-            if not construction.success:
-                payload["theta_source"] = "constructed"
-                payload["construction"] = _construction_dict(construction)
-                payload["verdict"] = INCONCLUSIVE
+            payload["theta_source"] = "constructed"
+            theta = _constructed_theta(system, tol, payload)
+            if theta is None:
                 return payload, _EXIT[INCONCLUSIVE]
-            theta = construction.theta
-            source = "constructed"
-            payload["construction"] = _construction_dict(construction)
-        # read_system has validated the document with this tolerance
+        # the document was validated with this tolerance when it was read
         cert = _certify_validated(system, theta, tol)
-        payload["theta_source"] = source
         payload["certificate"] = cert.to_dict()
         return payload, _EXIT[cert.verdict]
     if args.theta:
         raise _UsageError("--theta only applies to delay_ph systems")
     if isinstance(system, StandardPHSystem):
-        lti = _standard_ph_to_lti(system)
-        result = certify_ph(lti, system.H, tol)
+        result = certify_ph(_standard_ph_to_lti(system), system.H, tol)
     elif isinstance(system, StandardLTISystem):
         if not args.h_matrix:
             raise _UsageError("standard_lti certification requires --h-matrix FILE")
-        h = _read_matrix(args.h_matrix, "--h-matrix")
-        payload["inputs"][args.h_matrix] = _digest(args.h_matrix)
+        h = _read_matrix(args.h_matrix, "--h-matrix", inputs)
         result = certify_ph(system, h, tol)
     else:
         raise _UsageError(
@@ -144,9 +146,7 @@ def _cmd_certify(args, tol):
     payload["certificate"] = result.certificate.to_dict()
     if result.decomposition is not None:
         payload["decomposition"] = {
-            "J": _rows(result.decomposition.J),
-            "R": _rows(result.decomposition.R),
-            "G": _rows(result.decomposition.G),
+            key: _rows(getattr(result.decomposition, key)) for key in "JRG"
         }
     return payload, _EXIT[result.certificate.verdict]
 
@@ -165,34 +165,37 @@ def _construction_dict(construction) -> dict:
     return out
 
 
-def _cmd_construct_theta(args, tol):
-    system = read_system(args.system, tol)
-    if not isinstance(system, DelayPHSystem):
-        raise _UsageError("construct-theta requires a delay_ph system")
+def _constructed_theta(system, tol, payload):
+    """Theta from ``construct_theta`` on the system's (R, Z), or None.
+
+    The construction goes to ``payload["construction"]``; a failed one also
+    sets ``payload["verdict"]`` to INCONCLUSIVE.
+    """
     construction = construct_theta(system.R, system.Z, tol)
-    payload = {
-        "inputs": {args.system: _digest(args.system)},
-        "construction": _construction_dict(construction),
-    }
+    payload["construction"] = _construction_dict(construction)
     if not construction.success:
         payload["verdict"] = INCONCLUSIVE
-        return payload, _EXIT[INCONCLUSIVE]
-    return payload, 0
+        return None
+    return construction.theta
 
 
-def _cmd_interconnect(args, tol):
-    sys1 = read_system(args.system1, tol)
-    sys2 = read_system(args.system2, tol)
-    f = _read_matrix(args.feedback_matrix, "F")
+def _cmd_construct_theta(args, tol, inputs):
+    system = _read_system(args.system, inputs, tol)
+    if not isinstance(system, DelayPHSystem):
+        raise _UsageError("construct-theta requires a delay_ph system")
+    payload = {}
+    theta = _constructed_theta(system, tol, payload)
+    return payload, _EXIT[INCONCLUSIVE] if theta is None else 0
+
+
+def _cmd_interconnect(args, tol, inputs):
+    sys1 = _read_system(args.system1, inputs, tol)
+    sys2 = _read_system(args.system2, inputs, tol)
+    f = _read_matrix(args.feedback_matrix, "F", inputs)
     if not (isinstance(sys1, DelayPHSystem) and isinstance(sys2, DelayPHSystem)):
         raise _UsageError("interconnect requires two delay_ph systems")
     closed = interconnect(sys1, sys2, f)
     payload = {
-        "inputs": {
-            args.system1: _digest(args.system1),
-            args.system2: _digest(args.system2),
-            args.feedback_matrix: _digest(args.feedback_matrix),
-        },
         "classification": classify_feedback(f, tol),
         "system": _document(closed),
     }
@@ -201,26 +204,20 @@ def _cmd_interconnect(args, tol):
         payload["out"] = args.out
     if not args.certify:
         return payload, 0
-    # read_system has validated both parts
+    # both parts were validated when they were read
     cert = _certify_pair(sys1, sys2, f, tol, closed)
     payload["certificate"] = cert.to_dict()
     return payload, _EXIT[cert.verdict]
 
 
-def _cmd_feedback(args, tol):
-    system = read_system(args.system, tol)
+def _cmd_feedback(args, tol, inputs):
+    system = _read_system(args.system, inputs, tol)
     if not isinstance(system, StandardPHSystem):
         raise _UsageError("feedback requires a standard_ph system")
-    f = _read_matrix(args.feedback_matrix, "F")
+    f = _read_matrix(args.feedback_matrix, "F", inputs)
     closed = close_delayed_feedback(system, f, args.tau)
     conditions = check_feedback_conditions(system.R, system.G, tol)
-    payload = {
-        "inputs": {
-            args.system: _digest(args.system),
-            args.feedback_matrix: _digest(args.feedback_matrix),
-        },
-        "feedback_conditions": asdict(conditions),
-    }
+    payload = {"feedback_conditions": asdict(conditions)}
     if conditions.kernel_r_in_kernel_gt:
         beta = feedback_gain_bound(system.R, system.G, tol)
         payload["gain_bound"] = None if math.isinf(beta) else beta
@@ -231,16 +228,14 @@ def _cmd_feedback(args, tol):
         payload["gain_bound_reason"] = "kernel hypotheses violated"
     code = 0
     if args.certify:
-        construction = construct_theta(closed.R, closed.Z, tol)
-        payload["construction"] = _construction_dict(construction)
-        if construction.success:
-            cert = certify_delay_ph(closed, construction.theta, tol)
-            payload["certificate"] = cert.to_dict()
-            closed = replace(closed, theta=construction.theta)
-            code = _EXIT[cert.verdict]
-        else:
-            payload["verdict"] = INCONCLUSIVE
+        theta = _constructed_theta(closed, tol, payload)
+        if theta is None:
             code = _EXIT[INCONCLUSIVE]
+        else:
+            cert = certify_delay_ph(closed, theta, tol)
+            payload["certificate"] = cert.to_dict()
+            closed = replace(closed, theta=theta)
+            code = _EXIT[cert.verdict]
     payload["system"] = _document(closed)
     if args.out:
         save_system(closed, args.out)
@@ -248,14 +243,11 @@ def _cmd_feedback(args, tol):
     return payload, code
 
 
-def _parse_history(spec: str, system) -> HistoryFunction:
+def _parse_history(spec: str, system, inputs: dict) -> HistoryFunction:
     if spec.startswith("const:"):
         value = float(spec[len("const:"):])
-        return HistoryFunction.constant(
-            np.full(system.n, value), system.tau
-        )
-    with open(spec, "r", encoding="utf-8") as fh:
-        doc = _load_json(fh.read(), "history: ")
+        return HistoryFunction.constant(np.full(system.n, value), system.tau)
+    doc = _load_json(_read(spec, inputs), "history: ")
     if not isinstance(doc, dict) or "grid" not in doc or "values" not in doc:
         raise SystemFormatError('history file needs "grid" and "values" keys')
     if not isinstance(doc["grid"], list):
@@ -265,23 +257,28 @@ def _parse_history(spec: str, system) -> HistoryFunction:
                            _matrix_rows("values", doc["values"]))
 
 
-def _parse_input(spec: str, times: np.ndarray, m: int):
+def _parse_input(spec: str, times: np.ndarray, m: int, inputs: dict):
     if spec == "zero":
-        return None, None
+        return None
     if spec.startswith("step:"):
         a = float(spec[len("step:"):])
-        return np.full((m, times.size), a), None
+        return np.full((m, times.size), a)
     if spec.startswith("sine:"):
         parts = spec[len("sine:"):].split(",")
         if len(parts) != 2:
             raise _UsageError("--input sine takes amplitude,frequency")
         a, w = float(parts[0]), float(parts[1])
-        return np.tile(a * np.sin(w * times), (m, 1)), None
+        # non-finite samples (w = inf, or w * t overflowing) are an input error
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.tile(a * np.sin(w * times), (m, 1))
     if spec.startswith("csv:"):
-        path = spec[len("csv:"):]
-        arr = np.loadtxt(path, delimiter=",", ndmin=2)
+        text = _read(spec[len("csv:"):], inputs)
+        with warnings.catch_warnings():
+            # an empty file is reported by the shape check below
+            warnings.simplefilter("ignore", UserWarning)
+            arr = np.loadtxt(io.StringIO(text), delimiter=",", ndmin=2)
         if arr.shape[0] == times.size and arr.shape[1] == m:
-            return arr.T.copy(), path
+            return arr.T.copy()
         raise _UsageError(
             f"input csv must have {times.size} rows and {m} columns, "
             f"got {arr.shape}"
@@ -289,8 +286,8 @@ def _parse_input(spec: str, times: np.ndarray, m: int):
     raise _UsageError(f"unknown input spec {spec!r}")
 
 
-def _cmd_simulate(args, tol):
-    system = read_system(args.system, tol)
+def _cmd_simulate(args, tol, inputs):
+    system = _read_system(args.system, inputs, tol)
     if isinstance(system, GeneralDelaySystem):
         if args.monitor:
             raise _UsageError(
@@ -307,14 +304,10 @@ def _cmd_simulate(args, tol):
         raise _UsageError(
             f"--T / --h = {args.T} / {args.h} is not a finite number of steps"
         )
-    history = _parse_history(args.history, system)
+    history = _parse_history(args.history, system, inputs)
     times = np.arange(round(steps) + 1) * args.h
-    inputs, input_path = _parse_input(args.input, times, system.m)
-    payload = {"inputs": {args.system: _digest(args.system)}}
-    if not args.history.startswith("const:"):
-        payload["inputs"][args.history] = _digest(args.history)
-    if input_path:
-        payload["inputs"][input_path] = _digest(input_path)
+    u = _parse_input(args.input, times, system.m, inputs)
+    payload = {}
 
     if isinstance(system, DelayPHSystem):
         if args.monitor and system.theta is None:
@@ -323,22 +316,18 @@ def _cmd_simulate(args, tol):
                 "construct it first)"
             )
         traj, record = simulate_delay_ph(
-            system, history, inputs, args.T, args.h, monitor=args.monitor
+            system, history, u, args.T, args.h, monitor=args.monitor
         )
-        if record is not None:
-            energies = record.hamiltonians
-        else:
+        if record is None:
             theta = system.theta if system.theta is not None else np.zeros((system.n,) * 2)
             energies = hamiltonian_series(traj, system.H, theta)
-        if record is not None:
-            payload["monitor"] = {
-                "tol_energy": record.tol_energy,
-                "violations": [
-                    {"step": k, "gap": gap} for k, gap in record.violations
-                ],
-            }
+        else:
+            energies = record.hamiltonians
+            violations = [{"step": k, "gap": gap} for k, gap in record.violations]
+            payload["monitor"] = {"tol_energy": record.tol_energy,
+                                  "violations": violations}
     else:
-        traj = integrate_dde(system, history, inputs, args.T, args.h)
+        traj = integrate_dde(system, history, u, args.T, args.h)
         energies = None
 
     export_trajectory_csv(traj, args.out, energies)
@@ -351,8 +340,8 @@ def _cmd_simulate(args, tol):
     return payload, 0
 
 
-def _cmd_check(args, tol):
-    system = read_system(args.system, tol, validated=False)
+def _cmd_check(args, tol, inputs):
+    system = _read_system(args.system, inputs, tol, validated=False)
     violations = validate(system, tol)
     runs = [("validate", lambda: (not violations, violations or "all type invariants hold"))]
     if isinstance(system, (StandardLTISystem, StandardPHSystem)):
@@ -374,11 +363,7 @@ def _cmd_check(args, tol):
         except ValueError as exc:  # a check the document cannot pass
             passed, detail = False, str(exc)
         checks.append({"name": name, "passed": passed, "detail": detail})
-    payload = {
-        "inputs": {args.system: _digest(args.system)},
-        "checks": checks,
-    }
-    return payload, 0 if all(c["passed"] for c in checks) else 1
+    return {"checks": checks}, 0 if all(c["passed"] for c in checks) else 1
 
 
 def _minimality(system, tol):
@@ -470,7 +455,8 @@ def main(argv=None) -> int:
         return 3
     try:
         tol = Tolerance(psd_tol=args.psd_tol, rank_tol=args.rank_tol)
-        payload, code = args.handler(args, tol)
+        inputs = {}  # path -> sha256 of the bytes read, filled by _read
+        payload, code = args.handler(args, tol, inputs)
     except (_UsageError, BlowUpError, OSError, ValueError, MemoryError) as exc:
         print(json.dumps(
             {"command": args.command, "error": str(exc), "exit_code": 3}, indent=2
@@ -479,6 +465,7 @@ def main(argv=None) -> int:
     report = {
         "command": args.command,
         "tolerances": {"psd_tol": args.psd_tol, "rank_tol": args.rank_tol},
+        "inputs": inputs,
         **payload,
         "exit_code": code,
     }

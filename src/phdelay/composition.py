@@ -249,14 +249,15 @@ def feedback_gain_bound(R, G, tol: Tolerance = DEFAULT_TOL) -> float:
     succeeds for the closed loop Z = G F G^T.  Requires R symmetric PSD
     and ker(R) <= ker(G^T) (ValueError otherwise), which also keeps ker(R)
     disjoint from image(G).  Returns math.inf when V1^T G vanishes (no
-    finite bound is needed).
+    finite bound is needed) and when beta exceeds the float range.
     """
     conditions, g, (evals, evecs, scale) = _feedback_hypotheses(R, G, tol)
     v1 = _whitening(evals, evecs, scale, tol, "R")
     if not conditions.kernel_r_in_kernel_gt:
         raise ValueError("hypothesis violated: ker(R) is not contained in ker(G^T)")
     coupling = spectral_norm(v1.T @ g)
-    return math.inf if coupling == 0.0 else 1.0 / (coupling * coupling)
+    square = coupling * coupling
+    return math.inf if square == 0.0 else 1.0 / square
 
 
 def _feedback_hypotheses(R, G, tol: Tolerance):

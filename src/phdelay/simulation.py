@@ -458,8 +458,11 @@ def monitor_dissipation(
     10 h^2 (||H||_2 + tau ||Theta||_2) max_k ||x_k||^2, the maximum taken
     over the padded states: it covers the quadrature error of both
     trapezoid rules on a resolved run, in units of energy, so scaling H
-    and Theta by c > 0 scales it by c.
+    and Theta by c > 0 scales it by c.  A given ``tol_energy`` must be
+    finite and nonnegative (ValueError): NaN would flag no step.
     """
+    if tol_energy is not None and not 0.0 <= tol_energy < math.inf:
+        raise ValueError("tol_energy must be finite and nonnegative")
     ham = hamiltonian_series(traj, H, theta)
     power = np.einsum("ij,ij->j", traj.outputs, traj.inputs)
     seg = 0.5 * traj.step * (power[:-1] + power[1:])

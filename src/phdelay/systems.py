@@ -512,6 +512,11 @@ def read_system(source, tol: Tolerance = DEFAULT_TOL, validated: bool = True):
     if os.path.isfile(text) or not text.lstrip().startswith("{"):
         with open(source, "r", encoding="utf-8") as fh:
             text = fh.read()
+    return _system_from_text(text, tol, validated)
+
+
+def _system_from_text(text: str, tol: Tolerance, validated: bool = True):
+    """``read_system`` once the JSON text is in hand."""
     system = _parse_document(_load_json(text))
     if validated:
         violations = validate(system, tol)

@@ -3,6 +3,8 @@ import hashlib
 import io
 import json
 import pathlib
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -808,6 +810,127 @@ def test_tolerance_flags_are_threaded(capsys, tmp_path):
     code, report = run(capsys, "certify", system, "--psd-tol", "1e-3")
     assert code == 0
     assert report["tolerances"]["psd_tol"] == pytest.approx(1e-3)
+
+
+# ---------------------------------------------------------------------------
+# input files: each read once, each digest that of the bytes parsed
+
+#: the lists of paths being recorded by open ``opened_paths`` blocks; the
+#: "open" audit event fires for every open, whichever alias of ``open`` a
+#: library calls, and an audit hook cannot be removed once added
+_recorders = []
+
+
+def _audit(event, args):
+    if event == "open" and _recorders:
+        _recorders[-1].append(args[0])
+
+
+sys.addaudithook(_audit)
+
+
+@contextlib.contextmanager
+def opened_paths():
+    opened = []
+    _recorders.append(opened)
+    try:
+        yield opened
+    finally:
+        _recorders.pop()
+
+
+def digest_of(path):
+    return "sha256:" + hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "{s1}", "--theta", "{theta}"],
+    ["certify", "{lti}", "--h-matrix", "{theta}"],
+    ["construct-theta", "{s1}"],
+    ["interconnect", "{s1}", "{s2}", "{f}", "--certify", "--out", "{out}"],
+    ["feedback", "{plant}", "{theta}", "--tau", "1.0", "--certify", "--out", "{out}"],
+    ["simulate", "{s1}", "--history", "{hist}", "--input", "csv:{csv}",
+     "--T", "1.0", "--h", "0.1", "--monitor", "--out", "{out}"],
+    ["check", "{s1}"],
+], ids=["certify-theta", "certify-h-matrix", "construct-theta",
+        "interconnect-certify", "feedback-certify", "simulate-history-csv", "check"])
+def test_each_input_file_is_read_once(capsys, tmp_path, argv):
+    inputs = {
+        "s1": write_doc(tmp_path / "s1.json", scalar_doc(theta=1.0)),
+        "s2": write_doc(tmp_path / "s2.json", scalar_doc(theta=1.0)),
+        "theta": write_doc(tmp_path / "theta.json", [[1.0]]),
+        "lti": write_doc(tmp_path / "lti.json", {
+            "kind": "standard_lti", "n": 1, "m": 1,
+            "A": [[-1.0]], "B": [[1.0]], "C": [[1.0]]}),
+        "f": write_doc(tmp_path / "f.json", [[0.0, 1.0], [-1.0, 0.0]]),
+        "plant": write_doc(tmp_path / "plant.json", ph_doc()),
+        "hist": write_doc(tmp_path / "hist.json",
+                          {"grid": [-1.0, 0.0], "values": [[0.5, 0.5]]}),
+        "csv": str(tmp_path / "input.csv"),
+    }
+    pathlib.Path(inputs["csv"]).write_text("1.0\n" * 11)
+    argv = [a.format(out=tmp_path / "out", **inputs) for a in argv]
+    with opened_paths() as opened:
+        code, report = run(capsys, *argv)
+    assert code == 0
+    read = [path for path in inputs.values() if path in argv or "csv:" + path in argv]
+    assert sorted(report["inputs"]) == sorted(read)
+    for path in read:
+        assert opened.count(path) == 1, path
+        assert report["inputs"][path] == digest_of(path)
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_malformed_document_error_does_not_depend_on_line_endings(
+        capsys, tmp_path, newline):
+    lines = ["{", '  "kind": "delay_ph",', '  "n": 1,', "  oops", "}", ""]
+    errors = []
+    for sep in ("\n", newline):
+        path = tmp_path / "broken.json"
+        path.write_bytes(sep.join(lines).encode())
+        code, report = run(capsys, "certify", str(path))
+        assert code == 3
+        errors.append(report["error"])
+    assert errors[0] == errors[1]
+    assert errors[0].endswith("line 4 column 3 (char 36)")
+
+
+def test_feedback_on_a_vanishing_port_is_unbounded(capsys, tmp_path):
+    """||G||^2 underflows to 0: the bound exceeds the float range."""
+    plant = write_doc(tmp_path / "plant.json", ph_doc(r=1.0, g=1e-170))
+    f = write_doc(tmp_path / "f.json", [[1.0]])
+    code = main(["feedback", plant, f, "--tau", "1.0"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    report = json.loads(captured.out)
+    assert report["gain_bound"] is None
+    assert report["gain_unbounded"] is True
+
+
+@pytest.mark.parametrize("spec, horizon", [("sine:1,inf", "1.0"), ("sine:1,1e308", "10")],
+                         ids=["infinite-frequency", "overflowing-phase"])
+def test_non_finite_sine_input_is_input_error(capsys, tmp_path, scalar_file,
+                                              spec, horizon):
+    out = tmp_path / "traj.csv"
+    code = main(["simulate", scalar_file, "--history", "const:0.5", "--input", spec,
+                 "--T", horizon, "--h", "0.1", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.err == ""
+    assert "non-finite" in json.loads(captured.out)["error"]
+    assert not out.exists()
+
+
+def test_empty_csv_input_is_input_error(capsys, tmp_path, scalar_file):
+    empty = tmp_path / "input.csv"
+    empty.write_text("")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["simulate", scalar_file, "--history", "const:0.5",
+                     "--input", f"csv:{empty}", "--T", "1.0", "--h", "0.1",
+                     "--out", str(tmp_path / "traj.csv")])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.err == ""
+    assert "must have 11 rows and 1 columns" in json.loads(captured.out)["error"]
 
 
 # ---------------------------------------------------------------------------

@@ -338,6 +338,15 @@ def test_feedback_gain_bound_unbounded_without_port():
     assert feedback_gain_bound([[2.0]], [[0.0]]) == math.inf
 
 
+@pytest.mark.parametrize("g", [1e-170, 1e-160], ids=["square-underflows", "bound-overflows"])
+def test_feedback_gain_bound_beyond_the_float_range_is_unbounded(g):
+    assert feedback_gain_bound([[1.0]], [[g]]) == math.inf
+
+
+def test_feedback_gain_bound_keeps_small_finite_bounds():
+    assert feedback_gain_bound([[1.0]], [[1e-150]]) == 1.0 / (1e-150 * 1e-150)
+
+
 def test_feedback_gain_bound_rejects_broken_kernel():
     with pytest.raises(ValueError, match="ker"):
         feedback_gain_bound(np.diag([1.0, 0.0]), [[0.0], [1.0]])

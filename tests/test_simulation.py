@@ -574,6 +574,16 @@ def test_monitor_explicit_tolerance():
     assert record.passivity_ok
 
 
+@pytest.mark.parametrize("tol_energy", [math.nan, -1.0, math.inf])
+def test_monitor_rejects_a_non_finite_or_negative_tolerance(tol_energy):
+    traj, _ = simulate_delay_ph(certified_scalar(),
+                                HistoryFunction.constant([0.5], 1.0),
+                                None, T=1.0, h=0.01, monitor=False)
+    with pytest.raises(ValueError, match="tol_energy must be finite and nonnegative"):
+        monitor_dissipation(traj, [[1.0]], [[1.0]], tol_energy=tol_energy)
+    assert monitor_dissipation(traj, [[1.0]], [[1.0]], tol_energy=0.0).tol_energy == 0.0
+
+
 def test_simulate_requires_theta_for_monitoring():
     bare = DelayPHSystem(H=[[1.0]], J=[[0.0]], R=[[2.0]], Z=[[1.0]],
                          G=[[1.0]], tau=1.0)
