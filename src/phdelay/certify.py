@@ -115,18 +115,12 @@ def certify_delay_ph(
     PSD); Theta must be symmetric.  Verdict CERTIFIED iff Theta is PSD and
     the condition matrix is PSD, each within the tolerance's slack.  A
     REFUTED verdict carries a witness direction with negative quadratic
-    form.
+    form.  ``validate`` keeps its result on the system, so a system that
+    was validated with this tolerance is not validated again.
     """
     violations = validate(system, tol)
     if violations:
         raise SystemValidationError(violations)
-    return _certify_validated(system, theta, tol)
-
-
-def _certify_validated(
-    system: DelayPHSystem, theta=None, tol: Tolerance = DEFAULT_TOL
-) -> Certificate:
-    """``certify_delay_ph`` for a system that ``validate`` has passed."""
     if theta is None or theta is system.theta:
         if system.theta is None:
             raise ValueError(
@@ -429,8 +423,6 @@ def exists_certifying_theta_grid(R, Z):
     for t11 in axis:
         det = t11 * t22g - t12g * t12g
         pd = det > slack
-        if not pd.any():
-            continue
         # W = Z Theta^{-1} Z^T via the 2x2 adjugate, entrywise, where pd
         a = z11 * t22g - z12 * t12g
         b = -z11 * t12g + z12 * t11

@@ -3,10 +3,12 @@
 Subcommands: certify, construct-theta, interconnect, feedback, simulate,
 check.  Every run prints a single JSON report to stdout and exits with 0
 for a certified or successful run, 1 for a refuted condition, 2 for an
-inconclusive construction, and 3 for input or usage errors.  Each input
-file is read once, and the report's "inputs" maps its path to the sha256
-of the bytes parsed.  Data artifacts (system documents, trajectory CSV
-files) go to the paths given by --out.
+inconclusive construction, and 3 for input or usage errors.  A report is
+built from Python floats, ints, bools, strings, lists and dicts: a numpy
+integer, bool or array in one is a bug, which ``json.dumps`` raises on.
+Each input file is read once, and the report's "inputs" maps its path to
+the sha256 of the bytes parsed.  Data artifacts (system documents,
+trajectory CSV files) go to the paths given by --out.
 """
 
 from __future__ import annotations
@@ -23,12 +25,7 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from .certificates import CERTIFIED, INCONCLUSIVE, REFUTED
-from .certify import (
-    _certify_validated,
-    certify_delay_ph,
-    check_necessary,
-    construct_theta,
-)
+from .certify import certify_delay_ph, check_necessary, construct_theta
 from .composition import (
     _certify_pair,
     check_feedback_conditions,
@@ -95,16 +92,6 @@ def _read_matrix(path: str, name: str, inputs: dict) -> np.ndarray:
     return _matrix_rows(name, _load_json(_read(path, inputs), f"{name}: "))
 
 
-def _jsonable(obj):
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON-serializable: {type(obj).__name__}")
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers: (args, tol, inputs) -> (payload, exit_code)
 
@@ -126,8 +113,7 @@ def _cmd_certify(args, tol, inputs):
             theta = _constructed_theta(system, tol, payload)
             if theta is None:
                 return payload, _EXIT[INCONCLUSIVE]
-        # the document was validated with this tolerance when it was read
-        cert = _certify_validated(system, theta, tol)
+        cert = certify_delay_ph(system, theta, tol)
         payload["certificate"] = cert.to_dict()
         return payload, _EXIT[cert.verdict]
     if args.theta:
@@ -469,7 +455,7 @@ def main(argv=None) -> int:
         **payload,
         "exit_code": code,
     }
-    print(json.dumps(report, indent=2, sort_keys=True, default=_jsonable))
+    print(json.dumps(report, indent=2, sort_keys=True))
     return code
 
 

@@ -300,12 +300,10 @@ def _transfer_matrix(powers, chunk: int) -> np.ndarray | None:
     if (chunk + 1) * chunk * n * n > TRANSFER_MAX_ENTRIES:
         return None
     # P_j for j = 0 .. chunk, composed from the doubling powers bit by bit
-    # as P_{o+i} = P_o + P_i + P_i P_o for i < o
+    # as P_{o+i} = P_o + P_i + P_i P_o for i < o; every o is at most chunk
     stack = np.zeros((chunk + 1, n, n))
     for i, p in enumerate(powers):
         o = 1 << i
-        if o > chunk:
-            break
         low = stack[: min(o, chunk + 1 - o)]
         stack[o : o + low.shape[0]] = p + low + low @ p
     if not np.isfinite(stack).all():

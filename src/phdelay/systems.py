@@ -225,9 +225,10 @@ def _shape(name: str, n: int, m: int) -> tuple[int, int]:
 class HistoryFunction:
     """Sampled initial history on [-tau, 0], interpolated linearly.
 
-    ``grid`` is strictly increasing with grid[0] < 0 and grid[-1] = 0;
-    ``values`` holds one column of the state per grid point.  Both are
-    immutable, in a pickled or copied history too.
+    ``grid`` has at least two points, is strictly increasing and ends at
+    0, which together make grid[0] < 0; ``values`` holds one column of the
+    state per grid point.  Both are immutable, in a pickled or copied
+    history too.
     """
 
     grid: np.ndarray
@@ -246,8 +247,6 @@ class HistoryFunction:
             raise ValueError("history grid must be strictly increasing")
         if grid[-1] != 0.0:
             raise ValueError(f"history grid must end at 0, got {grid[-1]!r}")
-        if grid[0] >= 0.0:
-            raise ValueError("history grid must start at a negative time")
         if values.shape[1] != grid.size:
             raise ValueError(
                 f"values has {values.shape[1]} columns for {grid.size} grid points"

@@ -679,6 +679,8 @@ SIMULATE = ["--T", "1.0", "--h", "0.1", "--out", "{out}"]
     (["simulate", "{scalar}", "--history", "{one}", *SIMULATE], '"grid" and "values"'),
     (["simulate", "{scalar}", "--history", "{no_values}", *SIMULATE],
      '"grid" and "values"'),
+    (["simulate", "{scalar}", "--history", "{scalar_grid}", *SIMULATE],
+     '"grid" must be an array of numbers'),
     (["simulate", "{scalar}", "--history", "const:0.5", "--input", "sine:1.0",
       *SIMULATE], "amplitude,frequency"),
     (["simulate", "{scalar}", "--history", "const:0.5", "--input", "csv:{csv}",
@@ -689,8 +691,9 @@ SIMULATE = ["--T", "1.0", "--h", "0.1", "--out", "{out}"]
      "--monitor requires a theta"),
 ], ids=["malformed-theta-file", "h-matrix-on-delay-ph", "theta-on-standard-ph",
         "interconnect-standard-ph", "feedback-on-delay-ph", "malformed-history",
-        "history-not-an-object", "history-without-values", "one-sine-value",
-        "misshapen-csv-input", "simulate-standard-ph", "monitor-without-theta"])
+        "history-not-an-object", "history-without-values", "history-scalar-grid",
+        "one-sine-value", "misshapen-csv-input", "simulate-standard-ph",
+        "monitor-without-theta"])
 def test_misused_inputs_end_in_json_error(capsys, tmp_path, scalar_file, argv, needle):
     (tmp_path / "broken.json").write_text("[[1.0,")
     (tmp_path / "input.csv").write_text("1.0\n1.0\n1.0\n")
@@ -700,6 +703,8 @@ def test_misused_inputs_end_in_json_error(capsys, tmp_path, scalar_file, argv, n
         "plant": str(DATA / "mass_spring_damper.json"),
         "one": write_doc(tmp_path / "one.json", [[1.0]]),
         "no_values": write_doc(tmp_path / "grid.json", {"grid": [-1.0, 0.0]}),
+        "scalar_grid": write_doc(tmp_path / "scalar_grid.json",
+                                 {"grid": 5, "values": [[1.0, 1.0]]}),
         "broken": str(tmp_path / "broken.json"),
         "csv": str(tmp_path / "input.csv"),
         "out": str(tmp_path / "traj.csv"),
@@ -778,18 +783,18 @@ def test_invalid_system_fails_alike_for_every_theta_source(capsys, tmp_path, sou
 
 
 def test_certify_validates_the_document_once(capsys, monkeypatch, scalar_file):
-    import phdelay.certify
+    """The invariants are computed once; a second ``validate`` of the same
+    system and tolerance is answered by the memo on the system."""
     import phdelay.systems
 
     calls = []
-    validate = phdelay.systems.validate
+    violations = phdelay.systems._violations
 
     def counted(system, tol):
         calls.append(type(system).__name__)
-        return validate(system, tol)
+        return violations(system, tol)
 
-    monkeypatch.setattr(phdelay.systems, "validate", counted)
-    monkeypatch.setattr(phdelay.certify, "validate", counted)
+    monkeypatch.setattr(phdelay.systems, "_violations", counted)
     code, _ = run(capsys, "certify", scalar_file)
     assert code == 0
     assert calls == ["DelayPHSystem"]

@@ -185,6 +185,11 @@ def test_validate_flags_shape_mismatch():
     assert any("H has shape" in m for m in validate(sys1))
 
 
+def test_validate_rejects_an_object_that_is_no_system():
+    with pytest.raises(TypeError, match="not a system type: object"):
+        validate(object())
+
+
 # ---------------------------------------------------------------------------
 # history functions
 
@@ -212,6 +217,8 @@ def test_history_grid_validation():
         HistoryFunction(grid=[0.0], values=[[1.0]])
     with pytest.raises(ValueError, match="columns"):
         HistoryFunction(grid=[-1.0, 0.0], values=[[1.0, 2.0, 3.0]])
+    with pytest.raises(ValueError, match="history grid contains non-finite entries"):
+        HistoryFunction(grid=[-np.inf, 0.0], values=[[1.0, 1.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +325,7 @@ def test_fixture_document_matches_constants():
     np.testing.assert_array_equal(sys1.G, [[0.0], [1.0]])
 
 
-def test_read_rejects_schema_problems():
+def test_read_rejects_schema_problems(tmp_path):
     base = {"kind": "delay_ph", "n": 1, "m": 1, "tau": 1.0, "H": [[1.0]],
             "J": [[0.0]], "R": [[2.0]], "Z": [[1.0]], "G": [[1.0]]}
 
@@ -361,6 +368,22 @@ def test_read_rejects_schema_problems():
 
     with pytest.raises(SystemFormatError, match="malformed JSON"):
         read_system("{not json")
+
+    bad = dict(base, H=5)
+    with pytest.raises(SystemFormatError, match='^"H" must be an array of row arrays$'):
+        read_system(json.dumps(bad))
+
+    bad = dict(base, H=[[10**400]])  # overflows the conversion to float
+    with pytest.raises(SystemFormatError, match='^"H" contains non-finite entries$'):
+        read_system(json.dumps(bad))
+
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    with pytest.raises(SystemFormatError, match="^system document must be a JSON object$"):
+        read_system(path)
+
+    with pytest.raises(TypeError, match="source must be a path or JSON text"):
+        read_system(42)
 
 
 def test_read_turns_too_deep_nesting_into_a_format_error(tmp_path):
