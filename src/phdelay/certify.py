@@ -45,7 +45,6 @@ from .linalg import (
     _require_shape,
     _set_read_only,
     _symmetric_eigh,
-    _whitening,
     as_matrix,
     is_psd,
     output_residual,
@@ -158,10 +157,6 @@ def _certify_stored(systems, tol: Tolerance) -> Certificate:
         for s, b in zip(systems, blocks)
     ]
     report, worst = _psd_report_blocks(blocks, tol, spectra)
-    if len(systems) == 1:  # the block is the whole matrix: nothing to place
-        return Certificate.from_report(
-            report, blocks[0], "condition_indefinite", theta_used=thetas[0]
-        )
     # cond[a * n + i, b * n + j] is cond4[a, i, b, j], so a system's block
     # goes into its rows and columns by one copy into a view
     sizes = [s.n for s in systems]
@@ -239,19 +234,19 @@ class NecessaryConditions:
 def check_necessary(R, theta, Z, tol: Tolerance = DEFAULT_TOL) -> NecessaryConditions:
     """Evaluate the necessary kernel containments for (R, Theta, Z).
 
-    Theta and Z must have R's shape (ValueError otherwise).  The kernels of
-    R and Theta come from one ``eigh`` each, and ||Z||_2 is computed at
-    most once, only when one of the kernels is nontrivial.
+    Theta and Z must have R's shape (ValueError otherwise).  ker(R) and
+    ker(Theta) are the kernel runs of one ``_symmetric_eigh`` each, and
+    ||Z||_2 is computed only when one of them is nontrivial.
     """
     r = require_symmetric(R, "R")
     th = _require_shape(require_symmetric(theta, "theta"), r.shape, "theta")
     z = _require_shape(as_matrix(Z, "Z"), r.shape, "Z")
-    _, _, ker_r, _ = _symmetric_eigh(r, tol, R)
-    _, _, ker_th, th_norm = _symmetric_eigh(th, tol, theta)
-    z_norm = spectral_norm(z) if ker_r.size or ker_th.size else 0.0
+    ker_r = _symmetric_eigh(r, tol, R).kernel
+    th_split = _symmetric_eigh(th, tol, theta)
+    z_norm = spectral_norm(z) if ker_r.size or th_split.kernel.size else 0.0
     return NecessaryConditions(
-        kernel_r_in_kernel_theta=_contained(ker_r, th, th_norm, tol),
-        kernel_theta_in_kernel_z=_contained(ker_th, z, z_norm, tol),
+        kernel_r_in_kernel_theta=_contained(ker_r, th, th_split.scale, tol),
+        kernel_theta_in_kernel_z=_contained(th_split.kernel, z, z_norm, tol),
         kernel_r_in_kernel_zt=_contained(ker_r, z.T, z_norm, tol),
     )
 
@@ -294,18 +289,21 @@ def construct_theta(R, Z, tol: Tolerance = DEFAULT_TOL) -> ThetaConstruction:
         ker(R) <= ker(Z)   and   image(Z) <= image(R),
 
     which make the whitened reduction exhaustive; the second is tested as
-    ker(R) <= ker(Z^T).  When they hold and the
-    whitened coupling s = ||V1^T Z V1||_2 is <= 1, Theta = R/2 certifies
-    (*) and the full family Theta(alpha) = alpha R is feasible on the
-    returned AlphaInterval.  Failure (hypotheses violated, or s > 1) is a
-    "don't know", never a refutation: a certifying Theta outside the
-    alpha-family may still exist.
+    ker(R) <= ker(Z^T).  ker(R) is spanned by the eigenvectors with
+    eigenvalues in [-slack, rank_tol * ||R||_2], a negative one within the
+    PSD slack included, and V1 whitens those above.  When the hypotheses
+    hold and the whitened coupling s = ||V1^T Z V1||_2 is <= 1, Theta = R/2
+    certifies (*) and the full family Theta(alpha) = alpha R is feasible
+    on the returned AlphaInterval.  Failure (hypotheses violated, or
+    s > 1) is a "don't know", never a refutation: a certifying Theta
+    outside the alpha-family may still exist.
     """
     r = require_symmetric(R, "R")
     z = _require_shape(as_matrix(Z, "Z"), r.shape, "Z")
-    evals, evecs, ker_r, scale = _symmetric_eigh(r, tol, R)
+    split = _symmetric_eigh(r, tol, R)
+    ker_r = split.kernel
     try:
-        v1 = _whitening(evals, evecs, scale, tol, "R")
+        v1 = split.whitening("R")
     except ValueError as exc:  # R is not PSD
         return ThetaConstruction(False, reason=str(exc))
     z_norm = spectral_norm(z) if ker_r.size else 0.0
@@ -315,8 +313,7 @@ def construct_theta(R, Z, tol: Tolerance = DEFAULT_TOL) -> ThetaConstruction:
         )
     if not _contained(ker_r, z.T, z_norm, tol):
         return ThetaConstruction(
-            False,
-            reason="kernel_condition: image(Z) is not contained in image(R)",
+            False, reason="kernel_condition: image(Z) is not contained in image(R)"
         )
     sigma = spectral_norm(v1.T @ z @ v1)
     if sigma > 1.0 + FEASIBILITY_SLACK:

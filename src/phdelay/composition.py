@@ -38,14 +38,14 @@ from .linalg import (
     Tolerance,
     _blkdiag,
     _contained,
+    _frozen,
     _halves,
-    _memo,
+    _psd_report_blocks,
     _require_shape,
-    _set_read_only,
     _square,
     _symmetric_eigh,
-    _whitening,
     as_matrix,
+    numerical_rank,
     require_symmetric,
     skew_part,
     spectral_norm,
@@ -85,19 +85,16 @@ def classify_feedback(F, tol: Tolerance = DEFAULT_TOL) -> str:
     "power_conserving" when F is exactly skew or ||sym(F)||_2 <=
     1e-12 ||F||_2 (relative to F, so scaling F does not change it),
     "dissipative" when -sym(F) is PSD, "general" otherwise.  One
-    ``eigvalsh`` of sym(F) gives both its norm and its sign.
+    ``eigvalsh`` of -sym(F) gives both its norm and its sign.
     """
     f = _square(F, "F")
     if _exactly_skew(f):
         return POWER_CONSERVING
-    evals = np.linalg.eigvalsh(_halves(f))
-    scale = max(-float(evals[0]), float(evals[-1]))
-    if scale <= 1e-12 * spectral_norm(f):
+    neg = -_halves(f)
+    evals = np.linalg.eigvalsh(neg)
+    if max(-float(evals[0]), float(evals[-1])) <= 1e-12 * spectral_norm(f):
         return POWER_CONSERVING
-    # -sym(F) is PSD when its least eigenvalue, -evals[-1], is >= -slack
-    if float(evals[-1]) <= tol.psd_slack(scale):
-        return DISSIPATIVE
-    return GENERAL
+    return DISSIPATIVE if _psd_report_blocks([neg], tol, [evals])[0].is_psd else GENERAL
 
 
 def interconnect(
@@ -251,8 +248,8 @@ def feedback_gain_bound(R, G, tol: Tolerance = DEFAULT_TOL) -> float:
     disjoint from image(G).  Returns math.inf when V1^T G vanishes (no
     finite bound is needed) and when beta exceeds the float range.
     """
-    conditions, g, (evals, evecs, scale) = _feedback_hypotheses(R, G, tol)
-    v1 = _whitening(evals, evecs, scale, tol, "R")
+    conditions, g, split = _feedback_hypotheses(R, G, tol)
+    v1 = split.whitening("R")
     if not conditions.kernel_r_in_kernel_gt:
         raise ValueError("hypothesis violated: ker(R) is not contained in ker(G^T)")
     coupling = spectral_norm(v1.T @ g)
@@ -261,23 +258,20 @@ def feedback_gain_bound(R, G, tol: Tolerance = DEFAULT_TOL) -> float:
 
 
 def _feedback_hypotheses(R, G, tol: Tolerance):
-    """``(FeedbackConditions, G as an array, (evals, evecs, scale) of R)``.
+    """``(FeedbackConditions, G as an array, the _Split of R)``.
 
-    ker(R) comes from one ``eigh`` of R, which also gives its whitening.
-    G's singular values give rank G, so whether ker(G^T) = {0} (rank G =
-    n), and ||G||_2; on a ``_frozen`` G they are stored by ``_memo``, as
-    R's ``eigh`` is on a ``_frozen`` R.
+    ker(R) comes from one ``eigh`` of R, which also gives its whitening;
+    rank G, so whether ker(G^T) = {0} (rank G = n), and ||G||_2 from one
+    vector of singular values, shared since G is ``_frozen``.
     """
     r = require_symmetric(R, "R")
-    g = as_matrix(G, "G")
+    g = _frozen(as_matrix(G, "G"))
     n = r.shape[0]
     if g.shape[0] != n:
         raise ValueError(f"G has {g.shape[0]} rows, expected {n}")
-    evals, evecs, ker_r, scale = _symmetric_eigh(r, tol, R)
-    s = _memo(g, "svd", lambda: _set_read_only(np.linalg.svd(g, compute_uv=False)))
-    g_norm = float(s[0]) if s.size else 0.0
+    split = _symmetric_eigh(r, tol, R)
     conditions = FeedbackConditions(
-        output_kernel_trivial=int(np.count_nonzero(s > tol.rank_tol * g_norm)) == n,
-        kernel_r_in_kernel_gt=_contained(ker_r, g.T, g_norm, tol),
+        output_kernel_trivial=numerical_rank(g, tol) == n,
+        kernel_r_in_kernel_gt=_contained(split.kernel, g.T, spectral_norm(g), tol),
     )
-    return conditions, g, (evals, evecs, scale)
+    return conditions, g, split

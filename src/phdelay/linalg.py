@@ -1,30 +1,29 @@
 """Dense linear-algebra primitives with an explicit tolerance policy.
 
 Every routine here is a pure function on real 2-D numpy arrays.  Symmetric
-parts are formed as 0.5 M + 0.5 M^T, finite for every finite M.  Rank-type
-decisions (ranks, kernels, subspace containments) are made relative to the
-largest singular value.  Every kernel is that of a symmetric matrix and
-comes, with its whitening, from one ``eigh`` (``_symmetric_eigh``), whose
-|eigenvalues| are the singular values.  Semidefiniteness tests grant
-an absolute eigenvalue slack that defaults to ``1e-9 * scale``, where scale
-is the largest |eigenvalue| of the tested matrix, so a zero matrix gets no
-slack and is PSD exactly.  Every semidefiniteness test decides from
-eigenvalues, computing an eigenvector only for the witness of a NOT_PSD
-verdict; a block-diagonal matrix whose blocks the caller knows is decided
-one block at a time.  Certificates report the slack they were granted, so
-these primitives return evidence (minimum eigenvalues, witnesses, measured
-norms) rather than bare booleans.
+parts are formed as 0.5 M + 0.5 M^T, finite for every finite M.  This is
+the one module that compares a spectrum with the PSD slack, by default
+``1e-9 * scale`` with scale the largest |eigenvalue| (so a zero matrix is
+PSD exactly), or with the rank cutoff.  ``_symmetric_eigh`` puts each
+eigenvalue of a symmetric matrix in one run: below -slack (not PSD), the
+kernel [-slack, rank_tol * scale], or the range above; every kernel and
+whitening is read off that split.  Ranks and 2-norms come from one vector
+of singular values.  A PSD test decides from eigenvalues, computing an
+eigenvector only for a NOT_PSD witness, and a block-diagonal matrix whose
+blocks the caller knows one block at a time; it returns evidence (least
+eigenvalue, witness, slack granted), not a bare boolean.
 
-A decomposition or 2-norm of an immutable input (a ``_frozen`` array, as
-every system matrix is, or a system) is stored on that input by
-``_memo``, so a chain of calls on one system decomposes each of its
-matrices once, and the result lives and dies with the input.
+A decomposition of an immutable input (a ``_frozen`` array, as every
+system matrix is, or a system) is stored on that input by ``_memo``, so a
+chain of calls on one system decomposes each of its matrices once, and
+the result lives and dies with the input.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,8 +57,8 @@ class Tolerance:
         ``None`` (the default) means ``1e-9 * scale``, relative to the
         largest |eigenvalue| of the tested matrix: 0 for a zero matrix.
     rank_tol
-        Relative singular-value cutoff for rank and kernel decisions:
-        singular values <= rank_tol * sigma_max are treated as zero.
+        Relative rank cutoff: singular values <= rank_tol * sigma_max, and
+        symmetric eigenvalues in [-slack, rank_tol * scale], count as zero.
     """
 
     psd_tol: float | None = None
@@ -248,14 +247,23 @@ def require_symmetric(matrix, name: str = "matrix") -> np.ndarray:
 
 
 def spectral_norm(matrix) -> float:
-    """Largest singular value; 0.0 for an empty matrix.
+    """Largest singular value; 0.0 for an empty matrix."""
+    m = as_matrix(matrix)
+    return float(_singular_values(m)[0]) if m.size else 0.0
 
-    Stored on a ``_frozen`` input through ``_memo``.
-    """
+
+def numerical_rank(matrix, tol: Tolerance = DEFAULT_TOL) -> int:
+    """Rank with singular values truncated at rank_tol * sigma_max."""
     m = as_matrix(matrix)
     if m.size == 0:
-        return 0.0
-    return _memo(m, "norm2", lambda: float(np.linalg.norm(m, 2)))
+        return 0
+    s = _singular_values(m)
+    return int(np.count_nonzero(s > tol.rank_tol * float(s[0])))
+
+
+def _singular_values(m: np.ndarray) -> np.ndarray:
+    """Descending singular values of nonempty M, ``_memo``-ized on it."""
+    return _memo(m, "svd", lambda: _set_read_only(np.linalg.svd(m, compute_uv=False)))
 
 
 def is_psd(matrix, tol: Tolerance = DEFAULT_TOL) -> PsdReport:
@@ -308,15 +316,6 @@ def _psd_report_blocks(blocks, tol: Tolerance = DEFAULT_TOL, spectra=None):
     return PsdReport("NOT_PSD", lam, witness, slack), worst
 
 
-def numerical_rank(matrix, tol: Tolerance = DEFAULT_TOL) -> int:
-    """Rank with singular values truncated at rank_tol * sigma_max."""
-    m = as_matrix(matrix)
-    if m.size == 0:
-        return 0
-    s = np.linalg.svd(m, compute_uv=False)
-    return int(np.count_nonzero(s > tol.rank_tol * float(s[0])))
-
-
 def _contained(basis: np.ndarray, m: np.ndarray, norm: float, tol: Tolerance) -> bool:
     """Whether span(basis) lies inside ker(M), given ``norm`` = ||M||_2.
 
@@ -327,52 +326,60 @@ def _contained(basis: np.ndarray, m: np.ndarray, norm: float, tol: Tolerance) ->
     return not basis.shape[1] or spectral_norm(m @ basis) <= tol.rank_tol * norm
 
 
-def _symmetric_eigh(m: np.ndarray, tol: Tolerance, key=None):
-    """One ``eigh`` of a symmetric float array, and its numerical kernel.
+class _Split(NamedTuple):
+    """The ``eigh`` of a symmetric M, each eigenvalue in exactly one run.
 
-    Returns ``(evals, evecs, K, scale)``: scale = max|eigenvalue| = ||M||_2,
-    and K holds the orthonormal eigenvectors with |eigenvalue| <=
-    rank_tol * scale.  The singular values of a symmetric matrix are its
-    |eigenvalues|, so this is the cutoff an SVD would apply.  ``key`` is
-    the caller's matrix that M symmetrizes; when it is ``_frozen``, its
-    ``eigh`` is stored on it through ``_memo`` (evals and evecs are then
-    read-only).
+    ``evals`` ascend: ``evals[:lo]`` lie below -slack (M is not PSD), the
+    kernel ``evals[lo:hi]`` in [-slack, rank_tol * scale], and the range
+    ``evals[hi:]`` above it; scale = max|eigenvalue| = ||M||_2.
+    """
+
+    evals: np.ndarray
+    evecs: np.ndarray
+    scale: float
+    lo: int
+    hi: int
+
+    @property
+    def kernel(self) -> np.ndarray:
+        return self.evecs[:, self.lo : self.hi]
+
+    def whitening(self, name: str = "matrix") -> np.ndarray:
+        """V1 with V1^T M V1 = I_r over the range; ValueError if M is not PSD."""
+        if self.lo:
+            raise ValueError(
+                f"{name} is not positive semidefinite (min eigenvalue {self.evals[0]:.3e})"
+            )
+        # order "F": V1^T, the left factor of V1^T Z V1 and V1^T G, is C-ordered
+        return np.divide(self.evecs[:, self.hi :], np.sqrt(self.evals[self.hi :]), order="F")
+
+
+def _symmetric_eigh(m: np.ndarray, tol: Tolerance, key=None) -> _Split:
+    """One ``eigh`` of a symmetric float array, split into its three runs.
+
+    ``key`` is the caller's matrix that M symmetrizes; when it is
+    ``_frozen``, its ``eigh`` is stored on it through ``_memo`` (evals and
+    evecs are then read-only).
     """
     if not m.size:
-        n = m.shape[0]
-        return np.zeros(0), np.zeros((n, 0)), np.zeros((n, 0)), 0.0
-    evals, evecs = _memo(
-        key, "eigh", lambda: tuple(map(_set_read_only, np.linalg.eigh(m)))
-    )
+        return _Split(np.zeros(0), np.zeros((m.shape[0], 0)), 0.0, 0, 0)
+    evals, evecs = _memo(key, "eigh", lambda: tuple(map(_set_read_only, np.linalg.eigh(m))))
     scale = float(np.max(np.abs(evals)))
-    return evals, evecs, evecs[:, np.abs(evals) <= tol.rank_tol * scale], scale
-
-
-def _whitening(evals, evecs, scale: float, tol: Tolerance, name: str = "matrix"):
-    """V1 with V1^T M V1 = I_r, from the ``_symmetric_eigh`` of M.
-
-    Eigenvalues <= rank_tol * lambda_max count as zero.  Raises ValueError
-    naming ``name`` when M is not PSD within the tolerance.
-    """
-    if evals.size and float(evals[0]) < -tol.psd_slack(scale):
-        raise ValueError(
-            f"{name} is not positive semidefinite (min eigenvalue {evals[0]:.3e})"
-        )
-    keep = evals > tol.rank_tol * float(np.max(evals, initial=0.0))
-    return evecs[:, keep] / np.sqrt(evals[keep])
+    lo = int(np.searchsorted(evals, -tol.psd_slack(scale), "left"))
+    hi = int(np.searchsorted(evals, tol.rank_tol * scale, "right"))
+    return _Split(evals, evecs, scale, lo, hi)
 
 
 def whitening_basis(matrix, tol: Tolerance = DEFAULT_TOL):
     """Whitening transform and kernel of a symmetric PSD matrix, one eigh.
 
-    Returns ``(V1, K)``.  V1 is n x r, r the numerical rank, with
-    V1^T M V1 = I_r (columns are eigenvectors scaled by 1/sqrt(eigenvalue);
-    eigenvalues <= rank_tol * lambda_max count as zero).  K holds the
-    orthonormal eigenvectors with |eigenvalue| <= rank_tol * max|eigenvalue|.
-    Raises ValueError when M is not PSD within the tolerance.
+    Returns ``(V1, K)`` from the ``_Split`` of M: V1^T M V1 = I_r over its
+    range, and K holds the orthonormal eigenvectors with eigenvalues in
+    [-slack, rank_tol * max|eigenvalue|].  Raises ValueError when M is not
+    PSD within the tolerance.
     """
-    evals, evecs, kernel, scale = _symmetric_eigh(require_symmetric(matrix), tol)
-    return _whitening(evals, evecs, scale, tol), kernel
+    split = _symmetric_eigh(require_symmetric(matrix), tol)
+    return split.whitening(), split.kernel
 
 
 def output_residual(C, B, Q, tol: Tolerance = DEFAULT_TOL):

@@ -2,6 +2,13 @@
 
 The generators take an explicit ``numpy.random.Generator`` so each test file
 controls its own seed and failures reproduce exactly.
+
+The ``*_svd`` oracles cut singular values at ``rank_tol * sigma_max``.  An
+SVD cannot see an eigenvalue's sign, so for a symmetric matrix they agree
+with ``phdelay.linalg``'s split of its spectrum (kernel [-slack, rank_tol *
+scale]) only outside the band [-slack, -rank_tol * scale): an eigenvalue
+there is in the kernel for phdelay and in the range for the oracles.  The
+comparisons with them draw no eigenvalue in that band.
 """
 
 import contextlib
@@ -114,7 +121,9 @@ def kernel_basis_svd(matrix, tol=DEFAULT_TOL):
     """Orthonormal basis (columns) of the numerical kernel of M, by full SVD.
 
     Singular values <= rank_tol * sigma_max count as zero; an n-column
-    M yields n x (n - rank), the zero matrix the identity.
+    M yields n x (n - rank), the zero matrix the identity.  For a symmetric
+    M this is phdelay's kernel outside the band [-slack, -rank_tol * scale)
+    (see the module docstring).
     """
     m = as_matrix(matrix)
     if m.size == 0:
@@ -140,7 +149,7 @@ def check_necessary_svd(R, theta, Z, tol=DEFAULT_TOL):
     that ker(R) meets image(Z) and image(Theta) only at 0.  Kernels and
     images come from full SVDs with the relative cutoff rank_tol, and an
     intersection is trivial when the stacked orthonormal bases have full
-    column rank.
+    column rank.  Agrees with ``check_necessary`` outside the band only.
     """
     r = require_symmetric(R, "R")
     th = require_symmetric(theta, "theta")
@@ -165,7 +174,8 @@ def check_necessary_svd(R, theta, Z, tol=DEFAULT_TOL):
 
 
 def check_feedback_conditions_svd(R, G, tol=DEFAULT_TOL):
-    """Reference feedback kernel hypotheses, ker(R) and ker(G^T) by full SVD."""
+    """Reference feedback kernel hypotheses, ker(R) and ker(G^T) by full SVD;
+    for an R with no eigenvalue in the band (module docstring)."""
     g = as_matrix(G, "G")
     ker_r = kernel_basis_svd(as_matrix(R, "R"), tol)
     return FeedbackConditions(
@@ -175,7 +185,8 @@ def check_feedback_conditions_svd(R, G, tol=DEFAULT_TOL):
 
 
 def feedback_gain_bound_svd(R, G, tol=DEFAULT_TOL):
-    """Reference gain bound 1 / ||V1^T G||_2^2, its hypothesis tested by SVD."""
+    """Reference gain bound 1 / ||V1^T G||_2^2, its hypothesis tested by SVD;
+    for an R with no eigenvalue in the band (module docstring)."""
     g = as_matrix(G, "G")
     v1, _ = whitening_basis(R, tol)
     if not contained_svd(kernel_basis_svd(as_matrix(R, "R"), tol), g.T, tol):

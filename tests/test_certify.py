@@ -10,12 +10,15 @@ from phdelay import (
     REFUTED,
     DelayPHSystem,
     GeneralDelaySystem,
+    StandardPHSystem,
     SystemValidationError,
     certify_delay_ph,
     check_necessary,
+    close_delayed_feedback,
     construct_theta,
     delay_ph_to_general,
     exists_certifying_theta_grid,
+    feedback_gain_bound,
     is_psd,
     ph_condition_matrix,
     scalar_theta_interval,
@@ -394,6 +397,20 @@ def test_construct_kernel_guard_image_escape():
     assert "image(Z) is not contained in image(R)" in out.reason
 
 
+@pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
+@pytest.mark.parametrize("lam, reason", [
+    (-5e-11, "kernel_condition"), (-2e-10, "kernel_condition"),
+    (-9e-10, "kernel_condition"), (-2e-9, "R is not positive semidefinite"),
+])
+def test_construct_counts_a_forgiven_negative_eigenvalue_as_kernel(lam, reason, c):
+    """R = c diag(1, lam), Z = c e2 e2^T.  An eigenvalue in [-slack, 0) is
+    in ker(R), so Z e2 != 0 breaks the kernel hypothesis; one below the
+    slack makes R not PSD.  Theta = R/2 would not certify any of them."""
+    out = construct_theta(c * np.diag([1.0, lam]), c * np.diag([0.0, 1.0]))
+    assert not out.success and out.theta is None
+    assert out.reason.startswith(reason)
+
+
 def test_construct_counterexample_is_inconclusive_not_refuted():
     r, z = counterexample_rz()
     out = construct_theta(r, z)
@@ -429,6 +446,64 @@ def test_construct_zero_matrices():
         out.theta,
     )
     assert cert.verdict == CERTIFIED
+
+
+@st.composite
+def split_spectra(draw):
+    """(R, Z, G, F direction) over one eigenbasis of R, scaled by 10^k.
+
+    R has range eigenvalues in [0.1, 1], exact zeros, and eigenvalues
+    strictly inside the band [-slack, -rank_tol * scale) that the PSD
+    slack forgives.  Z and G each reach the range and a drawn subset of
+    the other eigenvectors; ||Z||_2 spreads the whitened coupling around 1.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = ["range"] + draw(st.lists(st.sampled_from(["range", "zero", "band"]),
+                                      max_size=4))
+    n, m = len(kinds), draw(st.integers(1, 3))
+    lam = np.array([rng.uniform(0.1, 1.0) if k == "range" else 0.0 for k in kinds])
+    band = np.array([k == "band" for k in kinds])
+    lam[band] = -rng.uniform(1.1e-10, 0.9e-9, band.sum()) * lam.max()
+    q = rand_orth(rng, n)
+
+    def reaching():
+        keep = np.array([k == "range" or draw(st.booleans()) for k in kinds])
+        return q[:, keep]
+
+    qz = reaching()
+    w = rng.standard_normal((qz.shape[1], qz.shape[1]))
+    w *= rng.uniform(0.2, 1.5) * lam[lam > 0].min() / np.linalg.norm(w, 2)
+    qg = reaching()
+    c = 10.0 ** draw(st.integers(-6, 6))
+    f = rng.standard_normal((m, m))
+    return (c * ((q * lam) @ q.T), c * (qz @ w @ qz.T),
+            qg @ rng.standard_normal((qg.shape[1], m)), f / np.linalg.norm(f, 2))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(split_spectra())
+def test_constructions_and_gain_bounds_certify(case):
+    """A construction that succeeds certifies, and so does the closed loop
+    of delayed feedback at half the gain bound: the kernel, the whitening
+    and the PSD verdicts all come from one split of each spectrum."""
+    r, z, g, f = case
+    n = g.shape[0]
+    built = construct_theta(r, z)
+    if built.success:
+        system = DelayPHSystem(H=np.eye(n), J=np.zeros((n, n)), R=r, Z=z,
+                               G=np.ones((n, 1)), tau=1.0)
+        assert certify_delay_ph(system, built.theta).verdict == CERTIFIED
+    try:
+        beta = feedback_gain_bound(r, g)
+    except ValueError:  # ker(R) meets image(G)
+        return
+    if math.isinf(beta):
+        return
+    plant = StandardPHSystem(H=np.eye(n), J=np.zeros((n, n)), R=r, G=g)
+    closed = close_delayed_feedback(plant, 0.5 * beta * f, 1.0)
+    built = construct_theta(closed.R, closed.Z)
+    assert built.success
+    assert certify_delay_ph(closed, built.theta).verdict == CERTIFIED
 
 
 # ---------------------------------------------------------------------------

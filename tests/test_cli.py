@@ -368,12 +368,12 @@ def test_feedback_tests_the_kernel_hypotheses_once(capsys, tmp_path):
     assert conditions == {"output_kernel_trivial": False,
                           "kernel_r_in_kernel_gt": True}
     assert report["gain_bound"] == pytest.approx(0.5)
-    # G's singular values give rank G and ||G||_2; the 2-norms of the
-    # containment test and the gain bound do not go through numpy.linalg.svd
-    assert len(svds) == 1
+    # one vector of G's singular values gives rank G and ||G||_2; the
+    # other singular values taken are of the products G^T K and V1^T G
+    system = read_system(path)
+    assert sum(np.array_equal(a, system.G) for a in svds) == 1
     # one eigh of R gives ker(R) and its whitening
-    r = read_system(path).R
-    assert len(eighs) == 1 and np.array_equal(eighs[0], r)
+    assert len(eighs) == 1 and np.array_equal(eighs[0], system.R)
 
 
 # ---------------------------------------------------------------------------
@@ -502,6 +502,33 @@ def test_input_errors_end_in_json_error(capsys, tmp_path, scalar_file, argv, nee
     assert code == 3 and report["exit_code"] == 3
     assert needle in report["error"]
     assert not (tmp_path / "traj.csv").exists()
+
+
+def test_a_forgiven_negative_eigenvalue_is_kernel_in_every_command(capsys, tmp_path):
+    """R = diag(1, -5e-10) passes the PSD slack, so e2 is in ker(R): Z =
+    e2 e2^T and G = (1, 1)^T meet it, and no command offers Theta = R/2,
+    which the condition matrix would refute, or a gain bound."""
+    r = [[1.0, 0.0], [0.0, -5e-10]]
+    delay = write_doc(tmp_path / "delay.json", {
+        "kind": "delay_ph", "n": 2, "m": 2, "tau": 1.0, "H": np.eye(2).tolist(),
+        "J": np.zeros((2, 2)).tolist(), "R": r, "Z": [[0.0, 0.0], [0.0, 1.0]],
+        "G": np.eye(2).tolist()})
+    for command in ("construct-theta", "certify"):
+        code, report = run(capsys, command, delay)
+        assert code == 2 and report["verdict"] == "INCONCLUSIVE"
+        assert report["construction"]["reason"].startswith("kernel_condition")
+    code, report = run(capsys, "check", delay)
+    assert code == 1
+    failed = [c["name"] for c in report["checks"] if not c["passed"]]
+    assert failed == ["feedback_conditions", "theta_construction"]
+    plant = write_doc(tmp_path / "plant.json", {
+        "kind": "standard_ph", "n": 2, "m": 1, "H": np.eye(2).tolist(),
+        "J": np.zeros((2, 2)).tolist(), "R": r, "G": [[1.0], [1.0]]})
+    f = write_doc(tmp_path / "f.json", [[1.0]])
+    code, report = run(capsys, "feedback", plant, f, "--tau", "1.0", "--certify")
+    assert code == 2 and "certificate" not in report
+    assert report["gain_bound"] is None
+    assert report["gain_bound_reason"] == "kernel hypotheses violated"
 
 
 # ---------------------------------------------------------------------------

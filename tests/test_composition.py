@@ -352,6 +352,15 @@ def test_feedback_gain_bound_rejects_broken_kernel():
         feedback_gain_bound(np.diag([1.0, 0.0]), [[0.0], [1.0]])
 
 
+def test_feedback_hypotheses_count_a_forgiven_negative_eigenvalue_as_kernel():
+    """-5e-10 passes the PSD slack of diag(1, -5e-10), so e2 is in ker(R),
+    and G = (1, 1)^T does not vanish on it."""
+    r, g = np.diag([1.0, -5e-10]), [[1.0], [1.0]]
+    assert not check_feedback_conditions(r, g).kernel_r_in_kernel_gt
+    with pytest.raises(ValueError, match="hypothesis violated"):
+        feedback_gain_bound(r, g)
+
+
 @st.composite
 def feedback_pairs(draw):
     """(R, G) with R PSD of any rank and G of any rank, m <= n, at any scale.

@@ -257,16 +257,23 @@ def test_numerical_rank_edge_cases():
 
 
 def test_kernel_basis_edge_cases():
-    _, _, ker, scale = _symmetric_eigh(np.eye(3), DEFAULT_TOL)
-    assert ker.shape == (3, 0) and scale == 1.0
-    _, _, ker, scale = _symmetric_eigh(np.zeros((3, 3)), DEFAULT_TOL)
-    np.testing.assert_allclose(np.abs(ker), np.eye(3))
-    assert scale == 0.0
-    _, _, ker, scale = _symmetric_eigh(np.zeros((0, 0)), DEFAULT_TOL)
-    assert ker.shape == (0, 0) and scale == 0.0
+    split = _symmetric_eigh(np.eye(3), DEFAULT_TOL)
+    assert split.kernel.shape == (3, 0) and split.scale == 1.0
+    split = _symmetric_eigh(np.zeros((3, 3)), DEFAULT_TOL)
+    np.testing.assert_allclose(np.abs(split.kernel), np.eye(3))
+    assert split.scale == 0.0
+    split = _symmetric_eigh(np.zeros((0, 0)), DEFAULT_TOL)
+    assert split.kernel.shape == (0, 0) and split.scale == 0.0
     # an indefinite matrix: the kernel keeps the eigenvalue near zero only
-    _, _, ker, _ = _symmetric_eigh(np.diag([-2.0, 1e-12, 1.0]), DEFAULT_TOL)
+    ker = _symmetric_eigh(np.diag([-2.0, 1e-12, 1.0]), DEFAULT_TOL).kernel
     np.testing.assert_allclose(np.abs(ker), [[0.0], [1.0], [0.0]])
+    # one run each: below -slack, the kernel [-slack, rank_tol], the range
+    split = _symmetric_eigh(np.diag([-2e-9, -9e-10, -2e-10, 0.0, 1e-10, 2e-10, 1.0]),
+                            DEFAULT_TOL)
+    assert (split.lo, split.hi) == (1, 5)
+    v1, ker = whitening_basis(np.diag([1.0, -5e-10]))
+    np.testing.assert_allclose(np.abs(ker), [[0.0], [1.0]])
+    np.testing.assert_allclose(np.abs(v1), [[1.0], [0.0]])
     # through the public callers: full kernel of the zero matrix, none of I
     assert check_necessary(np.eye(3), np.eye(3), np.ones((3, 3))).all_hold
     zero = check_necessary(np.zeros((3, 3)), np.zeros((3, 3)), np.eye(3))
@@ -309,7 +316,7 @@ def test_whitening_basis_singular_psd():
     q = rand_orth(rng, 4)
     r = (q * np.array([2.0, 1.0, 0.5, 0.0])) @ q.T
     v1, ker = whitening_basis(r)
-    assert v1.shape == (4, 3)
+    assert v1.shape == (4, 3) and v1.T.flags.c_contiguous  # a left factor
     np.testing.assert_allclose(v1.T @ r @ v1, np.eye(3), atol=1e-10)
     # the kernel is the last column of q, the same one a full SVD finds
     assert ker.shape == (4, 1)
