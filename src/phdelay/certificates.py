@@ -7,7 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import PsdReport
-from .systems import _rows
 
 __all__ = ["CERTIFIED", "REFUTED", "INCONCLUSIVE", "Certificate"]
 
@@ -71,8 +70,8 @@ class Certificate:
         return {
             "verdict": self.verdict,
             "min_eigenvalue": self.min_eigenvalue,
-            "witness": None if self.witness is None else [float(w) for w in self.witness],
-            "theta": None if self.theta_used is None else _rows(self.theta_used),
+            "witness": None if self.witness is None else self.witness.tolist(),
+            "theta": None if self.theta_used is None else self.theta_used.tolist(),
             "reason": self.reason,
             "slack": self.slack,
         }

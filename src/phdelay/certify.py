@@ -18,9 +18,11 @@ verdict against the paper's block KYP test in general coordinates.  A
 brute-force grid oracle for n <= 2 decides existence of a certifying Theta
 independently of the construction.
 
-One routine decides (*) for systems with a stored Theta, side by side:
-one system from ``certify_delay_ph``, and from ``composition`` the two
-parts of an exactly skew coupling or the closed loop of any other.
+Every certificate of (*) comes from one routine, which decides systems
+with a stored Theta side by side: from ``certify_delay_ph`` the system
+with its stored Theta or a copy carrying an explicit one, and from
+``composition`` the two parts of an exactly skew coupling or the closed
+loop of any other.  The spectra it cuts are computed in ``linalg``.
 
 Verdict semantics: CERTIFIED and REFUTED always refer to the pair
 (system, Theta); a refuted pair says nothing about other Theta choices.
@@ -40,15 +42,12 @@ from .linalg import (
     _blkdiag,
     _contained,
     _halves,
-    _memo,
     _psd_report_blocks,
     _require_shape,
-    _set_read_only,
     _symmetric_eigh,
     as_matrix,
     is_psd,
     output_residual,
-    psd_report_symmetric,
     require_symmetric,
     spectral_norm,
 )
@@ -115,7 +114,10 @@ def certify_delay_ph(
     the condition matrix is PSD, each within the tolerance's slack.  A
     REFUTED verdict carries a witness direction with negative quadratic
     form.  ``validate`` keeps its result on the system, so a system that
-    was validated with this tolerance is not validated again.
+    was validated with this tolerance is not validated again.  A PSD
+    explicit Theta is decided on a copy of the system that carries it, by
+    the routine that decides a stored one, so nothing computed for it is
+    stored on ``system``.
     """
     violations = validate(system, tol)
     if violations:
@@ -128,15 +130,12 @@ def certify_delay_ph(
             )
         return _certify_stored([system], tol)
     th = _require_shape(require_symmetric(theta, "theta"), system.R.shape, "theta")
-    # validate has checked R for shape and symmetry, so the blocks need no
-    # second pass through ph_condition_matrix's checks
-    cond = _assemble_condition(_halves(system.R), system.Z, th)
-    theta_report = psd_report_symmetric(th, tol)
-    if not theta_report.is_psd:
-        return Certificate.from_report(theta_report, cond, "theta_not_psd", theta_used=th)
-    return Certificate.from_report(
-        psd_report_symmetric(cond, tol), cond, "condition_indefinite", theta_used=th
-    )
+    report = _psd_report_blocks([th], tol)[0]
+    if not report.is_psd:
+        # validate has checked R for shape and symmetry
+        cond = _assemble_condition(_halves(system.R), system.Z, th)
+        return Certificate.from_report(report, cond, "theta_not_psd", theta_used=th)
+    return _certify_stored([replace(system, theta=theta)], tol)
 
 
 def _certify_stored(systems, tol: Tolerance) -> Certificate:
@@ -145,18 +144,15 @@ def _certify_stored(systems, tol: Tolerance) -> Certificate:
     Ordered (x1, ..., xk, x1(t - tau), ..., xk(t - tau)), the condition
     matrix of blkdiag(R_i), blkdiag(Z_i) and blkdiag(Theta_i) holds system
     i's condition matrix on that system's rows and columns and zeros
-    elsewhere.  So each system is decided on its own, and keeps the
-    ``eigvalsh`` of its condition matrix on it through ``_memo``; a REFUTED
-    witness is the worst system's eigenvector, zero-padded.  validate has
-    checked each R and Theta for symmetry and each Theta for PSD.
+    elsewhere.  So each system is decided on its own, keyed on that system
+    so that the ``eigvalsh`` of its condition matrix is stored on it; a
+    REFUTED witness is the worst system's eigenvector, zero-padded.  Each
+    R and Theta has been checked for symmetry and each Theta for PSD, by
+    validate or, for an explicit Theta, by ``certify_delay_ph``.
     """
     thetas = [_halves(s.theta) for s in systems]
     blocks = [_assemble_condition(_halves(s.R), s.Z, th) for s, th in zip(systems, thetas)]
-    spectra = [
-        _memo(s, "condition_spectrum", lambda b=b: _set_read_only(np.linalg.eigvalsh(b)))
-        for s, b in zip(systems, blocks)
-    ]
-    report, worst = _psd_report_blocks(blocks, tol, spectra)
+    report, worst = _psd_report_blocks(blocks, tol, systems)
     # cond[a * n + i, b * n + j] is cond4[a, i, b, j], so a system's block
     # goes into its rows and columns by one copy into a view
     sizes = [s.n for s in systems]
@@ -356,7 +352,7 @@ def kyp_delay_check(
     block[:n, n:] = -q11 @ system.A1
     block[n:, :n] = block[:n, n:].T
     block[n:, n:] = q22
-    storage = psd_report_symmetric(q11, tol)
+    storage = _psd_report_blocks([q11], tol)[0]
     if not storage.is_psd:
         return Certificate.from_report(storage, block, "storage_not_psd")
     residual, out_ok = output_residual(system.C, system.B, q11, tol)

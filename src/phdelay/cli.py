@@ -53,7 +53,6 @@ from .systems import (
     _document,
     _load_json,
     _matrix_rows,
-    _rows,
     _standard_ph_to_lti,
     _system_from_text,
     save_system,
@@ -132,7 +131,7 @@ def _cmd_certify(args, tol, inputs):
     payload["certificate"] = result.certificate.to_dict()
     if result.decomposition is not None:
         payload["decomposition"] = {
-            key: _rows(getattr(result.decomposition, key)) for key in "JRG"
+            key: getattr(result.decomposition, key).tolist() for key in "JRG"
         }
     return payload, _EXIT[result.certificate.verdict]
 
@@ -147,7 +146,7 @@ def _construction_dict(construction) -> dict:
             else None
         )
     if construction.theta is not None:
-        out["theta"] = _rows(construction.theta)
+        out["theta"] = construction.theta.tolist()
     return out
 
 
@@ -320,7 +319,7 @@ def _cmd_simulate(args, tol, inputs):
     payload["trajectory"] = {
         "csv": args.out,
         "samples": int(traj.times.size),
-        "final_state": [float(v) for v in traj.states[:, -1]],
+        "final_state": traj.states[:, -1].tolist(),
         "max_state_norm": float(np.max(np.linalg.norm(traj.states, axis=0))),
     }
     return payload, 0

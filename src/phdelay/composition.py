@@ -40,7 +40,6 @@ from .linalg import (
     _contained,
     _frozen,
     _halves,
-    _psd_report_blocks,
     _require_shape,
     _square,
     _symmetric_eigh,
@@ -85,16 +84,15 @@ def classify_feedback(F, tol: Tolerance = DEFAULT_TOL) -> str:
     "power_conserving" when F is exactly skew or ||sym(F)||_2 <=
     1e-12 ||F||_2 (relative to F, so scaling F does not change it),
     "dissipative" when -sym(F) is PSD, "general" otherwise.  One
-    ``eigvalsh`` of -sym(F) gives both its norm and its sign.
+    ``_symmetric_eigh`` split of -sym(F) gives both its norm and its sign.
     """
     f = _square(F, "F")
     if _exactly_skew(f):
         return POWER_CONSERVING
-    neg = -_halves(f)
-    evals = np.linalg.eigvalsh(neg)
-    if max(-float(evals[0]), float(evals[-1])) <= 1e-12 * spectral_norm(f):
+    split = _symmetric_eigh(-_halves(f), tol)
+    if split.scale <= 1e-12 * spectral_norm(f):
         return POWER_CONSERVING
-    return DISSIPATIVE if _psd_report_blocks([neg], tol, [evals])[0].is_psd else GENERAL
+    return GENERAL if split.lo else DISSIPATIVE
 
 
 def interconnect(

@@ -2,16 +2,17 @@
 
 Every routine here is a pure function on real 2-D numpy arrays.  Symmetric
 parts are formed as 0.5 M + 0.5 M^T, finite for every finite M.  This is
-the one module that compares a spectrum with the PSD slack, by default
-``1e-9 * scale`` with scale the largest |eigenvalue| (so a zero matrix is
-PSD exactly), or with the rank cutoff.  ``_symmetric_eigh`` puts each
-eigenvalue of a symmetric matrix in one run: below -slack (not PSD), the
-kernel [-slack, rank_tol * scale], or the range above; every kernel and
-whitening is read off that split.  Ranks and 2-norms come from one vector
-of singular values.  A PSD test decides from eigenvalues, computing an
-eigenvector only for a NOT_PSD witness, and a block-diagonal matrix whose
-blocks the caller knows one block at a time; it returns evidence (least
-eigenvalue, witness, slack granted), not a bare boolean.
+the one module that computes a symmetric spectrum and compares it with the
+PSD slack, by default ``1e-9 * scale`` with scale the largest |eigenvalue|
+(so a zero matrix is PSD exactly), or with the rank cutoff.
+``_symmetric_eigh`` puts each eigenvalue of a symmetric matrix in one run:
+below -slack (not PSD), the kernel [-slack, rank_tol * scale], or the
+range above; every kernel and whitening is read off that split.  Ranks and
+2-norms come from one vector of singular values.  Every PSD test that
+reports evidence (least eigenvalue, witness, slack granted) runs in
+``_psd_report_blocks``: it computes the spectra itself and decides from
+eigenvalues, computing an eigenvector only for a NOT_PSD witness, and a
+block-diagonal matrix whose blocks the caller knows one block at a time.
 
 A decomposition of an immutable input (a ``_frozen`` array, as every
 system matrix is, or a system) is stored on that input by ``_memo``, so a
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import NamedTuple
 
 import numpy as np
@@ -35,7 +37,6 @@ __all__ = [
     "is_psd",
     "numerical_rank",
     "output_residual",
-    "psd_report_symmetric",
     "require_symmetric",
     "skew_part",
     "spectral_norm",
@@ -275,35 +276,28 @@ def is_psd(matrix, tol: Tolerance = DEFAULT_TOL) -> PsdReport:
     within 1e-12 relative asymmetry; it is symmetrized before the
     decomposition.
     """
-    return psd_report_symmetric(require_symmetric(matrix), tol)
+    return _psd_report_blocks([require_symmetric(matrix)], tol)[0]
 
 
-def psd_report_symmetric(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> PsdReport:
-    """``is_psd`` for a float array the caller has already symmetrized.
-
-    Skips the coercion and symmetry checks; for hot paths whose matrix is
-    symmetric by construction.
-    """
-    return _psd_report_blocks([m], tol)[0]
-
-
-def _psd_report_blocks(blocks, tol: Tolerance = DEFAULT_TOL, spectra=None):
+def _psd_report_blocks(blocks, tol: Tolerance = DEFAULT_TOL, keys=()):
     """PSD test of blkdiag(*blocks), one symmetric float block at a time.
 
-    The spectrum of a block-diagonal matrix is the union of its blocks'
-    spectra, so the least block minimum decides, with the slack granted for
-    the largest |eigenvalue| over all blocks.  ``spectra``, when given,
-    holds each block's ascending ``eigvalsh``, computed by the caller.
-    Returns ``(report, worst)``: ``worst`` indexes the block with the least
-    eigenvalue (None when every block is empty), and a NOT_PSD witness is
-    that block's unit eigenvector, not padded; only NOT_PSD computes an
-    eigenvector.
+    Every ``PsdReport`` of phdelay is made here.  The spectrum of a
+    block-diagonal matrix is the union of its blocks' spectra, so the
+    least block minimum decides, with the slack granted for the largest
+    |eigenvalue| over all blocks.  ``keys[k]``, when given, is what block k
+    is computed from (a ``_frozen`` matrix that it symmetrizes, or a system
+    whose condition matrix it is); the block's ascending ``eigvalsh`` is
+    stored on it through ``_memo``.  Returns ``(report, worst)``: ``worst``
+    indexes the block with the least eigenvalue (None when every block is
+    empty), and a NOT_PSD witness is that block's unit eigenvector, not
+    padded; only NOT_PSD computes an eigenvector.
     """
     lam, scale, worst = math.inf, 0.0, None
-    for k, block in enumerate(blocks):
+    for k, (block, key) in enumerate(zip_longest(blocks, keys)):
         if not block.size:
             continue
-        evals = np.linalg.eigvalsh(block) if spectra is None else spectra[k]
+        evals = _memo(key, "eigvalsh", lambda: _set_read_only(np.linalg.eigvalsh(block)))
         scale = max(scale, float(np.max(np.abs(evals))))
         if evals[0] < lam:
             lam, worst = float(evals[0]), k

@@ -1,7 +1,7 @@
 """Dissipativity tests for standard (delay-free) LTI systems.
 
-A system x' = Ax + Bu, y = Cx is port-Hamiltonian for an energy matrix H
-exactly when the weighted system matrix
+A system x' = Ax + Bu, y = Cx is port-Hamiltonian for a symmetric PSD
+energy matrix H exactly when the weighted system matrix
 
     Sigma = [[H A, H B],
              [ -C,   0]]
@@ -32,11 +32,13 @@ from .certificates import Certificate
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
+    _psd_report_blocks,
     _require_shape,
     as_matrix,
     is_psd,
     numerical_rank,
     output_residual,
+    require_symmetric,
     skew_part,
     sym_part,
 )
@@ -105,15 +107,22 @@ def certify_ph(
 ) -> StandardPHCertificate:
     """Decide whether (A, B, C) is port-Hamiltonian for the energy matrix H.
 
-    Certifies when sym(Sigma) is negative semidefinite AND the structural
+    H must be n x n and symmetric (ValueError otherwise).  Certifies when
+    H is PSD, sym(Sigma) is negative semidefinite AND the structural
     condition H B = C^T holds within rank_tol * ||C||; on success the
-    returned decomposition carries J, R, G.  A failed structural
+    returned decomposition carries J, R, G.  An H that is not PSD refutes
+    with reason "storage_not_psd" and a witness on H; a failed structural
     condition refutes with reason "output_mismatch"; an indefinite
     symmetric part refutes with reason "dissipation_indefinite" and a
-    witness direction.
+    witness direction.  The spectrum of sym(H) is stored on H when H is
+    immutable, such as a system's matrix.
     """
     h = as_matrix(H, "H")
     sigma = weighted_system_matrix(system, h)
+    storage = _psd_report_blocks([require_symmetric(h, "H")], tol, [H])[0]
+    if not storage.is_psd:
+        return StandardPHCertificate(
+            Certificate.from_report(storage, sigma, "storage_not_psd"))
     n = system.n
     # ||C - B^T H^T|| = ||H B - C^T||, the structural condition as stated
     residual, out_ok = output_residual(system.C, system.B, h.T, tol)

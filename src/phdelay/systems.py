@@ -43,11 +43,11 @@ from .linalg import (
     _frozen,
     _halves,
     _memo,
+    _psd_report_blocks,
     _relative_norm,
     as_matrix,
     asymmetry,
     output_residual,
-    psd_report_symmetric,
     skew_part,
     sym_part,
 )
@@ -340,7 +340,7 @@ def _symmetric(violations, name, mat) -> bool:
 
 def _check_energy_matrices(violations, h, j, tol):
     if _symmetric(violations, "H", h) and h.size:  # an empty H is positive definite
-        report = psd_report_symmetric(_halves(h), tol)
+        report = _psd_report_blocks([_halves(h)], tol)[0]
         if report.min_eigenvalue <= report.slack:
             violations.append(
                 f"H is not positive definite (min eigenvalue {report.min_eigenvalue:.6g})"
@@ -353,7 +353,7 @@ def _check_energy_matrices(violations, h, j, tol):
 def _check_psd_field(violations, name, mat, tol):
     if not _symmetric(violations, name, mat):
         return
-    report = psd_report_symmetric(_halves(mat), tol)
+    report = _psd_report_blocks([_halves(mat)], tol)[0]
     if not report.is_psd:
         violations.append(
             f"{name} is not positive semidefinite (min eigenvalue "
@@ -455,11 +455,6 @@ def _matrix_rows(key, value, n_rows=None, n_cols=None):
     return arr
 
 
-def _rows(mat) -> list:
-    """A matrix in document form: a list of row lists of floats."""
-    return [[float(v) for v in row] for row in np.atleast_2d(mat)]
-
-
 def _parse_document(doc: dict):
     if not isinstance(doc, dict):
         raise SystemFormatError("system document must be a JSON object")
@@ -529,11 +524,11 @@ def _document(system) -> dict:
     kind, names, _ = _schema_of(system)
     doc: dict = {"kind": kind, "n": system.n, "m": system.m}
     for key in names:
-        doc[key] = _rows(getattr(system, key))
+        doc[key] = getattr(system, key).tolist()
     if hasattr(system, "tau"):
         doc["tau"] = system.tau
     if getattr(system, "theta", None) is not None:
-        doc["theta"] = _rows(system.theta)
+        doc["theta"] = system.theta.tolist()
     return doc
 
 

@@ -147,6 +147,27 @@ def test_certify_standard_lti_needs_energy_matrix(capsys, tmp_path):
     assert report["certificate"]["verdict"] == "CERTIFIED"
 
 
+def test_certify_standard_lti_needs_a_psd_symmetric_energy_matrix(capsys, tmp_path):
+    """x' = x + u, y = -x meets the dissipation and output conditions for
+    H = -1; that H is refuted (exit 1), an asymmetric one rejected (exit 3)."""
+    doc = {"kind": "standard_lti", "n": 1, "m": 1,
+           "A": [[1.0]], "B": [[1.0]], "C": [[-1.0]]}
+    system = write_doc(tmp_path / "lti.json", doc)
+    h = write_doc(tmp_path / "h.json", [[-1.0]])
+    code, report = run(capsys, "certify", system, "--h-matrix", h)
+    assert code == 1
+    cert = report["certificate"]
+    assert (cert["verdict"], cert["reason"]) == ("REFUTED", "storage_not_psd")
+    assert "decomposition" not in report
+    doc = {"kind": "standard_lti", "n": 2, "m": 1, "A": [[-1.0, 0.0], [0.0, -1.0]],
+           "B": [[1.0], [0.0]], "C": [[1.0, 0.0]]}
+    system = write_doc(tmp_path / "lti2.json", doc)
+    h = write_doc(tmp_path / "h2.json", [[1.0, 1.0], [0.0, 1.0]])
+    code, report = run(capsys, "certify", system, "--h-matrix", h)
+    assert code == 3
+    assert report["error"].startswith("H is not symmetric")
+
+
 def test_certify_rejects_general_delay(capsys, tmp_path):
     doc = {"kind": "general_delay", "n": 1, "m": 1, "tau": 1.0,
            "A0": [[-1.0]], "A1": [[0.0]], "B": [[1.0]], "C": [[1.0]]}

@@ -49,6 +49,15 @@ def test_classify_feedback():
         classify_feedback(np.ones((2, 3)))
 
 
+def test_classify_feedback_decomposes_minus_sym_f_once():
+    """One split of -sym(F) gives its norm and its sign: a general F needs
+    no second decomposition of it."""
+    with decompositions() as calls:
+        assert classify_feedback(np.eye(2)) == GENERAL
+    assert [name for name, _ in calls] == ["eigh", "svd"]
+    assert [name for name, a in calls if np.array_equal(a, -np.eye(2))] == ["eigh"]
+
+
 def test_classify_feedback_nearly_skew_is_power_conserving():
     """F + F^T = 1e-14 diag(1, 0) is nonzero, but ||sym(F)|| is below
     1e-12 ||F||."""

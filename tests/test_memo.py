@@ -16,12 +16,15 @@ import pytest
 
 from phdelay import (
     CERTIFIED,
+    REFUTED,
     DelayPHSystem,
     HistoryFunction,
+    StandardLTISystem,
     StandardPHSystem,
     Tolerance,
     certify_delay_ph,
     certify_interconnection,
+    certify_ph,
     check_feedback_conditions,
     check_necessary,
     close_delayed_feedback,
@@ -262,6 +265,31 @@ def test_cached_arrays_are_read_only():
               steps.transfer]
     assert steps.transfer is not None
     assert not any(arr.flags.writeable for arr in arrays)
+
+
+def test_an_explicit_theta_leaves_no_condition_spectrum_on_the_system():
+    """An explicit Theta is decided on a copy of the system: after one, the
+    stored Theta gets the certificate of a fresh system, and the other way
+    round."""
+    refuting = [[0.1]]  # PSD, but [[1.9, 0.5], [0.5, 0.1]] is indefinite
+    for order in ((refuting, None), (None, refuting)):
+        s = scalar()
+        for theta in order:
+            cert = certify_delay_ph(s, theta)
+            fresh = certify_delay_ph(scalar(), theta)
+            assert cert.verdict == (REFUTED if theta else CERTIFIED)
+            assert (cert.verdict, cert.min_eigenvalue) == (fresh.verdict, fresh.min_eigenvalue)
+
+
+def test_certify_ph_stores_the_spectrum_of_a_frozen_energy_matrix():
+    """sym(H) is decomposed once for an immutable H, such as a system's, and
+    afresh for a writeable one."""
+    lti = StandardLTISystem(A=[[-1.0]], B=[[0.5]], C=[[1.0]])
+    h = _frozen(np.array([[2.0]]))
+    with decompositions() as calls:
+        for energy in (h, h, np.array(h)):
+            assert certify_ph(lti, energy).certified
+    assert count(calls, "eigvalsh", h) == 2
 
 
 def test_repeated_simulations_build_the_step_data_once(monkeypatch):

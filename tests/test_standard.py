@@ -94,6 +94,22 @@ def test_certify_ph_dissipation_indefinite():
     assert float(w @ -sym @ w) < 0.0
 
 
+def test_certify_ph_refutes_an_energy_matrix_that_is_not_psd():
+    """x' = x + u, y = -x is unstable, yet for H = -1 it meets the
+    dissipation and output conditions: the storage -x^2/2 refutes, on H."""
+    result = certify_ph(StandardLTISystem(A=[[1.0]], B=[[1.0]], C=[[-1.0]]), [[-1.0]])
+    cert = result.certificate
+    assert (cert.verdict, cert.reason) == (REFUTED, "storage_not_psd")
+    assert cert.min_eigenvalue == -1.0
+    assert abs(cert.witness[0]) == 1.0  # a unit vector with w^T H w < 0
+    assert result.decomposition is None
+
+
+def test_certify_ph_rejects_an_asymmetric_energy_matrix():
+    with pytest.raises(ValueError, match=r"^H is not symmetric"):
+        certify_ph(example_ph_lti(), [[1.0, 1.0], [0.0, 1.0]])
+
+
 @pytest.mark.parametrize("build", [certify_ph, weighted_system_matrix, kyp_matrix])
 def test_misshapen_energy_matrix_is_named(build):
     with pytest.raises(ValueError, match=r"^H has shape \(1, 2\), expected \(2, 2\)"):
