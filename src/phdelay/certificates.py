@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PsdReport
+from .linalg import PsdReport, _Lazy
 
 __all__ = ["CERTIFIED", "REFUTED", "INCONCLUSIVE", "Certificate"]
 
@@ -23,14 +23,17 @@ class Certificate:
     the tested condition matrix (>= -slack) and ``witness`` is None; for
     REFUTED the ``witness`` vector exhibits a negative quadratic form on
     ``condition_matrix`` (or on the matrix named by ``reason``).  Only a
-    refutation by an output mismatch carries no witness.
+    refutation by an output mismatch carries no witness.  The verdict,
+    ``min_eigenvalue``, ``reason`` and ``slack`` are set when the
+    certificate is made; ``condition_matrix``, ``witness`` and
+    ``theta_used`` may be computed when they are first read (``_Lazy``).
     """
 
     verdict: str
-    condition_matrix: np.ndarray | None = None
+    condition_matrix: np.ndarray | None = _Lazy(None)
     min_eigenvalue: float | None = None
-    witness: np.ndarray | None = None
-    theta_used: np.ndarray | None = None
+    witness: np.ndarray | None = _Lazy(None)
+    theta_used: np.ndarray | None = _Lazy(None)
     reason: str = ""
     slack: float | None = None
 
@@ -54,7 +57,8 @@ class Certificate:
             verdict=CERTIFIED if certified else REFUTED,
             condition_matrix=condition_matrix,
             min_eigenvalue=report.min_eigenvalue,
-            witness=None if mismatch else report.witness,
+            # the witness as stored, so an unread one stays unread
+            witness=None if mismatch else vars(report)["witness"],
             theta_used=theta_used,
             reason=mismatch or ("" if certified else reason),
             slack=report.slack,

@@ -41,9 +41,11 @@ from .linalg import (
     Tolerance,
     _blkdiag,
     _contained,
+    _Deferred,
     _halves,
     _psd_report_blocks,
     _require_shape,
+    _set_read_only,
     _symmetric_eigh,
     as_matrix,
     is_psd,
@@ -132,9 +134,12 @@ def certify_delay_ph(
     th = _require_shape(require_symmetric(theta, "theta"), system.R.shape, "theta")
     report = _psd_report_blocks([th], tol)[0]
     if not report.is_psd:
-        # validate has checked R for shape and symmetry
-        cond = _assemble_condition(_halves(system.R), system.Z, th)
-        return Certificate.from_report(report, cond, "theta_not_psd", theta_used=th)
+        # validate has checked R for shape and symmetry; the condition
+        # matrix is assembled when read, from copies, and the witness reads
+        # Theta, so the certificate's Theta is read-only
+        cond = _Deferred(_assemble_condition, _halves(system.R), np.array(system.Z), th)
+        return Certificate.from_report(report, cond, "theta_not_psd",
+                                       theta_used=_set_read_only(th))
     return _certify_stored([replace(system, theta=theta)], tol)
 
 
@@ -149,24 +154,48 @@ def _certify_stored(systems, tol: Tolerance) -> Certificate:
     REFUTED witness is the worst system's eigenvector, zero-padded.  Each
     R and Theta has been checked for symmetry and each Theta for PSD, by
     validate or, for an explicit Theta, by ``certify_delay_ph``.
+
+    The evidence is computed when it is read.  One system's block is its
+    condition matrix, read-only since its witness reads it; for k > 1 the
+    condition matrix, the padded witness and blkdiag(Theta_i) are built
+    from the blocks on their first read.
     """
     thetas = [_halves(s.theta) for s in systems]
     blocks = [_assemble_condition(_halves(s.R), s.Z, th) for s, th in zip(systems, thetas)]
     report, worst = _psd_report_blocks(blocks, tol, systems)
+    if len(blocks) == 1:
+        cond, theta = _set_read_only(blocks[0]), thetas[0]
+    else:
+        cond, theta = _Deferred(_side_by_side, blocks), _Deferred(_blkdiag, *thetas)
+        if not report.is_psd:
+            report = replace(report, witness=_Deferred(_padded_witness, report, blocks, worst))
+    return Certificate.from_report(report, cond, "condition_indefinite", theta_used=theta)
+
+
+def _side_by_side(blocks) -> np.ndarray:
+    """The condition matrix of systems whose condition matrices are
+    ``blocks``, in the order of ``_certify_stored``."""
     # cond[a * n + i, b * n + j] is cond4[a, i, b, j], so a system's block
     # goes into its rows and columns by one copy into a view
-    sizes = [s.n for s in systems]
-    n, offsets = sum(sizes), np.cumsum([0] + sizes)
+    n = sum(b.shape[0] for b in blocks) // 2
     cond4 = np.zeros((2, n, 2, n))
-    for o, k, block in zip(offsets, sizes, blocks):
+    o = 0
+    for block in blocks:
+        k = block.shape[0] // 2
         cond4[:, o : o + k, :, o : o + k] = block.reshape(2, k, 2, k)
-    if report.witness is not None:
-        o, k = offsets[worst], sizes[worst]
-        witness = np.zeros((2, n))
-        witness[:, o : o + k] = report.witness.reshape(2, k)
-        report = replace(report, witness=witness.reshape(-1))
-    return Certificate.from_report(report, cond4.reshape(2 * n, 2 * n),
-                                   "condition_indefinite", theta_used=_blkdiag(*thetas))
+        o += k
+    return cond4.reshape(2 * n, 2 * n)
+
+
+def _padded_witness(report, blocks, worst) -> np.ndarray:
+    """The witness of ``report`` on ``blocks[worst]``, zero on the other
+    systems' coordinates, in the order of ``_certify_stored``."""
+    n = sum(b.shape[0] for b in blocks) // 2
+    o = sum(b.shape[0] for b in blocks[:worst]) // 2
+    k = blocks[worst].shape[0] // 2
+    witness = np.zeros((2, n))
+    witness[:, o : o + k] = report.witness.reshape(2, k)
+    return witness.reshape(-1)
 
 
 @dataclass(frozen=True)

@@ -28,10 +28,11 @@ from .certificates import CERTIFIED, INCONCLUSIVE, REFUTED
 from .certify import certify_delay_ph, check_necessary, construct_theta
 from .composition import (
     _certify_pair,
+    _feedback_hypotheses,
+    _gain_bound,
     check_feedback_conditions,
     classify_feedback,
     close_delayed_feedback,
-    feedback_gain_bound,
     interconnect,
 )
 from .linalg import Tolerance
@@ -201,10 +202,12 @@ def _cmd_feedback(args, tol, inputs):
         raise _UsageError("feedback requires a standard_ph system")
     f = _read_matrix(args.feedback_matrix, "F", inputs)
     closed = close_delayed_feedback(system, f, args.tau)
-    conditions = check_feedback_conditions(system.R, system.G, tol)
+    # the kernel hypotheses once, for the conditions and the gain bound
+    hypotheses = _feedback_hypotheses(system.R, system.G, tol)
+    conditions = hypotheses[0]
     payload = {"feedback_conditions": asdict(conditions)}
     if conditions.kernel_r_in_kernel_gt:
-        beta = feedback_gain_bound(system.R, system.G, tol)
+        beta = _gain_bound(*hypotheses)
         payload["gain_bound"] = None if math.isinf(beta) else beta
         payload["gain_unbounded"] = math.isinf(beta)
     else:

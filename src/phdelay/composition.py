@@ -246,7 +246,11 @@ def feedback_gain_bound(R, G, tol: Tolerance = DEFAULT_TOL) -> float:
     disjoint from image(G).  Returns math.inf when V1^T G vanishes (no
     finite bound is needed) and when beta exceeds the float range.
     """
-    conditions, g, split = _feedback_hypotheses(R, G, tol)
+    return _gain_bound(*_feedback_hypotheses(R, G, tol))
+
+
+def _gain_bound(conditions, g, split) -> float:
+    """``feedback_gain_bound`` from the result of ``_feedback_hypotheses``."""
     v1 = split.whitening("R")
     if not conditions.kernel_r_in_kernel_gt:
         raise ValueError("hypothesis violated: ker(R) is not contained in ker(G^T)")

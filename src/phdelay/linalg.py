@@ -11,8 +11,9 @@ range above; every kernel and whitening is read off that split.  Ranks and
 2-norms come from one vector of singular values.  Every PSD test that
 reports evidence (least eigenvalue, witness, slack granted) runs in
 ``_psd_report_blocks``: it computes the spectra itself and decides from
-eigenvalues, computing an eigenvector only for a NOT_PSD witness, and a
-block-diagonal matrix whose blocks the caller knows one block at a time.
+eigenvalues alone, and a block-diagonal matrix whose blocks the caller
+knows one block at a time.  A NOT_PSD witness eigenvector is evidence, not
+part of the verdict: it is computed when it is first read (``_Lazy``).
 
 A decomposition of an immutable input (a ``_frozen`` array, as every
 system matrix is, or a system) is stored on that input by ``_memo``, so a
@@ -23,7 +24,8 @@ the result lives and dies with the input.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
+from functools import partial
 from itertools import zip_longest
 from typing import NamedTuple
 
@@ -81,18 +83,52 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
+class _Deferred(partial):
+    """A computation that a ``_Lazy`` field runs when it is first read."""
+
+
+class _Lazy:
+    """A dataclass field that may be given a ``_Deferred`` for its value.
+
+    The first read runs it and keeps the result on the instance, so the
+    field is computed once per object.  Until then a copy or a pickle of
+    the instance carries the ``_Deferred``, and with it only the arrays
+    that it reads.  Two threads that read an unread field together may
+    both compute it; both get equal arrays.  ``default`` is the field's
+    default; ``MISSING`` makes the field required.
+    """
+
+    def __init__(self, default=MISSING):
+        self.default = default
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self.default
+        value = vars(obj)[self.name]
+        if type(value) is _Deferred:
+            value = vars(obj)[self.name] = value()
+        return value
+
+    def __set__(self, obj, value):
+        vars(obj)[self.name] = value
+
+
 @dataclass(frozen=True)
 class PsdReport:
     """Outcome of a semidefiniteness test.
 
     ``witness`` is None for PSD; for NOT_PSD it is a unit eigenvector for
-    ``min_eigenvalue``, which exhibits a negative quadratic form.  ``slack``
-    records the absolute eigenvalue slack that was granted.
+    ``min_eigenvalue``, which exhibits a negative quadratic form, computed
+    when it is first read.  ``slack`` records the absolute eigenvalue slack
+    that was granted.
     """
 
     verdict: str  # "PSD" | "NOT_PSD"
     min_eigenvalue: float
-    witness: np.ndarray | None
+    witness: np.ndarray | None = _Lazy()  # required: no default
     slack: float
 
     @property
@@ -272,9 +308,9 @@ def is_psd(matrix, tol: Tolerance = DEFAULT_TOL) -> PsdReport:
 
     Decides from symmetric eigenvalues (never a Cholesky attempt).  A
     NOT_PSD report carries a witness eigenvector for the smallest
-    eigenvalue; a PSD report carries none.  The input must be symmetric
-    within 1e-12 relative asymmetry; it is symmetrized before the
-    decomposition.
+    eigenvalue, computed when it is first read; a PSD report carries none.
+    The input must be symmetric within 1e-12 relative asymmetry; it is
+    symmetrized before the decomposition.
     """
     return _psd_report_blocks([require_symmetric(matrix)], tol)[0]
 
@@ -291,7 +327,8 @@ def _psd_report_blocks(blocks, tol: Tolerance = DEFAULT_TOL, keys=()):
     stored on it through ``_memo``.  Returns ``(report, worst)``: ``worst``
     indexes the block with the least eigenvalue (None when every block is
     empty), and a NOT_PSD witness is that block's unit eigenvector, not
-    padded; only NOT_PSD computes an eigenvector.
+    padded.  It is computed from the block when it is first read, so a
+    caller does not write to a block once it has been tested.
     """
     lam, scale, worst = math.inf, 0.0, None
     for k, (block, key) in enumerate(zip_longest(blocks, keys)):
@@ -306,8 +343,13 @@ def _psd_report_blocks(blocks, tol: Tolerance = DEFAULT_TOL, keys=()):
         return PsdReport("PSD", 0.0, None, slack), None
     if lam >= -slack:
         return PsdReport("PSD", lam, None, slack), worst
-    witness = np.linalg.eigh(blocks[worst])[1][:, 0]
-    return PsdReport("NOT_PSD", lam, witness, slack), worst
+    return PsdReport("NOT_PSD", lam, _Deferred(_least_eigenvector, blocks[worst]), slack), worst
+
+
+def _least_eigenvector(m: np.ndarray) -> np.ndarray:
+    """A unit eigenvector of symmetric M for its least eigenvalue."""
+    # a copy, so that a kept witness does not keep all of M's eigenvectors
+    return np.linalg.eigh(m)[1][:, 0].copy()
 
 
 def _contained(basis: np.ndarray, m: np.ndarray, norm: float, tol: Tolerance) -> bool:

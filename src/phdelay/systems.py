@@ -340,7 +340,8 @@ def _symmetric(violations, name, mat) -> bool:
 
 def _check_energy_matrices(violations, h, j, tol):
     if _symmetric(violations, "H", h) and h.size:  # an empty H is positive definite
-        report = _psd_report_blocks([_halves(h)], tol)[0]
+        # keyed on H, so certify_ph(..., system.H) reuses the spectrum
+        report = _psd_report_blocks([_halves(h)], tol, [h])[0]
         if report.min_eigenvalue <= report.slack:
             violations.append(
                 f"H is not positive definite (min eigenvalue {report.min_eigenvalue:.6g})"

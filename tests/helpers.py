@@ -12,11 +12,12 @@ comparisons with them draw no eigenvalue in that band.
 """
 
 import contextlib
+import dataclasses
 import math
 
 import numpy as np
 
-from phdelay import DelayPHSystem
+from phdelay import Certificate, DelayPHSystem, interconnect, ph_condition_matrix
 from phdelay.composition import FeedbackConditions
 from phdelay.linalg import (
     DEFAULT_TOL,
@@ -75,6 +76,34 @@ def rand_certified_delay_ph(rng, n, m=1, tau=1.0):
         tau=tau,
         theta=theta,
     )
+
+
+def rand_coupled_pair(rng, coupling):
+    """A 3-state system whose Z is ``coupling`` times one that certifies
+    (20 refutes it), a certified 2-state partner and a skew F for their
+    2 + 1 ports."""
+    s = rand_certified_delay_ph(rng, 3, m=2)
+    partner = rand_certified_delay_ph(rng, 2, m=1)
+    return dataclasses.replace(s, Z=coupling * s.Z), partner, rand_antisym(rng, 3)
+
+
+def eager_pair_certificate(s, partner, f, verdict, min_eigenvalue=None, reason="",
+                           slack=None):
+    """The certificate of ``certify_interconnection(s, partner, f)`` for a
+    skew F, built densely: the closed loop's condition matrix and Theta,
+    and for a REFUTED verdict with ``partner`` certified the eigenvector of
+    ``s``'s condition matrix, zero-padded into the closed loop's order."""
+    closed = interconnect(s, partner, f)
+    witness = None
+    if verdict == "REFUTED":
+        unit = np.linalg.eigh(ph_condition_matrix(s.R, s.Z, s.theta))[1][:, 0]
+        k, n = s.n, closed.n
+        witness = np.zeros(2 * n)
+        witness[:k], witness[n : n + k] = unit[:k], unit[k:]
+    return Certificate(verdict=verdict,
+                       condition_matrix=ph_condition_matrix(closed.R, closed.Z, closed.theta),
+                       min_eigenvalue=min_eigenvalue, witness=witness,
+                       theta_used=require_symmetric(closed.theta), reason=reason, slack=slack)
 
 
 @contextlib.contextmanager

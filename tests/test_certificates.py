@@ -1,4 +1,7 @@
+import copy
 import dataclasses
+import json
+import pickle
 
 import numpy as np
 import pytest
@@ -10,9 +13,13 @@ from phdelay import (
     Certificate,
     GeneralDelaySystem,
     StandardLTISystem,
+    certify_interconnection,
     certify_ph,
+    is_psd,
 )
 from phdelay.certify import kyp_delay_check
+from phdelay.linalg import PsdReport
+from helpers import decompositions, eager_pair_certificate, rand_coupled_pair
 
 
 def test_verdict_constants():
@@ -78,3 +85,38 @@ def test_output_mismatch_certificates_carry_no_witness():
         assert cert.witness is None
         assert np.isfinite(cert.min_eigenvalue)
         assert cert.to_dict()["witness"] is None
+
+
+EVIDENCE = {Certificate: ("witness", "condition_matrix", "theta_used"),
+            PsdReport: ("witness",)}
+
+
+@pytest.mark.parametrize("clone, reads", [
+    (lambda obj: pickle.loads(pickle.dumps(obj)), False),
+    (copy.deepcopy, False),
+    (dataclasses.replace, True),
+], ids=["pickle", "deepcopy", "replace"])
+def test_unread_evidence_survives_copies(clone, reads):
+    """A copy of a certificate or report whose evidence is unread reads the
+    same arrays as the original.  A pickle or a deep copy computes
+    nothing; ``dataclasses.replace`` reads every field."""
+    s, partner, f = rand_coupled_pair(np.random.default_rng(37), 20.0)
+    originals = [certify_interconnection(s, partner, f),
+                 is_psd(np.diag([1.0, -2.0]))]
+    with decompositions() as calls:
+        copies = [clone(obj) for obj in originals]
+    assert bool(calls) == reads
+    for original, copied in zip(originals, copies):
+        assert copied.verdict == original.verdict != "CERTIFIED"
+        for name in EVIDENCE[type(original)]:
+            assert getattr(copied, name).tobytes() == getattr(original, name).tobytes()
+
+
+@pytest.mark.parametrize("coupling, verdict", [(20.0, REFUTED), (1.0, CERTIFIED)])
+def test_to_dict_of_unread_evidence_matches_eager_evidence(coupling, verdict):
+    s, partner, f = rand_coupled_pair(np.random.default_rng(41), coupling)
+    cert = certify_interconnection(s, partner, f)
+    assert cert.verdict == verdict
+    eager = eager_pair_certificate(s, partner, f, verdict, cert.min_eigenvalue,
+                                   cert.reason, cert.slack)
+    assert json.dumps(cert.to_dict()) == json.dumps(eager.to_dict())

@@ -134,6 +134,33 @@ def test_certify_standard_ph_fixture(capsys):
     assert np.array(decomp["R"]).shape == (2, 2)
 
 
+def test_certify_standard_ph_decomposes_its_energy_matrix_once(capsys):
+    """validate's test of H and certify_ph's read one eigvalsh of sym(H),
+    stored on the system's H: one spectrum each of H, R and the
+    dissipation."""
+    path = "tests/data/mass_spring_damper.json"
+    with decompositions() as calls:
+        code, _ = run(capsys, "certify", path)
+    spectra = [a for name, a in calls if name == "eigvalsh"]
+    assert code == 0 and len(spectra) == 3
+    assert sum(np.array_equal(a, read_system(path).H) for a in spectra) == 1
+
+
+def test_certify_refuted_fixture_prints_its_witness(capsys):
+    """The scalar mode R = 1, Z = 2, Theta = 1/2: its condition matrix
+    [[1/2, 1], [1, 1/2]] has the eigenvalue -1/2, and the printed witness
+    is a unit vector with a negative quadratic form on it."""
+    code, report = run(capsys, "certify", str(DATA / "scalar_refuted.json"))
+    cert = report["certificate"]
+    assert code == 1 and cert["verdict"] == "REFUTED"
+    assert cert["reason"] == "condition_indefinite"
+    assert cert["min_eigenvalue"] == pytest.approx(-0.5)
+    w = np.array(cert["witness"])
+    m = np.array([[0.5, 1.0], [1.0, 0.5]])
+    assert np.linalg.norm(w) == pytest.approx(1.0)
+    assert w @ m @ w == pytest.approx(-0.5)
+
+
 def test_certify_standard_lti_needs_energy_matrix(capsys, tmp_path):
     doc = {"kind": "standard_lti", "n": 1, "m": 1,
            "A": [[-1.0]], "B": [[1.0]], "C": [[1.0]]}
@@ -390,9 +417,11 @@ def test_feedback_tests_the_kernel_hypotheses_once(capsys, tmp_path):
                           "kernel_r_in_kernel_gt": True}
     assert report["gain_bound"] == pytest.approx(0.5)
     # one vector of G's singular values gives rank G and ||G||_2; the
-    # other singular values taken are of the products G^T K and V1^T G
+    # other singular values taken are of the products G^T K and V1^T G,
+    # and the conditions and the gain bound share the one G^T K = [[0]]
     system = read_system(path)
     assert sum(np.array_equal(a, system.G) for a in svds) == 1
+    assert sum(np.array_equal(a, [[0.0]]) for a in svds) == 1
     # one eigh of R gives ker(R) and its whitening
     assert len(eighs) == 1 and np.array_equal(eighs[0], system.R)
 

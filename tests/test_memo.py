@@ -31,13 +31,27 @@ from phdelay import (
     construct_theta,
     delay_ph_to_general,
     feedback_gain_bound,
+    is_psd,
     ph_condition_matrix,
     simulate_delay_ph,
     validate,
 )
 from phdelay import simulation
-from phdelay.linalg import DEFAULT_TOL, _frozen, _is_frozen, _memo, _symmetric_eigh
-from helpers import decompositions, rand_antisym, rand_certified_delay_ph
+from phdelay.linalg import (
+    DEFAULT_TOL,
+    _frozen,
+    _is_frozen,
+    _memo,
+    _symmetric_eigh,
+    sym_part,
+)
+from helpers import (
+    decompositions,
+    eager_pair_certificate,
+    rand_antisym,
+    rand_certified_delay_ph,
+    rand_coupled_pair,
+)
 
 
 def scalar(h=1.0, r=2.0):
@@ -279,6 +293,65 @@ def test_an_explicit_theta_leaves_no_condition_spectrum_on_the_system():
             fresh = certify_delay_ph(scalar(), theta)
             assert cert.verdict == (REFUTED if theta else CERTIFIED)
             assert (cert.verdict, cert.min_eigenvalue) == (fresh.verdict, fresh.min_eigenvalue)
+
+
+def read_twice(cert, name):
+    first = getattr(cert, name)
+    assert getattr(cert, name) is first
+    return first
+
+
+def test_a_refuted_chain_decomposes_its_condition_matrix_when_its_witness_is_read():
+    """certify_delay_ph and certify_interconnection (skew F) on a REFUTED
+    system decide from eigenvalues: no eigh until a witness is read, then
+    one per certificate, however often it is read.  The witness, condition
+    matrix and Theta read are bit for bit the dense route's: the
+    eigenvector of the system's condition matrix, zero-padded on the
+    closed loop's."""
+    s, partner, f = rand_coupled_pair(np.random.default_rng(29), 20.0)
+    with decompositions() as calls:
+        cert = certify_delay_ph(s)
+        joint = certify_interconnection(s, partner, f)
+        assert cert.verdict == joint.verdict == REFUTED
+        assert [name for name, _ in calls if name == "eigh"] == []
+        witnesses = [read_twice(c, "witness") for c in (cert, joint)]
+    cond = ph_condition_matrix(s.R, s.Z, s.theta)
+    assert [name for name, a in calls if name == "eigh"] == ["eigh", "eigh"]
+    assert all(np.array_equal(a, cond) for name, a in calls if name == "eigh")
+    eager = eager_pair_certificate(s, partner, f, REFUTED)
+    want = [(np.linalg.eigh(cond)[1][:, 0], cond, sym_part(s.theta)),
+            (eager.witness, eager.condition_matrix, eager.theta_used)]
+    for c, w, (witness, condition, theta) in zip((cert, joint), witnesses, want):
+        assert w.tobytes() == witness.tobytes()
+        assert read_twice(c, "condition_matrix").tobytes() == condition.tobytes()
+        assert read_twice(c, "theta_used").tobytes() == theta.tobytes()
+
+
+def test_a_theta_that_is_not_psd_is_decomposed_when_its_witness_is_read():
+    s, _, _ = rand_coupled_pair(np.random.default_rng(31), 20.0)
+    theta = -sym_part(s.theta)
+    with decompositions() as calls:
+        cert = certify_delay_ph(s, theta)
+        assert cert.reason == "theta_not_psd"
+        assert [name for name, _ in calls if name == "eigh"] == []
+        witness = read_twice(cert, "witness")
+    assert [name for name, _ in calls if name == "eigh"] == ["eigh"]
+    assert witness.tobytes() == np.linalg.eigh(theta)[1][:, 0].tobytes()
+    cond = ph_condition_matrix(s.R, s.Z, theta)
+    assert read_twice(cert, "condition_matrix").tobytes() == cond.tobytes()
+    assert read_twice(cert, "theta_used").tobytes() == theta.tobytes()
+    assert not cert.theta_used.flags.writeable
+
+
+def test_is_psd_decomposes_a_not_psd_matrix_when_its_witness_is_read():
+    m = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 3.0]])
+    with decompositions() as calls:
+        report = is_psd(m)
+        assert not report.is_psd and report.min_eigenvalue == pytest.approx(-1.0)
+        assert [name for name, _ in calls] == ["eigvalsh"]
+        witness = read_twice(report, "witness")
+    assert [name for name, _ in calls] == ["eigvalsh", "eigh"]
+    assert witness.tobytes() == np.linalg.eigh(m)[1][:, 0].tobytes()
 
 
 def test_certify_ph_stores_the_spectrum_of_a_frozen_energy_matrix():
