@@ -155,21 +155,18 @@ def _certify_stored(systems, tol: Tolerance) -> Certificate:
     R and Theta has been checked for symmetry and each Theta for PSD, by
     validate or, for an explicit Theta, by ``certify_delay_ph``.
 
-    The evidence is computed when it is read.  One system's block is its
-    condition matrix, read-only since its witness reads it; for k > 1 the
-    condition matrix, the padded witness and blkdiag(Theta_i) are built
-    from the blocks on their first read.
+    The evidence is computed when it is read: the condition matrix, the
+    padded witness and blkdiag(Theta_i) are built from the blocks on their
+    first read.
     """
     thetas = [_halves(s.theta) for s in systems]
     blocks = [_assemble_condition(_halves(s.R), s.Z, th) for s, th in zip(systems, thetas)]
     report, worst = _psd_report_blocks(blocks, tol, systems)
-    if len(blocks) == 1:
-        cond, theta = _set_read_only(blocks[0]), thetas[0]
-    else:
-        cond, theta = _Deferred(_side_by_side, blocks), _Deferred(_blkdiag, *thetas)
-        if not report.is_psd:
-            report = replace(report, witness=_Deferred(_padded_witness, report, blocks, worst))
-    return Certificate.from_report(report, cond, "condition_indefinite", theta_used=theta)
+    if not report.is_psd:
+        report = replace(report, witness=_Deferred(_padded_witness, report, blocks, worst))
+    return Certificate.from_report(report, _Deferred(_side_by_side, blocks),
+                                   "condition_indefinite",
+                                   theta_used=_Deferred(_blkdiag, *thetas))
 
 
 def _side_by_side(blocks) -> np.ndarray:

@@ -28,8 +28,7 @@ from .certificates import CERTIFIED, INCONCLUSIVE, REFUTED
 from .certify import certify_delay_ph, check_necessary, construct_theta
 from .composition import (
     _certify_pair,
-    _feedback_hypotheses,
-    _gain_bound,
+    _feedback_conditions_and_bound,
     check_feedback_conditions,
     classify_feedback,
     close_delayed_feedback,
@@ -202,12 +201,9 @@ def _cmd_feedback(args, tol, inputs):
         raise _UsageError("feedback requires a standard_ph system")
     f = _read_matrix(args.feedback_matrix, "F", inputs)
     closed = close_delayed_feedback(system, f, args.tau)
-    # the kernel hypotheses once, for the conditions and the gain bound
-    hypotheses = _feedback_hypotheses(system.R, system.G, tol)
-    conditions = hypotheses[0]
+    conditions, beta = _feedback_conditions_and_bound(system.R, system.G, tol)
     payload = {"feedback_conditions": asdict(conditions)}
-    if conditions.kernel_r_in_kernel_gt:
-        beta = _gain_bound(*hypotheses)
+    if beta is not None:
         payload["gain_bound"] = None if math.isinf(beta) else beta
         payload["gain_unbounded"] = math.isinf(beta)
     else:

@@ -246,17 +246,23 @@ def feedback_gain_bound(R, G, tol: Tolerance = DEFAULT_TOL) -> float:
     disjoint from image(G).  Returns math.inf when V1^T G vanishes (no
     finite bound is needed) and when beta exceeds the float range.
     """
-    return _gain_bound(*_feedback_hypotheses(R, G, tol))
+    beta = _feedback_conditions_and_bound(R, G, tol)[1]
+    if beta is None:
+        raise ValueError("hypothesis violated: ker(R) is not contained in ker(G^T)")
+    return beta
 
 
-def _gain_bound(conditions, g, split) -> float:
-    """``feedback_gain_bound`` from the result of ``_feedback_hypotheses``."""
+def _feedback_conditions_and_bound(R, G, tol: Tolerance):
+    """``(check_feedback_conditions(R, G), feedback_gain_bound(R, G))`` from
+    one run of the kernel hypotheses; the bound is None when ker(R) is not
+    contained in ker(G^T).  ValueError when R is not PSD."""
+    conditions, g, split = _feedback_hypotheses(R, G, tol)
     v1 = split.whitening("R")
     if not conditions.kernel_r_in_kernel_gt:
-        raise ValueError("hypothesis violated: ker(R) is not contained in ker(G^T)")
+        return conditions, None
     coupling = spectral_norm(v1.T @ g)
     square = coupling * coupling
-    return math.inf if square == 0.0 else 1.0 / square
+    return conditions, math.inf if square == 0.0 else 1.0 / square
 
 
 def _feedback_hypotheses(R, G, tol: Tolerance):
