@@ -42,7 +42,6 @@ from .linalg import (
     _blkdiag,
     _contained,
     _Deferred,
-    _halves,
     _psd_report_blocks,
     _require_shape,
     _set_read_only,
@@ -52,6 +51,7 @@ from .linalg import (
     output_residual,
     require_symmetric,
     spectral_norm,
+    sym_part,
 )
 from .systems import (
     DelayPHSystem,
@@ -135,9 +135,11 @@ def certify_delay_ph(
     report = _psd_report_blocks([th], tol)[0]
     if not report.is_psd:
         # validate has checked R for shape and symmetry; the condition
-        # matrix is assembled when read, from copies, and the witness reads
-        # Theta, so the certificate's Theta is read-only
-        cond = _Deferred(_assemble_condition, _halves(system.R), np.array(system.Z), th)
+        # matrix is assembled when read, from copies, so the certificate
+        # keeps no system's matrix, and the witness reads Theta, so the
+        # certificate's Theta is read-only
+        th = np.array(th)
+        cond = _Deferred(_assemble_condition, sym_part(system.R), np.array(system.Z), th)
         return Certificate.from_report(report, cond, "theta_not_psd",
                                        theta_used=_set_read_only(th))
     return _certify_stored([replace(system, theta=theta)], tol)
@@ -153,14 +155,17 @@ def _certify_stored(systems, tol: Tolerance) -> Certificate:
     so that the ``eigvalsh`` of its condition matrix is stored on it; a
     REFUTED witness is the worst system's eigenvector, zero-padded.  Each
     R and Theta has been checked for symmetry and each Theta for PSD, by
-    validate or, for an explicit Theta, by ``certify_delay_ph``.
+    validate or, for an explicit Theta, by ``certify_delay_ph``; R's check
+    is stored on it, so ``require_symmetric`` does not repeat it.
 
     The evidence is computed when it is read: the condition matrix, the
     padded witness and blkdiag(Theta_i) are built from the blocks on their
-    first read.
+    first read, and each Theta block is a fresh symmetric part, so the
+    certificate keeps no system's Theta.
     """
-    thetas = [_halves(s.theta) for s in systems]
-    blocks = [_assemble_condition(_halves(s.R), s.Z, th) for s, th in zip(systems, thetas)]
+    thetas = [sym_part(s.theta) for s in systems]
+    blocks = [_assemble_condition(require_symmetric(s.R, "R"), s.Z, th)
+              for s, th in zip(systems, thetas)]
     report, worst = _psd_report_blocks(blocks, tol, systems)
     if not report.is_psd:
         report = replace(report, witness=_Deferred(_padded_witness, report, blocks, worst))

@@ -39,7 +39,6 @@ from .linalg import (
     _blkdiag,
     _contained,
     _frozen,
-    _halves,
     _require_shape,
     _square,
     _symmetric_eigh,
@@ -89,7 +88,7 @@ def classify_feedback(F, tol: Tolerance = DEFAULT_TOL) -> str:
     f = _square(F, "F")
     if _exactly_skew(f):
         return POWER_CONSERVING
-    split = _symmetric_eigh(-_halves(f), tol)
+    split = _symmetric_eigh(-sym_part(f), tol)
     if split.scale <= 1e-12 * spectral_norm(f):
         return POWER_CONSERVING
     return GENERAL if split.lo else DISSIPATIVE

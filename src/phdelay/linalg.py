@@ -18,7 +18,14 @@ part of the verdict: it is computed when it is first read (``_Lazy``).
 A decomposition of an immutable input (a ``_frozen`` array, as every
 system matrix is, or a system) is stored on that input by ``_memo``, so a
 chain of calls on one system decomposes each of its matrices once, and
-the result lives and dies with the input.
+the result lives and dies with the input.  The outcome of a frozen
+matrix's symmetry check is stored the same way, as a flag: whether the
+matrix is its own symmetric part bit for bit.  So each system matrix is
+checked for finiteness once (by ``as_matrix``, when it is frozen) and for
+symmetry once, and one that is its own symmetric part is then used as it
+is; an asymmetric one is rejected on every call.  Nothing that outlives a
+call (a ``PsdReport``, a certificate, their deferred evidence) keeps a
+frozen matrix: it keeps a copy.
 """
 
 from __future__ import annotations
@@ -137,7 +144,13 @@ class PsdReport:
 
 
 def as_matrix(value, name: str = "matrix") -> np.ndarray:
-    """Coerce ``value`` to a finite 2-D float array; scalars become 1x1."""
+    """Coerce ``value`` to a finite 2-D float array; scalars become 1x1.
+
+    A ``_frozen`` 2-D array is returned as it is: every one was made from
+    this function's output, so it has been checked already.
+    """
+    if _is_frozen(value) and value.ndim == 2:
+        return value
     arr = np.asarray(value, dtype=float)
     if arr.ndim == 0:
         arr = arr.reshape(1, 1)
@@ -272,15 +285,29 @@ def require_symmetric(matrix, name: str = "matrix") -> np.ndarray:
 
     Tiny asymmetry (relative Frobenius asymmetry <= 1e-12, the kind produced
     by floating-point assembly of symmetric expressions) is silently
-    symmetrized; anything larger raises ValueError.
+    symmetrized; anything larger raises ValueError.  A ``_frozen`` matrix
+    is checked once: whether it is its own symmetric part bit for bit is
+    stored on it (``_memo``), and if it is, it is returned itself,
+    read-only.  Any other input gets a fresh array on every call.
     """
     m = _square(matrix, name)
-    a = asymmetry(m)
-    if a > SYMMETRY_RTOL:
-        raise ValueError(
-            f"{name} is not symmetric (relative asymmetry {a:.3e} > {SYMMETRY_RTOL:.0e})"
-        )
-    return _halves(m)
+    sym = None
+
+    def own() -> bool:
+        nonlocal sym
+        a = asymmetry(m)
+        if a > SYMMETRY_RTOL:
+            raise ValueError(
+                f"{name} is not symmetric (relative asymmetry {a:.3e} > {SYMMETRY_RTOL:.0e})"
+            )
+        sym = _halves(m)
+        # bytes, not values: a (-0.0, 0.0) pair or a subnormal entry that
+        # halving rounds is not its own symmetric part
+        return bool(np.array_equal(sym.view(np.int64), m.view(np.int64)))
+
+    if _memo(m, "symmetric", own) and _is_frozen(m):
+        return m
+    return _halves(m) if sym is None else sym
 
 
 def spectral_norm(matrix) -> float:
@@ -328,7 +355,9 @@ def _psd_report_blocks(blocks, tol: Tolerance = DEFAULT_TOL, keys=()):
     indexes the block with the least eigenvalue (None when every block is
     empty), and a NOT_PSD witness is that block's unit eigenvector, not
     padded.  It is computed from the block when it is first read, so a
-    caller does not write to a block once it has been tested.
+    caller does not write to a block once it has been tested; a
+    ``_frozen`` block, such as a system matrix that is its own symmetric
+    part, is copied for it, so that the report keeps no system matrix.
     """
     lam, scale, worst = math.inf, 0.0, None
     for k, (block, key) in enumerate(zip_longest(blocks, keys)):
@@ -343,7 +372,10 @@ def _psd_report_blocks(blocks, tol: Tolerance = DEFAULT_TOL, keys=()):
         return PsdReport("PSD", 0.0, None, slack), None
     if lam >= -slack:
         return PsdReport("PSD", lam, None, slack), worst
-    return PsdReport("NOT_PSD", lam, _Deferred(_least_eigenvector, blocks[worst]), slack), worst
+    block = blocks[worst]
+    if _is_frozen(block):  # the pending witness keeps no system matrix alive
+        block = block.copy()
+    return PsdReport("NOT_PSD", lam, _Deferred(_least_eigenvector, block), slack), worst
 
 
 def _least_eigenvector(m: np.ndarray) -> np.ndarray:

@@ -41,13 +41,13 @@ from .linalg import (
     SYMMETRY_RTOL,
     Tolerance,
     _frozen,
-    _halves,
     _memo,
     _psd_report_blocks,
     _relative_norm,
     as_matrix,
     asymmetry,
     output_residual,
+    require_symmetric,
     skew_part,
     sym_part,
 )
@@ -328,33 +328,36 @@ def _violations(system, tol: Tolerance) -> list[str]:
     return v
 
 
-def _symmetric(violations, name, mat) -> bool:
-    """Whether ``mat`` is symmetric within ``SYMMETRY_RTOL``; records the
-    violation when it is not."""
-    a = asymmetry(mat)
-    if a > SYMMETRY_RTOL:
-        violations.append(f"{name} is not symmetric (relative asymmetry {a:.3e})")
-        return False
-    return True
+def _symmetric(violations, name, mat):
+    """The symmetric part of square ``mat`` by ``require_symmetric``, so a
+    system matrix is checked once; None, with the violation recorded, when
+    ``mat`` is not symmetric within ``SYMMETRY_RTOL``."""
+    try:
+        return require_symmetric(mat, name)
+    except ValueError:
+        violations.append(f"{name} is not symmetric (relative asymmetry {asymmetry(mat):.3e})")
+        return None
 
 
 def _check_energy_matrices(violations, h, j, tol):
-    if _symmetric(violations, "H", h) and h.size:  # an empty H is positive definite
+    sym = _symmetric(violations, "H", h)
+    if sym is not None and h.size:  # an empty H is positive definite
         # keyed on H, so certify_ph(..., system.H) reuses the spectrum
-        report = _psd_report_blocks([_halves(h)], tol, [h])[0]
+        report = _psd_report_blocks([sym], tol, [h])[0]
         if report.min_eigenvalue <= report.slack:
             violations.append(
                 f"H is not positive definite (min eigenvalue {report.min_eigenvalue:.6g})"
             )
-    dev = 2.0 * _relative_norm(_halves(j), j)
+    dev = 2.0 * _relative_norm(sym_part(j), j)
     if dev > SYMMETRY_RTOL:
         violations.append(f"J is not antisymmetric (relative deviation {dev:.3e})")
 
 
 def _check_psd_field(violations, name, mat, tol):
-    if not _symmetric(violations, name, mat):
+    sym = _symmetric(violations, name, mat)
+    if sym is None:
         return
-    report = _psd_report_blocks([_halves(mat)], tol)[0]
+    report = _psd_report_blocks([sym], tol)[0]
     if not report.is_psd:
         violations.append(
             f"{name} is not positive semidefinite (min eigenvalue "

@@ -14,8 +14,14 @@ from phdelay.linalg import (
     sym_part,
     whitening_basis,
 )
-from phdelay import check_feedback_conditions, check_necessary
-from phdelay.linalg import _contained, _psd_report_blocks, _symmetric_eigh
+from phdelay import HistoryFunction, check_feedback_conditions, check_necessary
+from phdelay.linalg import (
+    _contained,
+    _frozen,
+    _halves,
+    _psd_report_blocks,
+    _symmetric_eigh,
+)
 from helpers import dense_psd_oracle, kernel_basis_svd, rand_orth, rand_spd
 
 
@@ -92,6 +98,53 @@ def test_require_symmetric_symmetrizes_roundoff():
 def test_require_symmetric_rejects_genuine_asymmetry():
     with pytest.raises(ValueError, match="not symmetric"):
         require_symmetric(np.array([[0.0, 1.0], [0.0, 0.0]]), "J")
+
+
+TINY = 5e-324  # the least subnormal: halving it rounds to 0
+
+
+@pytest.mark.parametrize("m, own", [
+    ([[2.0, 0.5], [0.5, 1.0]], True),
+    ([[1.0, -0.0], [0.0, 1.0]], False),
+    ([[3 * TINY, TINY], [TINY, 1.0]], False),
+    ([[1.0, 0.5 + 1e-14], [0.5, 2.0]], False),
+], ids=["exactly-symmetric", "signed-zero-pair", "subnormal", "asymmetry-1e-14"])
+def test_require_symmetric_of_a_frozen_matrix_is_its_symmetric_part(m, own):
+    """A frozen matrix is checked once and gets the bytes of 0.5 M + 0.5 M^T
+    on every call: itself, read-only, only when it is that bit for bit."""
+    frozen = _frozen(np.array(m))
+    want = _halves(np.array(m)).tobytes()
+    for _ in range(2):
+        out = require_symmetric(frozen)
+        assert out.tobytes() == want
+        assert (out is frozen) == own
+    assert vars(frozen.base)["symmetric"] is own
+
+
+def test_require_symmetric_rejects_a_frozen_asymmetric_matrix_every_time():
+    frozen = _frozen(np.array([[1.0, 1.0], [0.0, 1.0]]))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="R is not symmetric"):
+            require_symmetric(frozen, "R")
+    assert "symmetric" not in vars(frozen.base)
+
+
+@pytest.mark.parametrize("writeable", [True, False])
+def test_require_symmetric_of_any_other_array_is_fresh(writeable):
+    m = np.eye(2)
+    m.setflags(write=writeable)
+    first, second = require_symmetric(m), require_symmetric(m)
+    assert first is not second and first.flags.writeable and second.flags.writeable
+    assert not np.shares_memory(first, m) and not np.shares_memory(second, m)
+    np.testing.assert_array_equal(first, m)
+
+
+def test_as_matrix_returns_a_frozen_matrix_itself():
+    frozen = _frozen(np.array([[1.0, 2.0]]))
+    assert as_matrix(frozen, "G") is frozen
+    grid = HistoryFunction.constant([1.0], 1.0).grid  # frozen, but 1-D
+    with pytest.raises(ValueError, match="2-D"):
+        as_matrix(grid)
 
 
 @pytest.mark.parametrize("c", [1.0, 1e-6, 1e-13, 1e-160, 1e160])

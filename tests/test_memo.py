@@ -36,7 +36,7 @@ from phdelay import (
     simulate_delay_ph,
     validate,
 )
-from phdelay import simulation
+from phdelay import linalg, simulation
 from phdelay.linalg import (
     DEFAULT_TOL,
     _frozen,
@@ -86,6 +86,44 @@ def test_pipeline_decomposes_each_matrix_once():
     assert count(calls, "eigvalsh", s.H) == count(calls, "eigvalsh", s.theta) == 1
     keys = [(name, a.tobytes()) for name, a in calls]
     assert len(set(keys)) == len(keys)
+
+
+def test_pipeline_checks_each_matrix_for_symmetry_once(monkeypatch):
+    """The certify-mix chain on fresh systems: validate checks H, R and
+    Theta of each system once, every later call reads the stored outcome,
+    and a second pass checks nothing."""
+    rng = np.random.default_rng(37)
+    s = rand_certified_delay_ph(rng, 6, m=2)
+    partner = rand_certified_delay_ph(rng, 6, m=2)
+    plant = StandardPHSystem(s.H, s.J, s.R, s.G)
+    lti = StandardLTISystem(np.linalg.solve(plant.H, plant.J - plant.R),
+                            np.linalg.solve(plant.H, plant.G), plant.G.T)
+    f = rand_antisym(rng, 4)
+    checked = []
+
+    def counted(matrix):
+        checked.append(matrix)
+        return asymmetry(matrix)
+
+    def chain():
+        assert validate(s) == []
+        assert construct_theta(s.R, s.Z).success
+        assert certify_delay_ph(s, s.theta).verdict == CERTIFIED
+        assert check_necessary(s.R, s.theta, s.Z).all_hold
+        assert certify_interconnection(s, partner, f).verdict == CERTIFIED
+        beta = feedback_gain_bound(plant.R, plant.G)
+        closed = close_delayed_feedback(plant, 0.5 * beta * np.eye(2), s.tau)
+        assert construct_theta(closed.R, closed.Z).success
+        assert certify_ph(lti, plant.H).certified
+
+    asymmetry = linalg.asymmetry
+    monkeypatch.setattr(linalg, "asymmetry", counted)
+    chain()
+    want = [s.H, s.R, s.theta, partner.H, partner.R, partner.theta]
+    assert sorted(map(id, checked)) == sorted(map(id, want))
+    checked.clear()
+    chain()
+    assert checked == []
 
 
 def test_feedback_routines_decompose_r_and_g_once():
@@ -439,6 +477,38 @@ def test_caching_keeps_no_system_alive():
     assert system() is None and matrix() is None and general() is None
 
 
+def test_evidence_keeps_no_frozen_matrix_alive():
+    """A report or certificate whose evidence is unread keeps copies, not
+    the frozen matrices it was decided from: each of them dies on ``del``,
+    and the evidence read afterwards is still there."""
+    lti = StandardLTISystem(A=[[-1.0]], B=[[0.5]], C=[[1.0]])
+    s = scalar()
+    evidence, refs = [], []
+    for make, run in (
+        (lambda: _frozen(np.array([[1.0, 2.0], [2.0, 1.0]])), is_psd),
+        (lambda: scalar().theta, lambda th: certify_delay_ph(s, th)),
+        (lambda: scalar(r=0.1).R, lambda th: certify_delay_ph(s, th)),  # PSD, refutes
+        (lambda: DelayPHSystem(H=[[1.0]], J=[[0.0]], R=[[1.0]], Z=[[0.0]], G=[[1.0]],
+                               tau=1.0, theta=[[-1.0]]).theta,
+         lambda th: certify_delay_ph(s, th)),  # not PSD
+        (lambda: _frozen(np.array([[-2.0]])), lambda h: certify_ph(lti, h)),
+    ):
+        matrix = make()
+        assert _is_frozen(matrix)
+        evidence.append(run(matrix))
+        refs.append(weakref.ref(matrix))
+        del matrix
+    assert [ref() for ref in refs] == [None] * len(refs)
+    psd, certified, refuted, not_psd, storage = evidence
+    assert not psd.is_psd and certified.verdict == CERTIFIED
+    assert refuted.verdict == REFUTED and not_psd.reason == "theta_not_psd"
+    assert storage.certificate.reason == "storage_not_psd"
+    for witness in (psd.witness, refuted.witness, not_psd.witness,
+                    storage.certificate.witness):
+        assert np.linalg.norm(witness) == pytest.approx(1.0)
+    assert not_psd.theta_used.tolist() == [[-1.0]]
+
+
 def test_threads_share_the_memo_safely():
     """More threads than cores cycling a dozen shared systems, and
     freeing a fresh system per pass, whose results must not outlive it."""
@@ -475,4 +545,4 @@ def test_threads_share_the_memo_safely():
     assert all(ref() is None for ref in freed)
     for s in systems:
         assert s._cache == {("validate", DEFAULT_TOL): ()}
-        assert list(vars(s.R.base)) == ["eigh"]
+        assert list(vars(s.R.base)) == ["symmetric", "eigh"]
