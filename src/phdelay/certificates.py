@@ -27,6 +27,8 @@ class Certificate:
     ``min_eigenvalue``, ``reason`` and ``slack`` are set when the
     certificate is made; ``condition_matrix``, ``witness`` and
     ``theta_used`` may be computed when they are first read (``_Lazy``).
+    Each array a certificate of phdelay exposes is its own and writable: it
+    shares no memory with a system matrix.
     """
 
     verdict: str

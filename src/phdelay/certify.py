@@ -44,14 +44,12 @@ from .linalg import (
     _Deferred,
     _psd_report_blocks,
     _require_shape,
-    _set_read_only,
     _symmetric_eigh,
     as_matrix,
     is_psd,
     output_residual,
     require_symmetric,
     spectral_norm,
-    sym_part,
 )
 from .systems import (
     DelayPHSystem,
@@ -119,7 +117,9 @@ def certify_delay_ph(
     was validated with this tolerance is not validated again.  A PSD
     explicit Theta is decided on a copy of the system that carries it, by
     the routine that decides a stored one, so nothing computed for it is
-    stored on ``system``.
+    stored on ``system``.  One that is not PSD refutes with reason
+    "theta_not_psd" and a witness on Theta; its condition matrix is
+    assembled with the verdict.
     """
     violations = validate(system, tol)
     if violations:
@@ -134,14 +134,11 @@ def certify_delay_ph(
     th = _require_shape(require_symmetric(theta, "theta"), system.R.shape, "theta")
     report = _psd_report_blocks([th], tol)[0]
     if not report.is_psd:
-        # validate has checked R for shape and symmetry; the condition
-        # matrix is assembled when read, from copies, so the certificate
-        # keeps no system's matrix, and the witness reads Theta, so the
-        # certificate's Theta is read-only
+        # the pending witness reads th or a copy of it, so the certificate
+        # gets a copy of its own
         th = np.array(th)
-        cond = _Deferred(_assemble_condition, sym_part(system.R), np.array(system.Z), th)
-        return Certificate.from_report(report, cond, "theta_not_psd",
-                                       theta_used=_set_read_only(th))
+        cond = _assemble_condition(require_symmetric(system.R, "R"), system.Z, th)
+        return Certificate.from_report(report, cond, "theta_not_psd", theta_used=th)
     return _certify_stored([replace(system, theta=theta)], tol)
 
 
@@ -155,20 +152,21 @@ def _certify_stored(systems, tol: Tolerance) -> Certificate:
     so that the ``eigvalsh`` of its condition matrix is stored on it; a
     REFUTED witness is the worst system's eigenvector, zero-padded.  Each
     R and Theta has been checked for symmetry and each Theta for PSD, by
-    validate or, for an explicit Theta, by ``certify_delay_ph``; R's check
-    is stored on it, so ``require_symmetric`` does not repeat it.
+    validate or, for an explicit Theta, by ``certify_delay_ph``; each check
+    is stored on its matrix, so ``require_symmetric`` does not repeat it.
 
     The evidence is computed when it is read: the condition matrix, the
-    padded witness and blkdiag(Theta_i) are built from the blocks on their
-    first read, and each Theta block is a fresh symmetric part, so the
-    certificate keeps no system's Theta.
+    padded witness and blkdiag(Theta_i) are built on their first read from
+    the blocks, which this call assembled, so the certificate keeps no
+    system's matrix.  Theta_i is read off the lower-right corner of block i.
     """
-    thetas = [sym_part(s.theta) for s in systems]
-    blocks = [_assemble_condition(require_symmetric(s.R, "R"), s.Z, th)
-              for s, th in zip(systems, thetas)]
+    blocks = [_assemble_condition(require_symmetric(s.R, "R"), s.Z,
+                                  require_symmetric(s.theta, "theta"))
+              for s in systems]
     report, worst = _psd_report_blocks(blocks, tol, systems)
     if not report.is_psd:
         report = replace(report, witness=_Deferred(_padded_witness, report, blocks, worst))
+    thetas = [b[len(b) // 2 :, len(b) // 2 :] for b in blocks]
     return Certificate.from_report(report, _Deferred(_side_by_side, blocks),
                                    "condition_indefinite",
                                    theta_used=_Deferred(_blkdiag, *thetas))

@@ -300,7 +300,7 @@ def _cmd_simulate(args, tol, inputs):
                 "construct it first)"
             )
         traj, record = simulate_delay_ph(
-            system, history, u, args.T, args.h, monitor=args.monitor
+            system, history, u, args.T, args.h, monitor=args.monitor, tol=tol
         )
         if record is None:
             theta = system.theta if system.theta is not None else np.zeros((system.n,) * 2)

@@ -68,7 +68,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import _memo, _require_shape, require_symmetric, spectral_norm
+from .linalg import (
+    DEFAULT_TOL,
+    Tolerance,
+    _memo,
+    _require_shape,
+    require_symmetric,
+    spectral_norm,
+)
 from .systems import (
     DelayPHSystem,
     GeneralDelaySystem,
@@ -488,15 +495,17 @@ def simulate_delay_ph(
     T: float,
     h: float,
     monitor: bool = True,
+    tol: Tolerance = DEFAULT_TOL,
 ):
     """Integrate a delay port-Hamiltonian system and audit its energy.
 
-    Converts to general coordinates, integrates, and (when ``monitor``)
-    checks dissipation against the system's stored theta, which must then
-    be present.  Returns (trajectory, energy_record), the record being
-    None when monitoring is off.
+    The system must validate under ``tol``.  Converts to general
+    coordinates, integrates, and (when ``monitor``) checks dissipation
+    against the system's stored theta, which must then be present.
+    Returns (trajectory, energy_record), the record being None when
+    monitoring is off.
     """
-    violations = validate(system)
+    violations = validate(system, tol)
     if violations:
         raise SystemValidationError(violations)
     if monitor and system.theta is None:

@@ -13,8 +13,12 @@ from phdelay import (
     Certificate,
     GeneralDelaySystem,
     StandardLTISystem,
+    StandardPHSystem,
+    certify_delay_ph,
     certify_interconnection,
     certify_ph,
+    delay_ph_to_general,
+    interconnect,
     is_psd,
 )
 from phdelay.certify import kyp_delay_check
@@ -120,3 +124,51 @@ def test_to_dict_of_unread_evidence_matches_eager_evidence(coupling, verdict):
     eager = eager_pair_certificate(s, partner, f, verdict, cert.min_eigenvalue,
                                    cert.reason, cert.slack)
     assert json.dumps(cert.to_dict()) == json.dumps(eager.to_dict())
+
+
+def system_matrices(*systems):
+    return [getattr(s, field.name) for s in systems for field in dataclasses.fields(s)
+            if isinstance(getattr(s, field.name), np.ndarray)]
+
+
+def test_every_certificate_exposes_its_own_writable_arrays():
+    """Stored, explicit PSD and not-PSD Theta, skew-F parts, a closed loop,
+    certify_ph and kyp_delay_check: each array a certificate exposes is
+    writable and shares no memory with a system matrix."""
+    rng = np.random.default_rng(43)
+    s, partner, f = rand_coupled_pair(rng, 1.0)
+    refuted = dataclasses.replace(s, Z=20.0 * s.Z)
+    other = rand_coupled_pair(rng, 1.0)[0]
+    negated = dataclasses.replace(other, theta=-other.theta)  # never validated
+    closed = interconnect(s, partner, f - 0.25 * np.eye(3))
+    plant = StandardPHSystem(s.H, s.J, s.R, s.G)
+    lti = StandardLTISystem(np.linalg.solve(plant.H, plant.J - plant.R),
+                            np.linalg.solve(plant.H, plant.G), plant.G.T)
+    unstable = StandardLTISystem(-lti.A, lti.B, lti.C)
+    general = delay_ph_to_general(s)
+    certs = {
+        "stored": certify_delay_ph(s),
+        "stored, refuted": certify_delay_ph(refuted),
+        "explicit": certify_delay_ph(s, other.theta),
+        "theta_not_psd": certify_delay_ph(s, negated.theta),
+        "skew-F parts": certify_interconnection(refuted, partner, f),
+        "closed loop": certify_interconnection(s, partner, f - 0.25 * np.eye(3)),
+        "closed loop, stored": certify_delay_ph(closed),
+        "certify_ph": certify_ph(lti, plant.H).certificate,
+        "certify_ph, refuted": certify_ph(unstable, plant.H).certificate,
+        "certify_ph, storage": certify_ph(lti, negated.theta).certificate,
+        "kyp_delay_check": kyp_delay_check(general, s.H, s.theta),
+        "kyp_delay_check, storage": kyp_delay_check(general, negated.theta, s.theta),
+    }
+    assert [c.reason for c in certs.values()] == [
+        "", "condition_indefinite", "", "theta_not_psd", "condition_indefinite", "", "",
+        "", "dissipation_indefinite", "storage_not_psd", "", "storage_not_psd"]
+    matrices = system_matrices(s, partner, refuted, other, negated, closed, plant, lti,
+                               unstable, general)
+    for kind, cert in certs.items():
+        for name in EVIDENCE[Certificate]:
+            array = getattr(cert, name)
+            if array is None:
+                continue
+            assert array.flags.writeable, (kind, name)
+            assert not any(np.shares_memory(array, m) for m in matrices), (kind, name)

@@ -471,6 +471,22 @@ def test_simulate_energy_column_sources(capsys, tmp_path, scalar_file):
     )
 
 
+@pytest.mark.parametrize("monitor", [[], ["--monitor"]])
+def test_simulate_validates_under_psd_tol(capsys, tmp_path, monitor):
+    """A document that validates under --psd-tol simulates under it too."""
+    path = write_doc(tmp_path / "near.json", scalar_doc(theta=-1e-6))
+    out = tmp_path / "traj.csv"
+    argv = ["simulate", path, "--history", "const:0.5", "--T", "1", "--h", "0.1",
+            "--out", str(out), *monitor]
+    code, report = run(capsys, *argv)
+    assert code == 3
+    assert "theta is not positive semidefinite" in report["error"]
+    code, report = run(capsys, *argv, "--psd-tol", "1e-3")
+    assert code == 0
+    assert report["trajectory"]["samples"] == 11
+    assert ("monitor" in report) == bool(monitor)
+
+
 def test_simulate_general_delay(capsys, tmp_path):
     doc = {"kind": "general_delay", "n": 1, "m": 1, "tau": 1.0,
            "A0": [[0.0]], "A1": [[-1.0]], "B": [[0.0]], "C": [[0.0]]}

@@ -18,9 +18,10 @@ def test_demos_found():
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(demo):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    # pyproject's warning filter does not reach the subprocess
+    # as the tier-1 run treats in-process code: dev mode, and every warning
+    # an error (pyproject's warning filter does not reach the subprocess)
     proc = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", str(demo)], cwd=ROOT, env=env,
+        [sys.executable, "-X", "dev", "-W", "error", str(demo)], cwd=ROOT, env=env,
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

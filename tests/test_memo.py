@@ -126,6 +126,30 @@ def test_pipeline_checks_each_matrix_for_symmetry_once(monkeypatch):
     assert checked == []
 
 
+def test_a_warm_chain_forms_no_symmetric_part_of_theta(monkeypatch):
+    """A validated Theta that is its own symmetric part is used as it is:
+    certifying a system and a skew-F interconnection a second time forms
+    no symmetric or skew part of either Theta."""
+    s, partner, f = rand_coupled_pair(np.random.default_rng(41), 1.0)
+    thetas = (s.theta, partner.theta)
+    assert all(linalg.require_symmetric(t) is t for t in thetas)
+    halved = []
+
+    def counted(m, skew=False):
+        halved.append(m)
+        return halves(m, skew)
+
+    def chain():
+        assert certify_delay_ph(s).verdict == CERTIFIED
+        assert certify_interconnection(s, partner, f).verdict == CERTIFIED
+
+    chain()
+    halves = linalg._halves
+    monkeypatch.setattr(linalg, "_halves", counted)
+    chain()
+    assert [m for m in halved if any(np.shares_memory(m, t) for t in thetas)] == []
+
+
 def test_feedback_routines_decompose_r_and_g_once():
     """The kernel hypotheses and then the gain bound on one system's (R, G):
     one eigh of R and one svd of G, both stored on the system's arrays."""
@@ -378,7 +402,7 @@ def test_a_theta_that_is_not_psd_is_decomposed_when_its_witness_is_read():
     cond = ph_condition_matrix(s.R, s.Z, theta)
     assert read_twice(cert, "condition_matrix").tobytes() == cond.tobytes()
     assert read_twice(cert, "theta_used").tobytes() == theta.tobytes()
-    assert not cert.theta_used.flags.writeable
+    assert cert.theta_used.flags.writeable
 
 
 def test_is_psd_decomposes_a_not_psd_matrix_when_its_witness_is_read():

@@ -11,6 +11,7 @@ from phdelay import (
     GeneralDelaySystem,
     HistoryFunction,
     SystemValidationError,
+    Tolerance,
     export_trajectory_csv,
     hamiltonian_series,
     integrate_dde,
@@ -602,6 +603,19 @@ def test_simulate_validates_system():
     with pytest.raises(SystemValidationError):
         simulate_delay_ph(bad, HistoryFunction.constant([0.5], 1.0),
                           None, T=1.0, h=0.1)
+
+
+@pytest.mark.parametrize("monitor", [True, False])
+def test_simulate_validates_under_the_given_tolerance(monitor):
+    """Theta = -1e-6 is PSD within psd_tol = 1e-3, not within the default."""
+    near = certified_scalar(theta=-1e-6)
+    hist = HistoryFunction.constant([0.5], 1.0)
+    with pytest.raises(SystemValidationError, match="theta is not positive semidefinite"):
+        simulate_delay_ph(near, hist, None, T=1.0, h=0.1, monitor=monitor)
+    traj, record = simulate_delay_ph(near, hist, None, T=1.0, h=0.1,
+                                     monitor=monitor, tol=Tolerance(psd_tol=1e-3))
+    assert traj.times[-1] == pytest.approx(1.0)
+    assert (record is None) == (not monitor)
 
 
 def test_simulate_monitor_matches_manual_call():
