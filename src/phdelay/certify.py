@@ -51,12 +51,7 @@ from .linalg import (
     require_symmetric,
     spectral_norm,
 )
-from .systems import (
-    DelayPHSystem,
-    GeneralDelaySystem,
-    SystemValidationError,
-    validate,
-)
+from .systems import DelayPHSystem, GeneralDelaySystem, _require_valid
 
 __all__ = [
     "AlphaInterval",
@@ -121,9 +116,7 @@ def certify_delay_ph(
     "theta_not_psd" and a witness on Theta; its condition matrix is
     assembled with the verdict.
     """
-    violations = validate(system, tol)
-    if violations:
-        raise SystemValidationError(violations)
+    _require_valid(system, tol)
     if theta is None or theta is system.theta:
         if system.theta is None:
             raise ValueError(

@@ -202,14 +202,13 @@ def _cmd_feedback(args, tol, inputs):
     f = _read_matrix(args.feedback_matrix, "F", inputs)
     closed = close_delayed_feedback(system, f, args.tau)
     conditions, beta = _feedback_conditions_and_bound(system.R, system.G, tol)
-    payload = {"feedback_conditions": asdict(conditions)}
-    if beta is not None:
-        payload["gain_bound"] = None if math.isinf(beta) else beta
-        payload["gain_unbounded"] = math.isinf(beta)
-    else:
-        payload["gain_bound"] = None
-        payload["gain_unbounded"] = False
-        payload["gain_bound_reason"] = "kernel hypotheses violated"
+    unbounded = beta == math.inf  # beta is None when the kernel hypotheses fail
+    payload = {
+        "feedback_conditions": asdict(conditions),
+        "gain_bound": None if beta is None or unbounded else beta,
+        "gain_unbounded": unbounded,
+        **({"gain_bound_reason": "kernel hypotheses violated"} if beta is None else {}),
+    }
     code = 0
     if args.certify:
         theta = _constructed_theta(closed, tol, payload)

@@ -80,9 +80,8 @@ from .systems import (
     DelayPHSystem,
     GeneralDelaySystem,
     HistoryFunction,
-    SystemValidationError,
+    _require_valid,
     delay_ph_to_general,
-    validate,
 )
 
 __all__ = [
@@ -410,9 +409,10 @@ def integrate_dde(
                           out=new.reshape(-1))
                 new += block[0]
             # one dot product clears a block whose squared norm sum is in
-            # range; any other block has its steps' norms taken one by one
+            # range; any other has each step's norm taken by hypot, which
+            # does not overflow where the squares do
             if not np.vdot(new, new) <= BLOWUP_NORM**2:
-                norms = np.linalg.norm(new, axis=1)
+                norms = np.hypot.reduce(new, axis=1)
                 bad = ~(norms <= BLOWUP_NORM)
                 if bad.any():
                     j = int(np.argmax(bad))
@@ -505,9 +505,7 @@ def simulate_delay_ph(
     Returns (trajectory, energy_record), the record being None when
     monitoring is off.
     """
-    violations = validate(system, tol)
-    if violations:
-        raise SystemValidationError(violations)
+    _require_valid(system, tol)
     if monitor and system.theta is None:
         raise ValueError(
             "monitoring requires a theta on the system; store one or pass "

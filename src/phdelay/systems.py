@@ -45,7 +45,6 @@ from .linalg import (
     _psd_report_blocks,
     _relative_norm,
     as_matrix,
-    asymmetry,
     output_residual,
     require_symmetric,
     skew_part,
@@ -328,14 +327,23 @@ def _violations(system, tol: Tolerance) -> list[str]:
     return v
 
 
+def _require_valid(system, tol: Tolerance):
+    """``system``, once ``validate`` finds no violation under ``tol``;
+    SystemValidationError carrying the violations otherwise."""
+    violations = validate(system, tol)
+    if violations:
+        raise SystemValidationError(violations)
+    return system
+
+
 def _symmetric(violations, name, mat):
     """The symmetric part of square ``mat`` by ``require_symmetric``, so a
-    system matrix is checked once; None, with the violation recorded, when
+    system matrix is checked once; None, with its message recorded, when
     ``mat`` is not symmetric within ``SYMMETRY_RTOL``."""
     try:
         return require_symmetric(mat, name)
-    except ValueError:
-        violations.append(f"{name} is not symmetric (relative asymmetry {asymmetry(mat):.3e})")
+    except ValueError as exc:
+        violations.append(str(exc))
         return None
 
 
@@ -445,18 +453,21 @@ def _matrix_rows(key, value, n_rows=None, n_cols=None):
     if bad:
         raise SystemFormatError(f'"{key}" has non-numeric entries: {bad[0]!r}')
     try:
-        arr = np.array(value, dtype=float) if value else np.zeros((0, n_cols or 0))
+        arr = np.array(value, dtype=float)
     except ValueError:
         raise SystemFormatError(f'"{key}" rows have inconsistent lengths') from None
     except OverflowError:
         raise SystemFormatError(f'"{key}" contains non-finite entries') from None
     if not np.all(np.isfinite(arr)):
         raise SystemFormatError(f'"{key}" contains non-finite entries')
-    if n_rows is not None and arr.shape != (n_rows, n_cols):
+    # [] has the expected column count; its array is built once that shape
+    # is known to be expected, as numpy cannot hold some (0, k) arrays
+    shape = arr.shape if value else (0, n_cols or 0)
+    if n_rows is not None and shape != (n_rows, n_cols):
         raise SystemFormatError(
-            f'"{key}" has shape {arr.shape}, expected ({n_rows}, {n_cols})'
+            f'"{key}" has shape {shape}, expected ({n_rows}, {n_cols})'
         )
-    return arr
+    return arr if value else np.zeros(shape)
 
 
 def _parse_document(doc: dict):
@@ -475,11 +486,11 @@ def _parse_document(doc: dict):
     missing = expected - {"theta"} - set(doc)
     if missing:
         raise SystemFormatError(f"missing keys: {sorted(missing)}")
+    for key in ("n", "m"):
+        value = doc[key]
+        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+            raise SystemFormatError(f'"{key}" must be a nonnegative integer, got {value!r}')
     n, m = doc["n"], doc["m"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise SystemFormatError(f'"n" must be a nonnegative integer, got {n!r}')
-    if not isinstance(m, int) or isinstance(m, bool) or m < 0:
-        raise SystemFormatError(f'"m" must be a nonnegative integer, got {m!r}')
 
     kwargs = {key: _matrix_rows(key, doc[key], *_shape(key, n, m)) for key in names}
     if "tau" in expected:
@@ -516,11 +527,7 @@ def read_system(source, tol: Tolerance = DEFAULT_TOL, validated: bool = True):
 def _system_from_text(text: str, tol: Tolerance, validated: bool = True):
     """``read_system`` once the JSON text is in hand."""
     system = _parse_document(_load_json(text))
-    if validated:
-        violations = validate(system, tol)
-        if violations:
-            raise SystemValidationError(violations)
-    return system
+    return _require_valid(system, tol) if validated else system
 
 
 def _document(system) -> dict:

@@ -14,8 +14,10 @@ comparisons with them draw no eigenvalue in that band.
 import contextlib
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
+from hypothesis import strategies as st
 
 from phdelay import Certificate, DelayPHSystem, interconnect, ph_condition_matrix
 from phdelay.composition import FeedbackConditions
@@ -144,6 +146,74 @@ def dense_psd_oracle(m, tol=DEFAULT_TOL):
     slack = tol.psd_slack(scale)
     lam = float(evals[0])
     return ("PSD" if lam >= -slack else "NOT_PSD"), lam, scale, slack
+
+
+def _rational(matrix):
+    """The entries of a float matrix, or of a list of rows, as Fractions."""
+    return [[Fraction(x) for x in row] for row in np.asarray(matrix, dtype=object)]
+
+
+def exact_psd(matrix) -> bool:
+    """Whether the symmetric part of a float matrix is PSD, exactly.
+
+    Symmetric LDL^T over ``fractions.Fraction`` with diagonal pivoting: a
+    negative diagonal entry refutes; a zero diagonal is PSD only as the
+    zero matrix; otherwise the largest diagonal entry is eliminated and
+    its Schur complement decides.  Meant for order k <= 6.
+    """
+    a = _rational(matrix)
+    a = [[(a[i][j] + a[j][i]) / 2 for j in range(len(a))] for i in range(len(a))]
+    while a:
+        diag = [row[i] for i, row in enumerate(a)]
+        p = max(range(len(a)), key=diag.__getitem__)
+        if min(diag) < 0:
+            return False
+        if diag[p] == 0:  # a PSD matrix with a zero diagonal is zero
+            return not any(x for row in a for x in row)
+        rest = [i for i in range(len(a)) if i != p]
+        a = [[a[i][j] - a[i][p] * a[p][j] / a[p][p] for j in rest] for i in rest]
+    return True
+
+
+def exact_quadratic_form(w, matrix) -> Fraction:
+    """w^T M w in rational arithmetic, from the floats of w and M."""
+    m = _rational(matrix)
+    w = [Fraction(x) for x in np.ravel(w)]
+    return sum(w[i] * m[i][j] * w[j] for i in range(len(w)) for j in range(len(w)))
+
+
+def exact_condition_matrix(R, Z, theta):
+    """[[R - Theta, Z/2], [Z^T/2, Theta]] over Fractions, from the floats."""
+    r, z, th = _rational(R), _rational(Z), _rational(theta)
+    n = len(r)
+    return ([[r[i][j] - th[i][j] for j in range(n)] + [z[i][j] / 2 for j in range(n)]
+             for i in range(n)]
+            + [[z[j][i] / 2 for j in range(n)] + th[i] for i in range(n)])
+
+
+def integer_rows(k, min_rows, max_rows):
+    """A float array of min_rows to max_rows rows of k integers in [-4, 4]."""
+    row = st.lists(st.integers(-4, 4), min_size=k, max_size=k)
+    return st.lists(row, min_size=min_rows, max_size=max_rows).map(
+        lambda rows: np.array(rows, dtype=float).reshape(-1, k))
+
+
+@st.composite
+def integer_symmetric(draw, k):
+    """A k x k integer symmetric matrix, or B^T B for an integer B of 1 to
+    k rows (PSD, often singular), as floats."""
+    if draw(st.booleans()):
+        b = draw(integer_rows(k, 1, k))
+        return b.T @ b
+    a = draw(integer_rows(k, k, k))
+    return np.triu(a) + np.triu(a, 1).T
+
+
+@st.composite
+def power_of_two_diagonal(draw, k):
+    """The diagonal of D = diag(2^e) with each e in [-40, 40]: D M D is
+    exact in floats, and PSD exactly when M is."""
+    return 2.0 ** np.array(draw(st.lists(st.integers(-40, 40), min_size=k, max_size=k)))
 
 
 def kernel_basis_svd(matrix, tol=DEFAULT_TOL):

@@ -24,7 +24,18 @@ from phdelay import (
     scalar_theta_interval,
 )
 from phdelay.certify import kyp_delay_check
-from helpers import check_necessary_svd, rand_certified_delay_ph, rand_orth, rand_spd
+from helpers import (
+    check_necessary_svd,
+    exact_condition_matrix,
+    exact_psd,
+    exact_quadratic_form,
+    integer_rows,
+    integer_symmetric,
+    power_of_two_diagonal,
+    rand_certified_delay_ph,
+    rand_orth,
+    rand_spd,
+)
 
 SQ3 = math.sqrt(3.0)
 
@@ -673,3 +684,55 @@ def test_grid_oracle_agrees_with_construction():
         found, theta = exists_certifying_theta_grid(r, z)
         assert found
         assert is_psd(ph_condition_matrix(r, z, theta)).is_psd
+
+
+# ---------------------------------------------------------------------------
+# exact soundness of PSD verdicts: integer-valued instances, congruently
+# scaled by powers of two, decided in rational arithmetic
+
+
+@st.composite
+def scaled_integer_symmetric(draw, max_order=6):
+    k = draw(st.integers(1, max_order))
+    d = draw(power_of_two_diagonal(k))
+    return d[:, None] * draw(integer_symmetric(k)) * d
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(scaled_integer_symmetric())
+def test_is_psd_is_exactly_sound(m):
+    """is_psd never refutes an exactly PSD matrix, and each NOT_PSD
+    witness w has w^T M w < 0 in rational arithmetic."""
+    report = is_psd(m)
+    if not report.is_psd:
+        assert not exact_psd(m)
+        assert exact_quadratic_form(report.witness, m) < 0
+
+
+@st.composite
+def integer_delay_ph(draw):
+    """(system, Theta) with integer R, Z and Theta of order n <= 3, each
+    scaled by one D = diag(2^e), so the condition matrix is a congruence
+    of the unscaled one; H = I, J = 0."""
+    n = draw(st.integers(1, 3))
+    d = draw(power_of_two_diagonal(n))
+    dd = d[:, None] * d
+    r, theta = dd * draw(integer_symmetric(n)), dd * draw(integer_symmetric(n))
+    z = dd * draw(integer_rows(n, n, n))
+    system = DelayPHSystem(H=np.eye(n), J=np.zeros((n, n)), R=r, Z=z,
+                           G=np.ones((n, 1)), tau=1.0)
+    return system, theta
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(integer_delay_ph())
+def test_every_refutation_witness_is_exact(case):
+    """A REFUTED certificate's witness w has w^T M w < 0 in rational
+    arithmetic, M assembled from the system's floats: Theta itself for
+    "theta_not_psd", the condition matrix otherwise."""
+    system, theta = case
+    cert = certify_delay_ph(system, theta)
+    if cert.verdict == REFUTED:
+        m = (theta if cert.reason == "theta_not_psd"
+             else exact_condition_matrix(system.R, system.Z, theta))
+        assert exact_quadratic_form(cert.witness, m) < 0

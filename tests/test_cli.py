@@ -302,7 +302,6 @@ def test_interconnect_certify_builds_the_loop_once(capsys, monkeypatch, tmp_path
                          ids=["skew", "dissipative"])
 def test_interconnect_certify_validates_each_part_once(capsys, monkeypatch,
                                                        tmp_path, f):
-    import phdelay.certify
     import phdelay.cli
     import phdelay.composition
     import phdelay.systems
@@ -314,7 +313,7 @@ def test_interconnect_certify_validates_each_part_once(capsys, monkeypatch,
         validations.append(1)
         return check(*args)
 
-    for module in (phdelay.systems, phdelay.certify, phdelay.composition, phdelay.cli):
+    for module in (phdelay.systems, phdelay.composition, phdelay.cli):
         monkeypatch.setattr(module, "validate", counted_validate)
     s1 = write_doc(tmp_path / "s1.json", scalar_doc(theta=1.0))
     s2 = write_doc(tmp_path / "s2.json", scalar_doc(theta=1.0))
@@ -749,6 +748,16 @@ def test_malformed_document_is_input_error(capsys, tmp_path):
     code, report = run(capsys, "certify", str(path))
     assert code == 3
     assert "error" in report
+
+
+def test_an_empty_matrix_of_a_huge_document_is_a_shape_error(capsys, tmp_path):
+    """numpy cannot hold the (0, 2**62) array that [] stands for here; the
+    error names the shape mismatch, not the row lengths."""
+    doc = {"kind": "delay_ph", "n": 2**62, "m": 1, "tau": 1.0,
+           **dict.fromkeys(("H", "J", "R", "Z", "G"), [])}
+    code, report = run(capsys, "certify", write_doc(tmp_path / "huge.json", doc))
+    assert code == 3
+    assert report["error"].startswith('"H" has shape')
 
 
 def test_non_finite_tau_is_input_error(capsys, tmp_path):

@@ -26,3 +26,20 @@ def test_demo_runs(demo):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+def test_readme_quick_start_certifies():
+    """The README's quick start runs as printed and prints what its comment
+    promises: CERTIFIED and a min eigenvalue of 0.5."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-c", code], cwd=ROOT, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    verdict, min_eigenvalue = proc.stdout.splitlines()[0].split()
+    assert verdict == "CERTIFIED"
+    assert float(min_eigenvalue) == pytest.approx(0.5, abs=1e-12)

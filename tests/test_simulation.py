@@ -379,6 +379,20 @@ def test_overflowing_step_map_aborts_without_a_warning():
     assert info.value.step_index == 1
 
 
+def test_blow_up_reports_the_norm_of_a_state_beyond_the_square_range():
+    """A state near 6.25e158 has a finite norm even though its square
+    overflows; by linearity it is 1e160 times the state from history 1."""
+    sys1 = delay_ph_to_general(DelayPHSystem(H=[[1.0]], J=[[0.0]], R=[[2.0]],
+                                             Z=[[1.0]], G=[[1.0]], tau=1.0))
+    unit = integrate_dde(sys1, HistoryFunction.constant([1.0], 1.0), None, 0.5, 0.5)
+    with pytest.raises(BlowUpError) as info:
+        integrate_dde(sys1, HistoryFunction.constant([1e160], 1.0), None, 2.0, 0.5)
+    err = info.value
+    assert err.step_index == 1
+    assert err.norm == pytest.approx(1e160 * abs(unit.states[0, 1]), rel=1e-14)
+    assert "inf" not in str(err)
+
+
 def test_input_forms_agree():
     sys1 = GeneralDelaySystem(A0=[[-1.0]], A1=[[-0.2]], B=[[1.0]], C=[[1.0]],
                               tau=1.0)

@@ -18,6 +18,7 @@ from phdelay import (
     validate,
     write_system,
 )
+from phdelay.linalg import require_symmetric
 from phdelay.systems import OutputMismatchError, general_to_delay_ph
 from helpers import rand_certified_delay_ph
 
@@ -176,6 +177,18 @@ def test_validate_names_an_asymmetric_theta_once():
     msgs = validate(sys1)
     assert len(msgs) == 1
     assert msgs[0].startswith("theta is not symmetric (relative asymmetry ")
+
+
+def test_validate_words_a_symmetry_fault_as_require_symmetric_does():
+    """One message for one fault: validate records require_symmetric's,
+    bound included."""
+    r = [[1.0, 1.0], [0.0, 1.0]]
+    sys1 = DelayPHSystem(H=np.eye(2), J=np.zeros((2, 2)), R=r,
+                         Z=np.zeros((2, 2)), G=np.ones((2, 1)), tau=1.0)
+    with pytest.raises(ValueError) as info:
+        require_symmetric(np.array(r), "R")
+    assert validate(sys1) == [str(info.value)]
+    assert str(info.value) == "R is not symmetric (relative asymmetry 8.165e-01 > 1e-12)"
 
 
 def test_validate_flags_shape_mismatch():
