@@ -19,13 +19,13 @@ INCONCLUSIVE = "INCONCLUSIVE"
 class Certificate:
     """Verdict plus the evidence that produced it.
 
-    For a CERTIFIED verdict ``min_eigenvalue`` is the smallest eigenvalue of
-    the tested condition matrix (>= -slack) and ``witness`` is None; for
-    REFUTED the ``witness`` vector exhibits a negative quadratic form on
-    ``condition_matrix`` (or on the matrix named by ``reason``).  Only a
-    refutation by an output mismatch carries no witness.  The verdict,
-    ``min_eigenvalue``, ``reason`` and ``slack`` are set when the
-    certificate is made; ``condition_matrix``, ``witness`` and
+    ``condition_matrix`` is the matrix the verdict tested.  For CERTIFIED
+    ``min_eigenvalue`` is its least eigenvalue (>= -slack) and ``witness``
+    is None; for REFUTED the ``witness`` is a unit w with w^T M w < 0 on
+    M = ``condition_matrix``, or on the H, Theta or Q11 that ``reason``
+    names.  Only a refutation by an output mismatch carries no witness.
+    The verdict, ``min_eigenvalue``, ``reason`` and ``slack`` are set when
+    the certificate is made; ``condition_matrix``, ``witness`` and
     ``theta_used`` may be computed when they are first read (``_Lazy``).
     Each array a certificate of phdelay exposes is its own and writable: it
     shares no memory with a system matrix.

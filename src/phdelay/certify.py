@@ -125,7 +125,7 @@ def certify_delay_ph(
             )
         return _certify_stored([system], tol)
     th = _require_shape(require_symmetric(theta, "theta"), system.R.shape, "theta")
-    report = _psd_report_blocks([th], tol)[0]
+    report = _psd_report_blocks([th], tol)
     if not report.is_psd:
         # the pending witness reads th or a copy of it, so the certificate
         # gets a copy of its own
@@ -139,56 +139,43 @@ def _certify_stored(systems, tol: Tolerance) -> Certificate:
     """Decide (*) for validated systems with their stored Theta, side by side.
 
     Ordered (x1, ..., xk, x1(t - tau), ..., xk(t - tau)), the condition
-    matrix of blkdiag(R_i), blkdiag(Z_i) and blkdiag(Theta_i) holds system
-    i's condition matrix on that system's rows and columns and zeros
-    elsewhere.  So each system is decided on its own, keyed on that system
-    so that the ``eigvalsh`` of its condition matrix is stored on it; a
-    REFUTED witness is the worst system's eigenvector, zero-padded.  Each
-    R and Theta has been checked for symmetry and each Theta for PSD, by
-    validate or, for an explicit Theta, by ``certify_delay_ph``; each check
-    is stored on its matrix, so ``require_symmetric`` does not repeat it.
+    matrix of blkdiag(R_i), blkdiag(Z_i) and blkdiag(Theta_i) is
+    blkdiag(M_1, ..., M_k), M_i system i's condition matrix, with rows and
+    columns permuted by one index array (``_in_order``).  So each system is
+    decided on its own, keyed on that system so that the ``eigvalsh`` of
+    M_i is stored on it, and that array puts the condition matrix and the
+    padded witness in that order.  Each R and Theta has been checked for
+    symmetry and each Theta for PSD, by validate or, for an explicit Theta,
+    by ``certify_delay_ph``; each check is stored on its matrix, so
+    ``require_symmetric`` does not repeat it.
 
     The evidence is computed when it is read: the condition matrix, the
-    padded witness and blkdiag(Theta_i) are built on their first read from
-    the blocks, which this call assembled, so the certificate keeps no
-    system's matrix.  Theta_i is read off the lower-right corner of block i.
+    witness and blkdiag(Theta_i) are built on their first read from the
+    blocks, which this call assembled, so the certificate keeps no system's
+    matrix.  Theta_i is read off the lower-right corner of block i.
     """
     blocks = [_assemble_condition(require_symmetric(s.R, "R"), s.Z,
                                   require_symmetric(s.theta, "theta"))
               for s in systems]
-    report, worst = _psd_report_blocks(blocks, tol, systems)
+    report = _psd_report_blocks(blocks, tol, systems)
     if not report.is_psd:
-        report = replace(report, witness=_Deferred(_padded_witness, report, blocks, worst))
+        report = replace(report, witness=_Deferred(_in_order, blocks, vars(report)["witness"]))
     thetas = [b[len(b) // 2 :, len(b) // 2 :] for b in blocks]
-    return Certificate.from_report(report, _Deferred(_side_by_side, blocks),
+    return Certificate.from_report(report, _Deferred(_in_order, blocks, _blkdiag, *blocks),
                                    "condition_indefinite",
                                    theta_used=_Deferred(_blkdiag, *thetas))
 
 
-def _side_by_side(blocks) -> np.ndarray:
-    """The condition matrix of systems whose condition matrices are
-    ``blocks``, in the order of ``_certify_stored``."""
-    # cond[a * n + i, b * n + j] is cond4[a, i, b, j], so a system's block
-    # goes into its rows and columns by one copy into a view
-    n = sum(b.shape[0] for b in blocks) // 2
-    cond4 = np.zeros((2, n, 2, n))
-    o = 0
-    for block in blocks:
-        k = block.shape[0] // 2
-        cond4[:, o : o + k, :, o : o + k] = block.reshape(2, k, 2, k)
-        o += k
-    return cond4.reshape(2 * n, 2 * n)
-
-
-def _padded_witness(report, blocks, worst) -> np.ndarray:
-    """The witness of ``report`` on ``blocks[worst]``, zero on the other
-    systems' coordinates, in the order of ``_certify_stored``."""
-    n = sum(b.shape[0] for b in blocks) // 2
-    o = sum(b.shape[0] for b in blocks[:worst]) // 2
-    k = blocks[worst].shape[0] // 2
-    witness = np.zeros((2, n))
-    witness[:, o : o + k] = report.witness.reshape(2, k)
-    return witness.reshape(-1)
+def _in_order(blocks, compute, *args) -> np.ndarray:
+    """``compute(*args)``, a vector or a square matrix on blkdiag(*blocks),
+    each axis put in the order of ``_certify_stored``."""
+    # row i in that order is row order[i] of blkdiag(*blocks), whose block
+    # k holds x_k, then x_k(t - tau)
+    offsets = np.cumsum([0] + [len(b) for b in blocks])
+    order = np.hstack([np.arange(o, o + len(b)).reshape(2, -1)
+                       for o, b in zip(offsets, blocks)]).ravel()
+    out = compute(*args)
+    return out[np.ix_(*[order] * out.ndim)]
 
 
 @dataclass(frozen=True)
@@ -374,7 +361,7 @@ def kyp_delay_check(
     block[:n, n:] = -q11 @ system.A1
     block[n:, :n] = block[:n, n:].T
     block[n:, n:] = q22
-    storage = _psd_report_blocks([q11], tol)[0]
+    storage = _psd_report_blocks([q11], tol)
     if not storage.is_psd:
         return Certificate.from_report(storage, block, "storage_not_psd")
     residual, out_ok = output_residual(system.C, system.B, q11, tol)

@@ -12,8 +12,10 @@ range above; every kernel and whitening is read off that split.  Ranks and
 reports evidence (least eigenvalue, witness, slack granted) runs in
 ``_psd_report_blocks``: it computes the spectra itself and decides from
 eigenvalues alone, and a block-diagonal matrix whose blocks the caller
-knows one block at a time.  A NOT_PSD witness eigenvector is evidence, not
-part of the verdict: it is computed when it is first read (``_Lazy``).
+knows one block at a time.  Its report is evidence on the matrix it
+tested: a NOT_PSD witness is a unit vector w on all of blkdiag(blocks),
+zero off the worst block, with w^T M w = min_eigenvalue.  It is not part
+of the verdict: it is computed when it is first read (``_Lazy``).
 
 A decomposition of an immutable input (a ``_frozen`` array, as every
 system matrix is, or a system) is stored on that input by ``_memo``, so a
@@ -127,10 +129,10 @@ class _Lazy:
 class PsdReport:
     """Outcome of a semidefiniteness test.
 
-    ``witness`` is None for PSD; for NOT_PSD it is a unit eigenvector for
-    ``min_eigenvalue``, which exhibits a negative quadratic form, computed
-    when it is first read.  ``slack`` records the absolute eigenvalue slack
-    that was granted.
+    ``witness`` is None for PSD; for NOT_PSD it is a unit eigenvector of
+    the tested matrix for ``min_eigenvalue``, which exhibits a negative
+    quadratic form, computed when it is first read.  ``slack`` records the
+    absolute eigenvalue slack that was granted.
     """
 
     verdict: str  # "PSD" | "NOT_PSD"
@@ -339,10 +341,10 @@ def is_psd(matrix, tol: Tolerance = DEFAULT_TOL) -> PsdReport:
     The input must be symmetric within 1e-12 relative asymmetry; it is
     symmetrized before the decomposition.
     """
-    return _psd_report_blocks([require_symmetric(matrix)], tol)[0]
+    return _psd_report_blocks([require_symmetric(matrix)], tol)
 
 
-def _psd_report_blocks(blocks, tol: Tolerance = DEFAULT_TOL, keys=()):
+def _psd_report_blocks(blocks, tol: Tolerance = DEFAULT_TOL, keys=()) -> PsdReport:
     """PSD test of blkdiag(*blocks), one symmetric float block at a time.
 
     Every ``PsdReport`` of phdelay is made here.  The spectrum of a
@@ -351,13 +353,12 @@ def _psd_report_blocks(blocks, tol: Tolerance = DEFAULT_TOL, keys=()):
     |eigenvalue| over all blocks.  ``keys[k]``, when given, is what block k
     is computed from (a ``_frozen`` matrix that it symmetrizes, or a system
     whose condition matrix it is); the block's ascending ``eigvalsh`` is
-    stored on it through ``_memo``.  Returns ``(report, worst)``: ``worst``
-    indexes the block with the least eigenvalue (None when every block is
-    empty), and a NOT_PSD witness is that block's unit eigenvector, not
-    padded.  It is computed from the block when it is first read, so a
-    caller does not write to a block once it has been tested; a
-    ``_frozen`` block, such as a system matrix that is its own symmetric
-    part, is copied for it, so that the report keeps no system matrix.
+    stored on it through ``_memo``.  A NOT_PSD witness is the unit
+    eigenvector of the worst block, zero-padded to all of blkdiag(*blocks).
+    It is computed from the block when it is first read, so a caller does
+    not write to a block once it has been tested; a ``_frozen`` block, such
+    as a system matrix that is its own symmetric part, is copied for it, so
+    that the report keeps no system matrix.
     """
     lam, scale, worst = math.inf, 0.0, None
     for k, (block, key) in enumerate(zip_longest(blocks, keys)):
@@ -369,19 +370,28 @@ def _psd_report_blocks(blocks, tol: Tolerance = DEFAULT_TOL, keys=()):
             lam, worst = float(evals[0]), k
     slack = tol.psd_slack(scale)
     if worst is None:
-        return PsdReport("PSD", 0.0, None, slack), None
+        return PsdReport("PSD", 0.0, None, slack)
     if lam >= -slack:
-        return PsdReport("PSD", lam, None, slack), worst
+        return PsdReport("PSD", lam, None, slack)
     block = blocks[worst]
     if _is_frozen(block):  # the pending witness keeps no system matrix alive
         block = block.copy()
-    return PsdReport("NOT_PSD", lam, _Deferred(_least_eigenvector, block), slack), worst
+    pad = (sum(map(len, blocks[:worst])), sum(map(len, blocks[worst + 1 :])))
+    return PsdReport("NOT_PSD", lam, _Deferred(_least_eigenvector, block, pad), slack)
 
 
-def _least_eigenvector(m: np.ndarray) -> np.ndarray:
-    """A unit eigenvector of symmetric M for its least eigenvalue."""
-    # a copy, so that a kept witness does not keep all of M's eigenvectors
-    return np.linalg.eigh(m)[1][:, 0].copy()
+def _positive_definite(block: np.ndarray, tol: Tolerance, key) -> tuple[bool, float]:
+    """Whether symmetric ``block``'s least eigenvalue exceeds the PSD slack
+    (it is positive definite), and that eigenvalue; its spectrum is stored
+    on ``key`` as in ``_psd_report_blocks``."""
+    report = _psd_report_blocks([block], tol, [key])
+    return report.min_eigenvalue > report.slack, report.min_eigenvalue
+
+
+def _least_eigenvector(m: np.ndarray, pad: tuple) -> np.ndarray:
+    """A unit eigenvector of symmetric M for its least eigenvalue, with
+    ``pad`` zeros before and after: a fresh vector, keeping no other."""
+    return np.pad(np.linalg.eigh(m)[1][:, 0], pad)
 
 
 def _contained(basis: np.ndarray, m: np.ndarray, norm: float, tol: Tolerance) -> bool:

@@ -109,26 +109,26 @@ def certify_ph(
     H must be n x n and symmetric (ValueError otherwise).  Certifies when
     H is PSD, sym(Sigma) is negative semidefinite AND the structural
     condition H B = C^T holds within rank_tol * ||C||; on success the
-    returned decomposition carries J, R, G.  An H that is not PSD refutes
-    with reason "storage_not_psd" and a witness on H; a failed structural
-    condition refutes with reason "output_mismatch"; an indefinite
-    symmetric part refutes with reason "dissipation_indefinite" and a
-    witness direction.  The spectrum of sym(H) is stored on H when H is
-    immutable, such as a system's matrix.
+    returned decomposition carries J, R, G.  The certificate's condition
+    matrix is -sym(Sigma), which the dissipation test decides: one that is
+    not PSD refutes with reason "dissipation_indefinite" and a witness on
+    it.  An H that is not PSD refutes with reason "storage_not_psd" and a
+    witness on H; a failed structural condition with "output_mismatch".
+    The spectrum of sym(H) is stored on H when H is immutable.
     """
     h = as_matrix(H, "H")
     sigma = weighted_system_matrix(system, h)
-    storage = _psd_report_blocks([require_symmetric(h, "H")], tol, [H])[0]
+    dissipation = -sym_part(sigma)  # exactly symmetric: no check needed
+    storage = _psd_report_blocks([require_symmetric(h, "H")], tol, [H])
     if not storage.is_psd:
         return StandardPHCertificate(
-            Certificate.from_report(storage, sigma, "storage_not_psd"))
+            Certificate.from_report(storage, dissipation, "storage_not_psd"))
     n = system.n
     # ||C - B^T H^T|| = ||H B - C^T||, the structural condition as stated
     residual, out_ok = output_residual(system.C, system.B, h.T, tol)
-    dissipation = -sym_part(sigma)  # exactly symmetric: no check needed
     cert = Certificate.from_report(
-        _psd_report_blocks([dissipation], tol)[0],
-        sigma,
+        _psd_report_blocks([dissipation], tol),
+        dissipation,
         "dissipation_indefinite",
         mismatch="" if out_ok else f"output_mismatch: ||H B - C^T|| = {residual:.3e}",
     )

@@ -42,6 +42,7 @@ from .linalg import (
     Tolerance,
     _frozen,
     _memo,
+    _positive_definite,
     _psd_report_blocks,
     _relative_norm,
     as_matrix,
@@ -351,11 +352,9 @@ def _check_energy_matrices(violations, h, j, tol):
     sym = _symmetric(violations, "H", h)
     if sym is not None and h.size:  # an empty H is positive definite
         # keyed on H, so certify_ph(..., system.H) reuses the spectrum
-        report = _psd_report_blocks([sym], tol, [h])[0]
-        if report.min_eigenvalue <= report.slack:
-            violations.append(
-                f"H is not positive definite (min eigenvalue {report.min_eigenvalue:.6g})"
-            )
+        definite, lam = _positive_definite(sym, tol, h)
+        if not definite:
+            violations.append(f"H is not positive definite (min eigenvalue {lam:.6g})")
     dev = 2.0 * _relative_norm(sym_part(j), j)
     if dev > SYMMETRY_RTOL:
         violations.append(f"J is not antisymmetric (relative deviation {dev:.3e})")
@@ -365,7 +364,7 @@ def _check_psd_field(violations, name, mat, tol):
     sym = _symmetric(violations, name, mat)
     if sym is None:
         return
-    report = _psd_report_blocks([sym], tol)[0]
+    report = _psd_report_blocks([sym], tol)
     if not report.is_psd:
         violations.append(
             f"{name} is not positive semidefinite (min eigenvalue "
@@ -467,7 +466,10 @@ def _matrix_rows(key, value, n_rows=None, n_cols=None):
         raise SystemFormatError(
             f'"{key}" has shape {shape}, expected ({n_rows}, {n_cols})'
         )
-    return arr if value else np.zeros(shape)
+    try:
+        return arr if value else np.zeros(shape)
+    except ValueError:
+        raise SystemFormatError(f'"{key}" has shape {shape}, too large to hold') from None
 
 
 def _parse_document(doc: dict):

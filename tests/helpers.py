@@ -182,15 +182,6 @@ def exact_quadratic_form(w, matrix) -> Fraction:
     return sum(w[i] * m[i][j] * w[j] for i in range(len(w)) for j in range(len(w)))
 
 
-def exact_condition_matrix(R, Z, theta):
-    """[[R - Theta, Z/2], [Z^T/2, Theta]] over Fractions, from the floats."""
-    r, z, th = _rational(R), _rational(Z), _rational(theta)
-    n = len(r)
-    return ([[r[i][j] - th[i][j] for j in range(n)] + [z[i][j] / 2 for j in range(n)]
-             for i in range(n)]
-            + [[z[j][i] / 2 for j in range(n)] + th[i] for i in range(n)])
-
-
 def integer_rows(k, min_rows, max_rows):
     """A float array of min_rows to max_rows rows of k integers in [-4, 4]."""
     row = st.lists(st.integers(-4, 4), min_size=k, max_size=k)

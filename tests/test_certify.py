@@ -10,9 +10,12 @@ from phdelay import (
     REFUTED,
     DelayPHSystem,
     GeneralDelaySystem,
+    StandardLTISystem,
     StandardPHSystem,
     SystemValidationError,
     certify_delay_ph,
+    certify_interconnection,
+    certify_ph,
     check_necessary,
     close_delayed_feedback,
     construct_theta,
@@ -26,7 +29,6 @@ from phdelay import (
 from phdelay.certify import kyp_delay_check
 from helpers import (
     check_necessary_svd,
-    exact_condition_matrix,
     exact_psd,
     exact_quadratic_form,
     integer_rows,
@@ -710,29 +712,60 @@ def test_is_psd_is_exactly_sound(m):
 
 
 @st.composite
-def integer_delay_ph(draw):
+def integer_delay_ph(draw, stored=False):
     """(system, Theta) with integer R, Z and Theta of order n <= 3, each
     scaled by one D = diag(2^e), so the condition matrix is a congruence
-    of the unscaled one; H = I, J = 0."""
-    n = draw(st.integers(1, 3))
+    of the unscaled one; H = I, J = 0.  With ``stored`` n <= 2, Theta is
+    PSD and stored on the system, and G has 1 or 2 integer columns."""
+    n = draw(st.integers(1, 2 if stored else 3))
     d = draw(power_of_two_diagonal(n))
     dd = d[:, None] * d
-    r, theta = dd * draw(integer_symmetric(n)), dd * draw(integer_symmetric(n))
+    r = dd * draw(integer_symmetric(n))
+    theta = dd * (draw(integer_rows(n, 1, n).map(lambda b: b.T @ b)) if stored
+                  else draw(integer_symmetric(n)))
     z = dd * draw(integer_rows(n, n, n))
-    system = DelayPHSystem(H=np.eye(n), J=np.zeros((n, n)), R=r, Z=z,
-                           G=np.ones((n, 1)), tau=1.0)
+    g = (draw(integer_rows(n, n, n)).T[:, : draw(st.integers(1, 2))] if stored
+         else np.ones((n, 1)))
+    system = DelayPHSystem(H=np.eye(n), J=np.zeros((n, n)), R=r, Z=z, G=g, tau=1.0,
+                           theta=theta if stored else None)
     return system, theta
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(integer_delay_ph())
+@st.composite
+def integer_certificate_case(draw):
+    """``(produce, args, named)``: a certificate producer of phdelay, its
+    integer-valued arguments, and the matrix that each reason other than
+    a refuted condition matrix names.  Half of the cases certify a delay
+    system, the rest spread over the other producers."""
+    kind = draw(st.sampled_from(["delay"] * 4 + ["ph", "kyp", "skew", "coupled"]))
+    if kind == "delay":
+        system, theta = draw(integer_delay_ph())
+        return certify_delay_ph, (system, theta), {"theta_not_psd": theta}
+    n = draw(st.integers(1, 3))
+    h = draw(integer_symmetric(n))
+    b = draw(integer_rows(n, n, n)).T[:, : draw(st.integers(1, 2))]
+    # C = B^T H, so the output condition holds and a PSD test decides
+    if kind == "ph":
+        a = draw(integer_rows(n, n, n))
+        return certify_ph, (StandardLTISystem(a, b, b.T @ h), h), {"storage_not_psd": h}
+    if kind == "kyp":
+        a0, a1 = draw(integer_rows(n, n, n)), draw(integer_rows(n, n, n))
+        system = GeneralDelaySystem(a0, a1, b, b.T @ h, 1.0)
+        return kyp_delay_check, (system, h, draw(integer_symmetric(n))), {"storage_not_psd": h}
+    (sys1, _), (sys2, _) = draw(integer_delay_ph(stored=True)), draw(integer_delay_ph(stored=True))
+    f = draw(integer_rows(sys1.m + sys2.m, sys1.m + sys2.m, sys1.m + sys2.m))
+    return certify_interconnection, (sys1, sys2, f - f.T if kind == "skew" else f), {}
+
+
+@settings(max_examples=700, deadline=None, derandomize=True, database=None)
+@given(integer_certificate_case())
 def test_every_refutation_witness_is_exact(case):
     """A REFUTED certificate's witness w has w^T M w < 0 in rational
-    arithmetic, M assembled from the system's floats: Theta itself for
-    "theta_not_psd", the condition matrix otherwise."""
-    system, theta = case
-    cert = certify_delay_ph(system, theta)
+    arithmetic, M the matrix its verdict tested: H, Theta or Q11 where the
+    reason names it, the certificate's condition matrix otherwise."""
+    produce, args, named = case
+    cert = produce(*args)
+    cert = getattr(cert, "certificate", cert)  # certify_ph wraps its certificate
     if cert.verdict == REFUTED:
-        m = (theta if cert.reason == "theta_not_psd"
-             else exact_condition_matrix(system.R, system.Z, theta))
+        m = named.get(cert.reason, cert.condition_matrix)
         assert exact_quadratic_form(cert.witness, m) < 0

@@ -760,6 +760,16 @@ def test_an_empty_matrix_of_a_huge_document_is_a_shape_error(capsys, tmp_path):
     assert report["error"].startswith('"H" has shape')
 
 
+def test_an_empty_matrix_too_large_to_hold_names_its_field(capsys, tmp_path):
+    """n = 0 makes G = [] the expected (0, 2**62) shape, which numpy cannot
+    hold: the error names "G", not numpy's array size."""
+    doc = {"kind": "delay_ph", "n": 0, "m": 2**62, "tau": 1.0,
+           **dict.fromkeys(("H", "J", "R", "Z", "G"), [])}
+    code, report = run(capsys, "certify", write_doc(tmp_path / "huge.json", doc))
+    assert code == 3
+    assert report["error"] == '"G" has shape (0, 4611686018427387904), too large to hold'
+
+
 def test_non_finite_tau_is_input_error(capsys, tmp_path):
     path = write_doc(tmp_path / "sys.json", scalar_doc(theta=1.0, tau=float("inf")))
     code, report = run(capsys, "certify", path)

@@ -256,7 +256,7 @@ def test_psd_report_block_split_matches_dense_oracle(name, blocks):
     """Deciding given diagonal blocks one by one matches one eigh of the whole."""
     for m, block_of in _block_layouts(blocks):
         index = [np.flatnonzero(block_of == k) for k in range(len(blocks))]
-        report, worst = _psd_report_blocks([m[np.ix_(i, i)] for i in index])
+        report = _psd_report_blocks([m[np.ix_(i, i)] for i in index])
         verdict, lam, scale, slack = dense_psd_oracle(m)
         assert report.verdict == verdict
         assert abs(report.min_eigenvalue - lam) <= 1e-12 * scale
@@ -264,15 +264,17 @@ def test_psd_report_block_split_matches_dense_oracle(name, blocks):
         if report.is_psd:
             assert report.witness is None
             continue
+        # the witness is on blkdiag(blocks), whose row r is row
+        # np.concatenate(index)[r] of m
         w = np.zeros(m.shape[0])
-        w[index[worst]] = report.witness
+        w[np.concatenate(index)] = report.witness
         assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-12)
         assert abs(float(w @ m @ w) - report.min_eigenvalue) <= 1e-12 * scale
 
 
 def test_psd_report_blocks_without_entries():
-    report, worst = _psd_report_blocks([np.zeros((0, 0)), np.zeros((0, 0))])
-    assert report.is_psd and report.min_eigenvalue == 0.0 and worst is None
+    report = _psd_report_blocks([np.zeros((0, 0)), np.zeros((0, 0))])
+    assert report.is_psd and report.min_eigenvalue == 0.0 and report.witness is None
     assert report.slack == 0.0
 
 
