@@ -15,7 +15,7 @@ REFUTED = "REFUTED"
 INCONCLUSIVE = "INCONCLUSIVE"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Certificate:
     """Verdict plus the evidence that produced it.
 
@@ -28,7 +28,8 @@ class Certificate:
     the certificate is made; ``condition_matrix``, ``witness`` and
     ``theta_used`` may be computed when they are first read (``_Lazy``).
     Each array a certificate of phdelay exposes is its own and writable: it
-    shares no memory with a system matrix.
+    shares no memory with a system matrix.  A certificate compares and
+    hashes by identity, as every record that holds an array does.
     """
 
     verdict: str

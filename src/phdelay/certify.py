@@ -274,7 +274,7 @@ class AlphaInterval:
     feasible: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ThetaConstruction:
     """Result of the Theta construction; ``success`` gates theta/interval."""
 

@@ -125,7 +125,7 @@ class _Lazy:
         vars(obj)[self.name] = value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PsdReport:
     """Outcome of a semidefiniteness test.
 

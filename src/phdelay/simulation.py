@@ -117,7 +117,7 @@ class BlowUpError(RuntimeError):
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Grid samples of one integration run.
 
@@ -147,7 +147,7 @@ class Trajectory:
         return self.inputs.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnergyRecord:
     """Energy balance along a trajectory.
 

@@ -60,7 +60,7 @@ NOT_CONTROLLABLE = "not_controllable"
 NOT_OBSERVABLE = "not_observable"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SigmaDecomposition:
     """Structure matrices extracted from the weighted system matrix."""
 
@@ -69,7 +69,7 @@ class SigmaDecomposition:
     G: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StandardPHCertificate:
     certificate: Certificate
     decomposition: SigmaDecomposition | None = None

@@ -110,6 +110,9 @@ class _System:
     views, can reach the system, nor any write to a pickled or copied one.
     ``tau`` becomes a finite float.  ``_cache`` holds what
     ``linalg._memo`` computed from the system; a copy starts empty.
+    A system, like every record that holds an array, compares and hashes
+    by identity, so a copy is a different object; the records of plain
+    values, such as ``Tolerance``, compare by value.
     """
 
     __reduce__ = _by_constructor
@@ -135,7 +138,7 @@ class _System:
         return getattr(self, _schema_of(self)[2]).shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StandardLTISystem(_System):
     """x' = A x + B u,  y = C x."""
 
@@ -144,7 +147,7 @@ class StandardLTISystem(_System):
     C: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StandardPHSystem(_System):
     """H x' = (J - R) x + G u,  y = G^T x, with Hamiltonian (1/2) x^T H x."""
 
@@ -154,7 +157,7 @@ class StandardPHSystem(_System):
     G: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneralDelaySystem(_System):
     """x'(t) = A0 x(t) + A1 x(t - tau) + B u(t),  y = C x(t)."""
 
@@ -165,7 +168,7 @@ class GeneralDelaySystem(_System):
     tau: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DelayPHSystem(_System):
     """H x'(t) = (J - R) x(t) - Z x(t - tau) + G u(t),  y = G^T x(t).
 
@@ -221,7 +224,7 @@ def _shape(name: str, n: int, m: int) -> tuple[int, int]:
     return (n if rows == "n" else m), (n if cols == "n" else m)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HistoryFunction:
     """Sampled initial history on [-tau, 0], interpolated linearly.
 
