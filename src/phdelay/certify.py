@@ -240,19 +240,19 @@ def check_necessary(R, theta, Z, tol: Tolerance = DEFAULT_TOL) -> NecessaryCondi
     """Evaluate the necessary kernel containments for (R, Theta, Z).
 
     Theta and Z must have R's shape (ValueError otherwise).  ker(R) and
-    ker(Theta) are the kernel runs of one ``_symmetric_eigh`` each, and
-    ||Z||_2 is computed only when one of them is nontrivial.
+    ker(Theta) are the kernel runs of one ``_symmetric_eigh`` each; a
+    containment whose Frobenius bracket decides it takes no 2-norm (see
+    ``_contained``).
     """
     r = require_symmetric(R, "R")
     th = _require_shape(require_symmetric(theta, "theta"), r.shape, "theta")
     z = _require_shape(as_matrix(Z, "Z"), r.shape, "Z")
     ker_r = _symmetric_eigh(r, tol, R).kernel
     th_split = _symmetric_eigh(th, tol, theta)
-    z_norm = spectral_norm(z) if ker_r.size or th_split.kernel.size else 0.0
     return NecessaryConditions(
-        kernel_r_in_kernel_theta=_contained(ker_r, th, th_split.scale, tol),
-        kernel_theta_in_kernel_z=_contained(th_split.kernel, z, z_norm, tol),
-        kernel_r_in_kernel_zt=_contained(ker_r, z.T, z_norm, tol),
+        kernel_r_in_kernel_theta=_contained(ker_r, th, tol),
+        kernel_theta_in_kernel_z=_contained(th_split.kernel, z, tol),
+        kernel_r_in_kernel_zt=_contained(ker_r, z.T, tol),
     )
 
 
@@ -311,12 +311,11 @@ def construct_theta(R, Z, tol: Tolerance = DEFAULT_TOL) -> ThetaConstruction:
         v1 = split.whitening("R")
     except ValueError as exc:  # R is not PSD
         return ThetaConstruction(False, reason=str(exc))
-    z_norm = spectral_norm(z) if ker_r.size else 0.0
-    if not _contained(ker_r, z, z_norm, tol):
+    if not _contained(ker_r, z, tol):
         return ThetaConstruction(
             False, reason="kernel_condition: ker(R) is not contained in ker(Z)"
         )
-    if not _contained(ker_r, z.T, z_norm, tol):
+    if not _contained(ker_r, z.T, tol):
         return ThetaConstruction(
             False, reason="kernel_condition: image(Z) is not contained in image(R)"
         )

@@ -38,7 +38,6 @@ from .linalg import (
     Tolerance,
     _blkdiag,
     _contained,
-    _frozen,
     _require_shape,
     _square,
     _symmetric_eigh,
@@ -267,18 +266,18 @@ def _feedback_conditions_and_bound(R, G, tol: Tolerance):
 def _feedback_hypotheses(R, G, tol: Tolerance):
     """``(FeedbackConditions, G as an array, the _Split of R)``.
 
-    ker(R) comes from one ``eigh`` of R, which also gives its whitening;
-    rank G, so whether ker(G^T) = {0} (rank G = n), and ||G||_2 from one
-    vector of singular values, shared since G is ``_frozen``.
+    ker(R) comes from one ``eigh`` of R, which also gives its whitening.
+    ker(G^T) = {0} iff rank G = n: a G with fewer columns than rows has
+    rank below n, so only a G with at least n columns has its rank taken.
     """
     r = require_symmetric(R, "R")
-    g = _frozen(as_matrix(G, "G"))
+    g = as_matrix(G, "G")
     n = r.shape[0]
     if g.shape[0] != n:
         raise ValueError(f"G has {g.shape[0]} rows, expected {n}")
     split = _symmetric_eigh(r, tol, R)
     conditions = FeedbackConditions(
-        output_kernel_trivial=numerical_rank(g, tol) == n,
-        kernel_r_in_kernel_gt=_contained(split.kernel, g.T, spectral_norm(g), tol),
+        output_kernel_trivial=g.shape[1] >= n and numerical_rank(g, tol) == n,
+        kernel_r_in_kernel_gt=_contained(split.kernel, g.T, tol),
     )
     return conditions, g, split

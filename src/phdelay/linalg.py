@@ -2,20 +2,24 @@
 
 Every routine here is a pure function on real 2-D numpy arrays.  Symmetric
 parts are formed as 0.5 M + 0.5 M^T, finite for every finite M.  This is
-the one module that computes a symmetric spectrum and compares it with the
-PSD slack, by default ``1e-9 * scale`` with scale the largest |eigenvalue|
-(so a zero matrix is PSD exactly), or with the rank cutoff.
-``_symmetric_eigh`` puts each eigenvalue of a symmetric matrix in one run:
-below -slack (not PSD), the kernel [-slack, rank_tol * scale], or the
-range above; every kernel and whitening is read off that split.  Ranks and
-2-norms come from one vector of singular values.  Every PSD test that
-reports evidence (least eigenvalue, witness, slack granted) runs in
-``_psd_report_blocks``: it computes the spectra itself and decides from
-eigenvalues alone, and a block-diagonal matrix whose blocks the caller
-knows one block at a time.  Its report is evidence on the matrix it
-tested: a NOT_PSD witness is a unit vector w on all of blkdiag(blocks),
-zero off the worst block, with w^T M w = min_eigenvalue.  It is not part
-of the verdict: it is computed when it is first read (``_Lazy``).
+the one module that computes a symmetric spectrum or singular values and
+compares them with the PSD slack, by default ``1e-9 * scale`` with scale
+the largest |eigenvalue| (so a zero matrix is PSD exactly), or with the
+rank cutoff.  ``_symmetric_eigh`` puts each eigenvalue of a symmetric
+matrix in one run: below -slack (not PSD), the kernel [-slack, rank_tol *
+scale], or the range above; every kernel and whitening is read off that
+split.  A rank comes from one vector of singular values, the module's only
+SVD.  A 2-norm is the root of the largest eigenvalue of a Gram matrix, and
+a kernel containment ||M B||_2 <= rank_tol ||M||_2 is first bracketed by
+Frobenius norms, so it takes 2-norms only when the bracket straddles the
+cutoff.  Every PSD test that reports evidence (least eigenvalue, witness,
+slack granted) runs in ``_psd_report_blocks``: it computes the spectra
+itself and decides from eigenvalues alone, and a block-diagonal matrix
+whose blocks the caller knows one block at a time.  Its report is evidence
+on the matrix it tested: a NOT_PSD witness is a unit vector w on all of
+blkdiag(blocks), zero off the worst block, with w^T M w = min_eigenvalue.
+It is not part of the verdict: it is computed when it is first read
+(``_Lazy``).
 
 A decomposition of an immutable input (a ``_frozen`` array, as every
 system matrix is, or a system) is stored on that input by ``_memo``, so a
@@ -57,6 +61,10 @@ __all__ = [
 
 #: relative asymmetry beyond which a matrix is rejected as "not symmetric"
 SYMMETRY_RTOL = 1e-12
+
+#: relative widening of the Frobenius bracket in ``_contained``, so that a
+#: ratio that rounding puts near a cut is decided by 2-norms
+_CUT_MARGIN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -268,8 +276,9 @@ def _relative_norm(d: np.ndarray, m: np.ndarray) -> float:
     When ||M||_F^2 leaves [1e-200, 1e200], both are divided by max |M|
     first, so the squares neither overflow nor underflow.
     """
-    d = d.ravel()
-    m = m.ravel()
+    # order "K": a transposed M is read in place, not copied
+    d = d.ravel("K")
+    m = m.ravel("K")
     with np.errstate(over="ignore"):
         mm = float(m @ m)
     if not 1e-200 <= mm <= 1e200:
@@ -313,23 +322,36 @@ def require_symmetric(matrix, name: str = "matrix") -> np.ndarray:
 
 
 def spectral_norm(matrix) -> float:
-    """Largest singular value; 0.0 for an empty matrix."""
+    """Largest singular value ||M||_2; 0.0 for an empty or zero matrix.
+
+    ||M||_2^2 is the largest eigenvalue of the Gram matrix B^T B or B B^T,
+    whichever is smaller, of B = M / 2^e with 2^e the power of two just
+    above max |M|: the scaling is exact, so no square overflows or
+    underflows and scaling M by a power of two scales the result exactly.
+    The result is stored on a ``_frozen`` M (``_memo``).
+    """
     m = as_matrix(matrix)
-    return float(_singular_values(m)[0]) if m.size else 0.0
+    return _memo(m, "norm2", lambda: _gram_norm(m))
+
+
+def _gram_norm(m: np.ndarray) -> float:
+    big = float(np.abs(m).max()) if m.size else 0.0
+    if big == 0.0:
+        return 0.0
+    e = int(np.frexp(big)[1])
+    b = np.ldexp(m, -e)
+    gram = b.T @ b if b.shape[0] >= b.shape[1] else b @ b.T
+    return float(np.ldexp(math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0)), e))
 
 
 def numerical_rank(matrix, tol: Tolerance = DEFAULT_TOL) -> int:
-    """Rank with singular values truncated at rank_tol * sigma_max."""
+    """Rank with singular values truncated at rank_tol * sigma_max; the
+    singular values are stored on a ``_frozen`` M (``_memo``)."""
     m = as_matrix(matrix)
     if m.size == 0:
         return 0
-    s = _singular_values(m)
+    s = _memo(m, "svd", lambda: _set_read_only(np.linalg.svd(m, compute_uv=False)))
     return int(np.count_nonzero(s > tol.rank_tol * float(s[0])))
-
-
-def _singular_values(m: np.ndarray) -> np.ndarray:
-    """Descending singular values of nonempty M, ``_memo``-ized on it."""
-    return _memo(m, "svd", lambda: _set_read_only(np.linalg.svd(m, compute_uv=False)))
 
 
 def is_psd(matrix, tol: Tolerance = DEFAULT_TOL) -> PsdReport:
@@ -394,14 +416,30 @@ def _least_eigenvector(m: np.ndarray, pad: tuple) -> np.ndarray:
     return np.pad(np.linalg.eigh(m)[1][:, 0], pad)
 
 
-def _contained(basis: np.ndarray, m: np.ndarray, norm: float, tol: Tolerance) -> bool:
-    """Whether span(basis) lies inside ker(M), given ``norm`` = ||M||_2.
+def _contained(basis: np.ndarray, m: np.ndarray, tol: Tolerance) -> bool:
+    """Whether span(basis) lies inside ker(M).
 
     True iff ||M @ basis||_2 <= rank_tol * ||M||_2, a bound relative to M,
     so the decision does not change when M is scaled.  An empty basis is
-    contained in everything.
+    contained in everything.  With P = M @ basis and r = ||P||_F / ||M||_F,
+    ||P||_2 / ||M||_2 lies in [r / sqrt(min P.shape), r sqrt(min M.shape)]
+    (``_CUT_MARGIN`` widens each end against rounding of r), so a ratio
+    outside the cutoff's band decides without a 2-norm; one inside it
+    takes both.  So does an r <= 1e-50 of a nonzero P: ``_relative_norm``
+    divides by ||M||_F^2 >= 1e-200, so only there can ||P||_F^2 have lost
+    bits to underflow.
     """
-    return not basis.shape[1] or spectral_norm(m @ basis) <= tol.rank_tol * norm
+    if not basis.shape[1]:
+        return True
+    p = m @ basis
+    r = _relative_norm(p, m)
+    cut = tol.rank_tol
+    if r > 1e-50 or not p.any():
+        if r * math.sqrt(min(m.shape)) <= cut * (1.0 - _CUT_MARGIN):
+            return True
+        if r > cut * (1.0 + _CUT_MARGIN) * math.sqrt(min(p.shape)):
+            return False
+    return spectral_norm(p) <= cut * spectral_norm(m)
 
 
 class _Split(NamedTuple):

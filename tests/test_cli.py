@@ -298,10 +298,11 @@ def test_interconnect_certify_builds_the_loop_once(capsys, monkeypatch, tmp_path
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("f", [[[0.0, 1.0], [-1.0, 0.0]], [[-1.0, 1.0], [-1.0, -1.0]]],
+@pytest.mark.parametrize("f, spectra", [([[0.0, 1.0], [-1.0, 0.0]], 6),
+                                       ([[-1.0, 1.0], [-1.0, -1.0]], 7)],
                          ids=["skew", "dissipative"])
 def test_interconnect_certify_validates_each_part_once(capsys, monkeypatch,
-                                                       tmp_path, f):
+                                                       tmp_path, f, spectra):
     import phdelay.cli
     import phdelay.composition
     import phdelay.systems
@@ -325,9 +326,10 @@ def test_interconnect_certify_validates_each_part_once(capsys, monkeypatch,
     # read_system validates each part and the certificate validates nothing
     # again: one eigvalsh each for the parts' H and theta, then the two
     # parts' condition matrices (skew F), or the closed loop's and
-    # classify_feedback's test of -sym(F)
-    eighs = [name for name, _ in calls if name != "svd"]
-    assert (len(validations), len(eighs)) == (2, 6)
+    # classify_feedback's eigh of -sym(F) and eigvalsh of F's Gram matrix,
+    # for ||F||_2; no SVD
+    assert "svd" not in [name for name, _ in calls]
+    assert (len(validations), len(calls)) == (2, spectra)
     assert code == 0
     assert report["certificate"]["verdict"] == "CERTIFIED"
     assert read_system(out).n == 2
@@ -408,19 +410,18 @@ def test_feedback_tests_the_kernel_hypotheses_once(capsys, tmp_path):
     path = "tests/data/mass_spring_damper.json"
     with decompositions() as calls:
         code, report = run(capsys, "feedback", path, f, "--tau", "1.0")
-    svds = [a for name, a in calls if name == "svd"]
     eighs = [a for name, a in calls if name == "eigh"]
     assert code == 0
     conditions = report["feedback_conditions"]
     assert conditions == {"output_kernel_trivial": False,
                           "kernel_r_in_kernel_gt": True}
     assert report["gain_bound"] == pytest.approx(0.5)
-    # one vector of G's singular values gives rank G and ||G||_2; the
-    # other singular values taken are of the products G^T K and V1^T G,
-    # and the conditions and the gain bound share the one G^T K = [[0]]
+    # no SVD: G has one column and two rows, so rank G < n without one;
+    # G^T K = [[0]] is contained by its Frobenius norm; ||V1^T G||_2 is one
+    # eigvalsh of its 1x1 Gram matrix, after validation's of H and R
     system = read_system(path)
-    assert sum(np.array_equal(a, system.G) for a in svds) == 1
-    assert sum(np.array_equal(a, [[0.0]]) for a in svds) == 1
+    assert "svd" not in [name for name, _ in calls]
+    assert [a.shape for name, a in calls if name == "eigvalsh"] == [(2, 2), (2, 2), (1, 1)]
     # one eigh of R gives ker(R) and its whitening
     assert len(eighs) == 1 and np.array_equal(eighs[0], system.R)
 

@@ -51,10 +51,11 @@ def test_classify_feedback():
 
 def test_classify_feedback_decomposes_minus_sym_f_once():
     """One split of -sym(F) gives its norm and its sign: a general F needs
-    no second decomposition of it."""
+    no second decomposition of it, and ||F||_2 is one eigvalsh of its Gram
+    matrix, no SVD."""
     with decompositions() as calls:
         assert classify_feedback(np.eye(2)) == GENERAL
-    assert [name for name, _ in calls] == ["eigh", "svd"]
+    assert [name for name, _ in calls] == ["eigh", "eigvalsh"]
     assert [name for name, a in calls if np.array_equal(a, -np.eye(2))] == ["eigh"]
 
 

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phdelay.linalg import (
     DEFAULT_TOL,
@@ -22,7 +25,13 @@ from phdelay.linalg import (
     _psd_report_blocks,
     _symmetric_eigh,
 )
-from helpers import dense_psd_oracle, kernel_basis_svd, rand_orth, rand_spd
+from helpers import (
+    decompositions,
+    dense_psd_oracle,
+    kernel_basis_svd,
+    rand_orth,
+    rand_spd,
+)
 
 
 def test_sym_skew_hand_values():
@@ -293,6 +302,51 @@ def test_spectral_norm():
     assert spectral_norm(np.zeros((0, 0))) == 0.0
 
 
+@st.composite
+def matrices(draw):
+    """A 1x1 to 12x12 matrix: rank one, zero, of +-1 entries, or general
+    with entry magnitudes spread over up to 16 decades."""
+    rows, cols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["general", "rank one", "zero", "signs"]))
+    if kind == "rank one":
+        return np.outer(rng.standard_normal(rows), rng.standard_normal(cols))
+    if kind == "zero":
+        return np.zeros((rows, cols))
+    if kind == "signs":
+        return rng.choice([-1.0, 1.0], (rows, cols))
+    spread = draw(st.sampled_from([0.0, 4.0, 8.0]))
+    return rng.standard_normal((rows, cols)) * 10.0 ** rng.uniform(-spread, spread, (rows, cols))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(matrices())
+def test_spectral_norm_matches_the_largest_singular_value(m):
+    want = np.linalg.svd(m, compute_uv=False)[0]
+    assert abs(spectral_norm(m) - want) <= 1e-14 * want
+
+
+@pytest.mark.parametrize("m, want", [
+    (np.array([[3e300, 0.0], [4e300, 0.0]]), 5e300),
+    (np.array([[3e-300, 4e-300]]), 5e-300),
+    (np.array([[1e308], [1e308]]), math.sqrt(2.0) * 1e308),
+    (np.array([[1e308, 1.0], [1.0, -1e-300]]), 1e308),
+    # subnormal entries 3 and 4 times the least one: exactly 5 times it
+    (np.array([[3.0], [4.0]]) * 5e-324, 5.0 * 5e-324),
+    (np.array([[5e-324]]), 5e-324),
+    (np.array([[5e-324, 0.0], [0.0, 1e-300]]), 1e-300),
+])
+def test_spectral_norm_at_the_ends_of_the_float_range(m, want):
+    assert spectral_norm(m) == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("k", [-1000, -60, -1, 1, 60, 900])
+def test_spectral_norm_scales_by_a_power_of_two_bit_for_bit(k):
+    m = np.random.default_rng(3).uniform(0.5, 4.0, (7, 5)) * [1.0, -1.0, 1.0, -1.0, 1.0]
+    assert spectral_norm(2.0**k * m) == 2.0**k * spectral_norm(m)
+    assert spectral_norm(2.0**k * m.T) == 2.0**k * spectral_norm(m.T)
+
+
 def test_rank_kernel_image_rank_one():
     u = np.array([[1.0], [2.0], [2.0]])
     m = u @ u.T
@@ -339,10 +393,65 @@ def test_subspace_contained():
     m = np.diag([1.0, 1.0, 0.0])
     e3 = np.array([[0.0], [0.0], [1.0]])
     e1 = np.array([[1.0], [0.0], [0.0]])
-    norm = spectral_norm(m)
-    assert _contained(e3, m, norm, DEFAULT_TOL)
-    assert not _contained(e1, m, norm, DEFAULT_TOL)
-    assert _contained(np.zeros((3, 0)), m, norm, DEFAULT_TOL)
+    assert _contained(e3, m, DEFAULT_TOL)
+    assert not _contained(e1, m, DEFAULT_TOL)
+    assert _contained(np.zeros((3, 0)), m, DEFAULT_TOL)
+
+
+@pytest.mark.parametrize("delta, bracket, contained", [
+    (0.0, True, True),  # ||P||_F = 0: the upper bracket decides
+    (1e-6, True, False),  # r = 1e-6 / sqrt(2): the lower bracket decides
+    # r = delta / sqrt(2) and min(M.shape) = 3 put the ratio's bracket
+    # [r, r sqrt(3)] across 1e-10: 2-norms decide, ||P||_2 = delta, ||M||_2 = 1
+    (0.9e-10, False, True),
+    (1.1e-10, False, False),
+])
+def test_subspace_contained_takes_2_norms_only_inside_the_bracket(delta, bracket, contained):
+    m = np.diag([1.0, 1.0, delta])
+    e3 = np.array([[0.0], [0.0], [1.0]])
+    with decompositions() as calls:
+        assert _contained(e3, m, DEFAULT_TOL) is contained
+    assert [name for name, _ in calls] == ([] if bracket else ["eigvalsh", "eigvalsh"])
+
+
+@pytest.mark.parametrize("rank_tol", [0.0, 1e-200])
+def test_subspace_contained_when_the_frobenius_norm_underflows(rank_tol):
+    """||M e2||_F^2 = 1e-340 underflows to 0, but ||M e2||_2 = 1e-170 is
+    above the cutoff: the 2-norms decide.  An exactly zero product is
+    contained under any cutoff."""
+    e2 = np.array([[0.0], [1.0]])
+    tol = Tolerance(rank_tol=rank_tol)
+    assert not _contained(e2, np.diag([1.0, 1e-170]), tol)
+    assert _contained(e2, np.diag([1.0, 0.0]), tol)
+
+
+@st.composite
+def near_containments(draw):
+    """(basis, M, tol) with ||M basis||_2 / ||M||_2 spread around rank_tol:
+    M annihilates the orthonormal basis up to a leak of 10^e, e near
+    log10(rank_tol), and M's shape and rank vary."""
+    n = draw(st.integers(1, 8))
+    rows = draw(st.integers(1, 8))
+    k = draw(st.integers(1, n))
+    rank_tol = draw(st.sampled_from([1e-10, 1e-6, 1e-3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    basis, rest = q[:, :k], q[:, k:]
+    m = rng.standard_normal((rows, n - k)) @ rest.T  # zero when k = n
+    if k < n and draw(st.booleans()):  # rank one off the basis
+        m = np.outer(rng.standard_normal(rows), rest[:, 0])
+    leak = 10.0 ** (math.log10(rank_tol) + draw(st.floats(-1.5, 1.5)))
+    m = m + leak * rng.standard_normal((rows, k)) @ basis.T
+    return basis, m, Tolerance(rank_tol=rank_tol)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(near_containments())
+def test_subspace_contained_matches_an_svd_oracle(case):
+    basis, m, tol = case
+    ratio = np.linalg.svd(m @ basis, compute_uv=False)[0] / np.linalg.svd(m, compute_uv=False)[0]
+    if abs(ratio - tol.rank_tol) > 1e-9 * tol.rank_tol:
+        assert _contained(basis, m, tol) == (ratio <= tol.rank_tol)
 
 
 @pytest.mark.parametrize("c", [1.0, 1e-6, 1e-9])
@@ -351,8 +460,8 @@ def test_subspace_contained_is_unit_free(c):
     e2 = np.array([[0.0], [1.0]])
     leaky = c * np.array([[0.5, 1e-6], [0.0, 0.0]])
     clean = c * np.array([[0.5, 0.0], [0.0, 0.0]])
-    assert not _contained(e2, leaky, spectral_norm(leaky), DEFAULT_TOL)
-    assert _contained(e2, clean, spectral_norm(clean), DEFAULT_TOL)
+    assert not _contained(e2, leaky, DEFAULT_TOL)
+    assert _contained(e2, clean, DEFAULT_TOL)
     # the same decision through a public caller: ker(diag(1, 0)) = span(e2)
     r = np.diag([1.0, 0.0])
     assert not check_feedback_conditions(r, leaky.T).kernel_r_in_kernel_gt

@@ -37,6 +37,7 @@ from phdelay import (
     validate,
 )
 from phdelay import linalg, simulation
+from phdelay.composition import FeedbackConditions
 from phdelay.linalg import (
     DEFAULT_TOL,
     _frozen,
@@ -150,9 +151,11 @@ def test_a_warm_chain_forms_no_symmetric_part_of_theta(monkeypatch):
     assert [m for m in halved if any(np.shares_memory(m, t) for t in thetas)] == []
 
 
-def test_feedback_routines_decompose_r_and_g_once():
-    """The kernel hypotheses and then the gain bound on one system's (R, G):
-    one eigh of R and one svd of G, both stored on the system's arrays."""
+def test_feedback_routines_decompose_r_once_and_g_never():
+    """The kernel hypotheses and then the gain bound on one system's (R, G)
+    with fewer ports than states: one eigh of R, stored on the system's R,
+    and one eigvalsh of the Gram matrix of V1^T G for the bound.  G itself
+    is not decomposed: rank G <= m < n needs no SVD."""
     rng = np.random.default_rng(17)
     s = rand_certified_delay_ph(rng, 5, m=2)
     plant = StandardPHSystem(s.H, s.J, s.R, s.G)
@@ -160,18 +163,28 @@ def test_feedback_routines_decompose_r_and_g_once():
         conditions = check_feedback_conditions(plant.R, plant.G)
         beta = feedback_gain_bound(plant.R, plant.G)
     assert conditions.kernel_r_in_kernel_gt and 0.0 < beta < np.inf
-    assert [name for name, _ in calls if name != "svd"] == ["eigh"]
-    assert count(calls, "eigh", plant.R) == count(calls, "svd", plant.G) == 1
+    assert [name for name, _ in calls] == ["eigh", "eigvalsh"]
+    assert count(calls, "eigh", plant.R) == 1
 
 
 def test_a_writeable_g_is_decomposed_once_per_call():
-    """rank G and ||G||_2 read one vector of singular values also for an
-    array that keeps none: the call freezes a copy of it."""
-    g = np.array([[1.0], [2.0]])
+    """rank G of a G with as many columns as rows takes one svd per call,
+    also for an array that keeps none."""
+    g = np.array([[1.0, 0.0], [2.0, 0.0]])
     with decompositions() as calls:
         conditions = check_feedback_conditions(np.diag([1.0, 0.0]), g)
-    assert not conditions.kernel_r_in_kernel_gt
+    assert conditions == FeedbackConditions(False, False)
+    assert [name for name, _ in calls] == ["eigh", "svd"]
     assert count(calls, "svd", g) == 1
+
+
+def test_a_g_with_fewer_columns_than_rows_takes_no_svd():
+    """rank G <= m < n: ker(G^T) is nontrivial without a rank."""
+    with decompositions() as calls:
+        conditions = check_feedback_conditions(np.diag([1.0, 0.0, 2.0]),
+                                               np.array([[1.0], [0.0], [2.0]]))
+    assert conditions == FeedbackConditions(False, True)
+    assert [name for name, _ in calls] == ["eigh"]
 
 
 def test_writeable_r_is_decomposed_afresh():
@@ -470,16 +483,21 @@ def test_check_necessary_decomposes_theta_once():
     assert len(calls) == 2  # R and Theta, once each
 
 
-def test_spectral_norm_of_z_is_taken_once_per_chain():
+def test_a_chain_decides_ker_z_without_decomposing_z():
     """With a rank-deficient R, the construction and the necessary
-    conditions both need ||Z||_2: one svd of the stored Z serves both."""
+    conditions test ker(R) and ker(Theta) against ker(Z): Z annihilates
+    them exactly, so the Frobenius bracket decides and Z is not
+    decomposed at all."""
     s = DelayPHSystem(H=np.eye(2), J=np.zeros((2, 2)), R=np.diag([2.0, 0.0]),
                       Z=np.diag([1.0, 0.0]), G=np.ones((2, 1)), tau=1.0,
                       theta=np.diag([1.0, 0.0]))
     with decompositions() as calls:
         assert construct_theta(s.R, s.Z).success
         assert check_necessary(s.R, s.theta, s.Z).all_hold
-    assert count(calls, "svd", s.Z) == 1
+    # eigh of R and Theta, and eigvalsh of the 1x1 Gram matrix of V1^T Z V1
+    assert [(name, a.shape) for name, a in calls] == [
+        ("eigh", (2, 2)), ("eigvalsh", (1, 1)), ("eigh", (2, 2))]
+    assert count(calls, "eigh", s.R) == count(calls, "eigh", s.theta) == 1
 
 
 def test_caching_keeps_no_system_alive():
