@@ -11,12 +11,10 @@ passivity exactly when the block matrix
     [[R - Theta, Z/2], [Z^T/2, Theta]]
 
 is positive semidefinite.  Everything else here either produces such a
-Theta (``construct_theta``), checks one (``certify_delay_ph``), transports
-the condition to general coordinates as the block KYP test
-(``certify.kyp_delay_check``), preserves it under interconnection and
-delayed feedback (``interconnect``, ``close_delayed_feedback``), or
-observes it numerically along trajectories (``simulate_delay_ph``,
-``simulation.monitor_dissipation``).
+Theta (``construct_theta``), checks one (``certify_delay_ph``), preserves
+it under interconnection and delayed feedback (``interconnect``,
+``close_delayed_feedback``), or observes it numerically along trajectories
+(``simulate_delay_ph``, ``simulation.monitor_dissipation``).
 
 The top-level namespace holds what the command line, the demos and the
 README use; every other public name lives in its submodule.

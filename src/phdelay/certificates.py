@@ -22,8 +22,8 @@ class Certificate:
     ``condition_matrix`` is the matrix the verdict tested.  For CERTIFIED
     ``min_eigenvalue`` is its least eigenvalue (>= -slack) and ``witness``
     is None; for REFUTED the ``witness`` is a unit w with w^T M w < 0 on
-    M = ``condition_matrix``, or on the H, Theta or Q11 that ``reason``
-    names.  Only a refutation by an output mismatch carries no witness.
+    M = ``condition_matrix``, or on the H or Theta that ``reason`` names.
+    Only a refutation by an output mismatch carries no witness.
     The verdict, ``min_eigenvalue``, ``reason`` and ``slack`` are set when
     the certificate is made; ``condition_matrix``, ``witness`` and
     ``theta_used`` may be computed when they are first read (``_Lazy``).

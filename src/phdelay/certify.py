@@ -12,11 +12,10 @@ function exactly when Theta is symmetric PSD and the block condition
      [Z^T / 2, Theta]]  is positive semidefinite                      (*)
 
 holds.  This module certifies (*) for a given Theta, derives necessary
-conditions any certifying Theta must satisfy, constructs a Theta from
-(R, Z) alone when a whitened smallness test passes, and cross-checks the
-verdict against the paper's block KYP test in general coordinates.  A
-brute-force grid oracle for n <= 2 decides existence of a certifying Theta
-independently of the construction.
+conditions any certifying Theta must satisfy, and constructs a Theta from
+(R, Z) alone when a whitened smallness test passes.  A brute-force grid
+oracle for n <= 2 decides existence of a certifying Theta independently
+of the construction.
 
 Every certificate of (*) comes from one routine, which decides systems
 with a stored Theta side by side: from ``certify_delay_ph`` the system
@@ -46,12 +45,10 @@ from .linalg import (
     _require_shape,
     _symmetric_eigh,
     as_matrix,
-    is_psd,
-    output_residual,
     require_symmetric,
     spectral_norm,
 )
-from .systems import DelayPHSystem, GeneralDelaySystem, _require_valid
+from .systems import DelayPHSystem, _require_valid
 
 __all__ = [
     "AlphaInterval",
@@ -62,7 +59,6 @@ __all__ = [
     "check_necessary",
     "construct_theta",
     "exists_certifying_theta_grid",
-    "kyp_delay_check",
     "ph_condition_matrix",
     "scalar_theta_interval",
 ]
@@ -336,39 +332,6 @@ def construct_theta(R, Z, tol: Tolerance = DEFAULT_TOL) -> ThetaConstruction:
         True,
         theta=0.5 * r,
         interval=AlphaInterval(sigma=sigma, lo=lo, hi=hi, feasible=True),
-    )
-
-
-def kyp_delay_check(
-    system: GeneralDelaySystem, Q11, Q22, tol: Tolerance = DEFAULT_TOL
-) -> Certificate:
-    """Block KYP test for delay passivity in general coordinates.
-
-    Certifies when the storage matrix Q11 is PSD,
-
-        [[-A0^T Q11 - Q11 A0 - Q22, -Q11 A1],
-         [-A1^T Q11,                  Q22  ]]  is PSD
-
-    and C = B^T Q11 within rank_tol * ||C||.  An indefinite Q11 refutes
-    with reason "storage_not_psd" and a witness on Q11.
-    """
-    n = system.n
-    q11 = _require_shape(require_symmetric(Q11, "Q11"), (n, n), "Q11")
-    q22 = _require_shape(require_symmetric(Q22, "Q22"), (n, n), "Q22")
-    block = np.empty((2 * n, 2 * n))
-    block[:n, :n] = -system.A0.T @ q11 - q11 @ system.A0 - q22
-    block[:n, n:] = -q11 @ system.A1
-    block[n:, :n] = block[:n, n:].T
-    block[n:, n:] = q22
-    storage = _psd_report_blocks([q11], tol)
-    if not storage.is_psd:
-        return Certificate.from_report(storage, block, "storage_not_psd")
-    residual, out_ok = output_residual(system.C, system.B, q11, tol)
-    return Certificate.from_report(
-        is_psd(block, tol),
-        block,
-        "block_indefinite",
-        mismatch="" if out_ok else f"output_mismatch: ||C - B^T Q11|| = {residual:.3e}",
     )
 
 

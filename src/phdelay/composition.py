@@ -231,7 +231,8 @@ def check_feedback_conditions(R, G, tol: Tolerance = DEFAULT_TOL) -> FeedbackCon
     R must be symmetric and G must have R's row count (ValueError
     otherwise).
     """
-    return _feedback_hypotheses(R, G, tol)[0]
+    g, _, contained = _kernel_hypothesis(R, G, tol)
+    return _conditions(g, contained, tol)
 
 
 def feedback_gain_bound(R, G, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -244,7 +245,7 @@ def feedback_gain_bound(R, G, tol: Tolerance = DEFAULT_TOL) -> float:
     disjoint from image(G).  Returns math.inf when V1^T G vanishes (no
     finite bound is needed) and when beta exceeds the float range.
     """
-    beta = _feedback_conditions_and_bound(R, G, tol)[1]
+    beta = _gain_bound(*_kernel_hypothesis(R, G, tol))
     if beta is None:
         raise ValueError("hypothesis violated: ker(R) is not contained in ker(G^T)")
     return beta
@@ -254,30 +255,34 @@ def _feedback_conditions_and_bound(R, G, tol: Tolerance):
     """``(check_feedback_conditions(R, G), feedback_gain_bound(R, G))`` from
     one run of the kernel hypotheses; the bound is None when ker(R) is not
     contained in ker(G^T).  ValueError when R is not PSD."""
-    conditions, g, split = _feedback_hypotheses(R, G, tol)
-    v1 = split.whitening("R")
-    if not conditions.kernel_r_in_kernel_gt:
-        return conditions, None
-    coupling = spectral_norm(v1.T @ g)
-    square = coupling * coupling
-    return conditions, math.inf if square == 0.0 else 1.0 / square
+    g, split, contained = _kernel_hypothesis(R, G, tol)
+    return _conditions(g, contained, tol), _gain_bound(g, split, contained)
 
 
-def _feedback_hypotheses(R, G, tol: Tolerance):
-    """``(FeedbackConditions, G as an array, the _Split of R)``.
-
-    ker(R) comes from one ``eigh`` of R, which also gives its whitening.
-    ker(G^T) = {0} iff rank G = n: a G with fewer columns than rows has
-    rank below n, so only a G with at least n columns has its rank taken.
-    """
+def _kernel_hypothesis(R, G, tol: Tolerance):
+    """``(G as an array, the _Split of R, whether ker(R) <= ker(G^T))``;
+    one ``eigh`` of R gives ker(R) and its whitening."""
     r = require_symmetric(R, "R")
     g = as_matrix(G, "G")
     n = r.shape[0]
     if g.shape[0] != n:
         raise ValueError(f"G has {g.shape[0]} rows, expected {n}")
     split = _symmetric_eigh(r, tol, R)
-    conditions = FeedbackConditions(
-        output_kernel_trivial=g.shape[1] >= n and numerical_rank(g, tol) == n,
-        kernel_r_in_kernel_gt=_contained(split.kernel, g.T, tol),
-    )
-    return conditions, g, split
+    return g, split, _contained(split.kernel, g.T, tol)
+
+
+def _conditions(g: np.ndarray, contained: bool, tol: Tolerance) -> FeedbackConditions:
+    """ker(G^T) = {0} iff rank G = n, so only a G with at least n columns
+    has its rank taken."""
+    n, m = g.shape
+    return FeedbackConditions(m >= n and numerical_rank(g, tol) == n, contained)
+
+
+def _gain_bound(g: np.ndarray, split, contained: bool) -> float | None:
+    """``feedback_gain_bound``, or None when ker(R) is not in ker(G^T)."""
+    v1 = split.whitening("R")
+    if not contained:
+        return None
+    coupling = spectral_norm(v1.T @ g)
+    square = coupling * coupling
+    return math.inf if square == 0.0 else 1.0 / square

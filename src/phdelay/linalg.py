@@ -21,17 +21,18 @@ blkdiag(blocks), zero off the worst block, with w^T M w = min_eigenvalue.
 It is not part of the verdict: it is computed when it is first read
 (``_Lazy``).
 
-A decomposition of an immutable input (a ``_frozen`` array, as every
-system matrix is, or a system) is stored on that input by ``_memo``, so a
-chain of calls on one system decomposes each of its matrices once, and
-the result lives and dies with the input.  The outcome of a frozen
-matrix's symmetry check is stored the same way, as a flag: whether the
-matrix is its own symmetric part bit for bit.  So each system matrix is
-checked for finiteness once (by ``as_matrix``, when it is frozen) and for
-symmetry once, and one that is its own symmetric part is then used as it
-is; an asymmetric one is rejected on every call.  Nothing that outlives a
-call (a ``PsdReport``, a certificate, their deferred evidence) keeps a
-frozen matrix: it keeps a copy.
+A symmetric spectrum of an immutable input (a ``_frozen`` array, as
+every system matrix is, or a system) is stored on that input by
+``_memo``, so a chain of calls on one system decomposes each of its
+symmetric matrices once, and the result lives and dies with the input.
+A 2-norm or a rank is computed afresh on every call.  The outcome of a
+frozen matrix's symmetry check is stored the same way, as a flag:
+whether the matrix is its own symmetric part bit for bit.  So each
+system matrix is checked for finiteness once (by ``as_matrix``, when it
+is frozen) and for symmetry once, and one that is its own symmetric part
+is then used as it is; an asymmetric one is rejected on every call.
+Nothing that outlives a call (a ``PsdReport``, a certificate, their
+deferred evidence) keeps a frozen matrix: it keeps a copy.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ __all__ = [
     "skew_part",
     "spectral_norm",
     "sym_part",
-    "whitening_basis",
 ]
 
 #: relative asymmetry beyond which a matrix is rejected as "not symmetric"
@@ -325,32 +325,32 @@ def spectral_norm(matrix) -> float:
     """Largest singular value ||M||_2; 0.0 for an empty or zero matrix.
 
     ||M||_2^2 is the largest eigenvalue of the Gram matrix B^T B or B B^T,
-    whichever is smaller, of B = M / 2^e with 2^e the power of two just
-    above max |M|: the scaling is exact, so no square overflows or
-    underflows and scaling M by a power of two scales the result exactly.
-    The result is stored on a ``_frozen`` M (``_memo``).
+    whichever is smaller, of B = M / 2^e (``_binary_exponent``): the
+    scaling is exact, so no square overflows or underflows and scaling M
+    by a power of two scales the result exactly.
     """
     m = as_matrix(matrix)
-    return _memo(m, "norm2", lambda: _gram_norm(m))
-
-
-def _gram_norm(m: np.ndarray) -> float:
-    big = float(np.abs(m).max()) if m.size else 0.0
-    if big == 0.0:
+    e = _binary_exponent(m)
+    if e is None:
         return 0.0
-    e = int(np.frexp(big)[1])
     b = np.ldexp(m, -e)
     gram = b.T @ b if b.shape[0] >= b.shape[1] else b @ b.T
     return float(np.ldexp(math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0)), e))
 
 
+def _binary_exponent(m: np.ndarray) -> int | None:
+    """e with 2^e the power of two just above max |M|, None for a zero M:
+    M / 2^e has entries below 1 in magnitude, exact unless subnormal."""
+    big = float(np.abs(m).max()) if m.size else 0.0
+    return int(np.frexp(big)[1]) if big else None
+
+
 def numerical_rank(matrix, tol: Tolerance = DEFAULT_TOL) -> int:
-    """Rank with singular values truncated at rank_tol * sigma_max; the
-    singular values are stored on a ``_frozen`` M (``_memo``)."""
+    """Rank with singular values truncated at rank_tol * sigma_max."""
     m = as_matrix(matrix)
     if m.size == 0:
         return 0
-    s = _memo(m, "svd", lambda: _set_read_only(np.linalg.svd(m, compute_uv=False)))
+    s = np.linalg.svd(m, compute_uv=False)
     return int(np.count_nonzero(s > tol.rank_tol * float(s[0])))
 
 
@@ -484,18 +484,6 @@ def _symmetric_eigh(m: np.ndarray, tol: Tolerance, key=None) -> _Split:
     lo = int(np.searchsorted(evals, -tol.psd_slack(scale), "left"))
     hi = int(np.searchsorted(evals, tol.rank_tol * scale, "right"))
     return _Split(evals, evecs, scale, lo, hi)
-
-
-def whitening_basis(matrix, tol: Tolerance = DEFAULT_TOL):
-    """Whitening transform and kernel of a symmetric PSD matrix, one eigh.
-
-    Returns ``(V1, K)`` from the ``_Split`` of M: V1^T M V1 = I_r over its
-    range, and K holds the orthonormal eigenvectors with eigenvalues in
-    [-slack, rank_tol * max|eigenvalue|].  Raises ValueError when M is not
-    PSD within the tolerance.
-    """
-    split = _symmetric_eigh(require_symmetric(matrix), tol)
-    return split.whitening(), split.kernel
 
 
 def output_residual(C, B, Q, tol: Tolerance = DEFAULT_TOL):

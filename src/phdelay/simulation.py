@@ -464,20 +464,25 @@ def monitor_dissipation(
     over the padded states: it covers the quadrature error of both
     trapezoid rules on a resolved run, in units of energy, so scaling H
     and Theta by c > 0 scales it by c.  A given ``tol_energy`` must be
-    finite and nonnegative (ValueError): NaN would flag no step.
+    finite and nonnegative, and the energies and the default tolerance
+    finite (ValueError otherwise): NaN or infinity would flag no step.
     """
     if tol_energy is not None and not 0.0 <= tol_energy < math.inf:
         raise ValueError("tol_energy must be finite and nonnegative")
-    ham = hamiltonian_series(traj, H, theta)
-    power = np.einsum("ij,ij->j", traj.outputs, traj.inputs)
-    seg = 0.5 * traj.step * (power[:-1] + power[1:])
-    supplied = np.concatenate([[0.0], np.cumsum(seg)])
-    if tol_energy is None:
-        tau = traj.delay_steps * traj.step
-        weight = spectral_norm(H) + tau * spectral_norm(theta)
-        max_sq = float(np.max(np.sum(traj.padded_states**2, axis=0)))
-        tol_energy = 10.0 * traj.step**2 * weight * max_sq
-    gaps = ham[1:] - ham[:-1] - seg
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        ham = hamiltonian_series(traj, H, theta)
+        power = np.einsum("ij,ij->j", traj.outputs, traj.inputs)
+        seg = 0.5 * traj.step * (power[:-1] + power[1:])
+        supplied = np.concatenate([[0.0], np.cumsum(seg)])
+        if tol_energy is None:
+            tau = traj.delay_steps * traj.step
+            weight = spectral_norm(H) + tau * spectral_norm(theta)
+            max_sq = float(np.max(np.sum(traj.padded_states**2, axis=0)))
+            tol_energy = 10.0 * traj.step**2 * weight * max_sq
+        gaps = ham[1:] - ham[:-1] - seg
+    if not (math.isfinite(tol_energy) and np.isfinite(ham).all()
+            and np.isfinite(supplied).all()):
+        raise ValueError("the energy leaves the float range: it cannot be audited")
     flagged = np.flatnonzero(gaps > tol_energy)
     violations = [(int(k), float(g)) for k, g in zip(flagged, gaps[flagged])]
     return EnergyRecord(

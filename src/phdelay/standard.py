@@ -17,9 +17,9 @@ Kalman-Yakubovich-Popov matrix
     W(H) = [[-A^T H - H A, C^T - H B],
             [ C - B^T H,        0  ]]
 
-satisfies W(H) = -2 sym(Sigma) identically; both views are exposed.
-Asymptotic stability of A is deliberately not examined here; the tests are
-purely algebraic.
+satisfies W(H) = -2 sym(Sigma) identically, so ``certify_ph`` decides the
+KYP inequality through Sigma.  Asymptotic stability of A is deliberately
+not examined here; the tests are purely algebraic.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .certificates import Certificate
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
+    _binary_exponent,
     _psd_report_blocks,
     _require_shape,
     as_matrix,
@@ -51,7 +52,6 @@ __all__ = [
     "StandardPHCertificate",
     "certify_ph",
     "check_minimality",
-    "kyp_matrix",
     "weighted_system_matrix",
 ]
 
@@ -87,17 +87,6 @@ def weighted_system_matrix(system: StandardLTISystem, H) -> np.ndarray:
     out[:n, :n] = h @ system.A
     out[:n, n:] = h @ system.B
     out[n:, :n] = -system.C
-    return out
-
-
-def kyp_matrix(system: StandardLTISystem, H) -> np.ndarray:
-    """Assemble [[-A^T H - H A, C^T - H B], [C - B^T H, 0]]; H must be n x n."""
-    n, m = system.n, system.m
-    h = _require_shape(as_matrix(H, "H"), (n, n), "H")
-    out = np.zeros((n + m, n + m))
-    out[:n, :n] = -system.A.T @ h - h @ system.A
-    out[:n, n:] = system.C.T - h @ system.B
-    out[n:, :n] = system.C - system.B.T @ h
     return out
 
 
@@ -146,13 +135,17 @@ def certify_ph(
 def check_minimality(system: StandardLTISystem, tol: Tolerance = DEFAULT_TOL) -> str:
     """Kalman rank tests; controllability is checked first.
 
-    Returns "minimal", "not_controllable", or "not_observable".
+    Returns "minimal", "not_controllable", or "not_observable".  The
+    Krylov matrices are built from A / 2^e (``_binary_exponent``), which
+    has the same ranks and keeps them on one scale whatever the time unit.
     """
     n = system.n
-    ctrl = _krylov(system.A, system.B, n)
+    e = _binary_exponent(system.A)
+    a = system.A if e is None else np.ldexp(system.A, -e)
+    ctrl = _krylov(a, system.B, n)
     if numerical_rank(ctrl, tol) < n:
         return NOT_CONTROLLABLE
-    obs = _krylov(system.A.T, system.C.T, n)
+    obs = _krylov(a.T, system.C.T, n)
     if numerical_rank(obs, tol) < n:
         return NOT_OBSERVABLE
     return MINIMAL

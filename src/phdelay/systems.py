@@ -46,9 +46,7 @@ from .linalg import (
     _psd_report_blocks,
     _relative_norm,
     as_matrix,
-    output_residual,
     require_symmetric,
-    skew_part,
     sym_part,
 )
 
@@ -56,13 +54,11 @@ __all__ = [
     "DelayPHSystem",
     "GeneralDelaySystem",
     "HistoryFunction",
-    "OutputMismatchError",
     "StandardLTISystem",
     "StandardPHSystem",
     "SystemFormatError",
     "SystemValidationError",
     "delay_ph_to_general",
-    "general_to_delay_ph",
     "read_system",
     "save_system",
     "validate",
@@ -80,16 +76,6 @@ class SystemValidationError(ValueError):
     def __init__(self, violations):
         self.violations = list(violations)
         super().__init__("; ".join(self.violations))
-
-
-class OutputMismatchError(ValueError):
-    """Raised when C != B^T H prevents a port-Hamiltonian reading."""
-
-    def __init__(self, residual: float):
-        self.residual = float(residual)
-        super().__init__(
-            f"output matrix does not match B^T H (residual norm {residual:.3e})"
-        )
 
 
 def _freeze(obj, name, value):
@@ -402,34 +388,6 @@ def _standard_ph_to_lti(system: StandardPHSystem) -> StandardLTISystem:
     a = np.linalg.solve(system.H, system.J - system.R)
     b = np.linalg.solve(system.H, system.G)
     return StandardLTISystem(a, b, system.G.T.copy())
-
-
-def general_to_delay_ph(
-    system: GeneralDelaySystem,
-    H,
-    theta=None,
-    tol: Tolerance = DEFAULT_TOL,
-) -> DelayPHSystem:
-    """Read a general delay system as port-Hamiltonian with energy matrix H.
-
-    Sets J = skew(H A0), R = -sym(H A0), Z = -H A1, G = H B and requires
-    the output matrix to satisfy C = B^T H within rank_tol * ||C||
-    (OutputMismatchError otherwise, carrying the residual norm).
-    """
-    h = as_matrix(H, "H")
-    residual, holds = output_residual(system.C, system.B, h, tol)
-    if not holds:
-        raise OutputMismatchError(residual)
-    ha0 = h @ system.A0
-    return DelayPHSystem(
-        H=h,
-        J=skew_part(ha0),
-        R=-sym_part(ha0),
-        Z=-(h @ system.A1),
-        G=h @ system.B,
-        tau=system.tau,
-        theta=theta,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -21,13 +21,7 @@ from hypothesis import strategies as st
 
 from phdelay import Certificate, DelayPHSystem, interconnect, ph_condition_matrix
 from phdelay.composition import FeedbackConditions
-from phdelay.linalg import (
-    DEFAULT_TOL,
-    as_matrix,
-    numerical_rank,
-    require_symmetric,
-    whitening_basis,
-)
+from phdelay.linalg import DEFAULT_TOL, as_matrix, numerical_rank, require_symmetric
 from phdelay.simulation import BLOWUP_NORM, BlowUpError
 
 
@@ -273,15 +267,52 @@ def check_feedback_conditions_svd(R, G, tol=DEFAULT_TOL):
     )
 
 
+def whitening_eigh(R, tol=DEFAULT_TOL):
+    """V1 with V1^T R V1 = I over the eigenvalues of a symmetric PSD R above
+    rank_tol * max |eigenvalue|, from one ``np.linalg.eigh``."""
+    evals, evecs = np.linalg.eigh(as_matrix(R, "R"))
+    keep = evals > tol.rank_tol * np.max(np.abs(evals), initial=0.0)
+    return evecs[:, keep] / np.sqrt(evals[keep])
+
+
 def feedback_gain_bound_svd(R, G, tol=DEFAULT_TOL):
     """Reference gain bound 1 / ||V1^T G||_2^2, its hypothesis tested by SVD;
     for an R with no eigenvalue in the band (module docstring)."""
     g = as_matrix(G, "G")
-    v1, _ = whitening_basis(R, tol)
+    v1 = whitening_eigh(R, tol)
     if not contained_svd(kernel_basis_svd(as_matrix(R, "R"), tol), g.T, tol):
         raise ValueError("hypothesis violated: ker(R) is not contained in ker(G^T)")
     coupling = np.linalg.norm(v1.T @ g, 2)
     return math.inf if coupling == 0.0 else 1.0 / (coupling * coupling)
+
+
+def kyp_matrix(system, H):
+    """The KYP matrix W(H) = [[-A^T H - H A, C^T - H B], [C - B^T H, 0]] of
+    a ``StandardLTISystem``."""
+    a, b, c, h = system.A, system.B, system.C, as_matrix(H, "H")
+    return np.block([[-a.T @ h - h @ a, c.T - h @ b],
+                     [c - b.T @ h, np.zeros((system.m, system.m))]])
+
+
+def kyp_delay_oracle(system, Q11, Q22, tol=DEFAULT_TOL):
+    """The paper's block KYP test of a ``GeneralDelaySystem``, by eigvalsh.
+
+    Returns ``(block, storage_psd, block_psd, output_holds)``: the block
+
+        [[-A0^T Q11 - Q11 A0 - Q22, -Q11 A1],
+         [-A1^T Q11,                  Q22  ]],
+
+    whether Q11 and the block are PSD (``dense_psd_oracle``), and whether
+    C = B^T Q11 within rank_tol * ||C||_F.  (Q11, Q22) certifies delay
+    passivity when all three hold.
+    """
+    q11, q22 = as_matrix(Q11), as_matrix(Q22)
+    a0, a1 = system.A0, system.A1
+    block = np.block([[-a0.T @ q11 - q11 @ a0 - q22, -q11 @ a1], [-a1.T @ q11, q22]])
+    residual = np.linalg.norm(system.C - system.B.T @ q11)
+    return (block, dense_psd_oracle(q11, tol)[0] == "PSD",
+            dense_psd_oracle(block, tol)[0] == "PSD",
+            residual <= tol.rank_tol * np.linalg.norm(system.C))
 
 
 def integrate_dde_stepwise(system, history, u, T, h):

@@ -31,9 +31,15 @@ from phdelay import (
     ph_condition_matrix,
     simulate_delay_ph,
 )
-from phdelay.linalg import spectral_norm, sym_part, whitening_basis
-from phdelay.standard import kyp_matrix, weighted_system_matrix
-from helpers import rand_antisym, rand_certified_delay_ph, rand_spd
+from phdelay.linalg import spectral_norm, sym_part
+from phdelay.standard import weighted_system_matrix
+from helpers import (
+    kyp_matrix,
+    rand_antisym,
+    rand_certified_delay_ph,
+    rand_spd,
+    whitening_eigh,
+)
 
 SQ3 = math.sqrt(3.0)
 
@@ -130,7 +136,7 @@ def test_criterion_04_construction_sound_with_tight_endpoints():
             basis = q[:, :rank]
             proj = basis @ basis.T
             z = proj @ rng.standard_normal((n, n)) @ proj
-            v1, _ = whitening_basis(r)
+            v1 = whitening_eigh(r)
             coupling = np.linalg.norm(v1.T @ z @ v1, 2)
             if coupling > 0.0:
                 z *= rng.uniform(0.0, 1.0) / coupling
@@ -266,7 +272,7 @@ def test_criterion_11_grid_search_agrees_with_construction():
             scale = rng.uniform(0.5, 2.0)
             r = scale * rand_spd(rng, 2, (0.5, 1.0))
             z = rng.standard_normal((2, 2))
-            v1, _ = whitening_basis(r)
+            v1 = whitening_eigh(r)
             z *= rng.uniform(0.05, 0.85) / np.linalg.norm(v1.T @ z @ v1, 2)
             out = construct_theta(r, z)
             assert out.success and out.interval.sigma <= 0.86, trial

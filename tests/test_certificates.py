@@ -11,17 +11,14 @@ from phdelay import (
     INCONCLUSIVE,
     REFUTED,
     Certificate,
-    GeneralDelaySystem,
     StandardLTISystem,
     StandardPHSystem,
     certify_delay_ph,
     certify_interconnection,
     certify_ph,
-    delay_ph_to_general,
     interconnect,
     is_psd,
 )
-from phdelay.certify import kyp_delay_check
 from phdelay.linalg import PsdReport
 from helpers import decompositions, eager_pair_certificate, rand_coupled_pair
 
@@ -75,20 +72,14 @@ def test_certificate_is_frozen():
 
 
 def test_output_mismatch_certificates_carry_no_witness():
-    """C = 1 against B^T Q = 1/2: every output test refutes without a witness."""
-    gen = GeneralDelaySystem(A0=[[-2.0]], A1=[[-1.0]], B=[[1.0]], C=[[1.0]],
-                             tau=1.0)
-    certs = [
-        certify_ph(StandardLTISystem(A=[[-1.0]], B=[[1.0]], C=[[1.0]]),
-                   [[0.5]]).certificate,
-        kyp_delay_check(gen, [[0.5]], [[0.5]]),
-    ]
-    for cert in certs:
-        assert cert.verdict == REFUTED
-        assert cert.reason.startswith("output_mismatch")
-        assert cert.witness is None
-        assert np.isfinite(cert.min_eigenvalue)
-        assert cert.to_dict()["witness"] is None
+    """C = 1 against B^T H = 1/2: the output test refutes without a witness."""
+    cert = certify_ph(StandardLTISystem(A=[[-1.0]], B=[[1.0]], C=[[1.0]]),
+                      [[0.5]]).certificate
+    assert cert.verdict == REFUTED
+    assert cert.reason.startswith("output_mismatch")
+    assert cert.witness is None
+    assert np.isfinite(cert.min_eigenvalue)
+    assert cert.to_dict()["witness"] is None
 
 
 EVIDENCE = {Certificate: ("witness", "condition_matrix", "theta_used"),
@@ -133,8 +124,8 @@ def system_matrices(*systems):
 
 def test_every_certificate_exposes_its_own_writable_arrays():
     """Stored, explicit PSD and not-PSD Theta, skew-F parts, a closed loop,
-    certify_ph and kyp_delay_check: each array a certificate exposes is
-    writable and shares no memory with a system matrix."""
+    and certify_ph: each array a certificate exposes is writable and
+    shares no memory with a system matrix."""
     rng = np.random.default_rng(43)
     s, partner, f = rand_coupled_pair(rng, 1.0)
     refuted = dataclasses.replace(s, Z=20.0 * s.Z)
@@ -145,7 +136,6 @@ def test_every_certificate_exposes_its_own_writable_arrays():
     lti = StandardLTISystem(np.linalg.solve(plant.H, plant.J - plant.R),
                             np.linalg.solve(plant.H, plant.G), plant.G.T)
     unstable = StandardLTISystem(-lti.A, lti.B, lti.C)
-    general = delay_ph_to_general(s)
     certs = {
         "stored": certify_delay_ph(s),
         "stored, refuted": certify_delay_ph(refuted),
@@ -157,14 +147,12 @@ def test_every_certificate_exposes_its_own_writable_arrays():
         "certify_ph": certify_ph(lti, plant.H).certificate,
         "certify_ph, refuted": certify_ph(unstable, plant.H).certificate,
         "certify_ph, storage": certify_ph(lti, negated.theta).certificate,
-        "kyp_delay_check": kyp_delay_check(general, s.H, s.theta),
-        "kyp_delay_check, storage": kyp_delay_check(general, negated.theta, s.theta),
     }
     assert [c.reason for c in certs.values()] == [
         "", "condition_indefinite", "", "theta_not_psd", "condition_indefinite", "", "",
-        "", "dissipation_indefinite", "storage_not_psd", "", "storage_not_psd"]
+        "", "dissipation_indefinite", "storage_not_psd"]
     matrices = system_matrices(s, partner, refuted, other, negated, closed, plant, lti,
-                               unstable, general)
+                               unstable)
     for kind, cert in certs.items():
         for name in EVIDENCE[Certificate]:
             array = getattr(cert, name)

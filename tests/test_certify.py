@@ -9,7 +9,6 @@ from phdelay import (
     CERTIFIED,
     REFUTED,
     DelayPHSystem,
-    GeneralDelaySystem,
     StandardLTISystem,
     StandardPHSystem,
     SystemValidationError,
@@ -26,13 +25,13 @@ from phdelay import (
     ph_condition_matrix,
     scalar_theta_interval,
 )
-from phdelay.certify import kyp_delay_check
 from helpers import (
     check_necessary_svd,
     exact_psd,
     exact_quadratic_form,
     integer_rows,
     integer_symmetric,
+    kyp_delay_oracle,
     power_of_two_diagonal,
     rand_certified_delay_ph,
     rand_orth,
@@ -520,24 +519,7 @@ def test_constructions_and_gain_bounds_certify(case):
 
 
 # ---------------------------------------------------------------------------
-# block KYP route in general coordinates
-
-
-def test_kyp_hand_example():
-    gen = GeneralDelaySystem(A0=[[-1.0]], A1=[[0.0]], B=[[1.0]], C=[[0.5]],
-                             tau=1.0)
-    cert = kyp_delay_check(gen, Q11=[[0.5]], Q22=[[0.25]])
-    assert cert.verdict == CERTIFIED
-    np.testing.assert_allclose(cert.condition_matrix,
-                               [[0.75, 0.0], [0.0, 0.25]], atol=1e-15)
-
-
-def test_kyp_zero_q22_with_coupling_refutes():
-    gen = GeneralDelaySystem(A0=[[-1.0]], A1=[[1.0]], B=[[1.0]], C=[[0.5]],
-                             tau=1.0)
-    cert = kyp_delay_check(gen, Q11=[[0.5]], Q22=[[0.0]])
-    assert cert.verdict == REFUTED
-    assert cert.reason == "block_indefinite"
+# block KYP route in general coordinates, against the test-side oracle
 
 
 def test_kyp_block_equals_condition_matrix_at_half_h():
@@ -552,12 +534,11 @@ def test_kyp_block_equals_condition_matrix_at_half_h():
     for _ in range(15):
         sys1 = rand_certified_delay_ph(rng, 3)
         gen = delay_ph_to_general(sys1)
-        cert = kyp_delay_check(gen, 0.5 * sys1.H, sys1.theta)
+        block, _, block_psd, output_holds = kyp_delay_oracle(gen, 0.5 * sys1.H, sys1.theta)
         cond = ph_condition_matrix(sys1.R, sys1.Z, sys1.theta)
-        np.testing.assert_allclose(cert.condition_matrix, cond, atol=1e-10)
-        assert is_psd(cert.condition_matrix).is_psd == is_psd(cond).is_psd
-        assert cert.verdict == REFUTED  # output residual ||G^T/2||
-        assert cert.reason.startswith("output_mismatch")
+        np.testing.assert_allclose(block, cond, atol=1e-10)
+        assert block_psd == is_psd(cond).is_psd
+        assert not output_holds  # output residual ||G^T/2||
 
 
 def test_kyp_full_verdict_matches_for_zero_port():
@@ -566,9 +547,8 @@ def test_kyp_full_verdict_matches_for_zero_port():
         sys1 = rand_certified_delay_ph(rng, 3)
         sys0 = DelayPHSystem(sys1.H, sys1.J, sys1.R, sys1.Z,
                              np.zeros((3, 1)), sys1.tau, sys1.theta)
-        cert = kyp_delay_check(delay_ph_to_general(sys0), 0.5 * sys0.H,
-                               sys0.theta)
-        assert cert.verdict == certify_delay_ph(sys0).verdict == CERTIFIED
+        _, *holds = kyp_delay_oracle(delay_ph_to_general(sys0), 0.5 * sys0.H, sys0.theta)
+        assert all(holds) and certify_delay_ph(sys0).verdict == CERTIFIED
 
 
 def test_kyp_doubled_storage_matches_verdict_with_output():
@@ -577,35 +557,10 @@ def test_kyp_doubled_storage_matches_verdict_with_output():
     for _ in range(15):
         sys1 = rand_certified_delay_ph(rng, 3)
         gen = delay_ph_to_general(sys1)
-        cert = kyp_delay_check(gen, sys1.H, 2.0 * sys1.theta)
-        assert cert.verdict == certify_delay_ph(sys1).verdict == CERTIFIED
+        block, *holds = kyp_delay_oracle(gen, sys1.H, 2.0 * sys1.theta)
+        assert all(holds) and certify_delay_ph(sys1).verdict == CERTIFIED
         cond = ph_condition_matrix(sys1.R, sys1.Z, sys1.theta)
-        np.testing.assert_allclose(cert.condition_matrix, 2.0 * cond,
-                                   atol=1e-10)
-
-
-def test_kyp_negative_storage_refutes():
-    """x' = x + u is unstable; the storage -x^2/2 must not certify it."""
-    gen = GeneralDelaySystem(A0=[[1.0]], A1=[[0.0]], B=[[1.0]], C=[[-1.0]],
-                             tau=1.0)
-    cert = kyp_delay_check(gen, Q11=[[-1.0]], Q22=[[1.0]])
-    assert cert.verdict == REFUTED
-    assert cert.reason == "storage_not_psd"
-    assert cert.min_eigenvalue == pytest.approx(-1.0)
-    w = cert.witness
-    assert float(w @ np.array([[-1.0]]) @ w) < 0.0
-    np.testing.assert_allclose(cert.condition_matrix, [[1.0, 0.0], [0.0, 1.0]])
-
-
-@pytest.mark.parametrize("q11, q22, name", [
-    (np.eye(2), [[1.0]], "Q11"),
-    ([[1.0]], np.eye(2), "Q22"),
-], ids=["Q11", "Q22"])
-def test_kyp_rejects_misshapen_storage(q11, q22, name):
-    gen = GeneralDelaySystem(A0=[[-1.0]], A1=[[0.0]], B=[[1.0]], C=[[1.0]],
-                             tau=1.0)
-    with pytest.raises(ValueError, match=rf"{name} has shape .*expected \(1, 1\)"):
-        kyp_delay_check(gen, q11, q22)
+        np.testing.assert_allclose(block, 2.0 * cond, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -735,9 +690,9 @@ def integer_delay_ph(draw, stored=False):
 def integer_certificate_case(draw):
     """``(produce, args, named)``: a certificate producer of phdelay, its
     integer-valued arguments, and the matrix that each reason other than
-    a refuted condition matrix names.  Half of the cases certify a delay
+    a refuted condition matrix names.  Four in seven cases certify a delay
     system, the rest spread over the other producers."""
-    kind = draw(st.sampled_from(["delay"] * 4 + ["ph", "kyp", "skew", "coupled"]))
+    kind = draw(st.sampled_from(["delay"] * 4 + ["ph", "skew", "coupled"]))
     if kind == "delay":
         system, theta = draw(integer_delay_ph())
         return certify_delay_ph, (system, theta), {"theta_not_psd": theta}
@@ -748,10 +703,6 @@ def integer_certificate_case(draw):
     if kind == "ph":
         a = draw(integer_rows(n, n, n))
         return certify_ph, (StandardLTISystem(a, b, b.T @ h), h), {"storage_not_psd": h}
-    if kind == "kyp":
-        a0, a1 = draw(integer_rows(n, n, n)), draw(integer_rows(n, n, n))
-        system = GeneralDelaySystem(a0, a1, b, b.T @ h, 1.0)
-        return kyp_delay_check, (system, h, draw(integer_symmetric(n))), {"storage_not_psd": h}
     (sys1, _), (sys2, _) = draw(integer_delay_ph(stored=True)), draw(integer_delay_ph(stored=True))
     f = draw(integer_rows(sys1.m + sys2.m, sys1.m + sys2.m, sys1.m + sys2.m))
     return certify_interconnection, (sys1, sys2, f - f.T if kind == "skew" else f), {}
@@ -761,7 +712,7 @@ def integer_certificate_case(draw):
 @given(integer_certificate_case())
 def test_every_refutation_witness_is_exact(case):
     """A REFUTED certificate's witness w has w^T M w < 0 in rational
-    arithmetic, M the matrix its verdict tested: H, Theta or Q11 where the
+    arithmetic, M the matrix its verdict tested: H or Theta where the
     reason names it, the certificate's condition matrix otherwise."""
     produce, args, named = case
     cert = produce(*args)

@@ -430,6 +430,20 @@ def test_feedback_tests_the_kernel_hypotheses_once(capsys, tmp_path):
 # simulate
 
 
+def test_simulate_monitor_reports_an_energy_beyond_the_float_range(capsys, tmp_path):
+    """H = R = 1e308, Theta = 1e307: the energy overflows, so the audit is
+    an input error in strict JSON, and no trajectory is written."""
+    doc = scalar_doc(a0=1e308, a1=0.0, theta=1e307)
+    doc["H"] = [[1e308]]
+    out = tmp_path / "r.csv"
+    code = main(["simulate", write_doc(tmp_path / "huge.json", doc), "--history",
+                 "const:5", "--T", "1", "--h", "0.5", "--monitor", "--out", str(out)])
+    report = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert code == report["exit_code"] == 3
+    assert "energy leaves the float range" in report["error"]
+    assert not out.exists()
+
+
 def test_simulate_with_monitor(capsys, tmp_path, scalar_file):
     out = tmp_path / "traj.csv"
     code, report = run(capsys, "simulate", scalar_file,

@@ -5,7 +5,8 @@ and an orthogonal change of state coordinates x = T x' (M -> T^T M T,
 G -> T^T G) is a congruence of it; a state permutation is one exactly.
 None of these may change a verdict, and neither may swapping the two
 subsystems of an interconnection.  Every instance decides with margin, so a mismatch is a
-defect rather than rounding at a boundary.
+defect rather than rounding at a boundary.  A change of the unit of time
+scales A of a standard system, and must not change its minimality.
 """
 
 import math
@@ -16,12 +17,17 @@ from hypothesis import given, settings, strategies as st
 
 from phdelay import (
     CERTIFIED,
+    MINIMAL,
+    NOT_CONTROLLABLE,
+    NOT_OBSERVABLE,
     REFUTED,
     DelayPHSystem,
     HistoryFunction,
+    StandardLTISystem,
     SystemValidationError,
     certify_delay_ph,
     certify_interconnection,
+    check_minimality,
     check_necessary,
     construct_theta,
     simulate_delay_ph,
@@ -195,3 +201,17 @@ def test_energy_audit_flags_the_same_steps_in_any_units(omega):
     assert steps
     for c in (1e-12, 1e-6, 3.7e3, 1e6, 1e12):
         assert flagged(c) == steps
+
+
+@pytest.mark.parametrize("c", [1e-300, 1e-100, 1e-12, 1e-6, 1.0, 3.7e3, 1e6, 1e12,
+                               1e100, 1e200, 1e300])
+def test_minimality_does_not_depend_on_the_unit_of_time(c):
+    """x' = c A x + B u is x in the time unit 1/c: each Kalman verdict of
+    A = diag(1, 2) stays at every c, and c I stays not controllable from
+    one input."""
+    a = c * np.diag([1.0, 2.0])
+    b, both = [[1.0], [1.0]], [[1.0, 1.0]]
+    assert check_minimality(StandardLTISystem(a, b, both)) == MINIMAL
+    assert check_minimality(StandardLTISystem(a, np.eye(2), both)) == MINIMAL
+    assert check_minimality(StandardLTISystem(a, np.eye(2), [[1.0, 0.0]])) == NOT_OBSERVABLE
+    assert check_minimality(StandardLTISystem(c * np.eye(2), b, both)) == NOT_CONTROLLABLE

@@ -15,7 +15,6 @@ from phdelay.linalg import (
     skew_part,
     spectral_norm,
     sym_part,
-    whitening_basis,
 )
 from phdelay import HistoryFunction, check_feedback_conditions, check_necessary
 from phdelay.linalg import (
@@ -351,7 +350,7 @@ def test_rank_kernel_image_rank_one():
     u = np.array([[1.0], [2.0], [2.0]])
     m = u @ u.T
     assert numerical_rank(m) == 1
-    _, ker = whitening_basis(m)
+    ker = _symmetric_eigh(m, DEFAULT_TOL).kernel
     assert ker.shape == (3, 2)
     np.testing.assert_allclose(m @ ker, 0.0, atol=1e-12)
     np.testing.assert_allclose(ker.T @ ker, np.eye(2), atol=1e-12)
@@ -380,9 +379,9 @@ def test_kernel_basis_edge_cases():
     split = _symmetric_eigh(np.diag([-2e-9, -9e-10, -2e-10, 0.0, 1e-10, 2e-10, 1.0]),
                             DEFAULT_TOL)
     assert (split.lo, split.hi) == (1, 5)
-    v1, ker = whitening_basis(np.diag([1.0, -5e-10]))
-    np.testing.assert_allclose(np.abs(ker), [[0.0], [1.0]])
-    np.testing.assert_allclose(np.abs(v1), [[1.0], [0.0]])
+    split = _symmetric_eigh(np.diag([1.0, -5e-10]), DEFAULT_TOL)
+    np.testing.assert_allclose(np.abs(split.kernel), [[0.0], [1.0]])
+    np.testing.assert_allclose(np.abs(split.whitening()), [[1.0], [0.0]])
     # through the public callers: full kernel of the zero matrix, none of I
     assert check_necessary(np.eye(3), np.eye(3), np.ones((3, 3))).all_hold
     zero = check_necessary(np.zeros((3, 3)), np.zeros((3, 3)), np.eye(3))
@@ -470,16 +469,18 @@ def test_subspace_contained_is_unit_free(c):
 
 def test_whitening_basis_full_rank_hand_example():
     r = np.array([[2.0, 1.0], [1.0, 2.0]])
-    v1, ker = whitening_basis(r)
-    assert v1.shape == (2, 2) and ker.shape == (2, 0)
+    split = _symmetric_eigh(r, DEFAULT_TOL)
+    v1 = split.whitening()
+    assert v1.shape == (2, 2) and split.kernel.shape == (2, 0)
     np.testing.assert_allclose(v1.T @ r @ v1, np.eye(2), atol=1e-10)
 
 
 def test_whitening_basis_singular_psd():
     rng = np.random.default_rng(5)
     q = rand_orth(rng, 4)
-    r = (q * np.array([2.0, 1.0, 0.5, 0.0])) @ q.T
-    v1, ker = whitening_basis(r)
+    r = require_symmetric((q * np.array([2.0, 1.0, 0.5, 0.0])) @ q.T)
+    split = _symmetric_eigh(r, DEFAULT_TOL)
+    v1, ker = split.whitening(), split.kernel
     assert v1.shape == (4, 3) and v1.T.flags.c_contiguous  # a left factor
     np.testing.assert_allclose(v1.T @ r @ v1, np.eye(3), atol=1e-10)
     # the kernel is the last column of q, the same one a full SVD finds
@@ -490,10 +491,10 @@ def test_whitening_basis_singular_psd():
 
 def test_whitening_basis_rejects_indefinite():
     with pytest.raises(ValueError, match="not positive semidefinite"):
-        whitening_basis(np.diag([1.0, -0.5]))
+        _symmetric_eigh(np.diag([1.0, -0.5]), DEFAULT_TOL).whitening()
 
 
 def test_whitening_basis_zero_matrix():
-    v1, ker = whitening_basis(np.zeros((3, 3)))
-    assert v1.shape == (3, 0) and ker.shape == (3, 3)
-    np.testing.assert_allclose(ker.T @ ker, np.eye(3), atol=1e-15)
+    split = _symmetric_eigh(np.zeros((3, 3)), DEFAULT_TOL)
+    assert split.whitening().shape == (3, 0) and split.kernel.shape == (3, 3)
+    np.testing.assert_allclose(split.kernel.T @ split.kernel, np.eye(3), atol=1e-15)

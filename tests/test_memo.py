@@ -167,6 +167,21 @@ def test_feedback_routines_decompose_r_once_and_g_never():
     assert count(calls, "eigh", plant.R) == 1
 
 
+def test_a_square_frozen_g_takes_one_svd_through_both_feedback_routines():
+    """The kernel hypotheses take rank G of a system's square G, which is
+    not stored on it; the gain bound takes no rank, so the pair of calls
+    decomposes G once."""
+    rng = np.random.default_rng(19)
+    s = rand_certified_delay_ph(rng, 3, m=3)
+    plant = StandardPHSystem(s.H, s.J, s.R, s.G)
+    with decompositions() as calls:
+        conditions = check_feedback_conditions(plant.R, plant.G)
+        beta = feedback_gain_bound(plant.R, plant.G)
+    assert conditions.all_hold and 0.0 < beta < np.inf
+    assert [name for name, _ in calls].count("svd") == 1
+    assert count(calls, "svd", plant.G) == 1
+
+
 def test_a_writeable_g_is_decomposed_once_per_call():
     """rank G of a G with as many columns as rows takes one svd per call,
     also for an array that keeps none."""

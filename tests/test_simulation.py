@@ -599,6 +599,24 @@ def test_monitor_rejects_a_non_finite_or_negative_tolerance(tol_energy):
     assert monitor_dissipation(traj, [[1.0]], [[1.0]], tol_energy=0.0).tol_energy == 0.0
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("h_diag, r_diag, theta_diag, history", [
+    ([1e308], [1e308], [1e307], [5.0]),  # the energy overflows
+    ([1e308, 1e300], [1e308, 1e300], [1.0, 1.0], [0.0, 100.0]),  # its tolerance
+], ids=["energy", "tolerance"])
+def test_monitor_rejects_an_energy_beyond_the_float_range(h_diag, r_diag, theta_diag,
+                                                          history):
+    """An audit whose energy or default tolerance overflows cannot flag a
+    step: it raises, and leaks no floating-point warning."""
+    n = len(h_diag)
+    huge = DelayPHSystem(H=np.diag(h_diag), J=np.zeros((n, n)), R=np.diag(r_diag),
+                         Z=np.zeros((n, n)), G=np.ones((n, 1)), tau=1.0,
+                         theta=np.diag(theta_diag))
+    with pytest.raises(ValueError, match="energy leaves the float range"):
+        simulate_delay_ph(huge, HistoryFunction.constant(history, 1.0), None,
+                          T=1.0, h=0.5)
+
+
 def test_simulate_requires_theta_for_monitoring():
     bare = DelayPHSystem(H=[[1.0]], J=[[0.0]], R=[[2.0]], Z=[[1.0]],
                          G=[[1.0]], tau=1.0)

@@ -6,14 +6,12 @@ from phdelay import (
     NOT_CONTROLLABLE,
     NOT_OBSERVABLE,
     REFUTED,
-    GeneralDelaySystem,
     StandardLTISystem,
     certify_ph,
     check_minimality,
 )
-from phdelay.standard import kyp_matrix, weighted_system_matrix
-from phdelay.systems import OutputMismatchError, general_to_delay_ph
-from helpers import rand_antisym, rand_spd
+from phdelay.standard import weighted_system_matrix
+from helpers import kyp_matrix, rand_antisym, rand_spd
 
 
 def example_ph_lti():
@@ -76,10 +74,6 @@ def test_certify_ph_output_mismatch_is_unit_free(c):
     result = certify_ph(StandardLTISystem(A=[[-1.0]], B=b, C=cc), [[1.0]])
     assert result.certificate.verdict == REFUTED
     assert result.certificate.reason.startswith("output_mismatch")
-    # the delay-system reading rejects the same data
-    gen = GeneralDelaySystem(A0=[[-1.0]], A1=[[0.0]], B=b, C=cc, tau=1.0)
-    with pytest.raises(OutputMismatchError):
-        general_to_delay_ph(gen, [[1.0]])
 
 
 def test_certify_ph_dissipation_indefinite():
@@ -108,7 +102,7 @@ def test_certify_ph_rejects_an_asymmetric_energy_matrix():
         certify_ph(example_ph_lti(), [[1.0, 1.0], [0.0, 1.0]])
 
 
-@pytest.mark.parametrize("build", [certify_ph, weighted_system_matrix, kyp_matrix])
+@pytest.mark.parametrize("build", [certify_ph, weighted_system_matrix])
 def test_misshapen_energy_matrix_is_named(build):
     with pytest.raises(ValueError, match=r"^H has shape \(1, 2\), expected \(2, 2\)"):
         build(example_ph_lti(), [[1.0, 0.0]])
@@ -123,11 +117,11 @@ def test_weighted_system_matrix_hand_value():
 
 
 def test_kyp_matrix_hand_value():
-    sys1 = example_ph_lti()
-    w = kyp_matrix(sys1, np.eye(2))
-    np.testing.assert_array_equal(w, [[2.0, 0.0, 0.0],
-                                      [0.0, 2.0, 0.0],
-                                      [0.0, 0.0, 0.0]])
+    """-2 sym(Sigma) is the hand value of W(I) for the hand example."""
+    sigma = weighted_system_matrix(example_ph_lti(), np.eye(2))
+    np.testing.assert_array_equal(-(sigma + sigma.T), [[2.0, 0.0, 0.0],
+                                                       [0.0, 2.0, 0.0],
+                                                       [0.0, 0.0, 0.0]])
 
 
 def test_kyp_equals_minus_twice_sym_sigma():

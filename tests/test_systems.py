@@ -18,8 +18,7 @@ from phdelay import (
     validate,
     write_system,
 )
-from phdelay.linalg import require_symmetric
-from phdelay.systems import OutputMismatchError, general_to_delay_ph
+from phdelay.linalg import require_symmetric, skew_part, sym_part
 from helpers import rand_certified_delay_ph
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -251,22 +250,17 @@ def test_delay_ph_to_general_solves_h():
 
 
 def test_general_round_trip_recovers_structure():
+    """H A0 = J - R splits back into J and R; H A1 = -Z, H B = G, C = G^T."""
     rng = np.random.default_rng(2)
     for _ in range(10):
         sys1 = rand_certified_delay_ph(rng, 4, m=2)
-        back = general_to_delay_ph(delay_ph_to_general(sys1), sys1.H)
-        np.testing.assert_allclose(back.J, sys1.J, atol=1e-10)
-        np.testing.assert_allclose(back.R, sys1.R, atol=1e-10)
-        np.testing.assert_allclose(back.Z, sys1.Z, atol=1e-10)
-        np.testing.assert_allclose(back.G, sys1.G, atol=1e-10)
-
-
-def test_general_to_delay_ph_rejects_output_mismatch():
-    gen = GeneralDelaySystem(A0=[[-1.0]], A1=[[0.0]], B=[[1.0]], C=[[2.0]],
-                             tau=1.0)
-    with pytest.raises(OutputMismatchError) as err:
-        general_to_delay_ph(gen, H=[[1.0]])  # C = 2 but B^T H = 1
-    assert err.value.residual == pytest.approx(1.0)
+        gen = delay_ph_to_general(sys1)
+        ha0 = sys1.H @ gen.A0
+        np.testing.assert_allclose(skew_part(ha0), sys1.J, atol=1e-10)
+        np.testing.assert_allclose(-sym_part(ha0), sys1.R, atol=1e-10)
+        np.testing.assert_allclose(-(sys1.H @ gen.A1), sys1.Z, atol=1e-10)
+        np.testing.assert_allclose(sys1.H @ gen.B, sys1.G, atol=1e-10)
+        np.testing.assert_array_equal(gen.C, sys1.G.T)
 
 
 # ---------------------------------------------------------------------------
