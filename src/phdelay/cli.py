@@ -28,10 +28,10 @@ from .certificates import CERTIFIED, INCONCLUSIVE, REFUTED
 from .certify import certify_delay_ph, check_necessary, construct_theta
 from .composition import (
     _certify_pair,
-    _feedback_conditions_and_bound,
     check_feedback_conditions,
     classify_feedback,
     close_delayed_feedback,
+    feedback_gain_bound,
     interconnect,
 )
 from .linalg import Tolerance
@@ -53,6 +53,7 @@ from .systems import (
     _document,
     _load_json,
     _matrix_rows,
+    _require_valid,
     _standard_ph_to_lti,
     _system_from_text,
     save_system,
@@ -83,8 +84,8 @@ def _read(path: str, inputs: dict) -> str:
     return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
 
 
-def _read_system(path: str, inputs: dict, tol, validated: bool = True):
-    return _system_from_text(_read(path, inputs), tol, validated)
+def _read_system(path: str, inputs: dict, tol):
+    return _require_valid(_system_from_text(_read(path, inputs)), tol)
 
 
 def _read_matrix(path: str, name: str, inputs: dict) -> np.ndarray:
@@ -201,8 +202,10 @@ def _cmd_feedback(args, tol, inputs):
         raise _UsageError("feedback requires a standard_ph system")
     f = _read_matrix(args.feedback_matrix, "F", inputs)
     closed = close_delayed_feedback(system, f, args.tau)
-    conditions, beta = _feedback_conditions_and_bound(system.R, system.G, tol)
-    unbounded = beta == math.inf  # beta is None when the kernel hypotheses fail
+    conditions = check_feedback_conditions(system.R, system.G, tol)
+    beta = (feedback_gain_bound(system.R, system.G, tol)
+            if conditions.kernel_r_in_kernel_gt else None)
+    unbounded = beta == math.inf
     payload = {
         "feedback_conditions": asdict(conditions),
         "gain_bound": None if beta is None or unbounded else beta,
@@ -288,7 +291,11 @@ def _cmd_simulate(args, tol, inputs):
             f"--T / --h = {args.T} / {args.h} is not a finite number of steps"
         )
     history = _parse_history(args.history, system, inputs)
-    times = np.arange(round(steps) + 1) * args.h
+    try:
+        times = np.arange(round(steps) + 1) * args.h
+    except ValueError:  # more samples or bytes than numpy can index
+        raise _UsageError(f"--T / --h = {args.T} / {args.h} = {steps:.6g} steps, "
+                          "too many to hold") from None
     u = _parse_input(args.input, times, system.m, inputs)
     payload = {}
 
@@ -324,7 +331,7 @@ def _cmd_simulate(args, tol, inputs):
 
 
 def _cmd_check(args, tol, inputs):
-    system = _read_system(args.system, inputs, tol, validated=False)
+    system = _system_from_text(_read(args.system, inputs))
     violations = validate(system, tol)
     runs = [("validate", lambda: (not violations, violations or "all type invariants hold"))]
     if isinstance(system, (StandardLTISystem, StandardPHSystem)):

@@ -229,10 +229,12 @@ def check_feedback_conditions(R, G, tol: Tolerance = DEFAULT_TOL) -> FeedbackCon
     """Evaluate the kernel hypotheses used by the feedback gain bound.
 
     R must be symmetric and G must have R's row count (ValueError
-    otherwise).
+    otherwise).  ker(G^T) = {0} iff rank G = n, so only a G with at least
+    n columns has its rank taken.
     """
     g, _, contained = _kernel_hypothesis(R, G, tol)
-    return _conditions(g, contained, tol)
+    n, m = g.shape
+    return FeedbackConditions(m >= n and numerical_rank(g, tol) == n, contained)
 
 
 def feedback_gain_bound(R, G, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -245,23 +247,19 @@ def feedback_gain_bound(R, G, tol: Tolerance = DEFAULT_TOL) -> float:
     disjoint from image(G).  Returns math.inf when V1^T G vanishes (no
     finite bound is needed) and when beta exceeds the float range.
     """
-    beta = _gain_bound(*_kernel_hypothesis(R, G, tol))
-    if beta is None:
-        raise ValueError("hypothesis violated: ker(R) is not contained in ker(G^T)")
-    return beta
-
-
-def _feedback_conditions_and_bound(R, G, tol: Tolerance):
-    """``(check_feedback_conditions(R, G), feedback_gain_bound(R, G))`` from
-    one run of the kernel hypotheses; the bound is None when ker(R) is not
-    contained in ker(G^T).  ValueError when R is not PSD."""
     g, split, contained = _kernel_hypothesis(R, G, tol)
-    return _conditions(g, contained, tol), _gain_bound(g, split, contained)
+    v1 = split.whitening("R")
+    if not contained:
+        raise ValueError("hypothesis violated: ker(R) is not contained in ker(G^T)")
+    coupling = spectral_norm(v1.T @ g)
+    square = coupling * coupling
+    return math.inf if square == 0.0 else 1.0 / square
 
 
 def _kernel_hypothesis(R, G, tol: Tolerance):
     """``(G as an array, the _Split of R, whether ker(R) <= ker(G^T))``;
-    one ``eigh`` of R gives ker(R) and its whitening."""
+    one ``eigh`` of R gives ker(R) and its whitening, and is stored on a
+    system's R for the next call."""
     r = require_symmetric(R, "R")
     g = as_matrix(G, "G")
     n = r.shape[0]
@@ -269,20 +267,3 @@ def _kernel_hypothesis(R, G, tol: Tolerance):
         raise ValueError(f"G has {g.shape[0]} rows, expected {n}")
     split = _symmetric_eigh(r, tol, R)
     return g, split, _contained(split.kernel, g.T, tol)
-
-
-def _conditions(g: np.ndarray, contained: bool, tol: Tolerance) -> FeedbackConditions:
-    """ker(G^T) = {0} iff rank G = n, so only a G with at least n columns
-    has its rank taken."""
-    n, m = g.shape
-    return FeedbackConditions(m >= n and numerical_rank(g, tol) == n, contained)
-
-
-def _gain_bound(g: np.ndarray, split, contained: bool) -> float | None:
-    """``feedback_gain_bound``, or None when ker(R) is not in ker(G^T)."""
-    v1 = split.whitening("R")
-    if not contained:
-        return None
-    coupling = spectral_norm(v1.T @ g)
-    square = coupling * coupling
-    return math.inf if square == 0.0 else 1.0 / square

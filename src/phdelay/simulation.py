@@ -363,7 +363,11 @@ def integrate_dde(
     # at t_{r-d} and u_r the input at t_r (zero past K); row k of the
     # read-only ``windows`` view spans rows k and k + 1, the delayed states
     # and the inputs of step k
-    work = np.zeros((d + big_k + 1, n + m))
+    try:
+        work = np.zeros((d + big_k + 1, n + m))
+    except ValueError:  # more rows or bytes than numpy can index
+        raise ValueError(f"tau / h = {d} and T / h = {big_k} steps: the work "
+                         "array is too large to hold") from None
     work[: d + 1, :n] = history.sample_at((np.arange(d + 1) - d) * h).T
     times = np.arange(big_k + 1) * h
     u = _input_samples(inputs, times, m)
@@ -438,18 +442,23 @@ def hamiltonian_series(traj: Trajectory, H, theta) -> np.ndarray:
     over the grid points of [t_k - tau, t_k].  The trapezoid is summed once
     over the first window and then slid one step at a time with the exact
     increment h/2 (g_{k+d} + g_{k+d+1} - g_k - g_{k+1}).  H and Theta must
-    be symmetric n x n (ValueError otherwise).
+    be symmetric n x n, and every E_k finite (ValueError otherwise, raised
+    without a floating-point warning).
     """
     shape = (traj.n, traj.n)
     h_mat = _require_shape(require_symmetric(H, "H"), shape, "H")
     th = _require_shape(require_symmetric(theta, "theta"), shape, "theta")
     x, d, step = traj.padded_states, traj.delay_steps, traj.step
-    g = np.einsum("ij,ij->j", x, th @ x)
-    first = step * (0.5 * g[0] + g[1:d].sum() + 0.5 * g[d])
-    slide = 0.5 * step * (g[d:-1] + g[d + 1 :] - g[: -d - 1] - g[1:-d])
-    integral = np.concatenate([[first], first + np.cumsum(slide)])
-    states = traj.states
-    return 0.5 * np.einsum("ij,ij->j", states, h_mat @ states) + integral
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        g = np.einsum("ij,ij->j", x, th @ x)
+        first = step * (0.5 * g[0] + g[1:d].sum() + 0.5 * g[d])
+        slide = 0.5 * step * (g[d:-1] + g[d + 1 :] - g[: -d - 1] - g[1:-d])
+        integral = np.concatenate([[first], first + np.cumsum(slide)])
+        states = traj.states
+        energy = 0.5 * np.einsum("ij,ij->j", states, h_mat @ states) + integral
+    if not np.isfinite(energy).all():
+        raise ValueError("the energy leaves the float range")
+    return energy
 
 
 def monitor_dissipation(
@@ -464,13 +473,13 @@ def monitor_dissipation(
     over the padded states: it covers the quadrature error of both
     trapezoid rules on a resolved run, in units of energy, so scaling H
     and Theta by c > 0 scales it by c.  A given ``tol_energy`` must be
-    finite and nonnegative, and the energies and the default tolerance
-    finite (ValueError otherwise): NaN or infinity would flag no step.
+    finite and nonnegative, and the energies, the supplied energy and the
+    default tolerance finite (ValueError otherwise): NaN or inf flag no step.
     """
     if tol_energy is not None and not 0.0 <= tol_energy < math.inf:
         raise ValueError("tol_energy must be finite and nonnegative")
+    ham = hamiltonian_series(traj, H, theta)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        ham = hamiltonian_series(traj, H, theta)
         power = np.einsum("ij,ij->j", traj.outputs, traj.inputs)
         seg = 0.5 * traj.step * (power[:-1] + power[1:])
         supplied = np.concatenate([[0.0], np.cumsum(seg)])
@@ -480,8 +489,7 @@ def monitor_dissipation(
             max_sq = float(np.max(np.sum(traj.padded_states**2, axis=0)))
             tol_energy = 10.0 * traj.step**2 * weight * max_sq
         gaps = ham[1:] - ham[:-1] - seg
-    if not (math.isfinite(tol_energy) and np.isfinite(ham).all()
-            and np.isfinite(supplied).all()):
+    if not (math.isfinite(tol_energy) and np.isfinite(supplied).all()):
         raise ValueError("the energy leaves the float range: it cannot be audited")
     flagged = np.flatnonzero(gaps > tol_energy)
     violations = [(int(k), float(g)) for k, g in zip(flagged, gaps[flagged])]

@@ -433,7 +433,12 @@ def _matrix_rows(key, value, n_rows=None, n_cols=None):
         raise SystemFormatError(f'"{key}" has shape {shape}, too large to hold') from None
 
 
-def _parse_document(doc: dict):
+def _system_from_text(text: str):
+    """The system a JSON document describes, parsed but not validated:
+    SystemFormatError for a schema problem, and the object whatever its
+    invariants, which the caller checks with ``_require_valid`` or
+    ``validate``."""
+    doc = _load_json(text)
     if not isinstance(doc, dict):
         raise SystemFormatError("system document must be a JSON object")
     kind = doc.get("kind")
@@ -468,15 +473,15 @@ def _parse_document(doc: dict):
     return cls(**kwargs)
 
 
-def read_system(source, tol: Tolerance = DEFAULT_TOL, validated: bool = True):
+def read_system(source, tol: Tolerance = DEFAULT_TOL):
     """Parse and validate a system from a JSON document.
 
     ``source`` is either a path or the JSON text itself: an existing file
     is read, even one named like "{a}.json", and any other string whose
     first non-space character is "{" is treated as text.  Schema problems
     raise SystemFormatError; invariant violations are collected and raised
-    together as SystemValidationError.  Pass ``validated=False`` to get the
-    parsed object back even when its invariants fail, e.g. for diagnostics.
+    together as SystemValidationError (``phdelay check`` reports them
+    for a document that fails them).
     """
     if not isinstance(source, (str, os.PathLike)):
         raise TypeError("source must be a path or JSON text")
@@ -484,13 +489,7 @@ def read_system(source, tol: Tolerance = DEFAULT_TOL, validated: bool = True):
     if os.path.isfile(text) or not text.lstrip().startswith("{"):
         with open(source, "r", encoding="utf-8") as fh:
             text = fh.read()
-    return _system_from_text(text, tol, validated)
-
-
-def _system_from_text(text: str, tol: Tolerance, validated: bool = True):
-    """``read_system`` once the JSON text is in hand."""
-    system = _parse_document(_load_json(text))
-    return _require_valid(system, tol) if validated else system
+    return _require_valid(_system_from_text(text), tol)
 
 
 def _document(system) -> dict:

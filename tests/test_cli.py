@@ -2,9 +2,11 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import pathlib
 import sys
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -14,6 +16,8 @@ from phdelay import (
     DelayPHSystem,
     HistoryFunction,
     certify_interconnection,
+    check_feedback_conditions,
+    feedback_gain_bound,
     hamiltonian_series,
     read_system,
     simulate_delay_ph,
@@ -391,11 +395,14 @@ def test_feedback_without_port_is_unbounded(capsys, tmp_path):
     assert report["gain_unbounded"] is True
 
 
+#: ker(R) = span(e2) meets image(G) = span(e2)
+KERNEL_VIOLATION = {"kind": "standard_ph", "n": 2, "m": 1, "H": [[1.0, 0.0], [0.0, 1.0]],
+                    "J": [[0.0, 0.0], [0.0, 0.0]], "R": [[1.0, 0.0], [0.0, 0.0]],
+                    "G": [[0.0], [1.0]]}
+
+
 def test_feedback_kernel_violation_reported(capsys, tmp_path):
-    doc = {"kind": "standard_ph", "n": 2, "m": 1, "H": [[1.0, 0.0], [0.0, 1.0]],
-           "J": [[0.0, 0.0], [0.0, 0.0]], "R": [[1.0, 0.0], [0.0, 0.0]],
-           "G": [[0.0], [1.0]]}
-    plant = write_doc(tmp_path / "plant.json", doc)
+    plant = write_doc(tmp_path / "plant.json", KERNEL_VIOLATION)
     f = write_doc(tmp_path / "f.json", [[0.1]])
     code, report = run(capsys, "feedback", plant, f, "--tau", "1.0")
     assert code == 0
@@ -403,6 +410,28 @@ def test_feedback_kernel_violation_reported(capsys, tmp_path):
     assert report["gain_unbounded"] is False
     assert report["gain_bound_reason"] == "kernel hypotheses violated"
     assert report["feedback_conditions"]["kernel_r_in_kernel_gt"] is False
+
+
+@pytest.mark.parametrize("doc", [ph_doc(), ph_doc(g=0.0), KERNEL_VIOLATION],
+                         ids=["bounded", "no-port", "kernel-violation"])
+def test_feedback_reports_what_the_library_returns(capsys, tmp_path, doc):
+    """The conditions and the gain bound of ``phdelay feedback`` are those of
+    ``check_feedback_conditions`` and ``feedback_gain_bound``; the bound is
+    None when the library refuses it for a failed kernel hypothesis."""
+    path = write_doc(tmp_path / "plant.json", doc)
+    plant = read_system(path)
+    conditions = check_feedback_conditions(plant.R, plant.G)
+    try:
+        beta = feedback_gain_bound(plant.R, plant.G)
+    except ValueError:
+        beta = None
+    assert (beta is None) is (not conditions.kernel_r_in_kernel_gt)
+    code, report = run(capsys, "feedback", path, write_doc(tmp_path / "f.json", [[0.1]]),
+                       "--tau", "1.0")
+    assert code == 0
+    assert report["feedback_conditions"] == asdict(conditions)
+    assert report["gain_unbounded"] is (beta == math.inf)
+    assert report["gain_bound"] == (None if beta == math.inf else beta)
 
 
 def test_feedback_tests_the_kernel_hypotheses_once(capsys, tmp_path):
@@ -438,6 +467,20 @@ def test_simulate_monitor_reports_an_energy_beyond_the_float_range(capsys, tmp_p
     out = tmp_path / "r.csv"
     code = main(["simulate", write_doc(tmp_path / "huge.json", doc), "--history",
                  "const:5", "--T", "1", "--h", "0.5", "--monitor", "--out", str(out)])
+    report = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert code == report["exit_code"] == 3
+    assert "energy leaves the float range" in report["error"]
+    assert not out.exists()
+
+
+def test_simulate_reports_an_energy_beyond_the_float_range(capsys, tmp_path):
+    """Without --monitor the CSV's energy column overflows just the same:
+    an input error in strict JSON, and no trajectory is written."""
+    doc = scalar_doc(a0=1e308, a1=0.0, theta=1e307)
+    doc["H"] = [[1e308]]
+    out = tmp_path / "r.csv"
+    code = main(["simulate", write_doc(tmp_path / "huge.json", doc), "--history",
+                 "const:5", "--T", "1", "--h", "0.5", "--out", str(out)])
     report = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
     assert code == report["exit_code"] == 3
     assert "energy leaves the float range" in report["error"]
@@ -573,8 +616,14 @@ def test_simulate_rejects_non_positive_or_non_finite_steps(capsys, tmp_path,
     # so the allocation fails before any page is touched
     (["simulate", "{system}", "--history", "const:0.5", "--T", "100000",
       "--h", "1e-9", "--out", "{out}"], "allocate"),
+    # more samples, or tau / h = 1e20 more delay steps, than numpy can index
+    (["simulate", "{system}", "--history", "const:1", "--T", "1", "--h", "1e-300",
+      "--out", "{out}"], "--T / --h = 1.0 / 1e-300 = 1e+300 steps, too many to hold"),
+    (["simulate", "{system}", "--history", "const:1", "--T", "1e-20", "--h", "1e-20",
+      "--out", "{out}"], "tau / h = 100000000000000000000 and T / h = 1 steps: the "
+                         "work array is too large to hold"),
 ], ids=["negative-psd-tol", "nan-rank-tol", "overflowing-step-count",
-        "unallocatable-step-count"])
+        "unallocatable-step-count", "unindexable-step-count", "unindexable-delay-steps"])
 def test_input_errors_end_in_json_error(capsys, tmp_path, scalar_file, argv, needle):
     out = str(tmp_path / "traj.csv")
     argv = [a.format(system=scalar_file, out=out) for a in argv]
@@ -744,7 +793,7 @@ def test_interconnect_verdict_is_the_librarys(capsys, tmp_path, f):
                        write_doc(tmp_path / "f.json", f), "--certify")
     assert cert.verdict == report["certificate"]["verdict"] == "CERTIFIED"
     assert code == 0
-    assert report["certificate"]["min_eigenvalue"] == cert.min_eigenvalue
+    assert report["certificate"] == cert.to_dict()
 
 
 # ---------------------------------------------------------------------------

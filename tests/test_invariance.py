@@ -215,3 +215,33 @@ def test_minimality_does_not_depend_on_the_unit_of_time(c):
     assert check_minimality(StandardLTISystem(a, np.eye(2), both)) == MINIMAL
     assert check_minimality(StandardLTISystem(a, np.eye(2), [[1.0, 0.0]])) == NOT_OBSERVABLE
     assert check_minimality(StandardLTISystem(c * np.eye(2), b, both)) == NOT_CONTROLLABLE
+
+
+def weak_second_coordinate(eps):
+    """R = diag(1, eps), Theta = diag(0.5, 0.5 eps), Z = diag(0, 3 eps): the
+    second coordinate's block [[0.5 eps, 1.5 eps], [1.5 eps, 0.5 eps]] of
+    the condition matrix has the eigenvalue -eps, exactly."""
+    return DelayPHSystem(H=np.eye(2), J=np.zeros((2, 2)), R=np.diag([1.0, eps]),
+                         Z=np.diag([0.0, 3.0 * eps]), G=np.ones((2, 1)), tau=1.0,
+                         theta=np.diag([0.5, 0.5 * eps]))
+
+
+@pytest.mark.parametrize("eps", [
+    1e-9,
+    pytest.param(1e-10, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 1")),
+    pytest.param(1e-12, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 1")),
+])
+def test_a_small_coordinate_unit_does_not_hide_a_negative_eigenvalue(eps):
+    """The slack of 1e-9 times the largest |eigenvalue| forgives -eps once
+    eps is small beside R's unit entry: a unit change of one coordinate."""
+    s = weak_second_coordinate(eps)
+    assert certify_delay_ph(s, s.theta).verdict == REFUTED
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_validate_accepts_an_energy_in_mixed_units():
+    """H = diag(1e6, 1e-4) is positive definite; its least eigenvalue is
+    small only beside its largest."""
+    s = DelayPHSystem(H=np.diag([1e6, 1e-4]), J=np.zeros((2, 2)), R=np.eye(2),
+                      Z=np.zeros((2, 2)), G=np.ones((2, 1)), tau=1.0)
+    assert validate(s) == []

@@ -617,6 +617,18 @@ def test_monitor_rejects_an_energy_beyond_the_float_range(h_diag, r_diag, theta_
                           T=1.0, h=0.5)
 
 
+@pytest.mark.filterwarnings("error")
+def test_hamiltonian_series_rejects_an_energy_beyond_the_float_range():
+    """H = R = 1e308, Theta = 1e307 and x = 5: the unmonitored run is in
+    range, its energy is not, and computing it leaks no warning."""
+    huge = DelayPHSystem(H=[[1e308]], J=[[0.0]], R=[[1e308]], Z=[[0.0]], G=[[1.0]],
+                         tau=1.0, theta=[[1e307]])
+    traj, _ = simulate_delay_ph(huge, HistoryFunction.constant([5.0], 1.0), None,
+                                T=1.0, h=0.5, monitor=False)
+    with pytest.raises(ValueError, match="^the energy leaves the float range$"):
+        hamiltonian_series(traj, huge.H, huge.theta)
+
+
 def test_simulate_requires_theta_for_monitoring():
     bare = DelayPHSystem(H=[[1.0]], J=[[0.0]], R=[[2.0]], Z=[[1.0]],
                          G=[[1.0]], tau=1.0)
