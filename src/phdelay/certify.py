@@ -41,6 +41,8 @@ from .linalg import (
     _blkdiag,
     _contained,
     _Deferred,
+    _Lazy,
+    _norm_at_most,
     _psd_report_blocks,
     _require_shape,
     _symmetric_eigh,
@@ -272,11 +274,16 @@ class AlphaInterval:
 
 @dataclass(frozen=True, eq=False)
 class ThetaConstruction:
-    """Result of the Theta construction; ``success`` gates theta/interval."""
+    """Result of the Theta construction; ``success`` gates theta/interval.
+
+    The ``interval`` of a construction that succeeded may be computed when
+    it is first read (``_Lazy``); a copy or a pickle made before then
+    carries what computes it.
+    """
 
     success: bool
     theta: np.ndarray | None = None
-    interval: AlphaInterval | None = None
+    interval: AlphaInterval | None = _Lazy(None)
     reason: str = ""
 
 
@@ -297,7 +304,11 @@ def construct_theta(R, Z, tol: Tolerance = DEFAULT_TOL) -> ThetaConstruction:
     certifies (*) and the full family Theta(alpha) = alpha R is feasible
     on the returned AlphaInterval.  Failure (hypotheses violated, or
     s > 1) is a "don't know", never a refutation: a certifying Theta
-    outside the alpha-family may still exist.
+    outside the alpha-family may still exist.  The test s <= 1 (within
+    ``FEASIBILITY_SLACK``) is decided by ``linalg._norm_at_most``, mostly
+    by a Frobenius bound or a Cholesky, so a success's interval, with s,
+    is computed when it is first read, bit for bit as ``spectral_norm``
+    would have given s; a failure's s is computed with the verdict.
     """
     r = require_symmetric(R, "R")
     z = _require_shape(as_matrix(Z, "Z"), r.shape, "Z")
@@ -315,24 +326,31 @@ def construct_theta(R, Z, tol: Tolerance = DEFAULT_TOL) -> ThetaConstruction:
         return ThetaConstruction(
             False, reason="kernel_condition: image(Z) is not contained in image(R)"
         )
-    sigma = spectral_norm(v1.T @ z @ v1)
-    if sigma > 1.0 + FEASIBILITY_SLACK:
+    within, sigma = _norm_at_most(v1.T @ z @ v1, 1.0 + FEASIBILITY_SLACK)
+    if not within:
         return ThetaConstruction(
             False,
             interval=AlphaInterval(sigma=sigma, feasible=False),
             reason=f"sufficient_condition: whitened coupling {sigma:.12g} > 1",
         )
+    return ThetaConstruction(
+        True, theta=0.5 * r, interval=_Deferred(_feasible_interval, sigma)
+    )
+
+
+def _feasible_interval(sigma: float | _Deferred) -> AlphaInterval:
+    """The AlphaInterval of a construction whose whitened coupling
+    ``sigma`` passed the test, computing ``sigma`` first if it is
+    deferred."""
+    if type(sigma) is _Deferred:
+        sigma = sigma()
     half_width = 0.5 * math.sqrt(max(1.0 - sigma * sigma, 0.0))
     lo = 0.5 - half_width
     hi = 0.5 + half_width
     if lo < ALPHA_CLAMP:  # symmetric clamp keeps lo + hi = 1 exactly
         lo = ALPHA_CLAMP
         hi = 1.0 - ALPHA_CLAMP
-    return ThetaConstruction(
-        True,
-        theta=0.5 * r,
-        interval=AlphaInterval(sigma=sigma, lo=lo, hi=hi, feasible=True),
-    )
+    return AlphaInterval(sigma=sigma, lo=lo, hi=hi, feasible=True)
 
 
 def exists_certifying_theta_grid(R, Z):

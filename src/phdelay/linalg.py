@@ -2,24 +2,29 @@
 
 Every routine here is a pure function on real 2-D numpy arrays.  Symmetric
 parts are formed as 0.5 M + 0.5 M^T, finite for every finite M.  This is
-the one module that computes a symmetric spectrum or singular values and
-compares them with the PSD slack, by default ``1e-9 * scale`` with scale
-the largest |eigenvalue| (so a zero matrix is PSD exactly), or with the
-rank cutoff.  ``_symmetric_eigh`` puts each eigenvalue of a symmetric
-matrix in one run: below -slack (not PSD), the kernel [-slack, rank_tol *
-scale], or the range above; every kernel and whitening is read off that
-split.  A rank comes from one vector of singular values, the module's only
-SVD.  A 2-norm is the root of the largest eigenvalue of a Gram matrix, and
-a kernel containment ||M B||_2 <= rank_tol ||M||_2 is first bracketed by
-Frobenius norms, so it takes 2-norms only when the bracket straddles the
-cutoff.  Every PSD test that reports evidence (least eigenvalue, witness,
-slack granted) runs in ``_psd_report_blocks``: it computes the spectra
-itself and decides from eigenvalues alone, and a block-diagonal matrix
-whose blocks the caller knows one block at a time.  Its report is evidence
-on the matrix it tested: a NOT_PSD witness is a unit vector w on all of
-blkdiag(blocks), zero off the worst block, with w^T M w = min_eigenvalue.
-It is not part of the verdict: it is computed when it is first read
-(``_Lazy``).
+the one module that computes a symmetric spectrum, singular values or a
+Cholesky factor, and compares a spectrum with the PSD slack, by default
+``1e-9 * scale`` with scale the largest |eigenvalue| (so a zero matrix is
+PSD exactly), or with the rank cutoff.  ``_symmetric_eigh`` puts each
+eigenvalue of a symmetric matrix in one run: below -slack (not PSD), the
+kernel [-slack, rank_tol * scale], or the range above; every kernel and
+whitening is read off that split.  A rank comes from one vector of
+singular values, the module's only SVD.  A 2-norm is the root of the
+largest eigenvalue of a Gram matrix G.  A test ||M||_2 <= bound
+(``_norm_at_most``) is first bracketed by Frobenius norms, then decided by
+one Cholesky of a shifted identity minus G; it takes that eigenvalue only
+when the Cholesky fails, or at once when the Frobenius norm is clearly
+beyond, and the 2-norm under a bound that holds is computed when it is
+first read.  A kernel containment ||M B||_2 <= rank_tol ||M||_2 is first
+bracketed by Frobenius norms, so it takes 2-norms only when the bracket
+straddles the cutoff.  Every PSD test that reports evidence (least
+eigenvalue, witness, slack granted) runs in ``_psd_report_blocks``: it
+computes the spectra itself and decides from eigenvalues alone, and a
+block-diagonal matrix whose blocks the caller knows one block at a time.
+Its report is evidence on the matrix it tested: a NOT_PSD witness is a
+unit vector w on all of blkdiag(blocks), zero off the worst block, with
+w^T M w = min_eigenvalue.  It is not part of the verdict: it is computed
+when it is first read (``_Lazy``).
 
 A symmetric spectrum of an immutable input (a ``_frozen`` array, as
 every system matrix is, or a system) is stored on that input by
@@ -333,9 +338,77 @@ def spectral_norm(matrix) -> float:
     e = _binary_exponent(m)
     if e is None:
         return 0.0
-    b = np.ldexp(m, -e)
-    gram = b.T @ b if b.shape[0] >= b.shape[1] else b @ b.T
+    return _gram_norm(_gram(np.ldexp(m, -e)), e)
+
+
+def _gram(b: np.ndarray) -> np.ndarray:
+    """The smaller Gram matrix of B: B^T B or B B^T."""
+    return b.T @ b if b.shape[0] >= b.shape[1] else b @ b.T
+
+
+def _gram_norm(gram: np.ndarray, e: int) -> float:
+    """||M||_2 = 2^e sqrt(largest eigenvalue of ``gram``), the Gram matrix
+    of B = M / 2^e."""
     return float(np.ldexp(math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0)), e))
+
+
+def _norm_at_most(m: np.ndarray, bound: float) -> tuple[bool, float | _Deferred]:
+    """Whether ``spectral_norm(M) <= bound``, and that 2-norm or a
+    ``_Deferred`` that computes it, bit for bit; ``bound`` is positive.
+
+    It decides on B = M / 2^e, the scaling of ``spectral_norm``, with
+    c = bound / 2^e, k x k the Gram matrix G of B and n = max(M.shape):
+
+    1. ||B||_F^2 <= c^2 (1 - delta): within, as ||B||_2 <= ||B||_F, and
+       no Gram matrix is formed;
+    2. ||B||_F^2 > k c^2 (1 + delta): beyond, as ||B||_2^2 >= ||B||_F^2 / k;
+       the 2-norm is computed now, from G, and it decides;
+    3. otherwise a Cholesky of c^2 (1 - delta) I - G that succeeds: within;
+    4. one that fails: the 2-norm from G decides.
+
+    With u = 2^-53, the margin delta = 2 (n + 1)^2 u covers three
+    roundings.  ||B||_F^2, a sum of nk nonnegative squares, is within
+    gamma_nk f of its value f, and each entry of the computed Gram matrix
+    is within gamma_n of that of |B|^T |B|, so it errs by at most
+    gamma_n f in 2-norm (gamma_j = j u / (1 - j u)).  A Cholesky that runs
+    to completion on A = c^2 (1 - delta) I - G is exact for A + E with
+    ||E||_2 <= gamma_{k+1} / (1 - gamma_{k+1}) tr(A) <= (k + 1) u k c^2
+    (Demmel, LAPACK Working Note 14; Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., Thm 10.5).  To first order in u, and
+    with 3 u for forming c^2 and the shift, step 1 proves that the
+    computed G has largest eigenvalue at most c^2 (1 - delta + (n^2 + n +
+    3) u), and step 3 proves it with (k^2 + k + 3) u.  Either leaves more
+    than n^2 u c^2 for the backward error of the ``eigvalsh`` that
+    ``spectral_norm`` runs on the same G, a modest multiple of
+    k u ||G||_2 (LAPACK Users' Guide, 3rd ed., section 4.7).
+    Hence "within" holds only where ``spectral_norm(M) <= bound``, and
+    every other answer is that comparison itself.  When c^2 leaves the
+    float range, step 1 (c^2 = inf) or step 2 (c^2 = 0, while
+    ||B||_F^2 >= 1/4) decides.  M is not to be written afterwards: a
+    deferred 2-norm reads it.
+    """
+    e = _binary_exponent(m)
+    if e is None:
+        return True, 0.0
+    b = np.ldexp(m, -e)
+    flat = b.ravel("K")
+    f = float(flat @ flat)
+    k, n = sorted(b.shape)
+    delta = 2.0 * (n + 1) ** 2 * 2.0**-53
+    with np.errstate(over="ignore", under="ignore"):
+        cc = float(np.square(np.ldexp(bound, -e)))
+    if f <= cc * (1.0 - delta):
+        return True, _Deferred(spectral_norm, m)
+    gram = _gram(b)
+    if f <= k * cc * (1.0 + delta):
+        try:
+            np.linalg.cholesky(np.eye(k) * (cc * (1.0 - delta)) - gram)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            return True, _Deferred(_gram_norm, gram, e)
+    sigma = _gram_norm(gram, e)
+    return sigma <= bound, sigma
 
 
 def _binary_exponent(m: np.ndarray) -> int | None:

@@ -20,6 +20,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from phdelay import Certificate, DelayPHSystem, interconnect, ph_condition_matrix
+from phdelay.certify import ALPHA_CLAMP, FEASIBILITY_SLACK
 from phdelay.composition import FeedbackConditions
 from phdelay.linalg import DEFAULT_TOL, as_matrix, numerical_rank, require_symmetric
 from phdelay.simulation import BLOWUP_NORM, BlowUpError
@@ -103,14 +104,16 @@ def eager_pair_certificate(s, partner, f, verdict, min_eigenvalue=None, reason="
 
 @contextlib.contextmanager
 def decompositions():
-    """Record the ``numpy.linalg`` ``eigh``, ``eigvalsh`` and ``svd`` calls.
+    """Record the ``numpy.linalg`` ``eigh``, ``eigvalsh``, ``svd`` and
+    ``cholesky`` calls.
 
     Yields a list that gets one ``(name, copy of the matrix)`` per call.
     Decompositions are cached on the systems and arrays they came from, so
     a count starts from nothing for objects made inside the test.
     """
     calls = []
-    saved = {name: getattr(np.linalg, name) for name in ("eigh", "eigvalsh", "svd")}
+    saved = {name: getattr(np.linalg, name)
+             for name in ("eigh", "eigvalsh", "svd", "cholesky")}
 
     def counted(name, fn):
         def call(a, *args, **kwargs):
@@ -273,6 +276,19 @@ def whitening_eigh(R, tol=DEFAULT_TOL):
     evals, evecs = np.linalg.eigh(as_matrix(R, "R"))
     keep = evals > tol.rank_tol * np.max(np.abs(evals), initial=0.0)
     return evecs[:, keep] / np.sqrt(evals[keep])
+
+
+def construction_oracle(R, Z, tol=DEFAULT_TOL):
+    """The Theta construction's rule for a positive definite R, written out:
+    s = ||V1^T Z V1||_2 by SVD, V1 from ``whitening_eigh``, succeeds iff
+    s <= 1 + FEASIBILITY_SLACK.  Returns ``(success, s, lo, hi)``, the alpha
+    interval (clamped as the construction clamps it) or nan on failure."""
+    v1 = whitening_eigh(R, tol)
+    sigma = float(np.linalg.norm(v1.T @ as_matrix(Z, "Z") @ v1, 2))
+    if sigma > 1.0 + FEASIBILITY_SLACK:
+        return False, sigma, math.nan, math.nan
+    lo = max(0.5 - 0.5 * math.sqrt(max(1.0 - sigma * sigma, 0.0)), ALPHA_CLAMP)
+    return True, sigma, lo, 1.0 - lo
 
 
 def feedback_gain_bound_svd(R, G, tol=DEFAULT_TOL):

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from phdelay import (
     CERTIFIED,
@@ -25,8 +25,10 @@ from phdelay import (
     ph_condition_matrix,
     scalar_theta_interval,
 )
+from phdelay.certify import FEASIBILITY_SLACK
 from helpers import (
     check_necessary_svd,
+    construction_oracle,
     exact_psd,
     exact_quadratic_form,
     integer_rows,
@@ -367,6 +369,49 @@ def test_construct_interior_certifies_with_margin():
         assert out.success
         report = is_psd(ph_condition_matrix(r, z, out.theta))
         assert report.is_psd
+
+
+@st.composite
+def near_unit_couplings(draw):
+    """(R, Z): R positive definite of order 1-6, Z = R^(1/2) W R^(1/2) with
+    ||W||_2 = 1 + t, so the whitened coupling is 1 + t up to rounding, t
+    at, near or far from the slack; W general or orthogonal (its singular
+    values all equal), and both scaled by 2^k."""
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = draw(st.sampled_from([-1e-6, -1e-9, -1e-12, 0.0, 1e-12, 5e-10, 2e-9, 1e-6])
+             | st.floats(-0.9, 1.5))
+    q = rand_orth(rng, n)
+    lam = rng.uniform(0.5, 2.0, n)
+    root = (q * np.sqrt(lam)) @ q.T
+    w = rand_orth(rng, n) if draw(st.booleans()) else rng.standard_normal((n, n))
+    w *= (1.0 + t) / np.linalg.norm(w, 2)
+    k = draw(st.sampled_from([-200, 0, 200]))
+    r = (q * lam) @ q.T
+    return np.ldexp(0.5 * (r + r.T), k), np.ldexp(root @ w @ root, k)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(near_unit_couplings())
+def test_construction_follows_the_rule_near_a_unit_coupling(case):
+    """Success, reason and interval are those of the rule with s by SVD
+    (``helpers.construction_oracle``), wherever the two 2-norms, equal to
+    within about 1e-15, fall on the same side of 1 + slack."""
+    r, z = case
+    success, sigma, lo, hi = construction_oracle(r, z)
+    assume(abs(sigma - (1.0 + FEASIBILITY_SLACK)) > 1e-13)
+    out = construct_theta(r, z)
+    assert out.success is success
+    assert out.interval.sigma == pytest.approx(sigma, rel=1e-13)
+    assert out.interval.feasible is success
+    if success:
+        assert out.reason == ""
+        # at s = 1 - d the interval moves by about 1e-15 / sqrt(2 d) per
+        # 1e-15 of s
+        assert (out.interval.lo, out.interval.hi) == pytest.approx((lo, hi), abs=1e-7)
+    else:
+        assert out.reason == (
+            f"sufficient_condition: whitened coupling {out.interval.sigma:.12g} > 1")
 
 
 def test_construct_kernel_guard_z_kernel():

@@ -24,10 +24,12 @@ from phdelay import (
 )
 from helpers import (
     check_feedback_conditions_svd,
+    construction_oracle,
     decompositions,
     feedback_gain_bound_svd,
     rand_antisym,
     rand_certified_delay_ph,
+    rand_orth,
 )
 
 
@@ -326,6 +328,37 @@ def test_feedback_gain_bound_is_tight():
 
     inside = close_delayed_feedback(plant, [[0.99 * beta]], tau=1.0)
     assert construct_theta(inside.R, inside.Z).success
+
+
+@pytest.mark.parametrize("gain, steps", [
+    (1 - 1e-12, ["cholesky"]),
+    (1 + 1e-12, ["cholesky"]),
+    (1 + 2e-9, ["cholesky", "eigvalsh"]),
+])
+def test_delayed_feedback_near_the_gain_bound_follows_the_rule(gain, steps):
+    """Feedback F = gain * beta * I on a 3-state plant whose whitened G has
+    singular values in ratio 1 : 0.95 : 0.9, so the whitened coupling is
+    gain and its Frobenius norm alone decides nothing.  Within the slack a
+    Cholesky decides; beyond it the failed Cholesky is followed by the
+    2-norm.  Success, reason and interval are the rule's, with s by SVD."""
+    rng = np.random.default_rng(53)
+    g = rand_orth(rng, 3) @ np.diag([1.0, 0.95, 0.9]) @ rand_orth(rng, 3)
+    plant = StandardPHSystem(H=np.eye(3), J=np.zeros((3, 3)), R=2.0 * np.eye(3), G=g)
+    beta = feedback_gain_bound(plant.R, plant.G)
+    closed = close_delayed_feedback(plant, gain * beta * np.eye(3), tau=1.0)
+    with decompositions() as calls:  # R's eigh is stored from the gain bound
+        out = construct_theta(closed.R, closed.Z)
+    assert [name for name, _ in calls] == steps
+    success, sigma, lo, hi = construction_oracle(closed.R, closed.Z)
+    assert out.success is success is (gain < 1 + 1e-9)
+    assert out.interval.sigma == pytest.approx(sigma, rel=1e-14)
+    assert sigma == pytest.approx(gain, rel=1e-14)
+    if success:
+        assert out.reason == ""
+        assert (out.interval.lo, out.interval.hi) == pytest.approx((lo, hi), abs=1e-7)
+    else:
+        assert out.reason == (
+            f"sufficient_condition: whitened coupling {out.interval.sigma:.12g} > 1")
 
 
 def test_feedback_gain_bound_guarantee_random():

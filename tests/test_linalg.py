@@ -19,8 +19,10 @@ from phdelay.linalg import (
 from phdelay import HistoryFunction, check_feedback_conditions, check_necessary
 from phdelay.linalg import (
     _contained,
+    _Deferred,
     _frozen,
     _halves,
+    _norm_at_most,
     _psd_report_blocks,
     _symmetric_eigh,
 )
@@ -344,6 +346,66 @@ def test_spectral_norm_scales_by_a_power_of_two_bit_for_bit(k):
     m = np.random.default_rng(3).uniform(0.5, 4.0, (7, 5)) * [1.0, -1.0, 1.0, -1.0, 1.0]
     assert spectral_norm(2.0**k * m) == 2.0**k * spectral_norm(m)
     assert spectral_norm(2.0**k * m.T) == 2.0**k * spectral_norm(m.T)
+
+
+def _norm_read(sigma):
+    return sigma() if type(sigma) is _Deferred else sigma
+
+
+@st.composite
+def norm_bounds(draw):
+    """(M, bound): M from ``matrices`` or empty, its largest entry scaled
+    to about 2^k for k in {-1000, 0, 1000}, and a positive bound at, near
+    or far from ||M||_2."""
+    if draw(st.booleans()):
+        m = draw(matrices())
+    else:
+        m = np.zeros(draw(st.sampled_from([(0, 0), (0, 3), (3, 0)])))
+    k = draw(st.sampled_from([-1000, 0, 1000]))
+    if m.any():
+        m = np.ldexp(m, k - int(np.frexp(np.abs(m).max())[1]))
+    factor = draw(st.sampled_from([1 - 1e-9, 1 - 1e-12, 1.0, 1 + 1e-12, 1 + 1e-9])
+                  | st.floats(0.25, 4.0))
+    return m, (spectral_norm(m) or 2.0**k) * factor
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(norm_bounds())
+def test_norm_at_most_is_the_2_norm_comparison(case):
+    """Within exactly when spectral_norm(M) <= bound, with the 2-norm
+    returned, or computed when read, bit for bit."""
+    m, bound = case
+    within, sigma = _norm_at_most(m, bound)
+    want = spectral_norm(m)
+    assert within == (want <= bound)
+    assert _norm_read(sigma) == want
+
+
+@pytest.mark.parametrize("k", [-1000, 0, 1000])
+@pytest.mark.parametrize("s, ratio, steps, within", [
+    (np.diag([1.0, 0.5]), 0.5, [], True),
+    (np.eye(2), 3.0, ["eigvalsh"], False),
+    (np.diag([1.0, 0.9]), 1 - 1e-12, ["cholesky"], True),
+    (np.diag([1.0, 0.9]), 1 - 1e-9, ["cholesky"], True),
+    (np.diag([1.0, 0.9]), 1.0, ["cholesky", "eigvalsh"], True),
+    (np.diag([1.0, 0.9]), 1 + 1e-12, ["cholesky", "eigvalsh"], False),
+    (np.diag([1.0, 0.9]), 1 + 1e-9, ["cholesky", "eigvalsh"], False),
+], ids=["frobenius-within", "frobenius-beyond", "cholesky-1e-12", "cholesky-1e-9",
+        "at-the-bound", "eigvalsh+1e-12", "eigvalsh+1e-9"])
+def test_norm_at_most_reaches_each_step(s, ratio, steps, within, k):
+    """M = 2^k Q S Q^T with ||M||_2 = ratio * bound: a Frobenius norm well
+    inside or well beyond the bound decides alone; one near it takes a
+    Cholesky, and an eigvalsh only when the Cholesky fails.  A deferred
+    2-norm costs one eigvalsh when read."""
+    q = np.array([[0.6, -0.8], [0.8, 0.6]])
+    m = np.ldexp(q @ s @ q.T, k)
+    bound = spectral_norm(m) / ratio
+    with decompositions() as calls:
+        got, sigma = _norm_at_most(m, bound)
+        assert [name for name, _ in calls] == steps
+        assert got is within
+        assert _norm_read(sigma) == spectral_norm(m)
+    assert (type(sigma) is _Deferred) == (steps in ([], ["cholesky"]))
 
 
 def test_rank_kernel_image_rank_one():

@@ -44,6 +44,7 @@ from phdelay.linalg import (
     _is_frozen,
     _memo,
     _symmetric_eigh,
+    spectral_norm,
     sym_part,
 )
 from helpers import (
@@ -502,17 +503,42 @@ def test_a_chain_decides_ker_z_without_decomposing_z():
     """With a rank-deficient R, the construction and the necessary
     conditions test ker(R) and ker(Theta) against ker(Z): Z annihilates
     them exactly, so the Frobenius bracket decides and Z is not
-    decomposed at all."""
+    decomposed at all.  The whitened coupling V1^T Z V1 = 1/2 is within 1
+    by its Frobenius norm, so it takes no decomposition either."""
     s = DelayPHSystem(H=np.eye(2), J=np.zeros((2, 2)), R=np.diag([2.0, 0.0]),
                       Z=np.diag([1.0, 0.0]), G=np.ones((2, 1)), tau=1.0,
                       theta=np.diag([1.0, 0.0]))
     with decompositions() as calls:
         assert construct_theta(s.R, s.Z).success
         assert check_necessary(s.R, s.theta, s.Z).all_hold
-    # eigh of R and Theta, and eigvalsh of the 1x1 Gram matrix of V1^T Z V1
-    assert [(name, a.shape) for name, a in calls] == [
-        ("eigh", (2, 2)), ("eigvalsh", (1, 1)), ("eigh", (2, 2))]
+    # eigh of R and Theta
+    assert [(name, a.shape) for name, a in calls] == [("eigh", (2, 2)), ("eigh", (2, 2))]
     assert count(calls, "eigh", s.R) == count(calls, "eigh", s.theta) == 1
+
+
+def test_a_construction_takes_its_coupling_norm_when_its_interval_is_read():
+    """R = I and Z = 0.9 Q, Q orthogonal: ||V1^T Z V1||_F^2 = 1.62 leaves
+    the Frobenius bracket undecided, so one Cholesky decides s <= 1 and no
+    eigenvalue is taken until the interval is read; then one eigvalsh of
+    the Gram matrix, however often it is read, gives s bit for bit."""
+    q = np.array([[0.6, -0.8], [0.8, 0.6]])
+    with decompositions() as calls:
+        out = construct_theta(np.eye(2), 0.9 * q)
+        assert out.success
+        assert [name for name, _ in calls] == ["eigh", "cholesky"]
+        interval = read_twice(out, "interval")
+    assert [name for name, _ in calls] == ["eigh", "cholesky", "eigvalsh"]
+    assert interval.sigma == spectral_norm(0.9 * q)
+    assert interval.feasible and interval.lo + interval.hi == 1.0
+
+
+def test_a_clear_failure_of_the_construction_takes_no_cholesky():
+    """Z = 3 I: ||V1^T Z V1||_F^2 = 18 exceeds k = 2 times the bound's
+    square, so the 2-norm that the failure reports decides at once."""
+    with decompositions() as calls:
+        out = construct_theta(np.eye(2), 3.0 * np.eye(2))
+    assert not out.success and out.interval.sigma == 3.0
+    assert [name for name, _ in calls] == ["eigh", "eigvalsh"]
 
 
 def test_caching_keeps_no_system_alive():

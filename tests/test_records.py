@@ -11,6 +11,7 @@ value equality and a value hash.
 import copy
 import dataclasses
 import importlib
+import pickle
 import typing
 from pathlib import Path
 
@@ -32,6 +33,7 @@ from phdelay import (
     scalar_theta_interval,
     simulate_delay_ph,
 )
+from phdelay.linalg import _Deferred
 
 DATA = Path(__file__).parent / "data"
 
@@ -62,7 +64,8 @@ def _name(cls):
 def _made_by_the_library():
     """One instance of each record that holds arrays, made by the library,
     plus a PSD report and a failed construction, whose array fields are
-    all None."""
+    all None.  The construction that succeeds has not computed its
+    interval yet."""
     plant = read_system(DATA / "mass_spring_damper.json")
     delayed = read_system(DATA / "scalar_refuted.json")
     lti = StandardLTISystem(A=plant.J - plant.R, B=plant.G, C=plant.G.T)
@@ -101,6 +104,21 @@ def test_array_records_compare_and_hash_by_identity(x):
     assert x != twin
     assert hash(x) == hash(x)
     assert len({x, twin}) == 2
+
+
+def test_a_pending_interval_survives_a_copy_and_a_pickle():
+    """A copy or a pickle of a construction whose interval is unread
+    carries what computes it, and reads the same sigma, lo and hi."""
+    built = next(x for x in INSTANCES if type(x).__name__ == "ThetaConstruction"
+                 and x.success)
+    assert type(vars(built)["interval"]) is _Deferred
+    twins = [copy.copy(built), pickle.loads(pickle.dumps(built))]
+    assert all(type(vars(t)["interval"]) is _Deferred for t in twins)
+    want = built.interval
+    for twin in twins:
+        got = twin.interval
+        assert (got.sigma, got.lo, got.hi, got.feasible) == (
+            want.sigma, want.lo, want.hi, True)
 
 
 def test_value_records_compare_and_hash_by_value():
