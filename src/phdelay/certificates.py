@@ -24,9 +24,10 @@ class Certificate:
     is None; for REFUTED the ``witness`` is a unit w with w^T M w < 0 on
     M = ``condition_matrix``, or on the H or Theta that ``reason`` names.
     Only a refutation by an output mismatch carries no witness.
-    The verdict, ``min_eigenvalue``, ``reason`` and ``slack`` are set when
-    the certificate is made; ``condition_matrix``, ``witness`` and
-    ``theta_used`` may be computed when they are first read (``_Lazy``).
+    The verdict and ``reason`` are set when the certificate is made; the
+    evidence, ``condition_matrix``, ``min_eigenvalue``, ``witness``,
+    ``theta_used`` and ``slack``, may be computed when it is first read
+    (``_Lazy``).
     Each array a certificate of phdelay exposes is its own and writable: it
     shares no memory with a system matrix.  A certificate compares and
     hashes by identity, as every record that holds an array does.
@@ -34,11 +35,11 @@ class Certificate:
 
     verdict: str
     condition_matrix: np.ndarray | None = _Lazy(None)
-    min_eigenvalue: float | None = None
+    min_eigenvalue: float | None = _Lazy(None)
     witness: np.ndarray | None = _Lazy(None)
     theta_used: np.ndarray | None = _Lazy(None)
     reason: str = ""
-    slack: float | None = None
+    slack: float | None = _Lazy(None)
 
     @classmethod
     def from_report(
@@ -59,12 +60,12 @@ class Certificate:
         return cls(
             verdict=CERTIFIED if certified else REFUTED,
             condition_matrix=condition_matrix,
-            min_eigenvalue=report.min_eigenvalue,
-            # the witness as stored, so an unread one stays unread
+            # the evidence as stored, so what is unread stays unread
+            min_eigenvalue=vars(report)["min_eigenvalue"],
             witness=None if mismatch else vars(report)["witness"],
             theta_used=theta_used,
             reason=mismatch or ("" if certified else reason),
-            slack=report.slack,
+            slack=vars(report)["slack"],
         )
 
     @property

@@ -85,12 +85,14 @@ def ph_condition_matrix(R, Z, theta) -> np.ndarray:
 
 
 def _assemble_condition(r, z, th) -> np.ndarray:
-    # exactly symmetric whenever r and th are
+    # exactly symmetric whenever r and th are.  Each block is written in
+    # place, with no temporary: Z^T/2 is the transpose of the Z/2 block,
+    # as halving commutes with transposing
     n = r.shape[0]
     cond = np.empty((2 * n, 2 * n))
-    cond[:n, :n] = r - th
-    cond[:n, n:] = 0.5 * z
-    cond[n:, :n] = 0.5 * z.T
+    np.subtract(r, th, out=cond[:n, :n])
+    np.multiply(z, 0.5, out=cond[:n, n:])
+    cond[n:, :n] = cond[:n, n:].T
     cond[n:, n:] = th
     return cond
 
@@ -140,17 +142,19 @@ def _certify_stored(systems, tol: Tolerance) -> Certificate:
     matrix of blkdiag(R_i), blkdiag(Z_i) and blkdiag(Theta_i) is
     blkdiag(M_1, ..., M_k), M_i system i's condition matrix, with rows and
     columns permuted by one index array (``_in_order``).  So each system is
-    decided on its own, keyed on that system so that the ``eigvalsh`` of
-    M_i is stored on it, and that array puts the condition matrix and the
-    padded witness in that order.  Each R and Theta has been checked for
-    symmetry and each Theta for PSD, by validate or, for an explicit Theta,
-    by ``certify_delay_ph``; each check is stored on its matrix, so
-    ``require_symmetric`` does not repeat it.
+    decided on its own, keyed on that system so that the verdict on M_i
+    (and its ``eigvalsh``, when one is computed) is stored on it, and that
+    array puts the condition matrix and the padded witness in that order.
+    Each R and Theta has been checked for symmetry and each Theta for PSD,
+    by validate or, for an explicit Theta, by ``certify_delay_ph``; each
+    check is stored on its matrix, so ``require_symmetric`` does not
+    repeat it.
 
     The evidence is computed when it is read: the condition matrix, the
-    witness and blkdiag(Theta_i) are built on their first read from the
-    blocks, which this call assembled, so the certificate keeps no system's
-    matrix.  Theta_i is read off the lower-right corner of block i.
+    witness, blkdiag(Theta_i) and, for a PSD verdict that Choleskys
+    decided, the least eigenvalue and slack are built on their first read
+    from the blocks, which this call assembled, so the certificate keeps
+    no system's matrix.  Theta_i is read off the lower-right corner of block i.
     """
     blocks = [_assemble_condition(require_symmetric(s.R, "R"), s.Z,
                                   require_symmetric(s.theta, "theta"))

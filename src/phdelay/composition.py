@@ -149,7 +149,7 @@ def certify_interconnection(
     make a valid closed loop, which is not validated again.  When F is
     exactly skew (F + F^T has no nonzero entry) the tested matrix holds the
     parts' condition matrices side by side, ordered (x1, x2, x1(t - tau),
-    x2(t - tau)), and each part is decided on its own, with the spectrum
+    x2(t - tau)), and each part is decided on its own, with its verdict
     stored on it, without building the closed loop; any other F certifies
     the closed loop as a whole.  Either way the certificate carries the
     closed loop's condition matrix and theta, bit for bit those that

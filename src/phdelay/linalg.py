@@ -10,28 +10,38 @@ eigenvalue of a symmetric matrix in one run: below -slack (not PSD), the
 kernel [-slack, rank_tol * scale], or the range above; every kernel and
 whitening is read off that split.  A rank comes from one vector of
 singular values, the module's only SVD.  A 2-norm is the root of the
-largest eigenvalue of a Gram matrix G.  A test ||M||_2 <= bound
-(``_norm_at_most``) is first bracketed by Frobenius norms, then decided by
-one Cholesky of a shifted identity minus G; it takes that eigenvalue only
-when the Cholesky fails, or at once when the Frobenius norm is clearly
-beyond, and the 2-norm under a bound that holds is computed when it is
-first read.  A kernel containment ||M B||_2 <= rank_tol ||M||_2 is first
-bracketed by Frobenius norms, so it takes 2-norms only when the bracket
-straddles the cutoff.  Every PSD test that reports evidence (least
-eigenvalue, witness, slack granted) runs in ``_psd_report_blocks``: it
-computes the spectra itself and decides from eigenvalues alone, and a
-block-diagonal matrix whose blocks the caller knows one block at a time.
-Its report is evidence on the matrix it tested: a NOT_PSD witness is a
-unit vector w on all of blkdiag(blocks), zero off the worst block, with
-w^T M w = min_eigenvalue.  It is not part of the verdict: it is computed
-when it is first read (``_Lazy``).
+largest eigenvalue of a Gram matrix G.  Every Cholesky is one call of
+``_shifted_cholesky_runs``, on a power-of-two scaling of the matrix with
+its diagonal shifted by a margin from Demmel's bound.  A test
+||M||_2 <= bound (``_norm_at_most``) is first bracketed by Frobenius
+norms, then decided by one Cholesky of a shifted identity minus G; it
+takes that eigenvalue only when the Cholesky fails, or at once when the
+Frobenius norm is clearly beyond, and the 2-norm under a bound that holds
+is computed when it is first read.  A kernel containment ||M B||_2 <=
+rank_tol ||M||_2 is first bracketed by Frobenius norms, so it takes
+2-norms only when the bracket straddles the cutoff.  Every PSD test that
+reports evidence (least eigenvalue, witness, slack granted) runs in
+``_psd_report_blocks``, on a block-diagonal matrix whose blocks the
+caller knows one block at a time, and H > 0 in ``_positive_definite``.
+Each verdict is the eigenvalue rule's (least eigenvalue >= -slack, or
+> slack), decided by one shifted Cholesky per block of order
+``_CHOLESKY_MIN_ORDER`` or more, whose success implies that rule's
+answer (``_definite_by_cholesky``); only when one fails, or a block is
+smaller, are the spectra computed, and they decide.  A report is evidence
+on the matrix it tested: a NOT_PSD witness is a unit vector w on all of
+blkdiag(blocks), zero off the worst block, with w^T M w =
+min_eigenvalue.  The evidence is not part of the verdict: the witness,
+and the least eigenvalue and slack of a verdict that a Cholesky decided,
+are computed when they are first read (``_Lazy``).
 
 A symmetric spectrum of an immutable input (a ``_frozen`` array, as
 every system matrix is, or a system) is stored on that input by
 ``_memo``, so a chain of calls on one system decomposes each of its
 symmetric matrices once, and the result lives and dies with the input.
-A 2-norm or a rank is computed afresh on every call.  The outcome of a
-frozen matrix's symmetry check is stored the same way, as a flag:
+The outcome of a verdict's Cholesky is stored the same way, as a flag
+per tolerance, so each verdict on a system is decided once.  A 2-norm
+or a rank is computed afresh on every call.  The outcome of a frozen
+matrix's symmetry check is stored as a flag too:
 whether the matrix is its own symmetric part bit for bit.  So each
 system matrix is checked for finiteness once (by ``as_matrix``, when it
 is frozen) and for symmetry once, and one that is its own symmetric part
@@ -70,6 +80,11 @@ SYMMETRY_RTOL = 1e-12
 #: relative widening of the Frobenius bracket in ``_contained``, so that a
 #: ratio that rounding puts near a cut is decided by 2-norms
 _CUT_MARGIN = 1e-12
+
+#: least order of a block whose verdict a shifted Cholesky decides: below
+#: it the Cholesky's scaling and call cost more than the eigvalsh they
+#: would save (about 21 against 12 us per report at order 3)
+_CHOLESKY_MIN_ORDER = 4
 
 
 @dataclass(frozen=True)
@@ -145,13 +160,17 @@ class PsdReport:
     ``witness`` is None for PSD; for NOT_PSD it is a unit eigenvector of
     the tested matrix for ``min_eigenvalue``, which exhibits a negative
     quadratic form, computed when it is first read.  ``slack`` records the
-    absolute eigenvalue slack that was granted.
+    absolute eigenvalue slack that was granted.  A PSD verdict that a
+    Cholesky decided computes ``min_eigenvalue`` and ``slack`` together
+    when either is first read, from the report's own copies of the tested
+    blocks; a NOT_PSD one carries both from the start.
     """
 
     verdict: str  # "PSD" | "NOT_PSD"
-    min_eigenvalue: float
-    witness: np.ndarray | None = _Lazy()  # required: no default
-    slack: float
+    # each field is required: a _Lazy() has no default
+    min_eigenvalue: float = _Lazy()
+    witness: np.ndarray | None = _Lazy()
+    slack: float = _Lazy()
 
     @property
     def is_psd(self) -> bool:
@@ -214,13 +233,24 @@ def _memo(obj, tag, compute):
     equal values, and both get the first.  For any other ``obj`` it
     computes afresh each time.
     """
-    cache = vars(obj.base) if _is_frozen(obj) else getattr(obj, "_cache", None)
+    cache = _cache_of(obj)
     if cache is None:
         return compute()
     try:
         return cache[tag]
     except KeyError:
         return cache.setdefault(tag, compute())
+
+
+def _stored(obj, tag):
+    """What ``_memo`` stored on ``obj`` under ``tag``; None if nothing."""
+    cache = _cache_of(obj)
+    return None if cache is None else cache.get(tag)
+
+
+def _cache_of(obj) -> dict | None:
+    """Where ``_memo`` stores results on ``obj``: None if it is mutable."""
+    return vars(obj.base) if _is_frozen(obj) else getattr(obj, "_cache", None)
 
 
 def _set_read_only(arr: np.ndarray) -> np.ndarray:
@@ -400,22 +430,90 @@ def _norm_at_most(m: np.ndarray, bound: float) -> tuple[bool, float | _Deferred]
     if f <= cc * (1.0 - delta):
         return True, _Deferred(spectral_norm, m)
     gram = _gram(b)
-    if f <= k * cc * (1.0 + delta):
-        try:
-            np.linalg.cholesky(np.eye(k) * (cc * (1.0 - delta)) - gram)
-        except np.linalg.LinAlgError:
-            pass
-        else:
-            return True, _Deferred(_gram_norm, gram, e)
+    if f <= k * cc * (1.0 + delta) and _shifted_cholesky_runs(-gram, cc * (1.0 - delta)):
+        return True, _Deferred(_gram_norm, gram, e)
     sigma = _gram_norm(gram, e)
     return sigma <= bound, sigma
+
+
+def _shifted_cholesky_runs(a: np.ndarray, shift: float) -> bool:
+    """Whether a Cholesky of A + shift I runs to completion.
+
+    A is a symmetric scratch array of the caller's, a scaled copy of the
+    matrix under test: its diagonal is shifted in place, so no identity
+    is formed.  The one Cholesky of phdelay: ``_norm_at_most`` and
+    ``_definite_by_cholesky`` derive their shifts from Demmel's bound.
+    """
+    diagonal = np.einsum("ii->i", a)  # a writeable view in any layout
+    diagonal += shift
+    # no pivot exceeds its diagonal entry
+    if not diagonal.min() > 0.0:
+        return False
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _definite_by_cholesky(m: np.ndarray, tol: Tolerance, definite: bool) -> bool:
+    """True only where the eigenvalue rule of ``_spectral_minimum`` finds
+    symmetric M PSD (with ``definite``, positive definite: its least
+    eigenvalue above the slack); False leaves the question open.
+
+    One shifted Cholesky decides, on B = M / 2^e (``_binary_exponent``),
+    an exact scaling, with k x k B, u = 2^-53 and a bound rho on the
+    scale ||B||_2 from below for PSD and from above for PD:
+
+    - PSD: rho = max(||B||_F / sqrt(k), max b_ii) <= ||B||_2 (each b_ii
+      is at most the largest eigenvalue), and a Cholesky of B + (s - mu) I;
+    - PD: rho = ||B||_F >= ||B||_2, and a Cholesky of B - (s + mu) I;
+
+    with s the slack for the scale rho in units of 2^e (``psd_tol /
+    2^e`` for an absolute slack, capped at 2k: ||B||_2 < k, so a larger s
+    decides alike) and the margin mu = 2 (k + 1)^2 u t, t = rho + s.
+    Entries below 1 in magnitude keep ||B||_F^2 <= k^2 finite, and a
+    nonzero B has ||B||_F >= 1/2.  A Cholesky that runs to completion on
+    the shifted A is exact for A + E with ||E||_2 <= gamma_{k+1} /
+    (1 - gamma_{k+1}) tr(A) <= (k + 1) k u t to first order, as tr(A) <=
+    k (rho + s + mu) (Demmel, LAPACK Working Note 14; Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., Thm 10.5;
+    Rump, BIT 46 (2006)).  Forming the shift and adding it costs 2 u t,
+    and a subnormal entry of B or of s at most k 2^-1075, far below u t.
+    So a success proves the least eigenvalue of B at least -s + mu -
+    (k^2 + k + 3) u t (PSD), or at least s + mu - (k^2 + k + 3) u t
+    (PD).  The eigenvalue rule reads the ``eigvalsh`` of M, exact for a
+    matrix within a modest multiple of k u ||B||_2 of B (LAPACK Users'
+    Guide, 3rd ed., section 4.7), and grants the slack of the scale it
+    computes, within that much and the rounding of rho (1e-9 (k^2 + 3) u
+    rho) of the slack for rho, below it for PSD (rho is a lower bound)
+    and above it for PD.  mu leaves more than k^2 u rho for both, which
+    is at least sqrt(k) k u ||B||_2 for PSD and k^2 u ||B||_2 for PD.
+    Hence a success is that rule's verdict, and a failure decides
+    nothing.  A zero M is PSD and not positive definite.
+    """
+    e = _binary_exponent(m)
+    if e is None:
+        return not definite
+    b = np.ldexp(m, -e)
+    k = len(b)
+    flat = b.ravel("K")
+    fro = math.sqrt(float(flat @ flat))
+    rho = fro if definite else max(fro / math.sqrt(k), float(b.diagonal().max()))
+    if tol.psd_tol is None:
+        s = tol.psd_slack(rho)
+    else:
+        with np.errstate(over="ignore", under="ignore"):
+            s = min(float(np.ldexp(tol.psd_tol, -e)), 2.0 * k)
+    mu = 2.0 * (k + 1) ** 2 * 2.0**-53 * (rho + s)
+    return _shifted_cholesky_runs(b, -(s + mu) if definite else s - mu)
 
 
 def _binary_exponent(m: np.ndarray) -> int | None:
     """e with 2^e the power of two just above max |M|, None for a zero M:
     M / 2^e has entries below 1 in magnitude, exact unless subnormal."""
     big = float(np.abs(m).max()) if m.size else 0.0
-    return int(np.frexp(big)[1]) if big else None
+    return math.frexp(big)[1] if big else None
 
 
 def numerical_rank(matrix, tol: Tolerance = DEFAULT_TOL) -> int:
@@ -430,11 +528,13 @@ def numerical_rank(matrix, tol: Tolerance = DEFAULT_TOL) -> int:
 def is_psd(matrix, tol: Tolerance = DEFAULT_TOL) -> PsdReport:
     """Test a symmetric matrix for positive semidefiniteness.
 
-    Decides from symmetric eigenvalues (never a Cholesky attempt).  A
-    NOT_PSD report carries a witness eigenvector for the smallest
-    eigenvalue, computed when it is first read; a PSD report carries none.
-    The input must be symmetric within 1e-12 relative asymmetry; it is
-    symmetrized before the decomposition.
+    Decided by one shifted Cholesky from order 4 on, or by its symmetric
+    eigenvalues when that leaves it open: the verdict is the eigenvalue
+    rule's either way (``_psd_report_blocks``).  The least eigenvalue and the slack of a PSD
+    report, and the witness eigenvector of a NOT_PSD one, are computed
+    when they are first read; a PSD report carries no witness.  The input
+    must be symmetric within 1e-12 relative asymmetry; it is symmetrized
+    before it is tested.
     """
     return _psd_report_blocks([require_symmetric(matrix)], tol)
 
@@ -442,18 +542,72 @@ def is_psd(matrix, tol: Tolerance = DEFAULT_TOL) -> PsdReport:
 def _psd_report_blocks(blocks, tol: Tolerance = DEFAULT_TOL, keys=()) -> PsdReport:
     """PSD test of blkdiag(*blocks), one symmetric float block at a time.
 
-    Every ``PsdReport`` of phdelay is made here.  The spectrum of a
-    block-diagonal matrix is the union of its blocks' spectra, so the
-    least block minimum decides, with the slack granted for the largest
-    |eigenvalue| over all blocks.  ``keys[k]``, when given, is what block k
-    is computed from (a ``_frozen`` matrix that it symmetrizes, or a system
-    whose condition matrix it is); the block's ascending ``eigvalsh`` is
-    stored on it through ``_memo``.  A NOT_PSD witness is the unit
-    eigenvector of the worst block, zero-padded to all of blkdiag(*blocks).
-    It is computed from the block when it is first read, so a caller does
-    not write to a block once it has been tested; a ``_frozen`` block, such
-    as a system matrix that is its own symmetric part, is copied for it, so
-    that the report keeps no system matrix.
+    Every ``PsdReport`` of phdelay is made here.  The verdict is the
+    eigenvalue rule of ``_spectral_minimum``.  ``keys[k]``, when given, is
+    what block k is computed from (a ``_frozen`` matrix that it
+    symmetrizes, or a system whose condition matrix it is), and results
+    for the block are stored on it through ``_memo``.
+
+    Each nonempty block is first tested against its own scale by
+    ``_cholesky_verdict``.  Its own scale is at most the one all blocks
+    share, so when every block succeeds the verdict is PSD, and the least
+    eigenvalue and slack are deferred.  Otherwise the rule runs on the
+    spectra: the ascending ``eigvalsh`` of each block, stored on its key.
+    A NOT_PSD witness is the unit eigenvector of the worst block,
+    zero-padded to all of blkdiag(*blocks), computed when it is first
+    read.  So a caller does not write to a block once it has been tested;
+    a ``_frozen`` block, such as a system matrix that is its own symmetric
+    part, is copied for the deferred evidence, which keeps no system
+    matrix.
+    """
+    pairs = [(block, key) for block, key in zip_longest(blocks, keys) if block.size]
+    if all(_cholesky_verdict(block, key, tol, False) for block, key in pairs):
+        own = [block.copy() if _is_frozen(block) else block for block, _ in pairs]
+        lam, slack = _read_once(_Deferred(_spectral_minimum, own, tol), 2)
+        return PsdReport("PSD", lam, None, slack)
+    lam, slack, worst = _spectral_minimum(blocks, tol, keys)
+    if worst is None or lam >= -slack:
+        return PsdReport("PSD", lam, None, slack)
+    block = blocks[worst]
+    if _is_frozen(block):  # the pending witness keeps no system matrix alive
+        block = block.copy()
+    pad = (sum(map(len, blocks[:worst])), sum(map(len, blocks[worst + 1 :])))
+    return PsdReport("NOT_PSD", lam, _Deferred(_least_eigenvector, block, pad), slack)
+
+
+def _cholesky_verdict(block: np.ndarray, key, tol: Tolerance, definite: bool) -> bool:
+    """Whether ``_definite_by_cholesky`` proves symmetric ``block`` PSD
+    (with ``definite``, positive definite), stored on ``key`` for ``tol``
+    through ``_memo``.
+
+    A block below ``_CHOLESKY_MIN_ORDER``, or one whose spectrum ``key``
+    holds, is left to the spectra at once; a positive definite verdict
+    stored on ``key`` proves it PSD.
+    """
+    if len(block) < _CHOLESKY_MIN_ORDER:
+        return False
+
+    def decide() -> bool:
+        if _stored(key, "eigvalsh") is not None:
+            return False
+        if not definite and _stored(key, ("positive_definite", tol)):
+            return True
+        return _definite_by_cholesky(block, tol, definite)
+
+    return _memo(key, ("positive_definite" if definite else "psd", tol), decide)
+
+
+def _spectral_minimum(blocks, tol: Tolerance, keys=()) -> tuple[float, float, int | None]:
+    """The eigenvalue rule: blkdiag(*blocks) is PSD iff its least
+    eigenvalue is >= -slack.  Returns that eigenvalue (0.0 without
+    entries), the slack and the index of the worst block (None without
+    entries).
+
+    The spectrum of a block-diagonal matrix is the union of its blocks'
+    spectra, so the least block minimum is the least eigenvalue, and the
+    slack is granted for the largest |eigenvalue| over all blocks.  Each
+    block's ascending ``eigvalsh`` is stored on ``keys[k]`` through
+    ``_memo``.
     """
     lam, scale, worst = math.inf, 0.0, None
     for k, (block, key) in enumerate(zip_longest(blocks, keys)):
@@ -463,24 +617,36 @@ def _psd_report_blocks(blocks, tol: Tolerance = DEFAULT_TOL, keys=()) -> PsdRepo
         scale = max(scale, float(np.max(np.abs(evals))))
         if evals[0] < lam:
             lam, worst = float(evals[0]), k
-    slack = tol.psd_slack(scale)
-    if worst is None:
-        return PsdReport("PSD", 0.0, None, slack)
-    if lam >= -slack:
-        return PsdReport("PSD", lam, None, slack)
-    block = blocks[worst]
-    if _is_frozen(block):  # the pending witness keeps no system matrix alive
-        block = block.copy()
-    pad = (sum(map(len, blocks[:worst])), sum(map(len, blocks[worst + 1 :])))
-    return PsdReport("NOT_PSD", lam, _Deferred(_least_eigenvector, block, pad), slack)
+    return (0.0 if worst is None else lam), tol.psd_slack(scale), worst
 
 
-def _positive_definite(block: np.ndarray, tol: Tolerance, key) -> tuple[bool, float]:
+def _read_once(compute: _Deferred, count: int) -> list[_Deferred]:
+    """``count`` deferred values, value i item i of ``compute()``, which
+    runs on the first read of any of them, once."""
+    cell = [compute]
+    return [_Deferred(_item_of, cell, i) for i in range(count)]
+
+
+def _item_of(cell: list, i: int):
+    value = cell[0]
+    if type(value) is _Deferred:
+        value = cell[0] = value()
+    return value[i]
+
+
+def _positive_definite(block: np.ndarray, tol: Tolerance, key) -> tuple[bool, float | None]:
     """Whether symmetric ``block``'s least eigenvalue exceeds the PSD slack
-    (it is positive definite), and that eigenvalue; its spectrum is stored
-    on ``key`` as in ``_psd_report_blocks``."""
-    report = _psd_report_blocks([block], tol, [key])
-    return report.min_eigenvalue > report.slack, report.min_eigenvalue
+    (it is positive definite), and that eigenvalue; None instead when a
+    Cholesky proved it positive definite.
+
+    ``_cholesky_verdict`` tests the block first.  When that leaves it open,
+    the eigenvalue rule decides, its spectrum stored on ``key`` as in
+    ``_psd_report_blocks``.
+    """
+    if _cholesky_verdict(block, key, tol, True):
+        return True, None
+    lam, slack, _ = _spectral_minimum([block], tol, [key])
+    return lam > slack, lam
 
 
 def _least_eigenvector(m: np.ndarray, pad: tuple) -> np.ndarray:

@@ -103,7 +103,9 @@ def certify_ph(
     not PSD refutes with reason "dissipation_indefinite" and a witness on
     it.  An H that is not PSD refutes with reason "storage_not_psd" and a
     witness on H; a failed structural condition with "output_mismatch".
-    The spectrum of sym(H) is stored on H when H is immutable.
+    The verdict on sym(H) (and its spectrum, when one is computed) is
+    stored on H when H is immutable; a positive definite verdict that
+    ``validate`` stored there decides it.
     """
     h = as_matrix(H, "H")
     sigma = weighted_system_matrix(system, h)

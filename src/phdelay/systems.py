@@ -340,7 +340,7 @@ def _symmetric(violations, name, mat):
 def _check_energy_matrices(violations, h, j, tol):
     sym = _symmetric(violations, "H", h)
     if sym is not None and h.size:  # an empty H is positive definite
-        # keyed on H, so certify_ph(..., system.H) reuses the spectrum
+        # keyed on H, so certify_ph(..., system.H) reuses the verdict
         definite, lam = _positive_definite(sym, tol, h)
         if not definite:
             violations.append(f"H is not positive definite (min eigenvalue {lam:.6g})")

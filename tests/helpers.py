@@ -144,6 +144,43 @@ def dense_psd_oracle(m, tol=DEFAULT_TOL):
     return ("PSD" if lam >= -slack else "NOT_PSD"), lam, scale, slack
 
 
+def psd_rule_oracle(blocks, tol=DEFAULT_TOL):
+    """The eigenvalue rule of every PSD verdict, block by block, from
+    ``np.linalg.eigvalsh`` and ``np.linalg.eigh`` alone.
+
+    Returns ``(verdict, min_eigenvalue, slack, witness, definite)``: PSD
+    iff the least eigenvalue of all blocks (0.0 without entries) is >=
+    -slack, the slack granted for the largest |eigenvalue| of all; for
+    NOT_PSD the unit eigenvector of the worst block, zero-padded to
+    blkdiag(*blocks), else None; and whether the least eigenvalue exceeds
+    the slack (positive definite).
+    """
+    lam, scale, worst = math.inf, 0.0, None
+    for k, block in enumerate(blocks):
+        if not block.size:
+            continue
+        evals = np.linalg.eigvalsh(block)
+        scale = max(scale, float(np.max(np.abs(evals))))
+        if evals[0] < lam:
+            lam, worst = float(evals[0]), k
+    slack = tol.psd_slack(scale)
+    lam = 0.0 if worst is None else lam
+    if worst is None or lam >= -slack:
+        return "PSD", lam, slack, None, lam > slack
+    pad = (sum(map(len, blocks[:worst])), sum(map(len, blocks[worst + 1:])))
+    witness = np.pad(np.linalg.eigh(blocks[worst])[1][:, 0], pad)
+    return "NOT_PSD", lam, slack, witness, False
+
+
+def shifted_scaling_of(a, m) -> bool:
+    """Whether ``a``, a recorded ``cholesky`` argument, is M / 2^e (2^e the
+    power of two just above max |M|) with only its diagonal changed."""
+    m = as_matrix(m)
+    b = np.ldexp(m, -math.frexp(float(np.abs(m).max()))[1])
+    off = ~np.eye(len(m), dtype=bool)
+    return a.shape == m.shape and a[off].tobytes() == b[off].tobytes()
+
+
 def _rational(matrix):
     """The entries of a float matrix, or of a list of rows, as Fractions."""
     return [[Fraction(x) for x in row] for row in np.asarray(matrix, dtype=object)]

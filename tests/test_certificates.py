@@ -93,18 +93,29 @@ EVIDENCE = {Certificate: ("witness", "condition_matrix", "theta_used"),
 ], ids=["pickle", "deepcopy", "replace"])
 def test_unread_evidence_survives_copies(clone, reads):
     """A copy of a certificate or report whose evidence is unread reads the
-    same arrays as the original.  A pickle or a deep copy computes
-    nothing; ``dataclasses.replace`` reads every field."""
-    s, partner, f = rand_coupled_pair(np.random.default_rng(37), 20.0)
-    originals = [certify_interconnection(s, partner, f),
-                 is_psd(np.diag([1.0, -2.0]))]
+    same evidence as the original, bit for bit: the witness and arrays of
+    a refutation, and the least eigenvalue and slack that a Cholesky
+    verdict defers.  A pickle or a deep copy computes nothing;
+    ``dataclasses.replace`` reads every field."""
+    rng = np.random.default_rng(37)
+    refuted, partner, f = rand_coupled_pair(rng, 20.0)
+    certified, other, g = rand_coupled_pair(rng, 1.0)
+    originals = [certify_interconnection(refuted, partner, f),
+                 is_psd(np.diag([1.0, -2.0])),
+                 certify_interconnection(certified, other, g),
+                 is_psd(np.diag([1.0, 2.0, 3.0, 4.0]))]
+    assert [x.verdict for x in originals] == ["REFUTED", "NOT_PSD", "CERTIFIED", "PSD"]
     with decompositions() as calls:
         copies = [clone(obj) for obj in originals]
     assert bool(calls) == reads
     for original, copied in zip(originals, copies):
-        assert copied.verdict == original.verdict != "CERTIFIED"
-        for name in EVIDENCE[type(original)]:
-            assert getattr(copied, name).tobytes() == getattr(original, name).tobytes()
+        assert copied.verdict == original.verdict
+        for name in EVIDENCE[type(original)] + ("min_eigenvalue", "slack"):
+            want = getattr(original, name)
+            got = getattr(copied, name)
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 @pytest.mark.parametrize("coupling, verdict", [(20.0, REFUTED), (1.0, CERTIFIED)])

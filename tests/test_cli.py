@@ -303,7 +303,7 @@ def test_interconnect_certify_builds_the_loop_once(capsys, monkeypatch, tmp_path
 
 
 @pytest.mark.parametrize("f, spectra", [([[0.0, 1.0], [-1.0, 0.0]], 6),
-                                       ([[-1.0, 1.0], [-1.0, -1.0]], 7)],
+                                       ([[-1.0, 1.0], [-1.0, -1.0]], 8)],
                          ids=["skew", "dissipative"])
 def test_interconnect_certify_validates_each_part_once(capsys, monkeypatch,
                                                        tmp_path, f, spectra):
@@ -329,9 +329,10 @@ def test_interconnect_certify_validates_each_part_once(capsys, monkeypatch,
                            "--out", str(out))
     # read_system validates each part and the certificate validates nothing
     # again: one eigvalsh each for the parts' H and theta, then the two
-    # parts' condition matrices (skew F), or the closed loop's and
-    # classify_feedback's eigh of -sym(F) and eigvalsh of F's Gram matrix,
-    # for ||F||_2; no SVD
+    # parts' 2 x 2 condition matrices (skew F), or classify_feedback's eigh
+    # of -sym(F) and eigvalsh of F's Gram matrix, for ||F||_2, then one
+    # Cholesky of the closed loop's 4 x 4 condition matrix and, for its
+    # printed least eigenvalue and slack, its eigvalsh; no SVD
     assert "svd" not in [name for name, _ in calls]
     assert (len(validations), len(calls)) == (2, spectra)
     assert code == 0

@@ -23,6 +23,7 @@ from phdelay.linalg import (
     _frozen,
     _halves,
     _norm_at_most,
+    _positive_definite,
     _psd_report_blocks,
     _symmetric_eigh,
 )
@@ -30,6 +31,7 @@ from helpers import (
     decompositions,
     dense_psd_oracle,
     kernel_basis_svd,
+    psd_rule_oracle,
     rand_orth,
     rand_spd,
 )
@@ -286,6 +288,139 @@ def test_psd_report_blocks_without_entries():
     report = _psd_report_blocks([np.zeros((0, 0)), np.zeros((0, 0))])
     assert report.is_psd and report.min_eigenvalue == 0.0 and report.witness is None
     assert report.slack == 0.0
+    # an empty block beside a refuted one: the spectra skip it, and the
+    # witness is padded over the others
+    blocks = [np.zeros((0, 0)), np.diag([1.0, -2.0]), np.zeros((0, 0)), np.eye(1)]
+    report = _psd_report_blocks(blocks)
+    assert report.verdict == "NOT_PSD" and len(report.witness) == 3
+    assert_rule(report, blocks, DEFAULT_TOL)
+
+
+def _bits(x):
+    return None if x is None else np.asarray(x, dtype=float).tobytes()
+
+
+def assert_rule(report, blocks, tol):
+    """``report`` is ``psd_rule_oracle``'s, bit for bit: the verdict, the
+    least eigenvalue and slack (both read) and the witness."""
+    verdict, lam, slack, witness, _ = psd_rule_oracle(blocks, tol)
+    assert report.verdict == verdict
+    assert _bits(report.min_eigenvalue) == _bits(lam)
+    assert _bits(report.slack) == _bits(slack)
+    assert _bits(report.witness) == _bits(witness)
+
+
+def assert_definite_rule(block, tol, key):
+    """``_positive_definite`` is the oracle's rule: the least eigenvalue
+    above the slack, and that eigenvalue unless a Cholesky decided."""
+    definite, lam = _positive_definite(block, tol, key)
+    _, want, _, _, want_definite = psd_rule_oracle([block], tol)
+    assert definite == want_definite
+    assert _bits(lam) in ((None, _bits(want)) if definite else (_bits(want),))
+
+
+def _with_spectrum(rng, evals):
+    q = rand_orth(rng, len(evals))
+    m = (q * evals) @ q.T
+    return 0.5 * (m + m.T)
+
+
+@st.composite
+def psd_cases(draw):
+    """(blocks, keyed, tol, definite_first): 1 to 3 symmetric blocks of
+    order 1 to 40, each positive definite, singular PSD, indefinite, zero,
+    or with its least eigenvalue at +-(1 +- 1e-6) or +-1e-3 times the
+    default slack ("near"), or at +-(1 +- 1e-6) or +-(1 +- 1e-9) times it
+    with the largest eigenvalue on a diagonal entry of its own, so that
+    the Cholesky's bound on the scale is the scale ("edge"); its entries
+    scaled by 2^k for k in {-1000, 0, 1000}; keyed on themselves (frozen)
+    or not, under the default tolerance or an absolute slack, with or
+    without a positive definite test first."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    exponent = draw(st.sampled_from([-1000, 0, 1000]))
+    blocks = []
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(1, 40))
+        kind = draw(st.sampled_from(["pd", "singular", "indefinite", "zero", "near", "edge"]))
+        evals = rng.uniform(0.5, 2.0, k)
+        if kind == "singular":
+            evals[: rng.integers(1, k + 1)] = 0.0
+        elif kind == "indefinite":
+            evals[0] = -rng.uniform(1e-3, 2.0)
+        elif kind == "near":
+            factor = draw(st.sampled_from([1 - 1e-6, 1 + 1e-6, 1e-3]))
+            evals[0] = draw(st.sampled_from([-1.0, 1.0])) * factor * 1e-9 * evals.max()
+        elif kind == "edge":
+            evals[0] = 2.0
+            evals[1:2] = (draw(st.sampled_from([-1.0, 1.0]))
+                          * draw(st.sampled_from([1 - 1e-6, 1 + 1e-6, 1 - 1e-9, 1 + 1e-9])) * 2e-9)
+        if kind == "zero":
+            m = np.zeros((k, k))
+        elif kind == "edge":
+            m = np.zeros((k, k))
+            m[0, 0] = 2.0
+            m[1:, 1:] = _with_spectrum(rng, evals[1:])
+        else:
+            m = _with_spectrum(rng, evals)
+        blocks.append(np.ldexp(m, exponent))
+    keyed = draw(st.booleans())
+    if keyed:
+        blocks = [_frozen(b) for b in blocks]
+    psd_tol = draw(st.sampled_from([None, 0.0, 1e-12, 1e-3, 1e10]))
+    if psd_tol not in (None, 0.0, 1e10):
+        psd_tol = math.ldexp(psd_tol, exponent)
+    return blocks, keyed, Tolerance(psd_tol=psd_tol), keyed and draw(st.booleans())
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(psd_cases())
+def test_psd_verdicts_are_the_eigenvalue_rule(case):
+    """Whatever decides a report, a shifted Cholesky or the spectra, its
+    verdict, least eigenvalue, slack and witness are those of the
+    eigenvalue rule, bit for bit, and so is ``_positive_definite``; a
+    second call on keyed blocks reads what the first stored."""
+    blocks, keyed, tol, definite_first = case
+    keys = blocks if keyed else ()
+    if definite_first:
+        for block in blocks:
+            assert_definite_rule(block, tol, block)
+    for _ in range(2):
+        assert_rule(_psd_report_blocks(blocks, tol, keys), blocks, tol)
+    for block in blocks:
+        assert_definite_rule(block, tol, block if keyed else None)
+
+
+@pytest.mark.parametrize("k", [2, 72, 512])
+@pytest.mark.parametrize("cut", [-1.0, 1.0], ids=["psd-cut", "pd-cut"])
+@pytest.mark.parametrize("factor", [1 - 1e-6, 1 + 1e-6])
+@pytest.mark.parametrize("tight", [False, True], ids=["rotated", "tight"])
+def test_verdicts_at_the_slack_are_the_eigenvalue_rule(k, cut, factor, tight):
+    """Eigenvalues in [0.5, 2] with the largest 2, so slack = 2e-9, and the
+    least at cut * factor * slack: just inside and just outside the PSD
+    cut (-slack) and the PD cut (+slack).  "tight" keeps the 2 on a
+    diagonal entry of its own, so the Cholesky's lower bound on the scale
+    is the scale, and its slack is the rule's: only its margin keeps it
+    from a verdict that the rounding of the eigenvalues decides.  The PSD
+    and PD verdicts, least eigenvalue, slack and witness are the
+    eigenvalue rule's, bit for bit.  A least eigenvalue above 0 is PSD by
+    one Cholesky alone, at order 2 (below ``_CHOLESKY_MIN_ORDER``) by its
+    eigvalsh."""
+    rng = np.random.default_rng(k)
+    evals = rng.uniform(0.5, 2.0, k)
+    evals[-1] = 2.0
+    evals[0] = cut * factor * 2e-9
+    if tight:
+        m = np.zeros((k, k))
+        m[0, 0] = 2.0
+        m[1:, 1:] = _with_spectrum(rng, evals[:-1])
+    else:
+        m = _with_spectrum(rng, evals)
+    with decompositions() as calls:
+        report = is_psd(m)
+    if cut > 0:
+        assert [name for name, _ in calls] == ["cholesky" if k >= 4 else "eigvalsh"]
+    assert_rule(report, [m], DEFAULT_TOL)
+    assert_definite_rule(m, DEFAULT_TOL, None)
 
 
 def test_tolerance_validation():

@@ -53,6 +53,7 @@ from helpers import (
     rand_antisym,
     rand_certified_delay_ph,
     rand_coupled_pair,
+    shifted_scaling_of,
 )
 
 
@@ -66,8 +67,11 @@ def count(calls, name, matrix):
 
 
 def test_pipeline_decomposes_each_matrix_once():
-    """The certify-mix chain of calls on one system: R, H, Theta and the
-    stored-Theta condition matrix are decomposed once each."""
+    """The certify-mix chain of calls on one system: H, Theta and the
+    stored-Theta condition matrix of the system and of its partner are
+    decided by one Cholesky each, R and Theta of the system are decomposed
+    by one eigh each, and no verdict takes an eigenvalue: the one eigvalsh
+    is the gain bound's, of a 2 x 2 Gram matrix."""
     rng = np.random.default_rng(13)
     s = rand_certified_delay_ph(rng, 6, m=2)
     partner = rand_certified_delay_ph(rng, 6, m=2)
@@ -83,9 +87,14 @@ def test_pipeline_decomposes_each_matrix_once():
         construct_theta(closed.R, closed.Z)
     assert built.success and necessary.all_hold
     assert cert.verdict == joint.verdict == CERTIFIED
-    cond = ph_condition_matrix(s.R, s.Z, s.theta)
-    assert count(calls, "eigh", s.R) == count(calls, "eigvalsh", cond) == 1
-    assert count(calls, "eigvalsh", s.H) == count(calls, "eigvalsh", s.theta) == 1
+    want = [("cholesky", s.H), ("cholesky", s.theta), ("eigh", s.R),
+            ("cholesky", ph_condition_matrix(s.R, s.Z, s.theta)), ("eigh", s.theta),
+            ("cholesky", partner.H), ("cholesky", partner.theta),
+            ("cholesky", ph_condition_matrix(partner.R, partner.Z, partner.theta))]
+    assert [name for name, _ in calls] == [name for name, _ in want] + ["eigvalsh"]
+    for (name, a), (_, m) in zip(calls, want):
+        assert shifted_scaling_of(a, m) if name == "cholesky" else np.array_equal(a, m)
+    assert calls[-1][1].shape == (2, 2)
     keys = [(name, a.tobytes()) for name, a in calls]
     assert len(set(keys)) == len(keys)
 
@@ -456,6 +465,38 @@ def test_certify_ph_stores_the_spectrum_of_a_frozen_energy_matrix():
     assert count(calls, "eigvalsh", h) == 2
 
 
+def test_a_positive_definite_h_decides_certify_ph_by_its_stored_verdict():
+    """validate decides a 4-state system's H > 0 by one Cholesky and stores
+    the outcome on H, which then decides certify_ph's H >= 0 with no call;
+    a writeable copy of H is tested afresh.  Each call tests the 5 x 5
+    dissipation by one Cholesky.  A singular PSD H leaves its positive
+    definite test to its eigvalsh (its zero pivot fails the shifted
+    Cholesky before LAPACK runs), and that stored spectrum then decides
+    certify_ph's H >= 0."""
+    s = rand_certified_delay_ph(np.random.default_rng(47), 4)
+    lti = StandardLTISystem(np.linalg.solve(s.H, s.J - s.R), np.linalg.solve(s.H, s.G),
+                            s.G.T)
+    with decompositions() as calls:
+        assert validate(s) == []
+        for energy in (s.H, s.H, np.array(s.H)):
+            assert certify_ph(lti, energy).certified
+    assert [(name, a.shape) for name, a in calls] == [
+        ("cholesky", (4, 4)), ("cholesky", (4, 4)), ("cholesky", (5, 5)), ("cholesky", (5, 5)),
+        ("cholesky", (4, 4)), ("cholesky", (5, 5))]
+    assert shifted_scaling_of(calls[0][1], s.H) and shifted_scaling_of(calls[4][1], s.H)
+    assert vars(s.H.base)[("positive_definite", DEFAULT_TOL)] is True
+    assert vars(s.H.base)[("psd", DEFAULT_TOL)] is True
+    singular = DelayPHSystem(H=np.diag([1.0, 1.0, 1.0, 0.0]), J=np.zeros((4, 4)), R=np.eye(4),
+                             Z=np.zeros((4, 4)), G=np.ones((4, 1)), tau=1.0)
+    lti = StandardLTISystem(-np.eye(4), np.eye(4, 1), np.eye(1, 4))
+    with decompositions() as calls:
+        assert validate(singular) == ["H is not positive definite (min eigenvalue 0)"]
+        assert certify_ph(lti, singular.H).certified
+    assert [(name, a.shape) for name, a in calls] == [("eigvalsh", (4, 4)), ("cholesky", (5, 5))]
+    assert np.array_equal(calls[0][1], singular.H)
+    assert vars(singular.H.base)[("psd", DEFAULT_TOL)] is False
+
+
 def test_repeated_simulations_build_the_step_data_once(monkeypatch):
     """Three histories of one system: one conversion to the general form
     (three solves against H) and one set of RK4 maps, both stored."""
@@ -488,6 +529,19 @@ def test_copies_start_without_the_general_form_or_step_data():
         assert copied._cache == {}
         assert delay_ph_to_general(copied) is not general
     assert pickle.loads(pickle.dumps(general))._cache == {}
+
+
+def test_a_cold_chain_decomposes_theta_once():
+    """validate decides H > 0 and Theta >= 0 of a fresh system by one
+    Cholesky each; check_necessary then takes the eigh of R and of Theta,
+    the one eigendecomposition of Theta."""
+    s = rand_certified_delay_ph(np.random.default_rng(43), 4)
+    with decompositions() as calls:
+        assert validate(s) == []
+        assert check_necessary(s.R, s.theta, s.Z).all_hold
+    assert [name for name, _ in calls] == ["cholesky", "cholesky", "eigh", "eigh"]
+    assert shifted_scaling_of(calls[0][1], s.H) and shifted_scaling_of(calls[1][1], s.theta)
+    assert np.array_equal(calls[2][1], s.R) and np.array_equal(calls[3][1], s.theta)
 
 
 def test_check_necessary_decomposes_theta_once():

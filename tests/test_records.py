@@ -121,6 +121,24 @@ def test_a_pending_interval_survives_a_copy_and_a_pickle():
             want.sigma, want.lo, want.hi, True)
 
 
+@pytest.mark.parametrize("clone", [
+    copy.copy, copy.deepcopy, lambda obj: pickle.loads(pickle.dumps(obj)),
+], ids=["copy", "deepcopy", "pickle"])
+def test_a_pending_least_eigenvalue_and_slack_survive_copies(clone):
+    """A PSD report and a certificate whose least eigenvalue and slack a
+    Cholesky verdict left unread: each copy carries what computes them,
+    and reads the original's values bit for bit."""
+    lti = StandardLTISystem(A=-np.eye(4), B=np.eye(4, 1), C=np.eye(1, 4))
+    for original in (is_psd(np.eye(4)), certify_ph(lti, np.eye(4)).certificate):
+        assert all(type(vars(original)[name]) is _Deferred
+                   for name in ("min_eigenvalue", "slack"))
+        twin = clone(original)
+        assert all(type(vars(twin)[name]) is _Deferred for name in ("min_eigenvalue", "slack"))
+        for name in ("min_eigenvalue", "slack"):
+            want = getattr(original, name)
+            assert np.float64(getattr(twin, name)).tobytes() == np.float64(want).tobytes()
+
+
 def test_value_records_compare_and_hash_by_value():
     r, z = np.diag([2.0, 0.0]), np.diag([1.0, 0.0])
     pairs = [
