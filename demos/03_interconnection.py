@@ -1,12 +1,14 @@
 """
-Coupling two certified delay systems through their ports
-========================================================
+Coupling certified delay systems through their ports
+====================================================
 
-Port interconnection u = F y + w stacks two systems into one.  A skew F
-shuffles power between the parts without creating any, so certificates
-survive; a symmetric positive F injects energy and eventually breaks the
-combined certificate.  Both effects are visible directly in the smallest
-eigenvalue of the aggregated block condition.
+Port interconnection u = F y + w stacks any number of systems into one.
+A skew F shuffles power between the parts without creating any, so
+certificates survive; a symmetric positive F injects energy and eventually
+breaks the combined certificate.  Both effects are visible directly in the
+smallest eigenvalue of the aggregated block condition.  A ring of three
+cells is decided flat, from its parts, and nested, as a closed pair coupled
+to the third cell, with the same verdict.
 """
 
 import numpy as np
@@ -51,3 +53,15 @@ Fd = np.array([[-0.5, 1.0], [-1.0, -0.5]])
 cert = certify_interconnection(cell, cell, Fd)
 print(f"dissipative coupling: {classify_feedback(Fd)} -> {cert.verdict} "
       f"(min eigenvalue {cert.min_eigenvalue:.3f})")
+print()
+
+# a ring of three cells: each passes power on to the next, skew again
+ring = np.array([[0.0, 1.0, -1.0], [-1.0, 0.0, 1.0], [1.0, -1.0, 0.0]])
+flat = certify_interconnection(cell, cell, cell, ring)
+# nested: close the first pair, then couple it to the third cell through
+# the rest of the ring
+rest = ring.copy()
+rest[:2, :2] = 0.0
+nested = certify_interconnection(interconnect(cell, cell, ring[:2, :2]), cell, rest)
+print(f"ring of three, flat:   {flat.verdict} (min eigenvalue {flat.min_eigenvalue:.3f})")
+print(f"ring of three, nested: {nested.verdict} (min eigenvalue {nested.min_eigenvalue:.3f})")

@@ -20,8 +20,8 @@ of the construction.
 Every certificate of (*) comes from one routine, which decides systems
 with a stored Theta side by side: from ``certify_delay_ph`` the system
 with its stored Theta or a copy carrying an explicit one, and from
-``composition`` the two parts of an exactly skew coupling or the closed
-loop of any other.  The spectra it cuts are computed in ``linalg``.
+``composition`` the parts of an exactly skew coupling or the closed loop
+of any other.  The spectra it cuts are computed in ``linalg``.
 
 Verdict semantics: CERTIFIED and REFUTED always refer to the pair
 (system, Theta); a refuted pair says nothing about other Theta choices.

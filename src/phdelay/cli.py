@@ -27,7 +27,7 @@ import numpy as np
 from .certificates import CERTIFIED, INCONCLUSIVE, REFUTED
 from .certify import certify_delay_ph, check_necessary, construct_theta
 from .composition import (
-    _certify_pair,
+    _certify_network,
     check_feedback_conditions,
     classify_feedback,
     close_delayed_feedback,
@@ -175,12 +175,11 @@ def _cmd_construct_theta(args, tol, inputs):
 
 
 def _cmd_interconnect(args, tol, inputs):
-    sys1 = _read_system(args.system1, inputs, tol)
-    sys2 = _read_system(args.system2, inputs, tol)
+    parts = [_read_system(path, inputs, tol) for path in args.systems]
     f = _read_matrix(args.feedback_matrix, "F", inputs)
-    if not (isinstance(sys1, DelayPHSystem) and isinstance(sys2, DelayPHSystem)):
-        raise _UsageError("interconnect requires two delay_ph systems")
-    closed = interconnect(sys1, sys2, f)
+    if not all(isinstance(part, DelayPHSystem) for part in parts):
+        raise _UsageError("interconnect requires every part to be a delay_ph system")
+    closed = interconnect(*parts, f)
     payload = {
         "classification": classify_feedback(f, tol),
         "system": _document(closed),
@@ -190,8 +189,8 @@ def _cmd_interconnect(args, tol, inputs):
         payload["out"] = args.out
     if not args.certify:
         return payload, 0
-    # both parts were validated when they were read
-    cert = _certify_pair(sys1, sys2, f, tol, closed)
+    # every part was validated when it was read
+    cert = _certify_network(parts, f, tol, closed)
     payload["certificate"] = cert.to_dict()
     return payload, _EXIT[cert.verdict]
 
@@ -397,10 +396,10 @@ def _build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_construct_theta)
 
     p = sub.add_parser("interconnect", parents=[common],
-                       help="close the loop u = F y + w around two systems")
-    p.add_argument("system1")
-    p.add_argument("system2")
-    p.add_argument("feedback_matrix")
+                       help="close the loop u = F y + w around one or more systems")
+    p.add_argument("systems", nargs="+", metavar="system",
+                   help="delay_ph documents sharing one tau, stacked in this order")
+    p.add_argument("feedback_matrix", help="JSON matrix F over all their ports")
     p.add_argument("--certify", action="store_true")
     p.add_argument("--out", help="write the closed-loop system document here")
     p.set_defaults(handler=_cmd_interconnect)

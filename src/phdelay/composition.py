@@ -1,22 +1,21 @@
 """Feedback interconnection of delay port-Hamiltonian systems.
 
-Two systems sharing one delay tau are coupled through their ports by
+N >= 1 systems sharing one delay tau are coupled through their ports by
 ``u = F y + w`` (w is the new external input).  Stacking states and ports
-gives another delay port-Hamiltonian system with
+part by part gives another delay port-Hamiltonian system with
 
-    H = blkdiag(H1, H2), J = blkdiag(J1, J2) + skew(G F G^T),
-    R = blkdiag(R1, R2) - sym(G F G^T),  Z = blkdiag(Z1, Z2),
-    G = blkdiag(G1, G2),
+    H = blkdiag(H_i), J = blkdiag(J_i) + skew(G F G^T),
+    R = blkdiag(R_i) - sym(G F G^T),  Z = blkdiag(Z_i),  G = blkdiag(G_i),
 
 so the stored closed loop reproduces the subsystem trajectories exactly.
 The dissipation coupling is computed as G sym(F) G^T, which equals
-sym(G F G^T): an exactly skew F then leaves R exactly blkdiag(R1, R2), with
+sym(G F G^T): an exactly skew F then leaves R exactly blkdiag(R_i), with
 no rounding noise in the off-diagonal blocks.  The closed loop's condition
 matrix is then the parts' condition matrices side by side, so
-``certify_interconnection`` hands the two parts, or for any other F the
+``certify_interconnection`` hands the parts, or for any other F the
 closed loop, to the one routine in ``certify`` that decides (*) for
-systems with a stored Theta.
-The coupled pair stays certifiable whenever both parts are certified and
+systems with a stored Theta.  A pair is N = 2; a network needs no nesting.
+The coupled network stays certifiable whenever every part is certified and
 the feedback does not generate energy, i.e. -sym(F) is PSD
 (power-conserving feedback, sym(F) = 0, in particular).  Delayed output
 feedback u = -F y(t - tau) + v applied to a delay-free port-Hamiltonian
@@ -93,95 +92,94 @@ def classify_feedback(F, tol: Tolerance = DEFAULT_TOL) -> str:
     return GENERAL if split.lo else DISSIPATIVE
 
 
-def interconnect(
-    sys1: DelayPHSystem, sys2: DelayPHSystem, F
-) -> DelayPHSystem:
-    """Close the loop u = F y + w around the stacked pair.
+def interconnect(*args) -> DelayPHSystem:
+    """``interconnect(sys_1, ..., sys_N, F)``: close the loop u = F y + w
+    around N >= 1 parts (TypeError for none), stacked part by part.
 
-    Both systems must share one delay, equal within the relative
-    ``TAU_RTOL``; the closed loop keeps ``sys1.tau``.  F must be
-    (m1 + m2) x (m1 + m2).  The combined theta blkdiag(theta1, theta2) is
-    attached when both subsystems carry one.
+    All parts must share one delay, each equal to the first's within the
+    relative ``TAU_RTOL``; the closed loop keeps ``sys_1.tau``.  F must be
+    m x m, m = m_1 + ... + m_N.  The combined theta blkdiag(theta_i) is
+    attached when every part carries one.
     """
-    f = _pair_feedback(sys1, sys2, F)
-    g = _blkdiag(sys1.G, sys2.G)
+    parts, f = _network(args)
+    h, j, r, z, g = (_blkdiag(*(getattr(p, name) for p in parts)) for name in "HJRZG")
+    thetas = [p.theta for p in parts]
     gfg = g @ f @ g.T
     # G sym(F) G^T, not sym(G F G^T): zero for a skew F, so R keeps the
-    # exact zeros of blkdiag(R1, R2)
+    # exact zeros of blkdiag(R_i)
     gsg = g @ sym_part(f) @ g.T
-    theta = None
-    if sys1.theta is not None and sys2.theta is not None:
-        theta = _blkdiag(sys1.theta, sys2.theta)
     return DelayPHSystem(
-        H=_blkdiag(sys1.H, sys2.H),
-        J=_blkdiag(sys1.J, sys2.J) + skew_part(gfg),
-        R=_blkdiag(sys1.R, sys2.R) - sym_part(gsg),
-        Z=_blkdiag(sys1.Z, sys2.Z),
+        H=h,
+        J=j + skew_part(gfg),
+        R=r - sym_part(gsg),
+        Z=z,
         G=g,
-        tau=sys1.tau,
-        theta=theta,
+        tau=parts[0].tau,
+        theta=None if any(t is None for t in thetas) else _blkdiag(*thetas),
     )
 
 
-def _pair_feedback(sys1: DelayPHSystem, sys2: DelayPHSystem, F) -> np.ndarray:
-    """F as an array, once the pair shares one delay and F fits its ports."""
-    if abs(sys1.tau - sys2.tau) > TAU_RTOL * max(sys1.tau, sys2.tau):
-        raise ValueError(
-            f"delays differ: {sys1.tau} vs {sys2.tau}; interconnection "
-            "requires one shared delay"
-        )
-    m = sys1.m + sys2.m
-    return _require_shape(as_matrix(F, "F"), (m, m), "F")
+def _network(args) -> tuple[tuple[DelayPHSystem, ...], np.ndarray]:
+    """The parts and F as an array, once the parts share one delay and F
+    fits their ports."""
+    if len(args) < 2:
+        raise TypeError(f"expected one or more systems, then F; got {len(args)} arguments")
+    *parts, F = args
+    tau = parts[0].tau
+    for part in parts[1:]:
+        # against the larger |tau|, so equal delays always connect
+        if abs(part.tau - tau) > TAU_RTOL * max(abs(part.tau), abs(tau)):
+            raise ValueError(f"delays differ: {tau} vs {part.tau}; interconnection "
+                             "requires one shared delay")
+    m = sum(part.m for part in parts)
+    return tuple(parts), _require_shape(as_matrix(F, "F"), (m, m), "F")
 
 
-def certify_interconnection(
-    sys1: DelayPHSystem, sys2: DelayPHSystem, F, tol: Tolerance = DEFAULT_TOL
-) -> Certificate:
-    """Certify the closed loop of ``interconnect(sys1, sys2, F)``.
+def certify_interconnection(*args, tol: Tolerance = DEFAULT_TOL) -> Certificate:
+    """``certify_interconnection(sys_1, ..., sys_N, F, *, tol)``: certify
+    the closed loop of ``interconnect(sys_1, ..., sys_N, F)``.
 
-    Both subsystems must carry a theta (ValueError otherwise).  The tested
+    Every part must carry a theta (ValueError otherwise).  The tested
     matrix is
 
         [[R - G sym(F) G^T - Theta, Z/2], [Z^T/2, Theta]]
 
-    over the stacked structure with theta blkdiag(theta1, theta2).  Each
-    part is validated (SystemValidationError names the part); valid parts
-    make a valid closed loop, which is not validated again.  When F is
-    exactly skew (F + F^T has no nonzero entry) the tested matrix holds the
-    parts' condition matrices side by side, ordered (x1, x2, x1(t - tau),
-    x2(t - tau)), and each part is decided on its own, with its verdict
-    stored on it, without building the closed loop; any other F certifies
-    the closed loop as a whole.  Either way the certificate carries the
-    closed loop's condition matrix and theta, bit for bit those that
-    ``certify_delay_ph(interconnect(sys1, sys2, F))`` reports.
+    over the stacked structure with theta blkdiag(theta_1, ..., theta_N).
+    Each part is validated (SystemValidationError names the part); valid
+    parts make a valid closed loop, which is not validated again.  When F
+    is exactly skew (F + F^T has no nonzero entry) the tested matrix holds
+    the parts' condition matrices side by side, ordered (x_1, ..., x_N,
+    x_1(t - tau), ..., x_N(t - tau)), and each part is decided on its own,
+    with its verdict stored on it, without building the closed loop; any
+    other F certifies the closed loop as a whole.  Either way the
+    certificate carries the closed loop's condition matrix and theta, bit
+    for bit those that ``certify_delay_ph(interconnect(sys_1, ..., sys_N,
+    F))`` reports.
     """
-    f = _pair_feedback(sys1, sys2, F)
-    violations = [
-        f"{label}: {v}"
-        for label, part in (("system 1", sys1), ("system 2", sys2))
-        for v in validate(part, tol)
-    ]
+    parts, f = _network(args)
+    violations = [f"system {i}: {v}" for i, part in enumerate(parts, 1)
+                  for v in validate(part, tol)]
     if violations:
         raise SystemValidationError(violations)
-    return _certify_pair(sys1, sys2, f, tol)
+    return _certify_network(parts, f, tol)
 
 
-def _certify_pair(sys1: DelayPHSystem, sys2: DelayPHSystem, f: np.ndarray,
-                  tol: Tolerance, closed: DelayPHSystem | None = None) -> Certificate:
+def _certify_network(parts, f: np.ndarray, tol: Tolerance,
+                     closed: DelayPHSystem | None = None) -> Certificate:
     """``certify_interconnection`` for validated parts and a fitting F array.
 
     An exactly skew F is decided from the parts; any other F from the
     closed loop, ``closed`` when the caller has built it already.
     """
-    if sys1.theta is None or sys2.theta is None:
-        raise ValueError("both subsystems must carry a theta to certify")
+    if any(part.theta is None for part in parts):
+        raise ValueError("every part must carry a theta to certify")
     if _exactly_skew(f):
-        return _certify_stored([sys1, sys2], tol)
-    return _certify_stored([interconnect(sys1, sys2, f) if closed is None else closed], tol)
+        return _certify_stored(parts, tol)
+    return _certify_stored([interconnect(*parts, f) if closed is None else closed], tol)
 
 
 def _exactly_skew(f: np.ndarray) -> bool:
-    """Whether F + F^T has no nonzero entry: then R is blkdiag(R1, R2)."""
+    """Whether F + F^T has no nonzero entry: then R is blkdiag(R_i)."""
     return bool(np.all(f == -f.T))
 
 

@@ -277,6 +277,20 @@ def test_interconnect_mismatched_delays(capsys, tmp_path):
     code, report = run(capsys, "interconnect", s1, s2, f)
     assert code == 3
     assert "delays differ" in report["error"]
+    s3 = write_doc(tmp_path / "s3.json", scalar_doc(theta=1.0, tau=3.0))
+    f3 = write_doc(tmp_path / "f3.json", np.zeros((3, 3)).tolist())
+    code, report = run(capsys, "interconnect", s1, s1, s3, f3)
+    assert code == 3
+    assert report["error"].startswith("delays differ: 1.0 vs 3.0;")
+
+
+def chained(f):
+    """A 3 x 3 coupling of three scalar ports: the 2 x 2 ``f`` between
+    ports 1 and 2 and again between ports 2 and 3."""
+    out = np.zeros((3, 3))
+    out[:2, :2] += f
+    out[1:, 1:] += f
+    return out.tolist()
 
 
 @pytest.mark.parametrize("f", [[[0.0, 1.0], [-1.0, 0.0]], [[-1.0, 1.0], [-1.0, -1.0]]],
@@ -295,15 +309,19 @@ def test_interconnect_certify_builds_the_loop_once(capsys, monkeypatch, tmp_path
     monkeypatch.setattr(phdelay.composition, "interconnect", counted)
     monkeypatch.setattr(phdelay.cli, "interconnect", counted)
     s1 = write_doc(tmp_path / "s1.json", scalar_doc(theta=1.0))
-    f = write_doc(tmp_path / "f.json", f)
-    code, report = run(capsys, "interconnect", s1, s1, f, "--certify")
-    assert code == 0
-    assert report["certificate"]["verdict"] == "CERTIFIED"
-    assert len(calls) == 1
+    for parts, coupling in [([s1] * 2, f), ([s1] * 3, chained(f))]:
+        calls.clear()
+        path = write_doc(tmp_path / "f.json", coupling)
+        code, report = run(capsys, "interconnect", *parts, path, "--certify")
+        assert code == 0
+        assert report["certificate"]["verdict"] == "CERTIFIED"
+        assert report["system"]["n"] == len(parts)
+        assert len(calls) == 1
 
 
-@pytest.mark.parametrize("f, spectra", [([[0.0, 1.0], [-1.0, 0.0]], 6),
-                                       ([[-1.0, 1.0], [-1.0, -1.0]], 8)],
+# decompositions for 2 and for 3 scalar parts
+@pytest.mark.parametrize("f, spectra", [([[0.0, 1.0], [-1.0, 0.0]], {2: 6, 3: 9}),
+                                       ([[-1.0, 1.0], [-1.0, -1.0]], {2: 8, 3: 10})],
                          ids=["skew", "dissipative"])
 def test_interconnect_certify_validates_each_part_once(capsys, monkeypatch,
                                                        tmp_path, f, spectra):
@@ -320,24 +338,28 @@ def test_interconnect_certify_validates_each_part_once(capsys, monkeypatch,
 
     for module in (phdelay.systems, phdelay.composition, phdelay.cli):
         monkeypatch.setattr(module, "validate", counted_validate)
-    s1 = write_doc(tmp_path / "s1.json", scalar_doc(theta=1.0))
-    s2 = write_doc(tmp_path / "s2.json", scalar_doc(theta=1.0))
-    f = write_doc(tmp_path / "f.json", f)
     out = tmp_path / "closed.json"
-    with decompositions() as calls:
-        code, report = run(capsys, "interconnect", s1, s2, f, "--certify",
-                           "--out", str(out))
-    # read_system validates each part and the certificate validates nothing
-    # again: one eigvalsh each for the parts' H and theta, then the two
-    # parts' 2 x 2 condition matrices (skew F), or classify_feedback's eigh
-    # of -sym(F) and eigvalsh of F's Gram matrix, for ||F||_2, then one
-    # Cholesky of the closed loop's 4 x 4 condition matrix and, for its
-    # printed least eigenvalue and slack, its eigvalsh; no SVD
-    assert "svd" not in [name for name, _ in calls]
-    assert (len(validations), len(calls)) == (2, spectra)
-    assert code == 0
-    assert report["certificate"]["verdict"] == "CERTIFIED"
-    assert read_system(out).n == 2
+    for k, coupling in [(2, f), (3, chained(f))]:
+        validations.clear()
+        # fresh files, so no part's decompositions are stored yet
+        parts = [write_doc(tmp_path / f"s{k}{i}.json", scalar_doc(theta=1.0))
+                 for i in range(k)]
+        path = write_doc(tmp_path / "f.json", coupling)
+        with decompositions() as calls:
+            code, report = run(capsys, "interconnect", *parts, path, "--certify",
+                               "--out", str(out))
+        # read_system validates each part and the certificate validates
+        # nothing again: one eigvalsh each for the parts' H and theta, then
+        # the parts' 2 x 2 condition matrices (skew F), or
+        # classify_feedback's eigh of -sym(F) and eigvalsh of F's Gram
+        # matrix, for ||F||_2, then one Cholesky of the closed loop's
+        # 2k x 2k condition matrix and, for its printed least eigenvalue
+        # and slack, its eigvalsh; no SVD
+        assert "svd" not in [name for name, _ in calls]
+        assert (len(validations), len(calls)) == (k, spectra[k])
+        assert code == 0
+        assert report["certificate"]["verdict"] == "CERTIFIED"
+        assert read_system(out).n == k
 
 
 def test_interconnect_certify_needs_both_thetas(capsys, tmp_path):
@@ -346,9 +368,13 @@ def test_interconnect_certify_needs_both_thetas(capsys, tmp_path):
     f = write_doc(tmp_path / "f.json", [[0.0, 1.0], [-1.0, 0.0]])
     code, report = run(capsys, "interconnect", s1, s2, f, "--certify")
     assert code == 3
-    assert report["error"] == "both subsystems must carry a theta to certify"
+    assert report["error"] == "every part must carry a theta to certify"
     code, report = run(capsys, "interconnect", s1, s2, f)
     assert code == 0
+    f3 = write_doc(tmp_path / "f3.json", chained([[0.0, 1.0], [-1.0, 0.0]]))
+    code, report = run(capsys, "interconnect", s1, s1, s2, f3, "--certify")
+    assert code == 3
+    assert report["error"] == "every part must carry a theta to certify"
 
 
 # ---------------------------------------------------------------------------
@@ -784,17 +810,18 @@ def test_valid_documents_never_end_in_input_errors(tmp_path):
 @pytest.mark.parametrize("f", [[[0.0, 1.0], [-1.0, 0.0]], [[-1.0, 1.0], [-1.0, -1.0]]],
                          ids=["skew", "dissipative"])
 def test_interconnect_verdict_is_the_librarys(capsys, tmp_path, f):
-    # blkdiag(H1, H2) fails validate's conditioning guard, each part passes
-    docs = [scalar_doc(theta=1.0) for _ in range(2)]
+    # blkdiag(H_i) fails validate's conditioning guard, each part passes
+    docs = [scalar_doc(theta=1.0) for _ in range(3)]
     docs[0]["H"], docs[1]["H"] = [[1e6]], [[1e-4]]
     paths = [write_doc(tmp_path / f"s{i}.json", d) for i, d in enumerate(docs)]
-    parts = [read_system(p) for p in paths]
-    cert = certify_interconnection(parts[0], parts[1], f)
-    code, report = run(capsys, "interconnect", *paths,
-                       write_doc(tmp_path / "f.json", f), "--certify")
-    assert cert.verdict == report["certificate"]["verdict"] == "CERTIFIED"
-    assert code == 0
-    assert report["certificate"] == cert.to_dict()
+    for k, coupling in [(2, f), (3, chained(f))]:
+        parts = [read_system(p) for p in paths[:k]]
+        cert = certify_interconnection(*parts, coupling)
+        code, report = run(capsys, "interconnect", *paths[:k],
+                           write_doc(tmp_path / "f.json", coupling), "--certify")
+        assert cert.verdict == report["certificate"]["verdict"] == "CERTIFIED"
+        assert code == 0
+        assert report["certificate"] == cert.to_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -849,7 +876,8 @@ SIMULATE = ["--T", "1.0", "--h", "0.1", "--out", "{out}"]
     (["certify", "{scalar}", "--theta", "{broken}"], "--theta: malformed JSON"),
     (["certify", "{scalar}", "--h-matrix", "{one}"], "--h-matrix only applies"),
     (["certify", "{plant}", "--theta", "{one}"], "--theta only applies"),
-    (["interconnect", "{plant}", "{scalar}", "{one}"], "requires two delay_ph"),
+    (["interconnect", "{plant}", "{scalar}", "{one}"],
+     "requires every part to be a delay_ph system"),
     (["feedback", "{scalar}", "{one}", "--tau", "1.0"], "requires a standard_ph"),
     (["simulate", "{scalar}", "--history", "{broken}", *SIMULATE],
      "history: malformed JSON"),

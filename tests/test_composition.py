@@ -138,16 +138,19 @@ def test_interconnect_skew_coupling_keeps_r_block_diagonal():
 
 
 def test_certify_interconnection_eigh_stays_subsystem_sized():
-    """Power-conserving coupling: every eigh or eigvalsh is at most 2n, never 4n."""
+    """Power-conserving coupling: each part's condition matrix is decomposed
+    once, at order 2 n_i; nothing is decomposed at order 2 sum(n_i)."""
     rng = np.random.default_rng(71)
-    n = 128
-    sys1 = rand_certified_delay_ph(rng, n, m=2)
-    sys2 = rand_certified_delay_ph(rng, n, m=2)
-    with decompositions() as calls:
-        cert = certify_interconnection(sys1, sys2, rand_antisym(rng, 4))
-    orders = [a.shape[-1] for name, a in calls if name != "svd"]
-    assert cert.verdict == CERTIFIED
-    assert orders and max(orders) <= 2 * n
+    for sizes in [(128, 128), (80, 96, 112)]:
+        parts = [rand_certified_delay_ph(rng, n, m=2) for n in sizes]
+        with decompositions() as calls:
+            cert = certify_interconnection(*parts, rand_antisym(rng, 2 * len(sizes)))
+        orders = [a.shape[-1] for name, a in calls if name != "svd"]
+        assert cert.verdict == CERTIFIED
+        assert orders and max(orders) <= 2 * max(sizes)
+        # validate decomposes matrices of order n_i, the condition matrices
+        # are the only larger ones
+        assert sorted(o for o in orders if o > max(sizes)) == [2 * n for n in sizes]
 
 
 def test_interconnect_rejects_mismatched_delay():
@@ -155,6 +158,23 @@ def test_interconnect_rejects_mismatched_delay():
                           G=[[1.0]], tau=2.0, theta=[[1.0]])
     with pytest.raises(ValueError, match="delays differ"):
         interconnect(scalar_system(), other, np.zeros((2, 2)))
+    # each part is held against the first; the error names the odd one's tau
+    with pytest.raises(ValueError, match="delays differ: 1.0 vs 2.0"):
+        interconnect(scalar_system(), scalar_system(), other, np.zeros((3, 3)))
+
+
+def test_interconnect_connects_equal_delays_of_any_sign():
+    """The rounding allowance is relative to the larger |tau|, so equal
+    delays connect even where it would be negative; validate rejects
+    tau <= 0 on its own."""
+    def with_tau(tau):
+        return DelayPHSystem(H=[[1.0]], J=[[0.0]], R=[[2.0]], Z=[[1.0]],
+                             G=[[1.0]], tau=tau, theta=[[1.0]])
+
+    for tau in (-1.0, 0.0, -1e300):
+        assert interconnect(with_tau(tau), with_tau(tau), np.zeros((2, 2))).tau == tau
+    with pytest.raises(ValueError, match="delays differ: -1.0 vs -2.0"):
+        interconnect(with_tau(-1.0), with_tau(-2.0), np.zeros((2, 2)))
 
 
 def test_interconnect_accepts_delays_equal_up_to_rounding():
@@ -174,6 +194,18 @@ def test_interconnect_accepts_delays_equal_up_to_rounding():
 def test_interconnect_rejects_wrong_f_shape():
     with pytest.raises(ValueError, match="expected"):
         interconnect(scalar_system(), scalar_system(), np.zeros((3, 3)))
+
+
+def test_interconnection_needs_at_least_one_part():
+    f = np.zeros((1, 1))
+    for produce in (interconnect, certify_interconnection):
+        for args in [(), (f,)]:
+            with pytest.raises(TypeError, match="one or more systems"):
+                produce(*args)
+    # one part closes a loop around itself
+    closed = interconnect(scalar_system(), [[-1.0]])
+    np.testing.assert_array_equal(closed.R, [[3.0]])
+    assert certify_interconnection(scalar_system(), [[-1.0]]).verdict == CERTIFIED
 
 
 def test_interconnect_theta_requires_both():
@@ -214,26 +246,27 @@ def _scaled_part(rng, n, m, c, refuted):
 
 
 @st.composite
-def skew_pairs(draw):
+def skew_networks(draw, min_parts=1):
+    """``(sys_1, ..., sys_N, F)``: N in [min_parts, 4] parts, each refuted
+    or certified, and an exactly skew F."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     c = 10.0 ** draw(st.floats(-6.0, 4.0))
-    m1, m2 = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    ports = draw(st.lists(st.integers(1, 3), min_size=min_parts, max_size=4))
     parts = [
         _scaled_part(rng, draw(st.integers(1, 6)), m, c, draw(st.booleans()))
-        for m in (m1, m2)
+        for m in ports
     ]
-    a = rng.standard_normal((m1 + m2, m1 + m2))
+    a = rng.standard_normal((sum(ports), sum(ports)))
     f = draw(st.sampled_from([0.0, 1.0, 1e3])) * (a - a.T)  # exactly skew
-    return parts[0], parts[1], f
+    return (*parts, f)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
-@given(skew_pairs())
-def test_skew_interconnection_from_parts_matches_closed_loop(pair):
-    """Deciding the two parts reproduces the closed loop's certificate."""
-    sys1, sys2, f = pair
-    via_parts = certify_interconnection(sys1, sys2, f)
-    direct = certify_delay_ph(interconnect(sys1, sys2, f))
+@given(skew_networks())
+def test_skew_interconnection_from_parts_matches_closed_loop(network):
+    """Deciding the parts reproduces the closed loop's certificate."""
+    via_parts = certify_interconnection(*network)
+    direct = certify_delay_ph(interconnect(*network))
     assert via_parts.verdict == direct.verdict
     assert via_parts.reason == direct.reason
     cond = direct.condition_matrix
@@ -248,6 +281,50 @@ def test_skew_interconnection_from_parts_matches_closed_loop(pair):
     else:
         assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-12)
         assert abs(float(w @ cond @ w) - via_parts.min_eigenvalue) <= 1e-12 * scale
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(skew_networks(min_parts=3))
+def test_a_nested_network_decides_as_the_flat_one(network):
+    """Closing the loop of the first two parts, then coupling it to the
+    rest through F with that block removed, is the flat network: the same
+    verdict on the same condition matrix."""
+    *parts, f = network
+    k = parts[0].m + parts[1].m
+    rest = f.copy()
+    rest[:k, :k] = 0.0
+    inner = interconnect(parts[0], parts[1], f[:k, :k])
+    nested = certify_interconnection(inner, *parts[2:], rest)
+    flat = certify_interconnection(*network)
+    assert (nested.verdict, nested.reason) == (flat.verdict, flat.reason)
+    assert nested.condition_matrix.tobytes() == flat.condition_matrix.tobytes()
+    assert nested.theta_used.tobytes() == flat.theta_used.tobytes()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(skew_networks(min_parts=2), st.data())
+def test_permuting_the_parts_permutes_the_witness(network, data):
+    """Reordering the parts, and the blocks of F with them, reorders the
+    states of the certificate's evidence and changes nothing else."""
+    *parts, f = network
+    perm = data.draw(st.permutations(range(len(parts))))
+
+    def reorder(sizes):
+        blocks = np.split(np.arange(sum(sizes)), np.cumsum(sizes)[:-1])
+        return np.concatenate([blocks[i] for i in perm])
+
+    ports = reorder([p.m for p in parts])
+    states = reorder([p.n for p in parts])
+    order = np.concatenate([states, states + len(states)])  # x, then x(t - tau)
+    cert = certify_interconnection(*parts, f)
+    permuted = certify_interconnection(*[parts[i] for i in perm], f[np.ix_(ports, ports)])
+    assert (permuted.verdict, permuted.reason) == (cert.verdict, cert.reason)
+    assert (permuted.condition_matrix.tobytes()
+            == cert.condition_matrix[np.ix_(order, order)].tobytes())
+    if cert.verdict == REFUTED:
+        assert permuted.witness.tobytes() == cert.witness[order].tobytes()
+    else:
+        assert permuted.witness is None
 
 
 def test_skew_interconnection_names_the_invalid_part():
